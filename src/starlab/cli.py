@@ -7,7 +7,8 @@ configurations produce byte-identical JSON regardless of --jobs; timings are
 only populated under --timings since wall-clock numbers are not reproducible.
 
 Exit codes: 0 all verdicts verified, 1 some verdict failed, 2 bad input,
-3 budget exceeded, 4 hypothesis gate failed.
+3 budget exceeded, 4 hypothesis gate failed, 5 engine error (an internal
+consistency check failed, which is a bug rather than a failed verdict).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetError, GateError, InputError
+from .errors import BudgetError, GateError, InputError, InvariantError
 from .fq_linear import field, field_from_order
 from .kunz_lab import (
     formula_check,
@@ -41,7 +42,13 @@ from .numsgp import (
     semigroup,
 )
 from .ring_model import enumerate_ideals, frobenius_overring_ideal, is_overring_stable
-from .star_engine import classify_family, enumerate_stars, workspace
+from .star_engine import (
+    DEFAULT_MAX_IDEALS,
+    DEFAULT_MAX_ORBITS,
+    classify_family,
+    enumerate_stars,
+    workspace,
+)
 
 SCHEMA_VERSION = 1
 
@@ -125,17 +132,12 @@ def cmd_ring_enum_ideals(args):
 
 
 def cmd_ring_enum_stars(args):
-    from .fq_linear import count_subspaces
-
     fld = _field_for(args)
     model = ring_model_for(
         tuple(semigroup(_parse_gens(args.gens)).generators), fld.q, _modulus_for(args)
     )
-    candidates = count_subspaces(model.sgp.genus, fld.q)
-    if candidates > args.max_ideals:
-        raise BudgetError(f"{candidates} candidate ideals exceed budget {args.max_ideals}")
-    ws = workspace(model)
-    stars = enumerate_stars(model, args.max_orbits)
+    ws = workspace(model, args.max_ideals)
+    stars = enumerate_stars(model, args.max_orbits, args.max_ideals)
     orbit_summary = [
         {
             "id": oid,
@@ -299,13 +301,22 @@ def _cache_load(cache_dir, key):
 
 
 def _cache_store(cache_dir, key, inp, results, verdicts):
+    """Write the entry to a temporary file beside it, then rename it into
+    place, so an interrupted store never leaves a truncated entry."""
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, key + ".json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"engine": __version__, "input": inp, "results": results, "verdicts": verdicts},
-            fh,
-        )
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=key + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"engine": __version__, "input": inp, "results": results, "verdicts": verdicts},
+                fh,
+            )
+        os.replace(tmp, os.path.join(cache_dir, key + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 COMMANDS = {
@@ -336,8 +347,8 @@ def build_parser():
             p.add_argument("--n", type=int, help="family parameter n")
         p.add_argument("--out", choices=("json", "csv", "md"), default="json")
         p.add_argument("--cache-dir", default=os.environ.get("STARLAB_CACHE_DIR"))
-        p.add_argument("--max-ideals", type=int, default=100000)
-        p.add_argument("--max-orbits", type=int, default=512)
+        p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
+        p.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
         p.add_argument("--timeout-s", type=int, default=0)
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument(
@@ -435,6 +446,9 @@ def main(argv=None) -> int:
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 4
+    except InvariantError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return 5
     finally:
         if args.timeout_s:
             signal.alarm(0)

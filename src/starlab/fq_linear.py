@@ -375,16 +375,6 @@ class AlgElem:
         return f"AlgElem{self.coeffs}"
 
 
-def alg_mul(a: AlgElem, b: AlgElem) -> AlgElem:
-    if a.field != b.field or len(a.coeffs) != len(b.coeffs):
-        raise InputError("operands live in different truncated algebras")
-    return a * b
-
-
-def alg_inv(a: AlgElem) -> AlgElem:
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # canonical subspaces
 
@@ -536,22 +526,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, pivots={self.pivots})"
 
 
-def subspace_canon(fld, ambient, vectors) -> Subspace:
-    return Subspace.span(fld, ambient, vectors)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.plus(b)
-
-
-def subspace_contains(a: Subspace, vec) -> bool:
-    return a.contains(vec)
-
-
 # ---------------------------------------------------------------------------
 # counting and enumeration
 
@@ -674,68 +648,69 @@ def unit_image_map(sub: Subspace, gens):
     return images
 
 
-class SubspacePartition:
-    """Partition of a list of subspaces into orbits under the valuation-zero
-    unit action, with deterministic representatives (lexicographically least
-    canonical matrix) and per-orbit unit-image maps."""
+class OrbitPartition:
+    """Partition of a family under the valuation-zero unit action.
 
-    __slots__ = ("subspaces", "orbit_ids", "reps", "orbit_members", "image_maps")
+    `items` are the partitioned objects (subspaces, or ideals partitioned by
+    their subspaces) and `members[k]` the item indices of orbit k, least
+    canonical matrix first; that least member is the representative.
+    `image_maps[k]` records every subspace (inside the family or not) that
+    some unit sends the representative's subspace to, with a witness unit.
+    """
 
-    def __init__(self, subspaces, orbit_ids, reps, orbit_members, image_maps):
-        self.subspaces = subspaces
+    __slots__ = ("items", "orbit_ids", "reps", "members", "image_maps", "_index")
+
+    def __init__(self, items, orbit_ids, members, image_maps):
+        self.items = items
         self.orbit_ids = orbit_ids
-        self.reps = reps
-        self.orbit_members = orbit_members
+        self.reps = tuple(items[m[0]] for m in members)
+        self.members = members
         self.image_maps = image_maps
+        self._index = {item: i for i, item in enumerate(items)}
 
     @property
     def orbit_count(self):
         return len(self.reps)
 
     def orbit_sizes(self):
-        return tuple(len(m) for m in self.orbit_members)
+        return tuple(len(m) for m in self.members)
+
+    def orbit_of(self, item):
+        idx = self._index.get(item)
+        if idx is None:
+            raise InputError("item not part of the partitioned family")
+        return self.orbit_ids[idx]
 
     def witness(self, orbit_id, member: Subspace):
         """Unit u with u * rep == member (member must lie in the orbit)."""
         return self.image_maps[orbit_id][member]
 
 
-def partition_subspaces(subspaces, fld, *, max_exponent=None) -> SubspacePartition:
-    """Orbit partition under multiplication by units of K[t]/(t^ambient).
+def partition_subspaces(subspaces, fld, *, max_exponent=None) -> OrbitPartition:
+    """Orbit partition of distinct subspaces under multiplication by units
+    of K[t]/(t^ambient).
 
     max_exponent restricts unit supports to t^1..t^max_exponent; pass it when
     the action on the given subspaces factors through that quotient.
+    Subspaces are visited in canonical order, so each orbit is found from its
+    least member: orbit ids ascend with the representatives, and every BFS
+    witness already maps the representative.
     """
-    subspaces = list(subspaces)
-    if not subspaces:
-        return SubspacePartition((), (), (), (), ())
-    ambient = subspaces[0].ambient
-    gens = unit_generators(fld, ambient, max_exponent)
+    subspaces = tuple(subspaces)
     index = {s: i for i, s in enumerate(subspaces)}
-    assigned = [None] * len(subspaces)
-    orbits = []
+    gens = unit_generators(fld, subspaces[0].ambient, max_exponent) if subspaces else ()
+    orbit_ids = [None] * len(subspaces)
+    members = []
+    image_maps = []
     for i in sorted(range(len(subspaces)), key=lambda i: subspaces[i].rows):
-        if assigned[i] is not None:
+        if orbit_ids[i] is not None:
             continue
         images = unit_image_map(subspaces[i], gens)
-        members = sorted(
-            (index[s] for s in images if s in index),
-            key=lambda j: subspaces[j].rows,
+        orbit = sorted(
+            (index[s] for s in images if s in index), key=lambda j: subspaces[j].rows
         )
-        rep_idx = members[0]
-        rep = subspaces[rep_idx]
-        if rep is not subspaces[i]:
-            # rebase witnesses so they map the canonical representative
-            w_rep = images[rep]
-            w_inv = series_inv(w_rep, fld)
-            images = {s: series_mul(w, w_inv, fld) for s, w in images.items()}
-        for j in members:
-            assigned[j] = len(orbits)
-        orbits.append((rep_idx, members, images))
-    order = sorted(range(len(orbits)), key=lambda k: subspaces[orbits[k][0]].rows)
-    remap = {old: new for new, old in enumerate(order)}
-    reps = tuple(subspaces[orbits[k][0]] for k in order)
-    members = tuple(tuple(orbits[k][1]) for k in order)
-    image_maps = tuple(orbits[k][2] for k in order)
-    orbit_ids = tuple(remap[a] for a in assigned)
-    return SubspacePartition(tuple(subspaces), orbit_ids, reps, members, image_maps)
+        for j in orbit:
+            orbit_ids[j] = len(members)
+        members.append(tuple(orbit))
+        image_maps.append(images)
+    return OrbitPartition(subspaces, tuple(orbit_ids), tuple(members), tuple(image_maps))

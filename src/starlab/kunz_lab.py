@@ -38,6 +38,8 @@ from .ring_model import (
     unit_orbits,
 )
 from .star_engine import (
+    DEFAULT_MAX_IDEALS,
+    DEFAULT_MAX_ORBITS,
     StarOperation,
     divisorial_star,
     enumerate_stars,
@@ -85,14 +87,12 @@ def ring_model_for(gens, q, modulus=None):
     return model
 
 
-def star_count(gens, q, max_ideals=100000, max_orbits=512, modulus=None) -> int:
+def star_count(
+    gens, q, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, modulus=None
+) -> int:
     """Number of star operations on the model of K[[<gens>]] over F_q."""
     model = ring_model_for(gens, q, modulus)
-    candidates = count_subspaces(model.sgp.genus, model.field.q)
-    if candidates > max_ideals:
-        raise BudgetError(f"{candidates} candidate ideals exceed budget {max_ideals}")
-    ws = workspace(model)
-    return len(enumerate_stars(model, max_orbits))
+    return len(enumerate_stars(model, max_orbits, max_ideals))
 
 
 def family_semigroup(n: int) -> NumericalSemigroup:
@@ -121,10 +121,6 @@ def hypothesis_gate(gens, q) -> KunzReport:
     report.verdict("gap_count_at_least_4", enough)
     report.results["gate"] = "pass" if (ps and enough) else "fail"
     return report
-
-
-def check_kunz(gens, q):
-    return hypothesis_gate(gens, q)
 
 
 def require_gate(gens, q):
@@ -268,7 +264,7 @@ def residue_star_family(r_model, t_model=None):
 
 
 def verify_counterexample(
-    gens, q, max_ideals=100000, max_orbits=512, runner=None, modulus=None
+    gens, q, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, runner=None, modulus=None
 ) -> KunzReport:
     """1 < |Star(R)| < |Star(T)|, with the gap |Star(T)| - |Star(R)| >= q - 1.
 
@@ -285,7 +281,7 @@ def verify_counterexample(
     run = runner if runner is not None else _sequential_runner
     try:
         counts = run(
-            _star_count_task,
+            star_count,
             [
                 {"gens": list(S.generators), "q": q, "max_ideals": max_ideals,
                  "max_orbits": max_orbits, "modulus": modulus},
@@ -310,10 +306,6 @@ def verify_counterexample(
 
 def _sequential_runner(fn, kwargs_list):
     return [fn(**kw) for kw in kwargs_list]
-
-
-def _star_count_task(gens, q, max_ideals=100000, max_orbits=512, modulus=None):
-    return star_count(gens, q, max_ideals, max_orbits, modulus)
 
 
 def _attach_certified_bound(report, S, q):
@@ -396,7 +388,7 @@ def _verify_lab_n4(fld, part, results, verdicts):
     exactly q classes of size q covering the pivot-1 subspaces; the inversion
     recursion behind the class computation is checked against series_inv."""
     q = fld.q
-    singleton_ids = [i for i, m in enumerate(part.orbit_members) if len(m) == 1]
+    singleton_ids = [i for i, m in enumerate(part.members) if len(m) == 1]
     singletons = {part.reps[i] for i in singleton_ids}
     expected_singletons = set()
     for c in range(q):
@@ -405,7 +397,7 @@ def _verify_lab_n4(fld, part, results, verdicts):
         )
     ok_singletons = singletons == expected_singletons and len(singleton_ids) == q
     verdicts["n4_singleton_classes"] = "verified" if ok_singletons else "failed"
-    size_q_ids = [i for i, m in enumerate(part.orbit_members) if len(m) == q]
+    size_q_ids = [i for i, m in enumerate(part.members) if len(m) == q]
     ok_sizes = len(size_q_ids) == q and len(singleton_ids) + len(size_q_ids) == 2 * q
     verdicts["n4_two_q_classes"] = "verified" if ok_sizes else "failed"
     results["n4_singletons"] = len(singleton_ids)
@@ -465,7 +457,9 @@ def lab_report(n, q, modulus=None) -> KunzReport:
 # certified lower bound
 
 
-def lower_bound_certificate(n: int, q: int, max_ideals=100000, modulus=None) -> KunzReport:
+def lower_bound_certificate(
+    n: int, q: int, max_ideals=DEFAULT_MAX_IDEALS, modulus=None
+) -> KunzReport:
     """Certifies 2^(number of unit classes of X) distinct star operations on
     the family member for n, without enumerating any star operation.
 
@@ -553,7 +547,7 @@ def _lift_lab_subspace(model, sub: Subspace) -> RingIdeal:
 # structural lemma suite
 
 
-def structure_report(gens, q, max_ideals=100000, modulus=None) -> KunzReport:
+def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> KunzReport:
     """Exhaustive verification of the structural facts the lab leans on:
     the length identity, the four-way detection of ideals moved by T, colon
     laws, and (for members of the distinguished family) the valuation
@@ -565,7 +559,7 @@ def structure_report(gens, q, max_ideals=100000, modulus=None) -> KunzReport:
     report = KunzReport(
         input={"generators": list(S.generators), "q": q, "command": "lemmas"}
     )
-    ws = workspace(model)
+    ws = workspace(model, max_ideals)
     ideals = ws.ideals
     R = model.ring_ideal()
     g, tau = S.frobenius, S.tau
@@ -675,7 +669,9 @@ def structure_report(gens, q, max_ideals=100000, modulus=None) -> KunzReport:
 # closed-form count check (available for the n = 4 member only)
 
 
-def formula_check(q, n: int = 4, max_ideals=100000, max_orbits=512, modulus=None) -> KunzReport:
+def formula_check(
+    q, n: int = 4, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, modulus=None
+) -> KunzReport:
     """Exact enumeration against the closed forms 2^(2q) + 3 for the n = 4
     family member and 2^(2q+1) + 2^(q+1) + 2 for its overring."""
     if n != 4:
@@ -699,7 +695,7 @@ def formula_check(q, n: int = 4, max_ideals=100000, max_orbits=512, modulus=None
         # dump the closed families so a mismatch can be audited directly
         model = ring_model_for(tuple(S.generators), q, modulus)
         report.results["closed_families"] = [
-            sorted(star.closed) for star in enumerate_stars(model, max_orbits)
+            sorted(star.closed) for star in enumerate_stars(model, max_orbits, max_ideals)
         ]
     return report
 
@@ -708,7 +704,7 @@ def formula_check(q, n: int = 4, max_ideals=100000, max_orbits=512, modulus=None
 # small-case count (cited value, computed per q and reported)
 
 
-def small_case_report(q, gens=(3, 4, 5), max_orbits=512) -> KunzReport:
+def small_case_report(q, gens=(3, 4, 5), max_orbits=DEFAULT_MAX_ORBITS) -> KunzReport:
     """Star count for a small ring, reported rather than asserted: the engine
     computes the value for the requested q and records it."""
     count = star_count(tuple(gens), q, max_orbits=max_orbits)

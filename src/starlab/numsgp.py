@@ -133,10 +133,6 @@ def semigroup(gens) -> NumericalSemigroup:
     return NumericalSemigroup.from_generators(gens)
 
 
-def sgp_from_generators(gens) -> NumericalSemigroup:
-    return NumericalSemigroup.from_generators(gens)
-
-
 def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
     """g even and every gap a != g/2 has g - a in S."""
     g = S.frobenius
@@ -299,10 +295,6 @@ def canonical_ideal(S: NumericalSemigroup) -> SemigroupIdeal:
     return SemigroupIdeal(S, 0, frozenset(members))
 
 
-def canonical_ideal_sgp(S):
-    return canonical_ideal(S)
-
-
 def maximal_ideal(S: NumericalSemigroup) -> SemigroupIdeal:
     members = [x for x in range(1, 2 * S.frobenius + 3) if S.contains(x)]
     return SemigroupIdeal.from_members(S, members)
@@ -425,11 +417,3 @@ def enumerate_stars(S: NumericalSemigroup, max_count: int | None = 4096):
     families = sorted(tuple(sorted(f)) for f in seen)
     families.sort(key=lambda f: (len(f), f))
     return len(families), families, ideals
-
-
-def enumerate_sgp_ideals(S, max_count=4096):
-    return enumerate_ideals(S, max_count)
-
-
-def enumerate_sgp_stars(S, max_count=4096):
-    return enumerate_stars(S, max_count)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from .errors import BudgetError, InputError, InvariantError
 from .fq_linear import (
+    OrbitPartition,
     Subspace,
     count_subspaces,
+    partition_subspaces,
     series_inv,
     series_mul,
     series_shift,
-    unit_generators,
-    unit_image_map,
+    subspace_unit_image,
 )
 from .numsgp import NumericalSemigroup
 
@@ -109,15 +110,6 @@ class RingModel:
     def conductor_rows(self):
         g = self.sgp.frobenius
         return tuple(self.monomial(k) for k in range(g + 1, self.trunc))
-
-    def unit_gens(self):
-        """Generators of the unit action: the action of valuation-0 units on
-        conductor-containing ideals factors through units mod t^(g+1)."""
-        gens = self._cache.get("unit_gens")
-        if gens is None:
-            gens = unit_generators(self.field, self.trunc, self.sgp.frobenius)
-            self._cache["unit_gens"] = gens
-        return gens
 
     def span_ideal(self, vectors) -> "RingIdeal":
         """Smallest conductor-containing R-submodule spanning the vectors."""
@@ -264,11 +256,7 @@ class RingIdeal:
         return Subspace.span(field, self.model.trunc, rows)
 
     def unit_image(self, unit) -> "RingIdeal":
-        field = self.model.field
-        sub = Subspace.span(
-            field, self.model.trunc, [series_mul(unit, r, field) for r in self.sub.rows]
-        )
-        return RingIdeal(self.model, sub)
+        return RingIdeal(self.model, subspace_unit_image(self.sub, unit))
 
     def normalize(self) -> "RingIdeal":
         return normalize_subspace(self.model, self.sub)
@@ -365,7 +353,18 @@ def normalized_translate_intersection(
 # the ideal lattice F_0
 
 
-def enumerate_ideals(model: RingModel, max_count: int | None = 100000):
+DEFAULT_MAX_IDEALS = 100000
+
+
+def check_ideal_budget(model: RingModel, max_count: int | None):
+    """Raise BudgetError when enumerating F_0 would lift more candidate
+    subspaces (one per subspace of the gap coordinates) than max_count."""
+    total = count_subspaces(model.sgp.genus, model.field.q)
+    if max_count is not None and total > max_count:
+        raise BudgetError(f"{total} candidate ideals exceed budget {max_count}")
+
+
+def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEALS):
     """All of F_0: subspaces between the ring and V, stable under the ring.
 
     Ideals correspond to subspaces of the gap-coordinate quotient; each
@@ -374,15 +373,11 @@ def enumerate_ideals(model: RingModel, max_count: int | None = 100000):
     """
     from .fq_linear import enumerate_subspaces
 
+    check_ideal_budget(model, max_count)
     sgp = model.sgp
     field = model.field
     g = sgp.frobenius
     gaps = sgp.gaps
-    total = count_subspaces(len(gaps), field.q)
-    if max_count is not None and total > max_count:
-        raise BudgetError(
-            f"{total} candidate subspaces over {len(gaps)} gaps exceed budget {max_count}"
-        )
     n = model.trunc
     base_rows = model.basis.rows
     low_gens = [a for a in sgp.generators if a <= g]
@@ -539,72 +534,15 @@ def canonical_ideals(model: RingModel, ideals=None, verify: bool = True):
 # unit orbits
 
 
-class OrbitPartition:
-    """Partition of a family of ideals under the valuation-0 unit action.
-
-    Representatives are the lexicographically least canonical forms. The
-    image map of each orbit records every subspace (inside F_0 or not) that
-    any unit sends the representative to, with a witness unit for each.
-    """
-
-    __slots__ = ("ideals", "orbit_ids", "reps", "members", "image_maps", "_index")
-
-    def __init__(self, ideals, orbit_ids, reps, members, image_maps):
-        self.ideals = ideals
-        self.orbit_ids = orbit_ids
-        self.reps = reps
-        self.members = members
-        self.image_maps = image_maps
-        self._index = {ideal.sub: i for i, ideal in enumerate(ideals)}
-
-    @property
-    def orbit_count(self):
-        return len(self.reps)
-
-    def orbit_of(self, ideal: RingIdeal):
-        idx = self._index.get(ideal.sub)
-        if idx is None:
-            raise InputError("ideal not part of the partitioned family")
-        return self.orbit_ids[idx]
-
-    def orbit_sizes(self):
-        return tuple(len(m) for m in self.members)
-
-    def class_ids_by_dim(self, dim):
-        return tuple(i for i, rep in enumerate(self.reps) if rep.dim == dim)
-
-
 def unit_orbits(ideals) -> OrbitPartition:
-    """Exact orbits of the given ideals under multiplication by units."""
-    ideals = list(ideals)
+    """Exact orbits of the given ideals under multiplication by units; on
+    conductor-containing ideals the action factors through units mod
+    t^(g+1)."""
+    ideals = tuple(ideals)
     if not ideals:
-        return OrbitPartition((), (), (), (), ())
+        return OrbitPartition((), (), (), ())
     model = ideals[0].model
-    field = model.field
-    gens = model.unit_gens()
-    index = {ideal.sub: i for i, ideal in enumerate(ideals)}
-    assigned = [None] * len(ideals)
-    raw = []
-    for i in sorted(range(len(ideals)), key=lambda i: ideals[i].rows):
-        if assigned[i] is not None:
-            continue
-        images = unit_image_map(ideals[i].sub, gens)
-        member_idx = sorted(
-            (index[s] for s in images if s in index),
-            key=lambda j: ideals[j].rows,
-        )
-        rep_i = member_idx[0]
-        if rep_i != i:
-            w_rep = images[ideals[rep_i].sub]
-            w_inv = series_inv(w_rep, field)
-            images = {s: series_mul(w, w_inv, field) for s, w in images.items()}
-        for j in member_idx:
-            assigned[j] = len(raw)
-        raw.append((rep_i, member_idx, images))
-    order = sorted(range(len(raw)), key=lambda k: ideals[raw[k][0]].rows)
-    remap = {old: new for new, old in enumerate(order)}
-    reps = tuple(ideals[raw[k][0]] for k in order)
-    members = tuple(tuple(raw[k][1]) for k in order)
-    image_maps = tuple(raw[k][2] for k in order)
-    orbit_ids = tuple(remap[a] for a in assigned)
-    return OrbitPartition(tuple(ideals), orbit_ids, reps, members, image_maps)
+    part = partition_subspaces(
+        [I.sub for I in ideals], model.field, max_exponent=model.sgp.frobenius
+    )
+    return OrbitPartition(ideals, part.orbit_ids, part.members, part.image_maps)

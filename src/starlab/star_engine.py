@@ -20,8 +20,10 @@ from __future__ import annotations
 from .errors import BudgetError, InputError, InvariantError
 from .fq_linear import unit_representatives
 from .ring_model import (
+    DEFAULT_MAX_IDEALS,
     RingIdeal,
     RingModel,
+    check_ideal_budget,
     enumerate_ideals,
     frobenius_overring_ideal,
     frobenius_overring_model,
@@ -32,7 +34,6 @@ from .ring_model import (
 )
 
 DEFAULT_MAX_ORBITS = 512
-DEFAULT_MAX_IDEALS = 100000
 
 
 class RingWorkspace:
@@ -114,10 +115,13 @@ class RingWorkspace:
         return self._unit_action
 
 
-def workspace(model: RingModel) -> RingWorkspace:
+def workspace(model: RingModel, max_ideals=DEFAULT_MAX_IDEALS) -> RingWorkspace:
+    """The model's shared workspace, built on first use. The ideal budget is
+    checked on every call, so a cached workspace never bypasses it."""
+    check_ideal_budget(model, max_ideals)
     ws = model._cache.get("workspace")
     if ws is None:
-        ws = RingWorkspace(model)
+        ws = RingWorkspace(model, max_ideals)
         model._cache["workspace"] = ws
     return ws
 
@@ -242,14 +246,6 @@ def divisorial_star(model: RingModel) -> StarOperation:
     return StarOperation(ws, ws.divisorial_ids)
 
 
-def star_d(model):
-    return identity_star(model)
-
-
-def star_v(model):
-    return divisorial_star(model)
-
-
 def generated_star(ideal: RingIdeal) -> StarOperation:
     """The star operation generated by one ideal: J maps to
     (I:(I:J)) meet J^v. Its closed family is computed pointwise and then
@@ -271,10 +267,6 @@ def generated_star(ideal: RingIdeal) -> StarOperation:
     return StarOperation(ws, family)
 
 
-def star_gen(ideal):
-    return generated_star(ideal)
-
-
 def induced_star(model: RingModel, ideals) -> StarOperation:
     """The star operation induced by a set of ideals (the meet of their
     generated stars): its closed family is the closure of theirs together
@@ -284,11 +276,11 @@ def induced_star(model: RingModel, ideals) -> StarOperation:
     return StarOperation(ws, ws.close(ids))
 
 
-def star_from_set(model, ideals):
-    return induced_star(model, ideals)
-
-
-def enumerate_stars(model: RingModel, max_orbits: int | None = DEFAULT_MAX_ORBITS):
+def enumerate_stars(
+    model: RingModel,
+    max_orbits: int | None = DEFAULT_MAX_ORBITS,
+    max_ideals: int | None = DEFAULT_MAX_IDEALS,
+):
     """Every star operation on the model, by breadth-first seeded closure.
 
     Starting from the divisorial family, repeatedly add one absent orbit and
@@ -296,13 +288,13 @@ def enumerate_stars(model: RingModel, max_orbits: int | None = DEFAULT_MAX_ORBIT
     operator is monotone. Results are deduplicated by canonical family
     encoding and returned sorted by (size, ids).
     """
-    ws = workspace(model)
-    if ws._stars is not None:
-        return ws._stars
+    ws = workspace(model, max_ideals)
     if max_orbits is not None and ws.partition.orbit_count > max_orbits:
         raise BudgetError(
             f"{ws.partition.orbit_count} orbits exceed the cap {max_orbits}"
         )
+    if ws._stars is not None:
+        return ws._stars
     base = ws.close(frozenset())
     if base != ws.divisorial_ids:
         raise InvariantError("closure of the empty family is not the divisorial family")
@@ -399,15 +391,10 @@ def verify_star_axioms(star: StarOperation, full_unit_sweep: bool = False):
             rep = part.reps[oid]
             rep_image = star.apply(rep)
             for member_idx in part.members[oid]:
-                member = part.ideals[member_idx]
-                w = part.image_maps[oid][member.sub]
+                member = part.items[member_idx]
+                w = part.witness(oid, member.sub)
                 if star.apply(member) != rep_image.unit_image(w):
                     raise InvariantError("star is not equivariant on orbit witnesses")
-
-
-def _unit_image_in_f0(ws, ideal, unit):
-    img = ideal.unit_image(unit)
-    return img if img.sub in ws.index else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
+from starlab import cli
 from starlab.cli import main
+from starlab.errors import InvariantError
+from starlab.kunz_lab import ring_model_for
+from starlab.star_engine import workspace
 
 
 def run_cli(capsys, *argv):
@@ -104,12 +110,36 @@ def test_kunz_lemmas(capsys):
     assert set(json.loads(out)["verdicts"].values()) == {"verified"}
 
 
-def test_budget_exit_3(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "ring", "enum-stars", "--gens", "4,5,7", "--q", "2", "--max-ideals", "3",
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "enum-ideals", "--gens", "4,5,7"),
+        ("ring", "enum-stars", "--gens", "4,5,7"),
+        ("kunz", "counterexample", "--gens", "4,5,7", "--jobs", "1"),
+        ("kunz", "formula-check"),
+        ("kunz", "lower-bound", "--n", "5"),
+        ("kunz", "lemmas", "--gens", "4,5,7"),
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_budget_exit_3(capsys, argv):
+    # every command that enumerates ideals honours --max-ideals, also when
+    # the process already holds the model's workspace
+    workspace(ring_model_for((4, 5, 7), 2))
+    code, out, err = run_cli(capsys, *argv, "--q", "2", "--max-ideals", "1")
     assert code == 3
+    assert "budget" in err + out
+
+
+def test_engine_error_exit_5(capsys, monkeypatch):
+    def broken(args):
+        raise InvariantError("closure map left the closed family")
+
+    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), broken)
+    code, out, err = run_cli(capsys, "sgp", "info", "--gens", "4,5,7")
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == ["engine error: closure map left the closed family"]
 
 
 def test_csv_output(capsys):
@@ -178,3 +208,15 @@ def test_timings_flag_populates(capsys):
     )
     assert code == 0
     assert "total" in json.loads(out)["timings_ms"]
+
+
+def test_cache_store_is_atomic(tmp_path, monkeypatch):
+    def dump_then_crash(obj, fh):
+        fh.write('{"engine": ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_crash)
+    with pytest.raises(KeyboardInterrupt):
+        cli._cache_store(str(tmp_path), "k", {}, {}, {})
+    assert not (tmp_path / "k.json").exists()
+    assert list(tmp_path.iterdir()) == []

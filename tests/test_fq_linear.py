@@ -273,8 +273,8 @@ def test_partition_witnesses():
     part = partition_subspaces(subs, f)
     assert part.orbit_count == 1
     rep = part.reps[0]
-    for member_idx in part.orbit_members[0]:
-        member = part.subspaces[member_idx]
+    for member_idx in part.members[0]:
+        member = part.items[member_idx]
         w = part.witness(0, member)
         image = Subspace.span(f, 3, [series_mul(w, r, f) for r in rep.rows])
         assert image == member

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from starlab.errors import InputError
+from starlab.errors import BudgetError, InputError
 from starlab.fq_linear import field, field_from_order
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
@@ -41,6 +41,13 @@ def ws457(m457):
 @pytest.fixture(scope="module")
 def stars457(m457):
     return enumerate_stars(m457)
+
+
+def test_orbit_cap_applies_to_cached_stars(m457, stars457):
+    assert len(stars457) == 19
+    with pytest.raises(BudgetError):
+        enumerate_stars(m457, max_orbits=1)
+    assert enumerate_stars(m457) is stars457
 
 
 def test_identity_closes_everything(m457, ws457):
