@@ -435,12 +435,13 @@ def rref(vectors, fld):
 class Subspace:
     """A subspace of K^ambient in canonical (reduced row echelon) form."""
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "rows", "_pivots")
 
     def __init__(self, fld, ambient, rows):
         self.field = fld
         self.ambient = ambient
         self.rows = rows
+        self._pivots = None
 
     @classmethod
     def span(cls, fld, ambient, vectors):
@@ -467,7 +468,11 @@ class Subspace:
 
     @property
     def pivots(self):
-        return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
+        # Scanned on first use, not in __init__: most enumerated subspaces
+        # never read their pivots.
+        if self._pivots is None:
+            self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
+        return self._pivots
 
     def reduce(self, vec):
         """Residual of vec after eliminating along this subspace's rows."""
@@ -497,9 +502,10 @@ class Subspace:
         zero = (0,) * n
         block = [tuple(r) + tuple(r) for r in self.rows]
         block += [tuple(r) + zero for r in other.rows]
+        # Rows whose first half vanishes come last in the echelon form, and
+        # their second halves are already reduced against each other.
         reduced = rref(block, self.field)
-        inter = [r[n:] for r in reduced if not any(r[:n])]
-        return Subspace(self.field, n, rref(inter, self.field))
+        return Subspace(self.field, n, tuple(r[n:] for r in reduced if not any(r[:n])))
 
     def plus(self, other):
         """Lattice join (sum of subspaces)."""
@@ -655,10 +661,11 @@ class OrbitPartition:
     their subspaces) and `members[k]` the item indices of orbit k, least
     canonical matrix first; that least member is the representative.
     `image_maps[k]` records every subspace (inside the family or not) that
-    some unit sends the representative's subspace to, with a witness unit.
+    some unit sends the representative's subspace to, with a witness unit,
+    and `index` maps each item to its position in `items`.
     """
 
-    __slots__ = ("items", "orbit_ids", "reps", "members", "image_maps", "_index")
+    __slots__ = ("items", "orbit_ids", "reps", "members", "image_maps", "index")
 
     def __init__(self, items, orbit_ids, members, image_maps):
         self.items = items
@@ -666,7 +673,7 @@ class OrbitPartition:
         self.reps = tuple(items[m[0]] for m in members)
         self.members = members
         self.image_maps = image_maps
-        self._index = {item: i for i, item in enumerate(items)}
+        self.index = {item: i for i, item in enumerate(items)}
 
     @property
     def orbit_count(self):
@@ -676,7 +683,7 @@ class OrbitPartition:
         return tuple(len(m) for m in self.members)
 
     def orbit_of(self, item):
-        idx = self._index.get(item)
+        idx = self.index.get(item)
         if idx is None:
             raise InputError("item not part of the partitioned family")
         return self.orbit_ids[idx]

@@ -63,14 +63,6 @@ class KunzReport:
     def all_verified(self) -> bool:
         return all(v == "verified" for v in self.verdicts.values())
 
-    def to_payload(self) -> dict:
-        return {
-            "input": self.input,
-            "results": self.results,
-            "verdicts": dict(sorted(self.verdicts.items())),
-            "timings_ms": self.timings,
-        }
-
 
 # ---------------------------------------------------------------------------
 # model pipeline (memoized per process)
@@ -292,7 +284,7 @@ def verify_counterexample(
     except BudgetError as exc:
         report.results["budget_error"] = str(exc)
         report.verdicts["counterexample"] = "skipped(budget)"
-        _attach_certified_bound(report, S, q)
+        _attach_certified_bound(report, S, q, max_ideals, modulus)
         return report
     n_r, n_t = counts
     report.results["star_count"] = n_r
@@ -308,18 +300,22 @@ def _sequential_runner(fn, kwargs_list):
     return [fn(**kw) for kw in kwargs_list]
 
 
-def _attach_certified_bound(report, S, q):
+def _attach_certified_bound(report, S, q, max_ideals, modulus):
+    """The family member's certified bound, under the run's own ideal budget
+    and modulus; None when S is no family member or the budget is exceeded."""
+    report.results["certified_lower_bound"] = None
     for n in range(3, 40):
         try:
             if family_semigroup(n) == S:
-                cert = lower_bound_certificate(n, q)
+                cert = lower_bound_certificate(n, q, max_ideals, modulus)
                 report.results["certified_lower_bound"] = cert.results[
                     "certified_lower_bound"
                 ]
                 return
         except InputError:
             continue
-    report.results["certified_lower_bound"] = None
+        except BudgetError:
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ equality structural and keeps all colon computations inside a finite table.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import BudgetError, InputError, InvariantError
@@ -193,10 +192,6 @@ class SemigroupIdeal:
             raise InputError("ideal arithmetic needs a semigroup with gaps")
         return cls(sgp, 0, frozenset(sgp.small_members()))
 
-    @classmethod
-    def naturals(cls, sgp):
-        return cls(sgp, 0, frozenset(range(sgp.frobenius + 1)))
-
     def contains(self, x: int) -> bool:
         y = x - self.shift
         if y < 0:
@@ -207,9 +202,6 @@ class SemigroupIdeal:
 
     def members_upto(self, bound: int):
         return tuple(x for x in range(self.shift, bound + 1) if self.contains(x))
-
-    def min_element(self):
-        return self.shift + min(self.small)
 
     def normalize(self) -> "SemigroupIdeal":
         m = min(self.small)

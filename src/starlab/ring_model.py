@@ -21,6 +21,7 @@ from .fq_linear import (
     Subspace,
     count_subspaces,
     partition_subspaces,
+    rref,
     series_inv,
     series_mul,
     series_shift,
@@ -162,15 +163,18 @@ class RingIdeal:
         """Valuations realized below the truncation (the pivot columns)."""
         return self.sub.pivots
 
-    def min_valuation(self):
-        return self.sub.pivots[0] if self.sub.rows else None
-
     def contains(self, other: "RingIdeal") -> bool:
         if other.dim > self.dim:
             return False
         if not set(other.value_set) <= set(self.value_set):
             return False
-        return self.sub.contains_subspace(other.sub)
+        return self.contains_subspace(other.sub)
+
+    def contains_subspace(self, sub: Subspace) -> bool:
+        """Whether sub lies inside the ideal. Rows of sub with pivot above g
+        lie in the conductor block, so only the others are reduced."""
+        h = self.model.head_dim
+        return all(self.sub.contains(r) for r, p in zip(sub.rows, sub.pivots) if p < h)
 
     def contains_vector(self, vec) -> bool:
         return self.sub.contains(vec)
@@ -183,7 +187,30 @@ class RingIdeal:
 
     def intersect(self, other: "RingIdeal") -> "RingIdeal":
         self._same_model(other)
-        return RingIdeal(self.model, self.sub.intersect(other.sub))
+        return RingIdeal(self.model, self.meet(other.sub))
+
+    def meet(self, sub: Subspace) -> Subspace:
+        """The intersection of this ideal with any subspace of A_N.
+
+        The ideal contains the conductor block, so w lies in it exactly when
+        head(w), its coefficients 0..g, lies in the head of the ideal. Rows
+        of sub with pivot above g are therefore in the meet as they are; the
+        others go through a Zassenhaus reduction of width (g+1)+N against
+        the ideal's head rows. The rows it yields have pivots <= g and vanish
+        at the pivots of the kept rows, so the union is already canonical.
+        """
+        model = self.model
+        field = model.field
+        h = model.head_dim
+        n = model.trunc
+        block = [r[:h] + r for r, p in zip(sub.rows, sub.pivots) if p < h]
+        if not block:
+            return sub
+        high = sub.rows[len(block):]
+        zero = (0,) * n
+        block += [r[:h] + zero for r, p in zip(self.sub.rows, self.sub.pivots) if p < h]
+        low = tuple(r[h:] for r in rref(block, field) if not any(r[:h]))
+        return Subspace(field, n, low + high)
 
     def plus(self, other: "RingIdeal") -> "RingIdeal":
         self._same_model(other)
@@ -282,8 +309,6 @@ class RingIdeal:
 
 def _kernel(constraint_rows, n, field):
     """Basis of {a in F^n : M a = 0} for the matrix with the given rows."""
-    from .fq_linear import rref
-
     reduced = rref(constraint_rows, field)
     pivots = set()
     for r in reduced:
@@ -310,17 +335,24 @@ def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
     """
     if not sub.rows:
         raise InputError("cannot normalize the zero ideal")
-    g = model.sgp.frobenius
+    h = model.head_dim
     m = sub.pivots[0]
-    if m > g + 1:
+    if m > h:
         raise InvariantError(f"minimal valuation {m} exceeds g+1; precision lost")
     field = model.field
     n = model.trunc
-    alpha_unit = series_shift_down(sub.rows[0], m)
-    inv = series_inv(alpha_unit, field)
-    rows = [series_shift_down(series_mul(inv, r, field), m) for r in sub.rows]
-    rows.extend(model.conductor_rows())
-    return RingIdeal(model, Subspace.span(field, n, rows))
+    # The result contains the conductor block, so only the heads of the
+    # quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
+    # t^m, and rows with pivot >= m+h have zero heads.
+    inv = series_inv(sub.rows[0][m : m + h], field)
+    heads = [
+        series_mul(inv, r[m : m + h], field)
+        for r, p in zip(sub.rows, sub.pivots)
+        if p < m + h
+    ]
+    pad = (0,) * (n - h)
+    rows = tuple(r + pad for r in rref(heads, field)) + model.conductor_rows()
+    return RingIdeal(model, Subspace(field, n, rows))
 
 
 def series_shift_down(coeffs, m):
@@ -340,7 +372,7 @@ def normalized_translate_intersection(
     """
     model = ideal.model
     g = model.sgp.frobenius
-    meet = ideal.sub.intersect(shifted)
+    meet = ideal.meet(shifted)
     if not meet.rows:
         raise InvariantError("ideal intersection collapsed to zero")
     m = meet.pivots[0]

@@ -43,7 +43,6 @@ class RingWorkspace:
     def __init__(self, model: RingModel, max_ideals=DEFAULT_MAX_IDEALS):
         self.model = model
         self.ideals = enumerate_ideals(model, max_ideals)
-        self.index = {ideal.sub: i for i, ideal in enumerate(self.ideals)}
         self.partition = unit_orbits(self.ideals)
         self.divisorial_ids = frozenset(
             oid
@@ -53,9 +52,10 @@ class RingWorkspace:
         self._table = None
         self._stars = None
         self._unit_action = None
+        self._family_classes = None
 
     def ideal_id(self, ideal: RingIdeal) -> int:
-        idx = self.index.get(ideal.sub)
+        idx = self.partition.index.get(ideal)
         if idx is None:
             raise InvariantError("ideal escaped the enumerated lattice")
         return idx
@@ -94,6 +94,29 @@ class RingWorkspace:
                         changed = True
         return frozenset(fam)
 
+    def family_classes(self):
+        """(canonical-class orbit ids, T's orbit id, orbit ids of the
+        non-divisorial T-stable ideals one dimension above T), the orbit
+        classes that classify_family compares families against."""
+        if self._family_classes is None:
+            model = self.model
+            reps = self.partition.reps
+            R = model.ring_ideal()
+            t_ideal = frobenius_overring_ideal(model)
+            stable = [is_overring_stable(rep, t_ideal) for rep in reps]
+            canonical_ids = frozenset(
+                oid for oid, rep in enumerate(reps) if rep != R and not stable[oid]
+            )
+            dim2 = frozenset(
+                oid
+                for oid, rep in enumerate(reps)
+                if rep.dim == t_ideal.dim + 1
+                and stable[oid]
+                and oid not in self.divisorial_ids
+            )
+            self._family_classes = (canonical_ids, self.orbit_id(t_ideal), dim2)
+        return self._family_classes
+
     # -- unit action --------------------------------------------------------
 
     def unit_action(self):
@@ -109,7 +132,7 @@ class RingWorkspace:
                 row = []
                 for ideal in self.ideals:
                     img = ideal.unit_image(u)
-                    row.append(self.index.get(img.sub))
+                    row.append(self.partition.index.get(img))
                 table.append(tuple(row))
             self._unit_action = (units, tuple(table))
         return self._unit_action
@@ -162,14 +185,19 @@ class ClosureTable:
             for j in range(n_orbits):
                 hits = set()
                 for shifted, (k, base_sub) in translates[j].items():
-                    key = (i, shifted)
-                    oid = orbit_of.get(key)
-                    if oid is None:
-                        res = normalized_translate_intersection(
-                            rep, shifted, k, base_sub
-                        )
-                        oid = ws.orbit_id(res)
-                        orbit_of[key] = oid
+                    if rep.contains_subspace(shifted):
+                        # the meet is the translate itself, whose
+                        # normalization is a unit image of rep_j
+                        oid = j
+                    else:
+                        key = (i, shifted)
+                        oid = orbit_of.get(key)
+                        if oid is None:
+                            res = normalized_translate_intersection(
+                                rep, shifted, k, base_sub
+                            )
+                            oid = ws.orbit_id(res)
+                            orbit_of[key] = oid
                     hits.add(oid)
                     entries += 1
                 pair[(i, j)] = frozenset(hits)
@@ -410,23 +438,9 @@ def classify_family(ws: RingWorkspace, family: frozenset) -> str:
         return "identity"
     if family == ws.divisorial_ids:
         return "divisorial"
-    model = ws.model
-    t_ideal = frobenius_overring_ideal(model)
-    canonical_ids = frozenset(
-        oid
-        for oid, rep in enumerate(ws.partition.reps)
-        if rep != model.ring_ideal() and not is_overring_stable(rep, t_ideal)
-    )
+    canonical_ids, t_oid, dim2 = ws.family_classes()
     if family == all_ids - canonical_ids:
         return "all_but_canonical_class"
-    t_oid = ws.orbit_id(t_ideal)
-    dim2 = frozenset(
-        oid
-        for oid, rep in enumerate(ws.partition.reps)
-        if rep.dim == t_ideal.dim + 1
-        and is_overring_stable(rep, t_ideal)
-        and not rep.is_divisorial()
-    )
     extra = family - ws.divisorial_ids
     if t_oid in extra and extra - {t_oid} <= dim2:
         return "unit_class_union_with_overring"

@@ -131,6 +131,17 @@ def test_budget_exit_3(capsys, argv):
     assert "budget" in err + out
 
 
+def test_budget_skip_certifies_under_the_same_budget(capsys):
+    code, out, _ = run_cli(
+        capsys, "kunz", "counterexample", "--gens", "4,5,7", "--q", "2",
+        "--jobs", "1", "--max-ideals", "1",
+    )
+    assert code == 3
+    results = json.loads(out)["results"]
+    assert results["budget_error"] == "67 candidate ideals exceed budget 1"
+    assert results["certified_lower_bound"] is None
+
+
 def test_engine_error_exit_5(capsys, monkeypatch):
     def broken(args):
         raise InvariantError("closure map left the closed family")

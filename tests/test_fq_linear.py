@@ -13,6 +13,7 @@ from starlab.fq_linear import (
     field_from_order,
     gaussian_binomial,
     partition_subspaces,
+    rref,
     series_inv,
     series_mul,
     series_valuation,
@@ -159,6 +160,32 @@ def test_intersection_example():
     a = Subspace.span(f, 3, [(1, 0, 0), (0, 1, 0)])
     b = Subspace.span(f, 3, [(0, 1, 0), (0, 0, 1)])
     assert a.intersect(b).rows == ((0, 1, 0),)
+
+
+def _vectors(s):
+    """Every vector of the subspace, by brute force over coefficients."""
+    f = s.field
+    out = set()
+    for coeffs in itertools.product(range(f.q), repeat=s.dim):
+        v = [0] * s.ambient
+        for c, row in zip(coeffs, s.rows):
+            v = [f.add[x][f.mul[c][y]] for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_intersect_exhaustive(p, n):
+    f = field(p)
+    subs = enumerate_subspaces(n, f)
+    vectors = {s: _vectors(s) for s in subs}
+    for a in subs:
+        for b in subs:
+            meet = a.intersect(b)
+            assert vectors[meet] == vectors[a] & vectors[b]
+            assert rref(meet.rows, f) == meet.rows
+            fresh = tuple(next(j for j, x in enumerate(r) if x) for r in meet.rows)
+            assert meet.pivots == fresh
 
 
 def test_subspace_count_f2_cubed():

@@ -166,7 +166,12 @@ def test_small_case_reports_value():
 
 
 def test_counterexample_budget_skip_path():
+    # the certified bound runs under the same ideal budget as the counts
     report = verify_counterexample([4, 5, 7], 2, max_ideals=3)
+    assert report.verdicts["counterexample"] == "skipped(budget)"
+    assert report.results["certified_lower_bound"] is None
+    # a skip through the orbit cap leaves the ideal budget free to certify
+    report = verify_counterexample([4, 5, 7], 2, max_orbits=1)
     assert report.verdicts["counterexample"] == "skipped(budget)"
     assert report.results["certified_lower_bound"] == 16
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from starlab.errors import BudgetError, InputError
-from starlab.fq_linear import field, field_from_order
+from starlab.fq_linear import Subspace, field, field_from_order, series_inv, series_mul
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     RingIdeal,
@@ -12,6 +12,7 @@ from starlab.ring_model import (
     frobenius_overring_model,
     is_overring_stable,
     semigroup_ring_model,
+    series_shift_down,
 )
 from starlab.star_engine import (
     classify_family,
@@ -192,6 +193,48 @@ def test_star_count_subset_oracle_overring():
     m = semigroup_ring_model(semigroup([4, 5, 6, 7]), F2)
     stars = enumerate_stars(m)
     assert brute_force_family_count(workspace(m)) == len(stars)
+
+
+def _reference_normalize(model, sub):
+    """Full-width normalization: divide every row by the least-pivot row and
+    re-span with the conductor block."""
+    m = sub.pivots[0]
+    inv = series_inv(series_shift_down(sub.rows[0], m), model.field)
+    rows = [series_shift_down(series_mul(inv, r, model.field), m) for r in sub.rows]
+    rows += list(model.conductor_rows())
+    return RingIdeal(model, Subspace.span(model.field, model.trunc, rows))
+
+
+@pytest.mark.parametrize(
+    "gens,q",
+    [((4, 5, 7), 2), ((4, 5, 6, 7), 2), ((3, 5, 7), 3)],
+    ids=["457-q2", "4567-q2", "357-q3"],
+)
+def test_closure_table_matches_reference(gens, q):
+    # the table's containment skip, conductor-aware meet and head-only
+    # normalization against a Zassenhaus meet and full normalization of
+    # every translate
+    model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
+    ws = workspace(model)
+    g = model.sgp.frobenius
+    part = ws.partition
+    expected = {}
+    for i, rep in enumerate(part.reps):
+        for j in range(part.orbit_count):
+            hits = set()
+            for image_sub in part.image_maps[j]:
+                for k in range(g + 2):
+                    shifted = RingIdeal(model, image_sub).translate(k)
+                    if not shifted.rows:
+                        continue
+                    meet = rep.sub.intersect(shifted)
+                    assert rep.meet(shifted) == meet
+                    m = meet.pivots[0]
+                    if m > g + 1:
+                        meet = image_sub.cut(m - k)
+                    hits.add(ws.orbit_id(_reference_normalize(model, meet)))
+            expected[(i, j)] = frozenset(hits)
+    assert ws.table().pair_classes == expected
 
 
 def test_axiom_suite_full_sweep_q2(m457, stars457):
