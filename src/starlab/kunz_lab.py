@@ -510,7 +510,7 @@ def lower_bound_certificate(
         oid = part.orbit_of(a)
         for image_sub in part.image_maps[oid]:
             pair_checks += 1
-            if b.sub.contains_subspace(image_sub):
+            if b.contains_subspace(image_sub):
                 absorbed = True
     report.results["non_absorption_pairs_checked"] = pair_checks
     report.verdict("mutual_non_absorption", not absorbed)
@@ -623,7 +623,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
                 if image != I and image != I.v_closure():
                     ok_step = False
                 contained = any(
-                    J.sub.contains_subspace(img)
+                    J.contains_subspace(img)
                     for img in part.image_maps[pool_ids[ix]]
                 )
                 unit_criterion[(jx, ix)] = contained

@@ -365,12 +365,22 @@ def normalized_translate_intersection(
 ) -> RingIdeal:
     """normalize(ideal meet (t^k * base)) where shifted = t^k * base.
 
-    When the intersection has minimal valuation m <= g+1 the division is
+    When the ideal contains the translate, the meet is t^k * base itself,
+    and dividing it by its least-pivot row is dividing base by its own: the
+    result is normalize(base), computed once per base and model. Otherwise,
+    when the intersection has minimal valuation m <= g+1 the division is
     exact in A_N directly. When m > g+1 every element of the intersection
     lies inside the conductor, the intersection equals t^k * (base cut at
     m-k), and normalizing that cut of base stays exact.
     """
     model = ideal.model
+    if ideal.contains_subspace(shifted):
+        memo = model._cache.setdefault("normalized_base", {})
+        cached = memo.get(base.rows)
+        if cached is None:
+            cached = normalize_subspace(model, base)
+            memo[base.rows] = cached
+        return cached
     g = model.sgp.frobenius
     meet = ideal.meet(shifted)
     if not meet.rows:

@@ -179,26 +179,13 @@ class ClosureTable:
             translates.append(seen)
         pair = {}
         entries = 0
-        orbit_of = {}
         for i in range(n_orbits):
             rep = part.reps[i]
             for j in range(n_orbits):
                 hits = set()
                 for shifted, (k, base_sub) in translates[j].items():
-                    if rep.contains_subspace(shifted):
-                        # the meet is the translate itself, whose
-                        # normalization is a unit image of rep_j
-                        oid = j
-                    else:
-                        key = (i, shifted)
-                        oid = orbit_of.get(key)
-                        if oid is None:
-                            res = normalized_translate_intersection(
-                                rep, shifted, k, base_sub
-                            )
-                            oid = ws.orbit_id(res)
-                            orbit_of[key] = oid
-                    hits.add(oid)
+                    res = normalized_translate_intersection(rep, shifted, k, base_sub)
+                    hits.add(ws.orbit_id(res))
                     entries += 1
                 pair[(i, j)] = frozenset(hits)
         return cls(pair, entries)

@@ -11,6 +11,7 @@ from starlab.ring_model import (
     frobenius_overring_ideal,
     frobenius_overring_model,
     is_overring_stable,
+    normalized_translate_intersection,
     semigroup_ring_model,
     series_shift_down,
 )
@@ -211,9 +212,9 @@ def _reference_normalize(model, sub):
     ids=["457-q2", "4567-q2", "357-q3"],
 )
 def test_closure_table_matches_reference(gens, q):
-    # the table's containment skip, conductor-aware meet and head-only
+    # the containment skip, conductor-aware meet and head-only
     # normalization against a Zassenhaus meet and full normalization of
-    # every translate
+    # every translate, both per translate and in the table
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     ws = workspace(model)
     g = model.sgp.frobenius
@@ -232,7 +233,9 @@ def test_closure_table_matches_reference(gens, q):
                     m = meet.pivots[0]
                     if m > g + 1:
                         meet = image_sub.cut(m - k)
-                    hits.add(ws.orbit_id(_reference_normalize(model, meet)))
+                    ref = _reference_normalize(model, meet)
+                    assert normalized_translate_intersection(rep, shifted, k, image_sub) == ref
+                    hits.add(ws.orbit_id(ref))
             expected[(i, j)] = frozenset(hits)
     assert ws.table().pair_classes == expected
 
