@@ -491,9 +491,6 @@ class Subspace:
     def contains(self, vec):
         return not any(self.reduce(vec))
 
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
-
     def intersect(self, other):
         """Lattice meet, by the Zassenhaus double-block reduction."""
         if self.ambient != other.ambient:

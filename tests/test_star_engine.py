@@ -95,7 +95,7 @@ def test_generated_star_closure_criterion(m457, ws457):
         for J in pool:
             oid = ws457.orbit_id(J)
             unit_containment = any(
-                I.sub.contains_subspace(img) for img in part.image_maps[oid]
+                I.contains_subspace(img) for img in part.image_maps[oid]
             )
             assert star_i.is_closed(J) == unit_containment, (I, J)
 
