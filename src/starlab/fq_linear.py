@@ -220,9 +220,6 @@ class Field:
                 raise InvariantError(f"no inverse for code {a}; modulus not irreducible?")
         self.inv = inv
 
-    def nonzero(self):
-        return range(1, self.q)
-
     def __eq__(self, other):
         return (
             isinstance(other, Field)
@@ -388,6 +385,7 @@ def rref(vectors, fld):
     mul, sub, inv = fld.mul, fld.sub, fld.inv
     ncols = len(rows[0])
     out = []
+    pivots = []
     col = 0
     while rows and col < ncols:
         pivot_row = None
@@ -413,23 +411,27 @@ def rref(vectors, fld):
                     if pj:
                         r[j] = sub[r[j]][mf[pj]]
         out.append(pivot_row)
+        pivots.append(col)
         col += 1
         rows = [r for r in rows if any(r)]
-    # eliminate above pivots
-    for i in range(len(out) - 1, -1, -1):
-        prow = out[i]
-        pcol = next(j for j, x in enumerate(prow) if x)
-        mul_ = mul
-        for k in range(i):
-            f = out[k][pcol]
+    return _back_substitute(out, pivots, fld)
+
+
+def _back_substitute(rows, pivots, fld):
+    """Clear the entries above each pivot of echelon rows (lists, pivot
+    entries 1), last pivot first; returns the rows as tuples."""
+    sub, mul = fld.sub, fld.mul
+    for i in range(len(rows) - 1, 0, -1):
+        prow = rows[i]
+        pcol = pivots[i]
+        tail = [(j, x) for j, x in enumerate(prow[pcol:], pcol) if x]
+        for row in rows[:i]:
+            f = row[pcol]
             if f:
-                mf = mul_[f]
-                row = out[k]
-                for j in range(pcol, ncols):
-                    pj = prow[j]
-                    if pj:
-                        row[j] = sub[row[j]][mf[pj]]
-    return tuple(tuple(r) for r in out)
+                mf = mul[f]
+                for j, pj in tail:
+                    row[j] = sub[row[j]][mf[pj]]
+    return tuple(tuple(r) for r in rows)
 
 
 class Subspace:
@@ -437,11 +439,11 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "rows", "_pivots")
 
-    def __init__(self, fld, ambient, rows):
+    def __init__(self, fld, ambient, rows, pivots=None):
         self.field = fld
         self.ambient = ambient
         self.rows = rows
-        self._pivots = None
+        self._pivots = pivots
 
     @classmethod
     def span(cls, fld, ambient, vectors):
@@ -596,15 +598,21 @@ def enumerate_subspaces(ambient, fld, *, dimension=None, predicate=None, max_cou
 
 
 def unit_generators(fld, length, max_exponent=None):
-    """Coefficient tuples 1 + c*t^j generating the unit group of
-    K[t]/(t^length) modulo scalars (j <= max_exponent)."""
+    """Coefficient tuples 1 + b*t^j (1 <= j <= max_exponent, b in the
+    F_p-basis 1, x, ..., x^(e-1), codes p^i) generating the 1-units of
+    K[t]/(t^length), and so the unit group modulo scalars.
+
+    U_j = 1 + t^j K[t] has U_j / U_(j+1) = (F_q, +), which an F_p-basis
+    spans, and the top U_length is trivial; downward induction on j puts
+    every U_j in the generated group.
+    """
     top = length - 1 if max_exponent is None else min(max_exponent, length - 1)
     gens = []
     for j in range(1, top + 1):
-        for c in fld.nonzero():
+        for i in range(fld.e):
             coeffs = [0] * length
             coeffs[0] = 1
-            coeffs[j] = c
+            coeffs[j] = fld.p**i
             gens.append(tuple(coeffs))
     return gens
 
@@ -622,10 +630,24 @@ def unit_representatives(fld, length, max_exponent=None):
 
 
 def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
+    """u * sub for a unit u of K[t]/(t^ambient).
+
+    Scalars act trivially, so u is first scaled to constant term 1. Such a
+    unit keeps every pivot: the product rows are still in echelon form with
+    pivot entries 1, and only back-substitution is left.
+    """
     fld = sub.field
-    return Subspace.span(
-        fld, sub.ambient, [series_mul(unit_coeffs, r, fld) for r in sub.rows]
-    )
+    if len(unit_coeffs) != sub.ambient:
+        raise InputError(f"unit length {len(unit_coeffs)} != ambient {sub.ambient}")
+    c = unit_coeffs[0]
+    if c == 0:
+        raise InputError("series has positive valuation, not a unit")
+    if c != 1:
+        mi = fld.mul[fld.inv[c]]
+        unit_coeffs = tuple(mi[x] for x in unit_coeffs)
+    pivots = sub.pivots
+    rows = [list(series_mul(unit_coeffs, r, fld)) for r in sub.rows]
+    return Subspace(fld, sub.ambient, _back_substitute(rows, pivots, fld), pivots)
 
 
 def unit_image_map(sub: Subspace, gens):

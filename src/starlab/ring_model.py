@@ -40,6 +40,8 @@ class RingModel:
         self.basis = basis
         self.head_dim = sgp.frobenius + 1
         self._cache = {}
+        # one shared copy: every lifted image subspace ends in these rows
+        self._conductor_rows = tuple(self.monomial(k) for k in range(self.head_dim, trunc))
 
     # -- construction ------------------------------------------------------
 
@@ -109,8 +111,16 @@ class RingModel:
         return Subspace(self.field, self.trunc, rows)
 
     def conductor_rows(self):
-        g = self.sgp.frobenius
-        return tuple(self.monomial(k) for k in range(g + 1, self.trunc))
+        return self._conductor_rows
+
+    def lift_head(self, head: Subspace) -> Subspace:
+        """The conductor-containing subspace of A_N whose head, coefficients
+        0..g, is the given subspace of K^(g+1): its rows padded with zeros,
+        then the conductor rows. The result is already canonical."""
+        pad = (0,) * (self.trunc - self.head_dim)
+        rows = tuple(r + pad for r in head.rows) + self.conductor_rows()
+        pivots = head.pivots + tuple(range(self.head_dim, self.trunc))
+        return Subspace(self.field, self.trunc, rows, pivots)
 
     def span_ideal(self, vectors) -> "RingIdeal":
         """Smallest conductor-containing R-submodule spanning the vectors."""
@@ -275,12 +285,13 @@ class RingIdeal:
         g = self.model.sgp.frobenius
         if not 0 <= k <= g + 1:
             raise InputError(f"shift {k} outside [0, {g + 1}]")
-        field = self.model.field
-        rows = self.sub.rows
-        if unit is not None:
-            rows = [series_mul(unit, r, field) for r in rows]
-        rows = [series_shift(r, k) for r in rows]
-        return Subspace.span(field, self.model.trunc, rows)
+        sub = self.sub if unit is None else subspace_unit_image(self.sub, unit)
+        # Shifting keeps the rows in reduced echelon form, pivots moved by k;
+        # rows pushed past t^N vanish.
+        n = self.model.trunc
+        pivots = tuple(p + k for p in sub.pivots if p + k < n)
+        rows = tuple(series_shift(r, k) for r in sub.rows[: len(pivots)])
+        return Subspace(sub.field, n, rows, pivots)
 
     def unit_image(self, unit) -> "RingIdeal":
         return RingIdeal(self.model, subspace_unit_image(self.sub, unit))
@@ -340,7 +351,6 @@ def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
     if m > h:
         raise InvariantError(f"minimal valuation {m} exceeds g+1; precision lost")
     field = model.field
-    n = model.trunc
     # The result contains the conductor block, so only the heads of the
     # quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
     # t^m, and rows with pivot >= m+h have zero heads.
@@ -350,9 +360,7 @@ def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
         for r, p in zip(sub.rows, sub.pivots)
         if p < m + h
     ]
-    pad = (0,) * (n - h)
-    rows = tuple(r + pad for r in rref(heads, field)) + model.conductor_rows()
-    return RingIdeal(model, Subspace(field, n, rows))
+    return RingIdeal(model, model.lift_head(Subspace(field, h, rref(heads, field))))
 
 
 def series_shift_down(coeffs, m):
@@ -478,18 +486,19 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     if sgp.contains(g):
         raise InputError("Frobenius number already belongs to the value semigroup")
     field = model.field
+    R = model.ring_ideal()
     t_ideal = model.span_ideal(list(model.basis.rows) + [model.monomial(g)])
+    if module_length(t_ideal, R) != 1:
+        raise InvariantError("length of T/R is not 1")
     from .fq_linear import unit_representatives
 
     # R[y] = R + K*y here: y*R lands in R beyond the constant term because
-    # v(y*r) > g for v(r) > 0, so a plain span suffices for the sweep.
+    # v(y*r) > g for v(r) > 0. As R < T with length 1, R + K*y = T exactly
+    # when y lies in T but not in R.
     for u in unit_representatives(field, model.trunc, g):
         y = series_mul(u, model.monomial(g), field)
-        other = Subspace.span(field, model.trunc, list(model.basis.rows) + [y])
-        if other != t_ideal.sub:
+        if not t_ideal.contains_vector(y) or R.contains_vector(y):
             raise InvariantError("overring depends on the valuation-g element chosen")
-    if module_length(t_ideal, model.ring_ideal()) != 1:
-        raise InvariantError("length of T/R is not 1")
     model._cache["overring_ideal"] = t_ideal
     return t_ideal
 
@@ -577,14 +586,30 @@ def canonical_ideals(model: RingModel, ideals=None, verify: bool = True):
 
 
 def unit_orbits(ideals) -> OrbitPartition:
-    """Exact orbits of the given ideals under multiplication by units; on
-    conductor-containing ideals the action factors through units mod
-    t^(g+1)."""
+    """Exact orbits of the given ideals under multiplication by units.
+
+    The ideals contain the conductor block, so u * I is determined by the
+    head of I, its rows with pivot <= g cut to g+1 columns, and by u mod
+    t^(g+1). The heads are partitioned in K^(g+1); ordering heads orders the
+    full canonical matrices the same way, so orbit ids are those of a
+    full-width partition. Each image is lifted back to A_N and each witness
+    padded to N coefficients.
+    """
     ideals = tuple(ideals)
     if not ideals:
         return OrbitPartition((), (), (), ())
     model = ideals[0].model
-    part = partition_subspaces(
-        [I.sub for I in ideals], model.field, max_exponent=model.sgp.frobenius
+    h = model.head_dim
+    heads = []
+    for I in ideals:
+        pivots = tuple(p for p in I.sub.pivots if p < h)
+        heads.append(
+            Subspace(model.field, h, tuple(r[:h] for r in I.rows[: len(pivots)]), pivots)
+        )
+    part = partition_subspaces(heads, model.field)
+    pad = (0,) * (model.trunc - h)
+    image_maps = tuple(
+        {model.lift_head(head): w + pad for head, w in images.items()}
+        for images in part.image_maps
     )
-    return OrbitPartition(ideals, part.orbit_ids, part.members, part.image_maps)
+    return OrbitPartition(ideals, part.orbit_ids, part.members, image_maps)

@@ -17,7 +17,9 @@ from starlab.fq_linear import (
     series_inv,
     series_mul,
     series_valuation,
+    subspace_unit_image,
     unit_generators,
+    unit_image_map,
     unit_representatives,
 )
 
@@ -268,11 +270,41 @@ def test_cut_keeps_high_valuation_rows():
 
 
 def test_unit_generator_count():
+    # one generator 1 + b*t^j per exponent j and per F_p-basis element b
     f = field(3)
     gens = unit_generators(f, 4)
-    assert len(gens) == 3 * 2
+    assert len(gens) == 3 * 1
+    assert len(unit_generators(field(3, 2), 4)) == 3 * 2
     reps = unit_representatives(f, 4)
     assert len(reps) == 27
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
+def test_unit_generators_reach_every_unit_image(p, e, n):
+    # The F_p-basis generators reach the image of each subspace under every
+    # unit with constant term 1, and each witness maps the subspace there.
+    f = field(p, e)
+    gens = unit_generators(f, n)
+    reps = unit_representatives(f, n)
+    for sub in enumerate_subspaces(n, f):
+        images = unit_image_map(sub, gens)
+        assert set(images) == {subspace_unit_image(sub, u) for u in reps}
+        for img, w in images.items():
+            assert subspace_unit_image(sub, w) == img
+
+
+def test_subspace_unit_image_matches_span():
+    f = field(3, 2)
+    units = [(1, 4, 0, 7), (5, 1, 2, 0), (8, 0, 0, 3)]
+    for sub in enumerate_subspaces(4, f, dimension=2)[::7]:
+        for u in units:
+            img = subspace_unit_image(sub, u)
+            assert img == Subspace.span(f, 4, [series_mul(u, r, f) for r in sub.rows])
+            assert img.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in img.rows)
+    with pytest.raises(InputError):
+        subspace_unit_image(sub, (0, 1, 0, 0))
+    with pytest.raises(InputError):
+        subspace_unit_image(sub, (1, 1, 0))
 
 
 def test_partition_lines_of_a3():

@@ -2,8 +2,16 @@ import itertools
 
 import pytest
 
-from starlab.errors import InputError
-from starlab.fq_linear import field, series_mul
+from starlab.errors import InputError, InvariantError
+from starlab.fq_linear import (
+    Subspace,
+    field,
+    field_from_order,
+    partition_subspaces,
+    series_mul,
+    series_shift,
+    subspace_unit_image,
+)
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     canonical_ideals,
@@ -297,3 +305,62 @@ def test_convert_to_overring(model457, ideals457):
     t_f0 = {I.sub for I in enumerate_ideals(t_model)}
     assert converted <= t_f0
     assert len(t_f0) == 16
+
+
+@pytest.mark.parametrize(
+    "gens,q",
+    [([4, 5, 7], 2), ([4, 5, 7], 3), ([4, 5, 6, 7], 3), ([3, 5, 7], 3), ([4, 5, 7], 4)],
+    ids=["457-q2", "457-q3", "4567-q3", "357-q3", "457-q4"],
+)
+def test_unit_orbits_match_full_width_partition(gens, q):
+    # unit_orbits works on heads; the reference partitions the full N-width
+    # subspaces under units supported on t^1..t^g
+    model = semigroup_ring_model(semigroup(gens), field_from_order(q))
+    ideals = enumerate_ideals(model)
+    part = unit_orbits(ideals)
+    ref = partition_subspaces(
+        [I.sub for I in ideals], model.field, max_exponent=model.sgp.frobenius
+    )
+    assert part.orbit_ids == ref.orbit_ids
+    assert part.members == ref.members
+    assert [rep.sub for rep in part.reps] == list(ref.reps)
+    for rep, images, ref_images in zip(part.reps, part.image_maps, ref.image_maps):
+        assert set(images) == set(ref_images)
+        for image, w in images.items():
+            assert len(w) == model.trunc
+            assert rep.unit_image(w).sub == image
+            assert image.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in image.rows)
+
+
+def test_translate_matches_span(model457, ideals457):
+    # t^k * u * I against a full rref of the shifted product rows, for every
+    # k in 0..g+1 and units with constant term 1 and 2
+    model3 = semigroup_ring_model(semigroup([4, 5, 7]), F3)
+    cases = [
+        (ideals457[::9], [None, (1, 1) + (0,) * 12, (1, 0, 1, 1, 0, 0, 1) + (0,) * 7]),
+        (enumerate_ideals(model3)[::11], [None, (2, 1, 0, 2) + (0,) * 10]),
+    ]
+    for ideals, units in cases:
+        model = ideals[0].model
+        fld, n = model.field, model.trunc
+        for I in ideals:
+            for u in units:
+                rows = I.rows if u is None else [series_mul(u, r, fld) for r in I.rows]
+                if u is not None:
+                    assert subspace_unit_image(I.sub, u) == Subspace.span(fld, n, rows)
+                for k in range(model.sgp.frobenius + 2):
+                    shifted = I.translate(k, u)
+                    ref = Subspace.span(fld, n, [series_shift(r, k) for r in rows])
+                    assert shifted == ref
+                    assert shifted.pivots == ref.pivots
+
+
+def test_overring_sweep_rejects_a_bad_valuation_g_element(monkeypatch):
+    # a zero "unit" gives y = 0, which lies in R: the sweep must refuse it
+    import starlab.fq_linear as fq_linear
+
+    model = semigroup_ring_model(semigroup([4, 5, 7]), F2)
+    zero = (0,) * model.trunc
+    monkeypatch.setattr(fq_linear, "unit_representatives", lambda *args: [zero])
+    with pytest.raises(InvariantError):
+        frobenius_overring_ideal(model)
