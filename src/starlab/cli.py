@@ -41,7 +41,7 @@ from .numsgp import (
     pseudo_frobenius_pair,
     semigroup,
 )
-from .ring_model import enumerate_ideals, frobenius_overring_ideal, is_overring_stable
+from .ring_model import enumerate_ideals, is_overring_stable
 from .star_engine import (
     DEFAULT_MAX_IDEALS,
     DEFAULT_MAX_ORBITS,
@@ -110,16 +110,14 @@ def cmd_ring_enum_ideals(args):
         tuple(semigroup(_parse_gens(args.gens)).generators), fld.q, _modulus_for(args)
     )
     ideals = enumerate_ideals(model, args.max_ideals)
-    t_ideal = frobenius_overring_ideal(model) if not model.sgp.contains(model.sgp.frobenius) else None
     listing = []
     for I in ideals:
         entry = {
             "dim": I.dim,
             "values_upto_g": [p for p in I.value_set if p <= model.sgp.frobenius],
             "divisorial": I.is_divisorial(),
+            "overring_stable": is_overring_stable(I),
         }
-        if t_ideal is not None:
-            entry["overring_stable"] = is_overring_stable(I, t_ideal)
         listing.append(entry)
     results = {
         "generators": list(model.sgp.generators),

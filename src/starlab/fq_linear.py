@@ -8,20 +8,16 @@ hashing and orbit bookkeeping structural.
 
 The same vectors double as the truncated algebra A_N = K[t]/(t^N): an element
 is a coefficient tuple (c_0, ..., c_{N-1}) and its valuation is the index of
-the first nonzero coefficient (the valuation of zero is the +infinity
-sentinel, never used in arithmetic).
+the first nonzero coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import BudgetError, InputError, InvariantError
 
 MAX_FIELD_ORDER = 512
-
-INFINITY = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +291,6 @@ def series_shift(a, k):
     return tuple(0 for _ in range(min(k, n))) + a[: max(n - k, 0)]
 
 
-def series_valuation(a):
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return INFINITY
-
-
 def series_inv(a, fld):
     """Inverse of a unit (valuation 0) in K[t]/(t^N).
 
@@ -323,53 +312,6 @@ def series_inv(a, fld):
                 acc = add[acc][mul[ai][b[k - i]]]
         b[k] = mul[neg[b0]][acc] if acc else 0
     return tuple(b)
-
-
-class AlgElem:
-    """Element of A_N = K[t]/(t^N) as a coefficient tuple c_0..c_{N-1}."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, fld: Field, coeffs):
-        self.field = fld
-        self.coeffs = tuple(c % fld.q if not 0 <= c < fld.q else c for c in coeffs)
-
-    @classmethod
-    def monomial(cls, fld, n, k, c=1):
-        coeffs = [0] * n
-        if k < n:
-            coeffs[k] = c
-        return cls(fld, coeffs)
-
-    def valuation(self):
-        return series_valuation(self.coeffs)
-
-    def __mul__(self, other):
-        return AlgElem(self.field, series_mul(self.coeffs, other.coeffs, self.field))
-
-    def __add__(self, other):
-        add = self.field.add
-        return AlgElem(self.field, tuple(add[a][b] for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        sub = self.field.sub
-        return AlgElem(self.field, tuple(sub[a][b] for a, b in zip(self.coeffs, other.coeffs)))
-
-    def inverse(self):
-        return AlgElem(self.field, series_inv(self.coeffs, self.field))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"AlgElem{self.coeffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +447,6 @@ class Subspace:
         # their second halves are already reduced against each other.
         reduced = rref(block, self.field)
         return Subspace(self.field, n, tuple(r[n:] for r in reduced if not any(r[:n])))
-
-    def plus(self, other):
-        """Lattice join (sum of subspaces)."""
-        if self.ambient != other.ambient:
-            raise InputError("ambient dimension mismatch")
-        return Subspace.span(self.field, self.ambient, self.rows + other.rows)
 
     def cut(self, c):
         """Subspace of elements of valuation >= c (rows with pivot >= c)."""

@@ -196,8 +196,14 @@ class RingIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def intersect(self, other: "RingIdeal") -> "RingIdeal":
+        """The meet of two ideals, memoized per model on their rows."""
         self._same_model(other)
-        return RingIdeal(self.model, self.meet(other.sub))
+        memo = self.model._cache.setdefault("intersect", {})
+        key = (self.sub.rows, other.sub.rows)
+        cached = memo.get(key)
+        if cached is None:
+            cached = memo[key] = _shared_ideal(self.model, self.meet(other.sub))
+        return cached
 
     def meet(self, sub: Subspace) -> Subspace:
         """The intersection of this ideal with any subspace of A_N.
@@ -222,10 +228,6 @@ class RingIdeal:
         low = tuple(r[h:] for r in rref(block, field) if not any(r[:h]))
         return Subspace(field, n, low + high)
 
-    def plus(self, other: "RingIdeal") -> "RingIdeal":
-        self._same_model(other)
-        return RingIdeal(self.model, self.sub.plus(other.sub))
-
     def product(self, other: "RingIdeal") -> "RingIdeal":
         self._same_model(other)
         field = self.model.field
@@ -242,36 +244,45 @@ class RingIdeal:
         exact fractional colon. Only the head coefficients a_0..a_g of the
         unknown are constrained (the tail multiplies everything into the
         conductor), and the pure conductor rows of the divisor impose
-        nothing, which keeps the linear system small.
+        nothing. As self contains the conductor, t^i*b lies in it exactly
+        when the head of t^i*b, the shift of head(b) cut to g+1 terms, lies
+        in the head of self; shifts by i >= g+1-v(b) have zero head. So the
+        whole linear system lives on the g+1 head coordinates. Results are
+        memoized per model on the operands' rows.
         """
         self._same_model(other)
         model = self.model
+        memo = model._cache.setdefault("colon", {})
+        key = (self.sub.rows, other.sub.rows)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         field = model.field
-        n = model.trunc
-        g = model.sgp.frobenius
-        h = g + 1
+        h = model.head_dim
+        head = self.head()
         constraints = []
         for b, p in zip(other.sub.rows, other.sub.pivots):
-            if p > g:
-                continue
-            residuals = [self.sub.reduce(series_shift(b, i)) for i in range(h)]
-            for coord in range(n):
-                row = tuple(residuals[i][coord] for i in range(h))
-                if any(row):
-                    constraints.append(row)
-        kernel = _kernel(constraints, h, field)
-        rows = [vec + (0,) * (n - h) for vec in kernel]
-        rows.extend(model.conductor_rows())
-        return RingIdeal(model, Subspace.span(field, n, rows))
+            if p >= h:
+                break
+            residuals = [head.reduce((0,) * i + b[: h - i]) for i in range(h - p)]
+            residuals += [(0,) * h] * p
+            constraints.extend(row for row in zip(*residuals) if any(row))
+        kernel = rref(_kernel(constraints, h, field), field)
+        cached = memo[key] = _shared_ideal(model, model.lift_head(Subspace(field, h, kernel)))
+        return cached
+
+    def head(self) -> Subspace:
+        """The head of the ideal, coefficients 0..g, as a subspace of
+        K^(g+1): its rows with pivot <= g cut to g+1 columns, already in
+        canonical form."""
+        h = self.model.head_dim
+        pivots = tuple(p for p in self.sub.pivots if p < h)
+        rows = tuple(r[:h] for r in self.sub.rows[: len(pivots)])
+        return Subspace(self.model.field, h, rows, pivots)
 
     def v_closure(self) -> "RingIdeal":
-        memo = self.model._cache.setdefault("v_closure", {})
-        cached = memo.get(self.sub.rows)
-        if cached is None:
-            R = self.model.ring_ideal()
-            cached = R.colon(R.colon(self))
-            memo[self.sub.rows] = cached
-        return cached
+        R = self.model.ring_ideal()
+        return R.colon(R.colon(self))
 
     def is_divisorial(self) -> bool:
         return self.v_closure() == self
@@ -318,6 +329,16 @@ class RingIdeal:
             raise InputError("ideals belong to different models")
 
 
+def _shared_ideal(model: RingModel, sub: Subspace) -> RingIdeal:
+    """The model's one RingIdeal on sub. The colon and meet memos hold many
+    more entries than distinct results, so their entries share ideals."""
+    shared = model._cache.setdefault("shared_ideals", {})
+    ideal = shared.get(sub.rows)
+    if ideal is None:
+        ideal = shared[sub.rows] = RingIdeal(model, sub)
+    return ideal
+
+
 def _kernel(constraint_rows, n, field):
     """Basis of {a in F^n : M a = 0} for the matrix with the given rows."""
     reduced = rref(constraint_rows, field)
@@ -361,11 +382,6 @@ def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
         if p < m + h
     ]
     return RingIdeal(model, model.lift_head(Subspace(field, h, rref(heads, field))))
-
-
-def series_shift_down(coeffs, m):
-    """Divide by t^m: drop the first m coefficients, pad with zeros."""
-    return coeffs[m:] + (0,) * m
 
 
 def normalized_translate_intersection(
@@ -538,11 +554,14 @@ def convert_to_overring(ideal: RingIdeal, t_model: RingModel) -> RingIdeal:
     return converted
 
 
-def is_overring_stable(ideal: RingIdeal, t_ideal: RingIdeal | None = None) -> bool:
-    """Whether I * T = I inside the base model."""
-    if t_ideal is None:
-        t_ideal = frobenius_overring_ideal(ideal.model)
-    return ideal.product(t_ideal) == ideal
+def is_overring_stable(ideal: RingIdeal) -> bool:
+    """Whether I * T = I inside the base model.
+
+    T = R + R*t^g, and I is R-stable and contains the conductor, so
+    I * T = I + t^g * I: the test is whether t^g * r lies in I for every
+    row r of I.
+    """
+    return ideal.contains_subspace(ideal.translate(ideal.model.sgp.frobenius))
 
 
 def canonical_ideals(model: RingModel, ideals=None, verify: bool = True):
@@ -559,10 +578,7 @@ def canonical_ideals(model: RingModel, ideals=None, verify: bool = True):
     if ideals is None:
         ideals = enumerate_ideals(model)
     R = model.ring_ideal()
-    t_ideal = frobenius_overring_ideal(model)
-    found = tuple(
-        I for I in ideals if I != R and not is_overring_stable(I, t_ideal)
-    )
+    found = tuple(I for I in ideals if I != R and not is_overring_stable(I))
     if verify:
         g = model.sgp.frobenius
         tau = model.sgp.tau
@@ -599,15 +615,8 @@ def unit_orbits(ideals) -> OrbitPartition:
     if not ideals:
         return OrbitPartition((), (), (), ())
     model = ideals[0].model
-    h = model.head_dim
-    heads = []
-    for I in ideals:
-        pivots = tuple(p for p in I.sub.pivots if p < h)
-        heads.append(
-            Subspace(model.field, h, tuple(r[:h] for r in I.rows[: len(pivots)]), pivots)
-        )
-    part = partition_subspaces(heads, model.field)
-    pad = (0,) * (model.trunc - h)
+    part = partition_subspaces([I.head() for I in ideals], model.field)
+    pad = (0,) * (model.trunc - model.head_dim)
     image_maps = tuple(
         {model.lift_head(head): w + pad for head, w in images.items()}
         for images in part.image_maps

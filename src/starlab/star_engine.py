@@ -103,7 +103,7 @@ class RingWorkspace:
             reps = self.partition.reps
             R = model.ring_ideal()
             t_ideal = frobenius_overring_ideal(model)
-            stable = [is_overring_stable(rep, t_ideal) for rep in reps]
+            stable = [is_overring_stable(rep) for rep in reps]
             canonical_ids = frozenset(
                 oid for oid, rep in enumerate(reps) if rep != R and not stable[oid]
             )
@@ -347,10 +347,9 @@ def restrict_star(star: StarOperation, t_model: RingModel | None = None) -> Star
     if t_model is None:
         t_model = frobenius_overring_model(model)
     t_ws = workspace(t_model)
-    t_ideal = frobenius_overring_ideal(model)
     t_family = set()
     for ideal in star.closed_ideals():
-        if is_overring_stable(ideal, t_ideal):
+        if is_overring_stable(ideal):
             t_family.add(t_ws.orbit_id(convert_to_overring(ideal, t_model)))
     family = frozenset(t_family)
     if t_ws.close(family) != family:

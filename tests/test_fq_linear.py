@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from starlab.errors import BudgetError, InputError
 from starlab.fq_linear import (
-    AlgElem,
     Subspace,
     count_subspaces,
     enumerate_subspaces,
@@ -16,7 +15,6 @@ from starlab.fq_linear import (
     rref,
     series_inv,
     series_mul,
-    series_valuation,
     subspace_unit_image,
     unit_generators,
     unit_image_map,
@@ -111,11 +109,6 @@ def test_non_unit_rejected():
         series_inv((0, 1, 0), f)
 
 
-def test_valuation_sentinel():
-    assert series_valuation((0, 0, 0)) == float("inf")
-    assert series_valuation((0, 2, 0)) == 1
-
-
 @given(st.lists(st.integers(0, 2), min_size=5, max_size=5), st.integers(1, 2))
 @settings(max_examples=50, deadline=None)
 def test_units_invert_back(tail, c0):
@@ -137,14 +130,6 @@ def test_series_mul_assoc_comm(a, b, c):
     a, b, c = tuple(a), tuple(b), tuple(c)
     assert series_mul(a, b, f) == series_mul(b, a, f)
     assert series_mul(series_mul(a, b, f), c, f) == series_mul(a, series_mul(b, c, f), f)
-
-
-def test_alg_elem_wrapper():
-    f = field(2)
-    x = AlgElem(f, (1, 1, 0, 0))
-    assert (x * x.inverse()).coeffs == (1, 0, 0, 0)
-    assert x.valuation() == 0
-    assert AlgElem(f, (0, 0, 0, 0)).valuation() == float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,13 @@ def test_formula_check_q2():
     assert report.results["overring_star_count"] == 42
 
 
+def test_formula_check_q3():
+    report = formula_check(3)
+    assert report.all_verified()
+    assert report.results["star_count"] == 67  # 2^6 + 3
+    assert report.results["overring_star_count"] == 146  # 2^7 + 2^4 + 2
+
+
 def test_formula_check_rejects_other_n():
     with pytest.raises(InputError):
         formula_check(2, n=5)

@@ -8,12 +8,14 @@ from starlab.fq_linear import (
     field,
     field_from_order,
     partition_subspaces,
+    rref,
     series_mul,
     series_shift,
     subspace_unit_image,
 )
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
+    RingIdeal,
     canonical_ideals,
     convert_to_overring,
     enumerate_ideals,
@@ -30,6 +32,11 @@ from starlab.ring_model import (
 
 F2 = field(2)
 F3 = field(3)
+
+
+def series_shift_down(coeffs, m):
+    """Divide by t^m: drop the first m coefficients, pad with zeros."""
+    return coeffs[m:] + (0,) * m
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +114,7 @@ def test_enumerate_ideals_457_census(model457, ideals457):
     # 16 overring-stable ideals (subspaces of a 3-dim space), the ring, and
     # the canonical ideals
     assert len(ideals457) == 19
-    t_ideal = frobenius_overring_ideal(model457)
-    stable = [I for I in ideals457 if is_overring_stable(I, t_ideal)]
+    stable = [I for I in ideals457 if is_overring_stable(I)]
     assert len(stable) == 16
     canon = canonical_ideals(model457, ideals457)
     assert len(canon) == 2
@@ -204,14 +210,13 @@ def test_four_way_overring_detection(model457, ideals457):
     S = model457.sgp
     tau, g = S.tau, S.frobenius
     expected_low = tuple(sorted(set(S.small_members()) | {tau}))
-    t_ideal = frobenius_overring_ideal(model457)
     R = model457.ring_ideal()
     for I in ideals457:
         if I == R:
             continue
         p1 = tuple(p for p in I.value_set if p <= g) == expected_low
         p2 = g not in I.value_set
-        p3 = not is_overring_stable(I, t_ideal)
+        p3 = not is_overring_stable(I)
         p4 = all(I.colon(I.colon(J)) == J for J in ideals457)
         assert p1 == p2 == p3 == p4, I
 
@@ -238,7 +243,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     res1 = normalize_subspace(model457, meet)
     # perturb: divide by (row0 + row1) instead
     from starlab.fq_linear import Subspace, series_inv
-    from starlab.ring_model import RingIdeal, series_shift_down
+    from starlab.ring_model import RingIdeal
 
     rows = meet.rows
     alt = tuple(F2.add[a][b] for a, b in zip(rows[0], rows[1]))
@@ -269,7 +274,7 @@ def test_unit_orbit_examples(model457, ideals457):
     two_dim = [
         I
         for I in ideals457
-        if is_overring_stable(I, t_ideal) and head_type(I) == 2 and tau not in I.value_set
+        if is_overring_stable(I) and head_type(I) == 2 and tau not in I.value_set
     ]
     assert len(two_dim) == 6
     orbits2 = {part.orbit_of(I) for I in two_dim}
@@ -277,7 +282,7 @@ def test_unit_orbit_examples(model457, ideals457):
     three_dim = [
         I
         for I in ideals457
-        if is_overring_stable(I, t_ideal) and head_type(I) == 3 and tau not in I.value_set
+        if is_overring_stable(I) and head_type(I) == 3 and tau not in I.value_set
     ]
     assert len(three_dim) == 4
     assert len({part.orbit_of(I) for I in three_dim}) == 1
@@ -298,8 +303,7 @@ def test_orbit_partition_is_deterministic(model457, ideals457):
 
 def test_convert_to_overring(model457, ideals457):
     t_model = frobenius_overring_model(model457)
-    t_ideal = frobenius_overring_ideal(model457)
-    stable = [I for I in ideals457 if is_overring_stable(I, t_ideal)]
+    stable = [I for I in ideals457 if is_overring_stable(I)]
     converted = {convert_to_overring(I, t_model).sub for I in stable}
     assert len(converted) == len(stable)
     t_f0 = {I.sub for I in enumerate_ideals(t_model)}
@@ -364,3 +368,116 @@ def test_overring_sweep_rejects_a_bad_valuation_g_element(monkeypatch):
     monkeypatch.setattr(fq_linear, "unit_representatives", lambda *args: [zero])
     with pytest.raises(InvariantError):
         frobenius_overring_ideal(model)
+
+
+def _reference_colon(I, J):
+    """The full-width colon: every shift of every divisor row reduced against
+    all N columns of I, and the kernel read off a transposed rref."""
+    model = I.model
+    fld, n, h = model.field, model.trunc, model.head_dim
+    constraints = []
+    for b, p in zip(J.sub.rows, J.sub.pivots):
+        if p >= h:
+            continue
+        residuals = [I.sub.reduce(series_shift(b, i)) for i in range(h)]
+        for coord in range(n):
+            row = tuple(residuals[i][coord] for i in range(h))
+            if any(row):
+                constraints.append(row)
+    # a lies in the kernel when sum_i a_i * column_i = 0
+    m = len(constraints)
+    block = [
+        tuple(c[i] for c in constraints) + tuple(int(j == i) for j in range(h))
+        for i in range(h)
+    ]
+    kernel = [r[m:] for r in rref(block, fld) if not any(r[:m])]
+    rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor_rows())
+    return RingIdeal(model, Subspace.span(fld, n, rows))
+
+
+def _reference_intersect(I, J):
+    return RingIdeal(I.model, I.sub.intersect(J.sub))
+
+
+def _reference_overring_stable(I):
+    return I.product(frobenius_overring_ideal(I.model)) == I
+
+
+def _colon_test_ideals(model):
+    """F_0 plus conductor-containing ideals outside it: the maximal ideal,
+    the conductor and the principal ideals t^a * R for the generators a."""
+    ideals = list(enumerate_ideals(model))
+    R = model.ring_ideal()
+    M = RingIdeal(model, model.maximal_ideal_subspace())
+    extra = [M, R.colon(model.full_ideal()), R.colon(M)]
+    extra += [model.span_ideal([model.monomial(a)]) for a in model.sgp.generators]
+    return ideals, extra
+
+
+HEAD_MODELS = [((4, 5, 7), 2), ((4, 5, 7), 3), ((4, 5, 7), 4), ((4, 5, 6, 7), 3), ((3, 5, 7), 3)]
+HEAD_MODEL_IDS = ["457-q2", "457-q3", "457-q4", "4567-q3", "357-q3"]
+
+
+@pytest.mark.parametrize("gens,q", HEAD_MODELS, ids=HEAD_MODEL_IDS)
+def test_colon_and_intersect_match_full_width(gens, q):
+    # every ordered pair of F_0, and pairs with ideals outside F_0; (I:J)
+    # with J not inside I leaves F_0 too. Each pair is asked twice, the
+    # second time from the memo.
+    model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
+    ideals, extra = _colon_test_ideals(model)
+    pairs = list(itertools.product(ideals, repeat=2))
+    pairs += [(I, X) for I in ideals + extra for X in extra]
+    pairs += [(X, I) for X in extra for I in ideals]
+    left_f0 = 0
+    for I, J in pairs:
+        colon = I.colon(J)
+        assert colon == _reference_colon(I, J), (I, J)
+        assert I.colon(J) is colon
+        left_f0 += not colon.in_f0()
+        meet = I.intersect(J)
+        assert meet == _reference_intersect(I, J), (I, J)
+        assert I.intersect(J) is meet
+    assert left_f0 > 0
+
+
+def test_colon_memo_is_per_model():
+    # the same generators over F_8 with two moduli: many ideals have the same
+    # rows in both models, and neither model may see the other's results
+    gens = [3, 5, 7]
+    models = [
+        semigroup_ring_model(semigroup(gens), field(2, 3, poly))
+        for poly in ((1, 1, 0, 1), (1, 0, 1, 1))
+    ]
+    rows = [{I.rows for I in enumerate_ideals(m)} for m in models]
+    assert len(rows[0] & rows[1]) > 2
+    for model in models:
+        ideals, extra = _colon_test_ideals(model)
+        for I, J in itertools.product(ideals + extra, repeat=2):
+            colon = I.colon(J)
+            assert colon.model is model
+            assert colon == _reference_colon(I, J), (I, J)
+            meet = I.intersect(J)
+            assert meet.model is model
+            assert meet == _reference_intersect(I, J), (I, J)
+        R = model.ring_ideal()
+        for I in ideals:
+            assert I.v_closure() == _reference_colon(R, _reference_colon(R, I))
+
+
+@pytest.mark.parametrize("gens,q", HEAD_MODELS, ids=HEAD_MODEL_IDS)
+def test_overring_stable_matches_product(gens, q):
+    # t^g * I inside I against I * T = I, on F_0 and on (R:M_R)
+    model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
+    ideals, extra = _colon_test_ideals(model)
+    verdicts = [is_overring_stable(I) for I in ideals + extra]
+    assert verdicts == [_reference_overring_stable(I) for I in ideals + extra]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_overring_stable_matches_product_on_counterexample_dual():
+    # the (R:M_R) of the residue star family, which must be overring stable
+    model = semigroup_ring_model(semigroup([5, 6, 7, 9]), F2)
+    R = model.ring_ideal()
+    L_R = R.colon(RingIdeal(model, model.maximal_ideal_subspace()))
+    assert is_overring_stable(L_R)
+    assert _reference_overring_stable(L_R)
