@@ -324,6 +324,14 @@ COMMANDS = {
 }
 
 
+def _seconds(text):
+    """A --timeout-s value: a whole number of seconds, 0 for no deadline."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 means no deadline), got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="starlab",
@@ -347,7 +355,7 @@ def build_parser():
         p.add_argument("--cache-dir", default=os.environ.get("STARLAB_CACHE_DIR"))
         p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
         p.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
-        p.add_argument("--timeout-s", type=int, default=0)
+        p.add_argument("--timeout-s", type=_seconds, default=0)
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument(
             "--timings",

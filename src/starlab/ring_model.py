@@ -363,8 +363,16 @@ def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
 
     The divisor is the canonical echelon row with the least pivot, so the
     result is deterministic; any other minimal-valuation divisor gives a
-    unit-equivalent ideal.
+    unit-equivalent ideal. Results are memoized per model on the rows of sub.
     """
+    memo = model._cache.setdefault("normalize", {})
+    cached = memo.get(sub.rows)
+    if cached is None:
+        cached = memo[sub.rows] = _normalize(model, sub)
+    return cached
+
+
+def _normalize(model: RingModel, sub: Subspace) -> RingIdeal:
     if not sub.rows:
         raise InputError("cannot normalize the zero ideal")
     h = model.head_dim
@@ -391,20 +399,16 @@ def normalized_translate_intersection(
 
     When the ideal contains the translate, the meet is t^k * base itself,
     and dividing it by its least-pivot row is dividing base by its own: the
-    result is normalize(base), computed once per base and model. Otherwise,
-    when the intersection has minimal valuation m <= g+1 the division is
-    exact in A_N directly. When m > g+1 every element of the intersection
-    lies inside the conductor, the intersection equals t^k * (base cut at
-    m-k), and normalizing that cut of base stays exact.
+    result is normalize(base). Otherwise, when the intersection has minimal
+    valuation m <= g+1 the division is exact in A_N directly. When m > g+1
+    every element of the intersection lies inside the conductor, the
+    intersection equals t^k * (base cut at m-k), and normalizing that cut of
+    base stays exact. The ideal need only contain the conductor block, so it
+    may be a unit image of a member of F_0.
     """
     model = ideal.model
     if ideal.contains_subspace(shifted):
-        memo = model._cache.setdefault("normalized_base", {})
-        cached = memo.get(base.rows)
-        if cached is None:
-            cached = normalize_subspace(model, base)
-            memo[base.rows] = cached
-        return cached
+        return normalize_subspace(model, base)
     g = model.sgp.frobenius
     meet = ideal.meet(shifted)
     if not meet.rows:

@@ -13,6 +13,8 @@ The closure data is tabulated once per model: for each ordered pair of orbit
 representatives (I, J) and every distinct translate u*t^k*J (units taken from
 the precomputed orbit image maps, shifts up to g+1, both reductions of a
 general translate difference), the orbit id of the normalized intersection.
+Where I has the smaller orbit, the same ids come from every image u*I met
+with the translates t^k*J.
 """
 
 from __future__ import annotations
@@ -161,33 +163,44 @@ class ClosureTable:
 
     @classmethod
     def build(cls, ws: RingWorkspace) -> "ClosureTable":
+        """Each entry loops over the smaller of the two unit orbits. U is
+        abelian, so rep_i meet t^k*u*rep_j = u*(u^-1*rep_i meet t^k*rep_j),
+        and normalizing a unit multiple stays in its orbit: when rep_i has
+        fewer images than rep_j, pair (i, j) is read off the intersections
+        of every image of rep_i with the translates of rep_j itself."""
         model = ws.model
         g = model.sgp.frobenius
         part = ws.partition
-        n_orbits = part.orbit_count
-        # distinct translates t^k * (u * rep_j), with provenance for the
-        # deep-normalization path
-        translates = []
-        for j in range(n_orbits):
-            seen = {}
-            for image_sub in part.image_maps[j]:
-                base_ideal = RingIdeal(model, image_sub)
-                for k in range(0, g + 2):
-                    shifted = base_ideal.translate(k)
-                    if shifted.rows and shifted not in seen:
-                        seen[shifted] = (k, image_sub)
-            translates.append(seen)
+        sizes = [len(images) for images in part.image_maps]
         pair = {}
         entries = 0
-        for i in range(n_orbits):
-            rep = part.reps[i]
-            for j in range(n_orbits):
-                hits = set()
-                for shifted, (k, base_sub) in translates[j].items():
-                    res = normalized_translate_intersection(rep, shifted, k, base_sub)
-                    hits.add(ws.orbit_id(res))
-                    entries += 1
-                pair[(i, j)] = frozenset(hits)
+        for j, rep_j in enumerate(part.reps):
+            own = [(rep_j.translate(k), k) for k in range(g + 2)]
+            own = [(shifted, k) for shifted, k in own if shifted.rows]
+            # distinct translates t^k * (u * rep_j), with provenance for the
+            # deep-normalization path; one column's at a time
+            translates = {}
+            for image_sub in part.image_maps[j]:
+                for k in range(g + 2):
+                    shifted = RingIdeal(model, image_sub).translate(k)
+                    if shifted.rows and shifted not in translates:
+                        translates[shifted] = (k, image_sub)
+            for i, rep_i in enumerate(part.reps):
+                if sizes[i] < sizes[j]:
+                    calls = [
+                        (RingIdeal(model, image_sub), shifted, k, rep_j.sub)
+                        for image_sub in part.image_maps[i]
+                        for shifted, k in own
+                    ]
+                else:
+                    calls = [
+                        (rep_i, shifted, k, base_sub)
+                        for shifted, (k, base_sub) in translates.items()
+                    ]
+                pair[(i, j)] = frozenset(
+                    ws.orbit_id(normalized_translate_intersection(*call)) for call in calls
+                )
+                entries += len(calls)
         return cls(pair, entries)
 
 

@@ -131,6 +131,25 @@ def test_budget_exit_3(capsys, argv):
     assert "budget" in err + out
 
 
+@pytest.mark.parametrize("value", ["-5", "-1"])
+def test_bad_timeout_exit_2(capsys, value):
+    # a negative deadline must not reach signal.alarm, where -1 arms an
+    # alarm of 2^32 - 1 seconds
+    with pytest.raises(SystemExit) as exc:
+        main(["kunz", "counterexample", "--gens", "4,5,7", "--q", "2",
+              "--timeout-s", value])
+    assert exc.value.code == 2
+    assert "--timeout-s" in capsys.readouterr().err
+
+
+def test_zero_timeout_means_no_deadline(capsys, monkeypatch):
+    alarms = []
+    monkeypatch.setattr(cli.signal, "alarm", alarms.append)
+    code, out, _ = run_cli(capsys, "sgp", "info", "--gens", "4,5,7", "--timeout-s", "0")
+    assert code == 0 and json.loads(out)["results"]["frobenius"] == 6
+    assert alarms == []
+
+
 def test_budget_skip_certifies_under_the_same_budget(capsys):
     code, out, _ = run_cli(
         capsys, "kunz", "counterexample", "--gens", "4,5,7", "--q", "2",

@@ -160,6 +160,13 @@ def test_formula_check_q3():
     assert report.results["overring_star_count"] == 146  # 2^7 + 2^4 + 2
 
 
+def test_formula_check_q5():
+    report = formula_check(5)
+    assert report.all_verified()
+    assert report.results["star_count"] == 1027  # 2^10 + 3
+    assert report.results["overring_star_count"] == 2114  # 2^11 + 2^6 + 2
+
+
 def test_formula_check_rejects_other_n():
     with pytest.raises(InputError):
         formula_check(2, n=5)

@@ -11,6 +11,7 @@ from starlab.ring_model import (
     frobenius_overring_ideal,
     frobenius_overring_model,
     is_overring_stable,
+    normalize_subspace,
     normalized_translate_intersection,
     semigroup_ring_model,
 )
@@ -207,19 +208,48 @@ def _reference_normalize(model, sub):
     return RingIdeal(model, Subspace.span(model.field, model.trunc, rows))
 
 
+def test_normalize_memo_is_per_model():
+    # the two F_8 models of test_colon_memo_is_per_model: the unit images of
+    # one model's orbit representatives, normalized in both models, often
+    # divide by a series whose inverse depends on the modulus
+    models = [
+        semigroup_ring_model(semigroup([3, 5, 7]), field(2, 3, poly))
+        for poly in ((1, 1, 0, 1), (1, 0, 1, 1))
+    ]
+    image_maps = workspace(models[0]).partition.image_maps
+    inputs = [sub.rows for images in image_maps for sub in images]
+    results = []
+    for model in models:
+        subs = [Subspace(model.field, model.trunc, rows) for rows in inputs]
+        ideals = [normalize_subspace(model, sub) for sub in subs]
+        for sub, ideal in zip(subs, ideals):
+            assert ideal.model is model
+            assert ideal == _reference_normalize(model, sub)
+            again = Subspace(model.field, model.trunc, sub.rows)
+            assert normalize_subspace(model, again) is ideal
+        results.append([ideal.rows for ideal in ideals])
+    assert results[0] != results[1]
+
+
 @pytest.mark.parametrize(
     "gens,q",
-    [((4, 5, 7), 2), ((4, 5, 6, 7), 2), ((3, 5, 7), 3)],
-    ids=["457-q2", "4567-q2", "357-q3"],
+    [((4, 5, 7), 2), ((4, 5, 6, 7), 2), ((3, 5, 7), 3), ((3, 5, 7), 4), ((4, 5, 6, 7), 4)],
+    ids=["457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4"],
 )
 def test_closure_table_matches_reference(gens, q):
     # the containment skip, conductor-aware meet and head-only
     # normalization against a Zassenhaus meet and full normalization of
-    # every translate, both per translate and in the table
+    # every translate, both per translate and in the table. The reference
+    # always loops over the images of rep_j; the table loops over the
+    # images of rep_i where that orbit is the smaller one, so each model
+    # must have pairs of both kinds: m_i < m_j for (i, j) is m_j > m_i for
+    # (j, i).
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     ws = workspace(model)
     g = model.sgp.frobenius
     part = ws.partition
+    sizes = [len(images) for images in part.image_maps]
+    assert any(a < b for a in sizes for b in sizes)
     expected = {}
     for i, rep in enumerate(part.reps):
         for j in range(part.orbit_count):
