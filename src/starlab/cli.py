@@ -14,7 +14,6 @@ consistency check failed, which is a bug rather than a failed verdict).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import io
 import json
@@ -168,10 +167,14 @@ def _pool_runner(jobs):
     def run(fn, kwargs_list):
         if jobs <= 1 or len(kwargs_list) <= 1:
             return [fn(**kw) for kw in kwargs_list]
+        import multiprocessing
+
         workers = min(jobs, len(kwargs_list))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, **kw) for kw in kwargs_list]
-            return [f.result() for f in futures]
+        # leaving the block terminates the workers, so a deadline raised in
+        # the parent does not wait for them (forked workers hold no alarm)
+        with multiprocessing.Pool(workers) as pool:
+            pending = [pool.apply_async(fn, (), kw) for kw in kwargs_list]
+            return [p.get() for p in pending]
 
     return run
 
@@ -192,7 +195,7 @@ def cmd_kunz(args):
     elif sub == "formula-check":
         report = formula_check(
             args.q,
-            n=args.n or 4,
+            n=4 if args.n is None else args.n,
             max_ideals=args.max_ideals,
             max_orbits=args.max_orbits,
             modulus=modulus,

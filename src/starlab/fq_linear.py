@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetError, InputError, InvariantError
+from .errors import InputError, InvariantError
 
 MAX_FIELD_ORDER = 512
 
@@ -396,10 +396,6 @@ class Subspace:
         return cls(fld, ambient, rref(vectors, fld))
 
     @classmethod
-    def zero(cls, fld, ambient):
-        return cls(fld, ambient, ())
-
-    @classmethod
     def full(cls, fld, ambient):
         rows = tuple(
             tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)
@@ -489,26 +485,15 @@ def count_subspaces(m, q):
     return sum(gaussian_binomial(m, k, q) for k in range(m + 1))
 
 
-def enumerate_subspaces(ambient, fld, *, dimension=None, predicate=None, max_count=None):
-    """All subspaces of F_q^ambient, optionally of fixed dimension, filtered
-    by a predicate, in a deterministic order.
+def enumerate_subspaces(ambient, fld):
+    """All subspaces of F_q^ambient, in a deterministic order.
 
     Subspaces are generated directly in canonical form: dimensions ascending,
     pivot columns in lexicographic order, free entries counted row-major.
-    The budget guard fires before any subspace is materialized.
     """
     q = fld.q
-    dims = [dimension] if dimension is not None else list(range(ambient + 1))
-    total = sum(gaussian_binomial(ambient, d, q) for d in dims)
-    if max_count is not None and total > max_count:
-        raise BudgetError(f"{total} subspaces exceed budget {max_count}")
     out = []
-    for d in dims:
-        if d == 0:
-            s = Subspace.zero(fld, ambient)
-            if predicate is None or predicate(s):
-                out.append(s)
-            continue
+    for d in range(ambient + 1):
         for pivots in itertools.combinations(range(ambient), d):
             pivot_set = set(pivots)
             free = [
@@ -523,9 +508,7 @@ def enumerate_subspaces(ambient, fld, *, dimension=None, predicate=None, max_cou
                     rows[i][pivots[i]] = 1
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                s = Subspace(fld, ambient, tuple(tuple(r) for r in rows))
-                if predicate is None or predicate(s):
-                    out.append(s)
+                out.append(Subspace(fld, ambient, tuple(tuple(r) for r in rows)))
     return out
 
 

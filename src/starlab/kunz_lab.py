@@ -559,8 +559,9 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
 
     ok = True
     pairs = 0
-    for I, J in itertools.product(ideals, repeat=2):
-        if J.contains(I):
+    above = ws.above()
+    for (a, I), (b, J) in itertools.product(enumerate(ideals), repeat=2):
+        if above[a] >> b & 1:
             pairs += 1
             if J.dim - I.dim != len(set(J.value_set) - set(I.value_set)):
                 ok = False

@@ -51,6 +51,7 @@ class RingWorkspace:
             for oid, rep in enumerate(self.partition.reps)
             if rep.is_divisorial()
         )
+        self._above = None
         self._table = None
         self._stars = None
         self._unit_action = None
@@ -65,13 +66,16 @@ class RingWorkspace:
     def orbit_id(self, ideal: RingIdeal) -> int:
         return self.partition.orbit_ids[self.ideal_id(ideal)]
 
-    def closed_lift(self, orbit_ids):
-        """All ideals whose orbit lies in the family."""
-        return [
-            ideal
-            for ideal, oid in zip(self.ideals, self.partition.orbit_ids)
-            if oid in orbit_ids
-        ]
+    def above(self):
+        """The containment order of F_0: above()[a] is the bitmask of the
+        ideal indices b with ideals[b] containing ideals[a]."""
+        if self._above is None:
+            ideals = self.ideals
+            self._above = tuple(
+                sum(1 << b for b, J in enumerate(ideals) if J.contains(I))
+                for I in ideals
+            )
+        return self._above
 
     # -- closure table ------------------------------------------------------
 
@@ -208,16 +212,24 @@ class StarOperation:
     """A star operation on the model, canonically the set of orbit ids of
     its closed ideals. Equality is set equality over the same model."""
 
-    __slots__ = ("ws", "closed", "_apply_cache")
+    __slots__ = ("ws", "closed", "_mask")
 
     def __init__(self, ws: RingWorkspace, closed):
         self.ws = ws
         self.closed = frozenset(closed)
-        self._apply_cache = {}
+        self._mask = None
 
     @property
     def model(self):
         return self.ws.model
+
+    @property
+    def mask(self) -> int:
+        """Bitmask of the indices of the closed ideals of F_0."""
+        if self._mask is None:
+            oids = self.ws.partition.orbit_ids
+            self._mask = sum(1 << b for b, oid in enumerate(oids) if oid in self.closed)
+        return self._mask
 
     def key(self):
         return tuple(sorted(self.closed))
@@ -226,27 +238,21 @@ class StarOperation:
         return self.ws.orbit_id(ideal) in self.closed
 
     def closed_ideals(self):
-        return self.ws.closed_lift(self.closed)
+        mask = self.mask
+        return [ideal for b, ideal in enumerate(self.ws.ideals) if mask >> b & 1]
 
     def apply(self, ideal: RingIdeal) -> RingIdeal:
-        """Closure map: the smallest closed member of F_0 containing the
-        ideal (the closed ideals of F_0 are intersection-stable, so the
-        minimum exists and equals the star image)."""
-        idx = self.ws.ideal_id(ideal)
-        cached = self._apply_cache.get(idx)
-        if cached is not None:
-            return self.ws.ideals[cached]
-        result = None
-        for candidate, oid in zip(self.ws.ideals, self.ws.partition.orbit_ids):
-            if oid in self.closed and candidate.contains(ideal):
-                result = candidate if result is None else result.intersect(candidate)
-        if result is None:
+        """Closure map: the least closed member of F_0 containing the ideal.
+        Closed ideals are intersection-stable and F_0 is sorted by dimension,
+        so it is the lowest closed index above the ideal, below every other."""
+        above = self.ws.above()
+        hits = above[self.ws.ideal_id(ideal)] & self.mask
+        if not hits:
             raise InvariantError("no closed ideal contains the argument")
-        ridx = self.ws.ideal_id(result)
-        if self.ws.partition.orbit_ids[ridx] not in self.closed:
+        low = (hits & -hits).bit_length() - 1
+        if hits & ~above[low]:
             raise InvariantError("closure map left the closed family")
-        self._apply_cache[idx] = ridx
-        return self.ws.ideals[ridx]
+        return self.ws.ideals[low]
 
     def __eq__(self, other):
         return (
@@ -280,19 +286,18 @@ def generated_star(ideal: RingIdeal) -> StarOperation:
     validated against the closure system; a failure indicates an engine bug
     rather than bad input."""
     ws = workspace(ideal.model)
-    closed_ideals = []
-    for J in ws.ideals:
-        image = ideal.colon(ideal.colon(J)).intersect(J.v_closure())
-        if image == J:
-            closed_ideals.append(J)
-    family = frozenset(ws.orbit_id(J) for J in closed_ideals)
+    closed = [
+        b
+        for b, J in enumerate(ws.ideals)
+        if ideal.colon(ideal.colon(J)).intersect(J.v_closure()) == J
+    ]
+    star = StarOperation(ws, (ws.partition.orbit_ids[b] for b in closed))
     # saturation: every orbit member of a closed ideal must be closed
-    lift = {J.sub for J in ws.closed_lift(family)}
-    if {J.sub for J in closed_ideals} != lift:
+    if star.mask != sum(1 << b for b in closed):
         raise InvariantError("generated star has an unsaturated closed family")
-    if ws.close(family) != family:
+    if ws.close(star.closed) != star.closed:
         raise InvariantError("generated star family is not closure stable")
-    return StarOperation(ws, family)
+    return star
 
 
 def induced_star(model: RingModel, ideals) -> StarOperation:
@@ -382,35 +387,35 @@ def verify_star_axioms(star: StarOperation, full_unit_sweep: bool = False):
     Raises InvariantError on the first violation."""
     ws = star.ws
     model = ws.model
+    above = ws.above()
     R = model.ring_ideal()
     if star.apply(R) != R:
         raise InvariantError("star does not fix the ring")
-    images = [star.apply(J) for J in ws.ideals]
-    for J, image in zip(ws.ideals, images):
-        if not image.contains(J):
+    images = [ws.ideal_id(star.apply(J)) for J in ws.ideals]
+    for a, (J, c) in enumerate(zip(ws.ideals, images)):
+        if not above[a] >> c & 1:
             raise InvariantError("star is not extensive")
-        if star.apply(image) != image:
+        if images[c] != c:
             raise InvariantError("star is not idempotent")
-        if (star.is_closed(J)) != (image == J):
+        if star.is_closed(J) != (c == a):
             raise InvariantError("closed family disagrees with the closure map")
-        if not J.v_closure().contains(image):
+        if not above[c] >> ws.ideal_id(J.v_closure()) & 1:
             raise InvariantError("star is not dominated by the divisorial closure")
-    for a, I in enumerate(ws.ideals):
-        for b, J in enumerate(ws.ideals):
-            if a != b and J.contains(I) and not images[b].contains(images[a]):
+    for a, c in enumerate(images):
+        for b, d in enumerate(images):
+            if above[a] >> b & 1 and not above[c] >> d & 1:
                 raise InvariantError("star is not monotone")
     part = ws.partition
     if full_unit_sweep:
         units, action = ws.unit_action()
-        image_idx = [ws.ideal_id(img) for img in images]
         for u_i in range(len(units)):
             row = action[u_i]
             for j in range(len(ws.ideals)):
                 tj = row[j]
                 if tj is None:
                     continue
-                lhs = image_idx[tj]
-                rhs = row[image_idx[j]]
+                lhs = images[tj]
+                rhs = row[images[j]]
                 if rhs is None or lhs != rhs:
                     raise InvariantError("star is not unit-translate equivariant")
     else:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import starlab
 from starlab import cli
 from starlab.cli import main
 from starlab.errors import InvariantError
@@ -140,6 +145,31 @@ def test_bad_timeout_exit_2(capsys, value):
               "--timeout-s", value])
     assert exc.value.code == 2
     assert "--timeout-s" in capsys.readouterr().err
+
+
+def test_timeout_holds_under_jobs_2():
+    # leaving the worker pool terminates its workers, so the deadline is not
+    # held up by the two enumerations; the untimed run takes over 40 s
+    src = os.path.dirname(os.path.dirname(starlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "starlab.cli", "kunz", "counterexample", "--gens", "5,6,7,9",
+         "--q", "2", "--timeout-s", "3", "--jobs", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["verdicts"] == {"counterexample": "skipped(budget)"}
+    assert time.monotonic() - started < 15
+
+
+def test_formula_check_n0_exit_2(capsys):
+    # --n 0 is a bad n like --n 5, not the default n = 4
+    for n in ("0", "5"):
+        code, out, err = run_cli(capsys, "kunz", "formula-check", "--q", "2", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "only available for n = 4" in err
 
 
 def test_zero_timeout_means_no_deadline(capsys, monkeypatch):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from starlab.errors import BudgetError, InputError
+from starlab import cli
+from starlab.errors import BudgetError, InputError, InvariantError
 from starlab.fq_linear import Subspace, field, field_from_order, series_inv, series_mul
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
@@ -16,6 +17,7 @@ from starlab.ring_model import (
     semigroup_ring_model,
 )
 from starlab.star_engine import (
+    StarOperation,
     classify_family,
     divisorial_star,
     enumerate_stars,
@@ -336,3 +338,57 @@ def test_restriction_rejects_d_and_v(m457):
 def test_formula_counts_small(q, expected):
     m = semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(q))
     assert len(enumerate_stars(m)) == expected == 2 ** (2 * q) + 3
+
+
+@pytest.mark.parametrize("gens", [(4, 5, 7), (4, 5, 6, 7)], ids=["457", "4567"])
+def test_containment_order_and_closure_map(gens):
+    # the order is RingIdeal.contains on every pair, and on every star the
+    # closure map is the meet, by Subspace.intersect, of the closed ideals
+    # above the argument
+    model = semigroup_ring_model(semigroup(list(gens)), F2)
+    ws = workspace(model)
+    above = ws.above()
+    for a, I in enumerate(ws.ideals):
+        for b, J in enumerate(ws.ideals):
+            assert bool(above[a] >> b & 1) == J.contains(I)
+    for star in enumerate_stars(model):
+        closed = star.closed_ideals()
+        assert [ws.orbit_id(J) in star.closed for J in ws.ideals] == [
+            J in closed for J in ws.ideals
+        ]
+        for J in ws.ideals:
+            meet = None
+            for C in closed:
+                if C.contains(J):
+                    meet = C.sub if meet is None else meet.intersect(C.sub)
+            assert star.apply(J).sub == meet
+
+
+def _unstable_family(ws):
+    """An ideal M = A meet B strictly below A and B, and the family of every
+    orbit but M's: A and B keep their orbits (they have larger dimension),
+    so they are closed and their meet is not."""
+    for A, B in itertools.combinations(ws.ideals, 2):
+        M = A.intersect(B)
+        if M not in (A, B):
+            return M, frozenset(range(ws.partition.orbit_count)) - {ws.orbit_id(M)}
+    raise AssertionError("the lattice is a chain")
+
+
+def test_apply_rejects_a_family_that_is_not_intersection_stable(ws457, capsys, monkeypatch):
+    M, family = _unstable_family(ws457)
+    star = StarOperation(ws457, family)
+    with pytest.raises(InvariantError, match="closure map left the closed family"):
+        star.apply(M)
+    with pytest.raises(InvariantError, match="no closed ideal contains the argument"):
+        StarOperation(ws457, ()).apply(M)
+
+    # the CLI reports the fault as an engine error
+    def broken(args):
+        star.apply(M)
+
+    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), broken)
+    assert cli.main(["sgp", "info", "--gens", "4,5,7"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "engine error: closure map left the closed family\n"
