@@ -209,7 +209,7 @@ def cmd_kunz(args):
     elif sub == "subspace-orbits":
         if args.n is None:
             raise InputError("subspace-orbits needs --n")
-        report = lab_report(args.n, args.q, modulus=modulus)
+        report = lab_report(args.n, args.q, max_ideals=args.max_ideals, modulus=modulus)
     elif sub == "lemmas":
         gens = _parse_gens(args.gens)
         report = structure_report(

@@ -463,6 +463,42 @@ class Subspace:
         return f"Subspace(dim={self.dim}, pivots={self.pivots})"
 
 
+def _kernel(constraint_rows, n, fld):
+    """Basis of {a in F^n : M a = 0} for the matrix with the given rows."""
+    reduced = rref(constraint_rows, fld)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    basis = []
+    neg = fld.neg
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [0] * n
+        vec[f] = 1
+        for r, p in zip(reduced, pivots):
+            vec[p] = neg[r[f]]
+        basis.append(tuple(vec))
+    return basis
+
+
+def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
+    """(a : b), all x in K[t]/(t^n) with x*b inside a, products truncated
+    at t^n.
+
+    Each row r of b with pivot p contributes, for every shift t^i*r with
+    i < n - p, the residual of t^i*r against a; x lies in the colon exactly
+    when sum_i x_i * residual_i vanishes, a linear system in n unknowns.
+    Shifts with i >= n - p vanish and constrain nothing.
+    """
+    fld = a.field
+    n = a.ambient
+    constraints = []
+    for r, p in zip(b.rows, b.pivots):
+        residuals = [a.reduce((0,) * i + r[: n - i]) for i in range(n - p)]
+        residuals += [(0,) * n] * p
+        constraints.extend(row for row in zip(*residuals) if any(row))
+    return Subspace(fld, n, rref(_kernel(constraints, n, fld), fld))
+
+
 # ---------------------------------------------------------------------------
 # counting and enumeration
 
@@ -508,7 +544,7 @@ def enumerate_subspaces(ambient, fld):
                     rows[i][pivots[i]] = 1
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                out.append(Subspace(fld, ambient, tuple(tuple(r) for r in rows)))
+                out.append(Subspace(fld, ambient, tuple(tuple(r) for r in rows), pivots))
     return out
 
 
@@ -516,36 +552,11 @@ def enumerate_subspaces(ambient, fld):
 # orbits of subspaces under multiplication by valuation-zero units
 
 
-def unit_generators(fld, length, max_exponent=None):
-    """Coefficient tuples 1 + b*t^j (1 <= j <= max_exponent, b in the
-    F_p-basis 1, x, ..., x^(e-1), codes p^i) generating the 1-units of
-    K[t]/(t^length), and so the unit group modulo scalars.
-
-    U_j = 1 + t^j K[t] has U_j / U_(j+1) = (F_q, +), which an F_p-basis
-    spans, and the top U_length is trivial; downward induction on j puts
-    every U_j in the generated group.
-    """
-    top = length - 1 if max_exponent is None else min(max_exponent, length - 1)
-    gens = []
-    for j in range(1, top + 1):
-        for i in range(fld.e):
-            coeffs = [0] * length
-            coeffs[0] = 1
-            coeffs[j] = fld.p**i
-            gens.append(tuple(coeffs))
-    return gens
-
-
-def unit_representatives(fld, length, max_exponent=None):
+def unit_representatives(fld, length):
     """All valuation-zero elements of K[t]/(t^length) with constant term 1
-    and support bounded by max_exponent (scalar multiples act trivially on
-    subspaces, so these represent the unit action)."""
-    top = length - 1 if max_exponent is None else min(max_exponent, length - 1)
-    reps = []
-    for tail in itertools.product(range(fld.q), repeat=top):
-        coeffs = (1,) + tail + (0,) * (length - 1 - top)
-        reps.append(coeffs)
-    return reps
+    (scalar multiples act trivially on subspaces, so these represent the
+    unit action)."""
+    return [(1,) + tail for tail in itertools.product(range(fld.q), repeat=length - 1)]
 
 
 def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
@@ -569,26 +580,37 @@ def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
     return Subspace(fld, sub.ambient, _back_substitute(rows, pivots, fld), pivots)
 
 
-def unit_image_map(sub: Subspace, gens):
-    """BFS closure of {sub} under the unit generators.
+def unit_image_map(sub: Subspace):
+    """The orbit of sub under the units 1 + t*K[t] of K[t]/(t^ambient).
 
     Returns {subspace: witness} where witness is a unit coefficient tuple
     with witness * sub == subspace.
+
+    The stabilizer of sub is 1 + M with M = (sub : sub) meet t*K[t]; let V
+    be the valuations of M. Two products of factors 1 + c_j*t^j, one per
+    j >= 1 outside V, that first differ at j have a quotient 1 + c*t^j + ...
+    with c != 0, which lies outside 1 + M. So these q^(ambient-1-|V|)
+    products, the index of the stabilizer, meet each coset once: each orbit
+    element is computed once, as the image of an earlier one under a single
+    sparse factor, and the product is its witness. Finding any other number
+    of images is an engine error.
     """
     fld = sub.field
-    one = (1,) + (0,) * (sub.ambient - 1)
+    n = sub.ambient
+    one = (1,) + (0,) * (n - 1)
+    fixed = [p for p in subspace_colon(sub, sub).pivots if p]
     images = {sub: one}
-    frontier = [sub]
-    while frontier:
-        nxt = []
-        for current in frontier:
-            w = images[current]
-            for g in gens:
-                img = subspace_unit_image(current, g)
-                if img not in images:
-                    images[img] = series_mul(g, w, fld)
-                    nxt.append(img)
-        frontier = nxt
+    for j in range(1, n):
+        if j in fixed:
+            continue
+        layer = tuple(images.items())
+        for c in range(1, fld.q):
+            factor = one[:j] + (c,) + one[j + 1 :]
+            for img, w in layer:
+                images[subspace_unit_image(img, factor)] = series_mul(factor, w, fld)
+    expected = fld.q ** (n - 1 - len(fixed))
+    if len(images) != expected:
+        raise InvariantError(f"unit orbit has {len(images)} images, not {expected}")
     return images
 
 
@@ -631,26 +653,23 @@ class OrbitPartition:
         return self.image_maps[orbit_id][member]
 
 
-def partition_subspaces(subspaces, fld, *, max_exponent=None) -> OrbitPartition:
+def partition_subspaces(subspaces) -> OrbitPartition:
     """Orbit partition of distinct subspaces under multiplication by units
     of K[t]/(t^ambient).
 
-    max_exponent restricts unit supports to t^1..t^max_exponent; pass it when
-    the action on the given subspaces factors through that quotient.
     Subspaces are visited in canonical order, so each orbit is found from its
-    least member: orbit ids ascend with the representatives, and every BFS
+    least member: orbit ids ascend with the representatives, and every
     witness already maps the representative.
     """
     subspaces = tuple(subspaces)
     index = {s: i for i, s in enumerate(subspaces)}
-    gens = unit_generators(fld, subspaces[0].ambient, max_exponent) if subspaces else ()
     orbit_ids = [None] * len(subspaces)
     members = []
     image_maps = []
     for i in sorted(range(len(subspaces)), key=lambda i: subspaces[i].rows):
         if orbit_ids[i] is not None:
             continue
-        images = unit_image_map(subspaces[i], gens)
+        images = unit_image_map(subspaces[i])
         orbit = sorted(
             (index[s] for s in images if s in index), key=lambda j: subspaces[j].rows
         )

@@ -341,7 +341,9 @@ class SubspaceLab:
         return self.partition.orbit_count
 
 
-def subspace_lab(n: int, q: int, max_count: int | None = 200000, modulus=None) -> SubspaceLab:
+def subspace_lab(
+    n: int, q: int, max_count: int | None = DEFAULT_MAX_IDEALS, modulus=None
+) -> SubspaceLab:
     if n < 3:
         raise InputError("lab needs n >= 3")
     fld = field_from_order(q, modulus)
@@ -359,7 +361,7 @@ def subspace_lab(n: int, q: int, max_count: int | None = 200000, modulus=None) -
     expected = (q ** (n - 1) - q) // (q - 1)
     results = {"n": n, "q": q, "x_size": len(X), "x_size_formula": expected}
     verdicts = {}
-    part = partition_subspaces(X, fld)
+    part = partition_subspaces(X)
     results["class_count"] = part.orbit_count
     results["class_sizes"] = sorted(part.orbit_sizes())
     floor = (q ** (n - 2) - 1) // (q - 1)
@@ -430,7 +432,7 @@ def _verify_three_dim_single_orbit(fld, n, results, verdicts):
         image = Subspace.span(fld, 4, [series_mul(gamma, r, fld) for r in sub.rows])
         if image != base:
             ok_explicit = False
-    part = partition_subspaces(list(W.values()), fld)
+    part = partition_subspaces(W.values())
     ok_orbit = part.orbit_count == 1
     results["three_dim_subspaces"] = len(W)
     results["three_dim_classes"] = part.orbit_count
@@ -439,8 +441,8 @@ def _verify_three_dim_single_orbit(fld, n, results, verdicts):
     )
 
 
-def lab_report(n, q, modulus=None) -> KunzReport:
-    lab = subspace_lab(n, q, modulus=modulus)
+def lab_report(n, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> KunzReport:
+    lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
     report = KunzReport(input={"n": n, "q": q, "command": "subspace-orbits"})
     report.results.update(lab.results)
     report.verdicts.update(lab.verdicts)
@@ -470,7 +472,7 @@ def lower_bound_certificate(
     report = KunzReport(
         input={"n": n, "q": q, "generators": list(S.generators), "command": "lower-bound"}
     )
-    lab = subspace_lab(n, q, modulus=modulus)
+    lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
     report.results["class_count"] = lab.class_count
     ideals = enumerate_ideals(model, max_ideals)
     stable = [I for I in ideals if is_overring_stable(I)]

@@ -19,12 +19,14 @@ from .errors import BudgetError, InputError, InvariantError
 from .fq_linear import (
     OrbitPartition,
     Subspace,
+    _back_substitute,
     count_subspaces,
     partition_subspaces,
     rref,
     series_inv,
     series_mul,
     series_shift,
+    subspace_colon,
     subspace_unit_image,
 )
 from .numsgp import NumericalSemigroup
@@ -246,29 +248,17 @@ class RingIdeal:
         conductor), and the pure conductor rows of the divisor impose
         nothing. As self contains the conductor, t^i*b lies in it exactly
         when the head of t^i*b, the shift of head(b) cut to g+1 terms, lies
-        in the head of self; shifts by i >= g+1-v(b) have zero head. So the
-        whole linear system lives on the g+1 head coordinates. Results are
-        memoized per model on the operands' rows.
+        in the head of self. So the colon is that of the heads in K^(g+1),
+        lifted back. Results are memoized per model on the operands' rows.
         """
         self._same_model(other)
         model = self.model
         memo = model._cache.setdefault("colon", {})
         key = (self.sub.rows, other.sub.rows)
         cached = memo.get(key)
-        if cached is not None:
-            return cached
-        field = model.field
-        h = model.head_dim
-        head = self.head()
-        constraints = []
-        for b, p in zip(other.sub.rows, other.sub.pivots):
-            if p >= h:
-                break
-            residuals = [head.reduce((0,) * i + b[: h - i]) for i in range(h - p)]
-            residuals += [(0,) * h] * p
-            constraints.extend(row for row in zip(*residuals) if any(row))
-        kernel = rref(_kernel(constraints, h, field), field)
-        cached = memo[key] = _shared_ideal(model, model.lift_head(Subspace(field, h, kernel)))
+        if cached is None:
+            head = subspace_colon(self.head(), other.head())
+            cached = memo[key] = _shared_ideal(model, model.lift_head(head))
         return cached
 
     def head(self) -> Subspace:
@@ -337,25 +327,6 @@ def _shared_ideal(model: RingModel, sub: Subspace) -> RingIdeal:
     if ideal is None:
         ideal = shared[sub.rows] = RingIdeal(model, sub)
     return ideal
-
-
-def _kernel(constraint_rows, n, field):
-    """Basis of {a in F^n : M a = 0} for the matrix with the given rows."""
-    reduced = rref(constraint_rows, field)
-    pivots = set()
-    for r in reduced:
-        pivots.add(next(j for j, x in enumerate(r) if x))
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    neg = field.neg
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for r in reduced:
-            p = next(j for j, x in enumerate(r) if x)
-            vec[p] = neg[r[f]]
-        basis.append(tuple(vec))
-    return basis
 
 
 def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
@@ -439,7 +410,10 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
 
     Ideals correspond to subspaces of the gap-coordinate quotient; each
     candidate is lifted and kept when stable under every minimal generator.
-    Returned sorted by (dimension, canonical matrix).
+    The lifted rows and the ring's basis rows have distinct pivots with
+    entry 1, and each is zero left of its pivot, so merged by pivot they are
+    already in echelon form: back-substitution alone makes the candidate
+    canonical. Returned sorted by (dimension, canonical matrix).
     """
     from .fq_linear import enumerate_subspaces
 
@@ -449,7 +423,7 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
     g = sgp.frobenius
     gaps = sgp.gaps
     n = model.trunc
-    base_rows = model.basis.rows
+    base = list(zip(model.basis.pivots, model.basis.rows))
     low_gens = [a for a in sgp.generators if a <= g]
     out = []
     for u_sub in enumerate_subspaces(len(gaps), field):
@@ -459,7 +433,10 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
             for coord, val in zip(gaps, urow):
                 vec[coord] = val
             lifted.append(tuple(vec))
-        sub = Subspace.span(field, n, list(base_rows) + lifted)
+        merged = sorted(base + [(gaps[p], w) for p, w in zip(u_sub.pivots, lifted)])
+        pivots = tuple(p for p, _ in merged)
+        rows = _back_substitute([list(w) for _, w in merged], pivots, field)
+        sub = Subspace(field, n, rows, pivots)
         ok = True
         for a in low_gens:
             for w in lifted:
@@ -515,8 +492,8 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     # R[y] = R + K*y here: y*R lands in R beyond the constant term because
     # v(y*r) > g for v(r) > 0. As R < T with length 1, R + K*y = T exactly
     # when y lies in T but not in R.
-    for u in unit_representatives(field, model.trunc, g):
-        y = series_mul(u, model.monomial(g), field)
+    for u in unit_representatives(field, g + 1):
+        y = series_mul(model.monomial(g), u, field)
         if not t_ideal.contains_vector(y) or R.contains_vector(y):
             raise InvariantError("overring depends on the valuation-g element chosen")
     model._cache["overring_ideal"] = t_ideal
@@ -619,7 +596,7 @@ def unit_orbits(ideals) -> OrbitPartition:
     if not ideals:
         return OrbitPartition((), (), (), ())
     model = ideals[0].model
-    part = partition_subspaces([I.head() for I in ideals], model.field)
+    part = partition_subspaces([I.head() for I in ideals])
     pad = (0,) * (model.trunc - model.head_dim)
     image_maps = tuple(
         {model.lift_head(head): w + pad for head, w in images.items()}

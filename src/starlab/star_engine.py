@@ -130,9 +130,9 @@ class RingWorkspace:
         F_0, else None; used by the exhaustive equivariance check."""
         if self._unit_action is None:
             model = self.model
-            units = unit_representatives(
-                model.field, model.trunc, model.sgp.frobenius
-            )
+            # u * I depends on u mod t^(g+1) only
+            pad = (0,) * (model.trunc - model.head_dim)
+            units = [u + pad for u in unit_representatives(model.field, model.head_dim)]
             table = []
             for u in units:
                 row = []

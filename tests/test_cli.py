@@ -123,6 +123,7 @@ def test_kunz_lemmas(capsys):
         ("kunz", "counterexample", "--gens", "4,5,7", "--jobs", "1"),
         ("kunz", "formula-check"),
         ("kunz", "lower-bound", "--n", "5"),
+        ("kunz", "subspace-orbits", "--n", "5"),
         ("kunz", "lemmas", "--gens", "4,5,7"),
     ],
     ids=lambda argv: "-".join(argv[:2]),

@@ -3,7 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starlab.errors import InputError
+import starlab.fq_linear as fq_linear
+from starlab import cli
+from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
     count_subspaces,
@@ -15,8 +17,8 @@ from starlab.fq_linear import (
     rref,
     series_inv,
     series_mul,
+    subspace_colon,
     subspace_unit_image,
-    unit_generators,
     unit_image_map,
     unit_representatives,
 )
@@ -249,28 +251,46 @@ def test_cut_keeps_high_valuation_rows():
 # unit orbits
 
 
-def test_unit_generator_count():
-    # one generator 1 + b*t^j per exponent j and per F_p-basis element b
-    f = field(3)
-    gens = unit_generators(f, 4)
-    assert len(gens) == 3 * 1
-    assert len(unit_generators(field(3, 2), 4)) == 3 * 2
-    reps = unit_representatives(f, 4)
-    assert len(reps) == 27
-
-
-@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 3), (5, 1, 3), (3, 1, 4)]
+)
 def test_unit_generators_reach_every_unit_image(p, e, n):
-    # The F_p-basis generators reach the image of each subspace under every
+    # The orbit enumeration reaches the image of each subspace under every
     # unit with constant term 1, and each witness maps the subspace there.
+    # The multiplier ring (sub : sub) contains 1; with V its positive
+    # valuations, 1 + (sub : sub) meet t*K[t] is the stabilizer, of order
+    # q^|V|, and the orbit has q^(n-1-|V|) elements.
     f = field(p, e)
-    gens = unit_generators(f, n)
     reps = unit_representatives(f, n)
+    assert len(reps) == f.q ** (n - 1)
+    one = (1,) + (0,) * (n - 1)
     for sub in enumerate_subspaces(n, f):
-        images = unit_image_map(sub, gens)
-        assert set(images) == {subspace_unit_image(sub, u) for u in reps}
+        images = unit_image_map(sub)
+        all_images = [subspace_unit_image(sub, u) for u in reps]
+        assert set(images) == set(all_images)
         for img, w in images.items():
             assert subspace_unit_image(sub, w) == img
+        multipliers = subspace_colon(sub, sub)
+        assert multipliers.contains(one)
+        fixed = [v for v in multipliers.pivots if v]
+        assert all_images.count(sub) == f.q ** len(fixed)
+        assert len(images) == f.q ** (n - 1 - len(fixed))
+
+
+def test_understated_stabilizer_is_an_engine_error(capsys, monkeypatch):
+    # a multiplier ring that loses its positive valuations makes the orbit
+    # count exceed what the units reach
+    def scalars_only(a, b):
+        return Subspace.span(a.field, a.ambient, [(1,) + (0,) * (a.ambient - 1)])
+
+    monkeypatch.setattr(fq_linear, "subspace_colon", scalars_only)
+    f = field(2)
+    with pytest.raises(InvariantError, match="unit orbit has 1 images, not 8"):
+        unit_image_map(Subspace.full(f, 4))
+    assert cli.main(["kunz", "subspace-orbits", "--n", "4", "--q", "2"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("engine error: unit orbit has ")
 
 
 def test_subspace_unit_image_matches_span():
@@ -297,7 +317,7 @@ def test_partition_lines_of_a3():
         Subspace.span(f, 3, [e0, (0, 1, 1)]),
         Subspace.span(f, 3, [e0, (0, 0, 1)]),
     ]
-    part = partition_subspaces(subs, f)
+    part = partition_subspaces(subs)
     assert part.orbit_count == 2
     assert sorted(part.orbit_sizes()) == [1, 2]
 
@@ -309,7 +329,7 @@ def test_partition_witnesses():
         Subspace.span(f, 3, [e0, (0, 1, 0)]),
         Subspace.span(f, 3, [e0, (0, 1, 1)]),
     ]
-    part = partition_subspaces(subs, f)
+    part = partition_subspaces(subs)
     assert part.orbit_count == 1
     rep = part.reps[0]
     for member_idx in part.members[0]:

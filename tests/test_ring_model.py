@@ -5,6 +5,7 @@ import pytest
 from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
+    enumerate_subspaces,
     field,
     field_from_order,
     partition_subspaces,
@@ -128,6 +129,45 @@ def test_enumerate_ideals_postconditions(model457, ideals457):
     for I in ideals457:
         assert I.in_f0()
         assert V.contains(I) and I.contains(R)
+
+
+def _reference_ideals(model):
+    """F_0 by brute force: every subspace of the gap coordinates lifted,
+    spanned together with the ring by a full rref, and kept when stable
+    under every basis row of the ring."""
+    fld, n, gaps = model.field, model.trunc, model.sgp.gaps
+    base = model.basis.rows
+    out = []
+    for u_sub in enumerate_subspaces(len(gaps), fld):
+        lifted = []
+        for urow in u_sub.rows:
+            vec = [0] * n
+            for coord, val in zip(gaps, urow):
+                vec[coord] = val
+            lifted.append(tuple(vec))
+        sub = Subspace.span(fld, n, list(base) + lifted)
+        if all(sub.contains(series_mul(b, r, fld)) for b in base for r in sub.rows):
+            out.append(RingIdeal(model, sub))
+    return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.rows)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        semigroup_ring_model(semigroup([4, 5, 7]), F2),
+        semigroup_ring_model(semigroup([4, 5, 7]), F3),
+        # t^2 + t^3 has an entry in gap column 3, which back-substitution
+        # must clear whenever a candidate has a row with pivot 3
+        subalgebra_model(F3, [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)]
+                         + [tuple(int(j == k) for j in range(8)) for k in range(4, 8)]),
+    ],
+    ids=["457-q2", "457-q3", "t2+t3-q3"],
+)
+def test_enumerate_ideals_matches_span_reference(model):
+    ideals = enumerate_ideals(model)
+    assert ideals == _reference_ideals(model)
+    for I in ideals:
+        assert I.sub.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in I.rows)
 
 
 def test_ideal_census_other_fields():
@@ -318,13 +358,12 @@ def test_convert_to_overring(model457, ideals457):
 )
 def test_unit_orbits_match_full_width_partition(gens, q):
     # unit_orbits works on heads; the reference partitions the full N-width
-    # subspaces under units supported on t^1..t^g
+    # subspaces under all units of A_N, where the units in 1 + t^(g+1)K[t]
+    # fix every subspace that contains the conductor
     model = semigroup_ring_model(semigroup(gens), field_from_order(q))
     ideals = enumerate_ideals(model)
     part = unit_orbits(ideals)
-    ref = partition_subspaces(
-        [I.sub for I in ideals], model.field, max_exponent=model.sgp.frobenius
-    )
+    ref = partition_subspaces([I.sub for I in ideals])
     assert part.orbit_ids == ref.orbit_ids
     assert part.members == ref.members
     assert [rep.sub for rep in part.reps] == list(ref.reps)
