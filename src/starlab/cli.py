@@ -24,7 +24,6 @@ import time
 
 from . import __version__
 from .errors import BudgetError, GateError, InputError, InvariantError
-from .fq_linear import field, field_from_order
 from .kunz_lab import (
     formula_check,
     lab_report,
@@ -62,20 +61,6 @@ def _parse_gens(text):
     return gens
 
 
-def _modulus_for(args):
-    if getattr(args, "field_poly", None):
-        return tuple(int(c) for c in args.field_poly.split(","))
-    return None
-
-
-def _field_for(args):
-    poly = _modulus_for(args)
-    if poly is not None:
-        fld = field_from_order(args.q)
-        return field(fld.p, fld.e, poly)
-    return field_from_order(args.q)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -104,9 +89,8 @@ def cmd_sgp_info(args):
 
 
 def cmd_ring_enum_ideals(args):
-    fld = _field_for(args)
     model = ring_model_for(
-        tuple(semigroup(_parse_gens(args.gens)).generators), fld.q, _modulus_for(args)
+        tuple(semigroup(_parse_gens(args.gens)).generators), args.q, args.field_poly
     )
     ideals = enumerate_ideals(model, args.max_ideals)
     listing = []
@@ -120,18 +104,17 @@ def cmd_ring_enum_ideals(args):
         listing.append(entry)
     results = {
         "generators": list(model.sgp.generators),
-        "q": fld.q,
+        "q": model.field.q,
         "ideal_count": len(ideals),
         "ideals": listing,
     }
-    inp = {"command": "ring enum-ideals", "generators": results["generators"], "q": fld.q}
+    inp = {"command": "ring enum-ideals", "generators": results["generators"], "q": model.field.q}
     return inp, results, {}
 
 
 def cmd_ring_enum_stars(args):
-    fld = _field_for(args)
     model = ring_model_for(
-        tuple(semigroup(_parse_gens(args.gens)).generators), fld.q, _modulus_for(args)
+        tuple(semigroup(_parse_gens(args.gens)).generators), args.q, args.field_poly
     )
     ws = workspace(model, args.max_ideals)
     stars = enumerate_stars(model, args.max_orbits, args.max_ideals)
@@ -152,14 +135,14 @@ def cmd_ring_enum_stars(args):
         families.append(entry)
     results = {
         "generators": list(model.sgp.generators),
-        "q": fld.q,
+        "q": model.field.q,
         "ideal_count": len(ws.ideals),
         "orbit_count": ws.partition.orbit_count,
         "star_count": len(stars),
         "orbits": orbit_summary,
         "families": families,
     }
-    inp = {"command": "ring enum-stars", "generators": results["generators"], "q": fld.q}
+    inp = {"command": "ring enum-stars", "generators": results["generators"], "q": model.field.q}
     return inp, results, {}
 
 
@@ -181,7 +164,7 @@ def _pool_runner(jobs):
 
 def cmd_kunz(args):
     sub = args.kunz_command
-    modulus = _modulus_for(args)
+    modulus = args.field_poly
     if sub == "counterexample":
         gens = _parse_gens(args.gens)
         report = verify_counterexample(
@@ -335,6 +318,14 @@ def _seconds(text):
     return value
 
 
+def _field_poly(text):
+    """A --field-poly value: integer coefficients, constant term first."""
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"coefficients must be integers, got {text!r}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="starlab",
@@ -349,8 +340,9 @@ def build_parser():
             p.add_argument("--q", type=int, required=True, help="residue field order")
             p.add_argument(
                 "--field-poly",
-                help="explicit modulus for a prime-power field, comma-separated"
-                " coefficients, constant term first",
+                type=_field_poly,
+                help="explicit modulus for q = p^e with e >= 2, comma-separated"
+                " integer coefficients, constant term first",
             )
         if n:
             p.add_argument("--n", type=int, help="family parameter n")

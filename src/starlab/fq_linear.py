@@ -135,6 +135,8 @@ class Field:
         self.e = e
         self.q = q
         if e == 1:
+            if modulus is not None:
+                raise InputError(f"a modulus needs q = p^e with e >= 2, not the prime {p}")
             self.modulus = None
         else:
             if modulus is None:
@@ -618,7 +620,7 @@ class OrbitPartition:
     """Partition of a family under the valuation-zero unit action.
 
     `items` are the partitioned objects (subspaces, or ideals partitioned by
-    their subspaces) and `members[k]` the item indices of orbit k, least
+    their heads) and `members[k]` the item indices of orbit k, least
     canonical matrix first; that least member is the representative.
     `image_maps[k]` records every subspace (inside the family or not) that
     some unit sends the representative's subspace to, with a witness unit,

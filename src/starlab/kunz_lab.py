@@ -165,6 +165,9 @@ def residue_star_family(r_model, t_model=None):
     an (R:M_R)-stable adjoint. The operations are J -> J^{v_T} meet
     J*T_alpha, together with v_T; the full axiom suite, the pairwise
     separation of the T_alpha, and (R:M_R)^{v_T} = (T:M_T) are all checked.
+    Elements are taken as heads, mod t^(g+1) for the g of T: both ideals
+    contain T's conductor, so the least element is the least head padded
+    with zeros.
     """
     S = r_model.sgp
     if not is_pseudo_symmetric(S) or S.genus < 4:
@@ -176,11 +179,11 @@ def residue_star_family(r_model, t_model=None):
     a, b = pseudo_frobenius_pair(S)
 
     T = t_model.ring_ideal()
-    M_T = RingIdeal(t_model, t_model.maximal_ideal_subspace())
+    M_T = t_model.maximal_ideal()
     L_T = T.colon(M_T)
 
     R = r_model.ring_ideal()
-    M_R = RingIdeal(r_model, r_model.maximal_ideal_subspace())
+    M_R = r_model.maximal_ideal()
     L_R = R.colon(M_R)
     if not is_overring_stable(L_R):
         raise InvariantError("(R:M_R) is not an overring module")
@@ -188,13 +191,13 @@ def residue_star_family(r_model, t_model=None):
     if L_R_in_t.v_closure() != L_T:
         raise InvariantError("(R:M_R)^v over T is not (T:M_T)")
 
-    u_candidates = _lex_elements_of_valuation(L_T.sub, b)
+    u_candidates = _lex_elements_of_valuation(L_T.head, b)
     if not u_candidates:
         raise InvariantError(f"no element of valuation {b} in (T:M_T)")
     u = u_candidates[0]
     if L_R_in_t.contains_vector(u):
         raise InvariantError(f"valuation-{b} element unexpectedly inside (R:M_R)")
-    z_candidates = _lex_elements_of_valuation(L_R_in_t.sub, a)
+    z_candidates = _lex_elements_of_valuation(L_R_in_t.head, a)
     if not z_candidates:
         raise InvariantError(f"no element of valuation {a} in (R:M_R)")
     z = z_candidates[0]
@@ -210,7 +213,7 @@ def residue_star_family(r_model, t_model=None):
         )
         if L_R_in_t.contains_vector(gen):
             raise InvariantError("adjoined generator fell into (R:M_R)")
-        T_i = t_model.span_ideal(list(T.rows) + [gen])
+        T_i = t_model.span_ideal(list(T.head.rows) + [gen])
         if not T_i.in_f0():
             raise InvariantError("adjoined overring left F_0(T)")
         if not T_i.contains_vector(series_mul(gen, gen, fld)):
@@ -481,10 +484,10 @@ def lower_bound_certificate(
     report.results["subspace_count_formula"] = expected_stable
     report.verdict("overring_stable_count", len(stable) == expected_stable)
 
-    index = {I.sub: I for I in ideals}
+    known = set(ideals)
     lifted_all = [_lift_lab_subspace(model, sub) for sub in lab.subspaces]
     for L in lifted_all:
-        if L.sub not in index:
+        if L not in known:
             raise InvariantError("lifted lab subspace escaped F_0")
     part = unit_orbits(ideals)
     # the lab partition must coincide with the ring partition under lifting
@@ -507,9 +510,9 @@ def lower_bound_certificate(
     pair_checks = 0
     for a, b in itertools.permutations(reps, 2):
         oid = part.orbit_of(a)
-        for image_sub in part.image_maps[oid]:
+        for image_head in part.image_maps[oid]:
             pair_checks += 1
-            if b.contains_subspace(image_sub):
+            if b.contains_subspace(image_head):
                 absorbed = True
     report.results["non_absorption_pairs_checked"] = pair_checks
     report.verdict("mutual_non_absorption", not absorbed)
@@ -526,15 +529,11 @@ def lower_bound_certificate(
 
 
 def _lift_lab_subspace(model, sub: Subspace) -> RingIdeal:
-    """Preimage in the model of a subspace of V/{v >= n} containing e_0."""
-    n_alg = sub.ambient
-    trunc = model.trunc
-    vectors = []
-    for row in sub.rows:
-        vec = list(row) + [0] * (trunc - n_alg)
-        vectors.append(tuple(vec))
-    for k in range(n_alg, model.sgp.frobenius + 1):
-        vectors.append(model.monomial(k))
+    """Preimage in the model of a subspace of V/{v >= n} containing e_0: its
+    rows padded to heads, and the monomials t^n, ..., t^g."""
+    pad = (0,) * (model.head_dim - sub.ambient)
+    vectors = [row + pad for row in sub.rows]
+    vectors += [model.monomial(k) for k in range(sub.ambient, model.head_dim)]
     return model.span_ideal(vectors)
 
 
@@ -600,7 +599,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
         ok = True
         for I in stable:
             padded = model.span_ideal(
-                list(I.rows) + [model.monomial(k) for k in range(tau, model.trunc)]
+                list(I.head.rows) + [model.monomial(k) for k in range(tau, model.head_dim)]
             )
             if I.v_closure() != padded:
                 ok = False

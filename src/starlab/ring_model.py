@@ -4,9 +4,10 @@ The ring R = K[[S]] (or any residually rational subalgebra with value
 semigroup S) is modelled inside the truncated algebra A_N = K[t]/(t^N) with
 working truncation N = 2*(g+1), g the Frobenius number of S. Every fractional
 ideal between the conductor and the integral closure contains the conductor
-block span{t^{g+1}, ..., t^{N-1}}, so it is a subspace of A_N determined by
-its head (coefficients 0..g), and the chosen truncation keeps translation by
-t^k (k <= g+1) followed by division by a minimal-valuation element exact.
+block span{t^{g+1}, ..., t^{N-1}}, so it is determined by its head, its
+image in K^(g+1) (coefficients 0..g), and the head is all a RingIdeal
+stores. The chosen truncation keeps translation by t^k (k <= g+1) followed
+by division by a minimal-valuation element exact.
 
 F_0(R) is the set of ideals I with R <= I <= V; it is enumerated by lifting
 subspaces of the gap-coordinate quotient and filtering for stability under
@@ -14,6 +15,8 @@ the semigroup generators.
 """
 
 from __future__ import annotations
+
+from itertools import takewhile
 
 from .errors import BudgetError, InputError, InvariantError
 from .fq_linear import (
@@ -40,10 +43,15 @@ class RingModel:
         self.sgp = sgp
         self.trunc = trunc
         self.basis = basis
-        self.head_dim = sgp.frobenius + 1
+        h = self.head_dim = sgp.frobenius + 1
         self._cache = {}
-        # one shared copy: every lifted image subspace ends in these rows
-        self._conductor_rows = tuple(self.monomial(k) for k in range(self.head_dim, trunc))
+        # one shared copy: every derived N-wide view ends in these rows
+        self._conductor_rows = tuple(self.monomial(k) for k in range(h, trunc))
+        self.conductor_values = tuple(range(h, trunc))
+        # the ring's head: its basis rows with pivot <= g, cut to g+1 columns
+        pivots = tuple(p for p in basis.pivots if p < h)
+        rows = tuple(r[:h] for r in basis.rows[: len(pivots)])
+        self._ring = RingIdeal(self, Subspace(field, h, rows, pivots))
 
     # -- construction ------------------------------------------------------
 
@@ -94,50 +102,44 @@ class RingModel:
 
     # -- basic objects -----------------------------------------------------
 
-    def one(self):
-        return (1,) + (0,) * (self.trunc - 1)
-
     def monomial(self, k, c=1):
         row = [0] * self.trunc
         row[k] = c
         return tuple(row)
 
     def ring_ideal(self) -> "RingIdeal":
-        return RingIdeal(self, self.basis)
+        return self._ring
 
     def full_ideal(self) -> "RingIdeal":
-        return RingIdeal(self, Subspace.full(self.field, self.trunc))
+        return RingIdeal(self, Subspace.full(self.field, self.head_dim))
 
-    def maximal_ideal_subspace(self) -> Subspace:
-        rows = tuple(r for r, p in zip(self.basis.rows, self.basis.pivots) if p > 0)
-        return Subspace(self.field, self.trunc, rows)
+    def maximal_ideal(self) -> "RingIdeal":
+        """M, the elements of R of positive valuation."""
+        head = self._ring.head  # its first row has pivot 0, as R contains 1
+        rows, pivots = head.rows[1:], head.pivots[1:]
+        return RingIdeal(self, Subspace(self.field, self.head_dim, rows, pivots))
 
     def conductor_rows(self):
         return self._conductor_rows
 
-    def lift_head(self, head: Subspace) -> Subspace:
-        """The conductor-containing subspace of A_N whose head, coefficients
-        0..g, is the given subspace of K^(g+1): its rows padded with zeros,
-        then the conductor rows. The result is already canonical."""
-        pad = (0,) * (self.trunc - self.head_dim)
-        rows = tuple(r + pad for r in head.rows) + self.conductor_rows()
-        pivots = head.pivots + tuple(range(self.head_dim, self.trunc))
-        return Subspace(self.field, self.trunc, rows, pivots)
-
     def span_ideal(self, vectors) -> "RingIdeal":
-        """Smallest conductor-containing R-submodule spanning the vectors."""
-        rows = list(vectors) + list(self.conductor_rows())
-        sub = Subspace.span(self.field, self.trunc, rows)
+        """Smallest conductor-containing R-submodule spanning the vectors,
+        elements of A_N read mod t^(g+1): the head is closed under products
+        with the ring's head rows, products taken mod t^(g+1)."""
+        h = self.head_dim
+        field = self.field
+        ring_rows = self._ring.head.rows
+        sub = Subspace.span(field, h, [v[:h] for v in vectors])
         while True:
             extra = []
-            for b in self.basis.rows:
+            for b in ring_rows:
                 for r in sub.rows:
-                    prod = series_mul(b, r, self.field)
+                    prod = series_mul(b, r, field)
                     if not sub.contains(prod):
                         extra.append(prod)
             if not extra:
                 break
-            sub = Subspace.span(self.field, self.trunc, sub.rows + tuple(extra))
+            sub = Subspace.span(field, h, sub.rows + tuple(extra))
         return RingIdeal(self, sub)
 
     def __repr__(self):
@@ -153,58 +155,74 @@ def subalgebra_model(field, vectors, trunc=None) -> RingModel:
 
 
 class RingIdeal:
-    """A fractional ideal of the model, as a canonical subspace of A_N that
-    contains the conductor block and is stable under the ring basis."""
+    """A fractional ideal of the model between the conductor and V, stored
+    as its head: a canonical subspace of K^(g+1), coefficients 0..g. Its
+    methods read elements of A_N mod t^(g+1); `sub` is the N-wide view."""
 
-    __slots__ = ("model", "sub")
+    __slots__ = ("model", "head", "_sub")
 
-    def __init__(self, model: RingModel, sub: Subspace):
+    def __init__(self, model: RingModel, head: Subspace):
+        if head.ambient != model.head_dim:
+            raise InputError(f"an ideal head has width {model.head_dim}, not {head.ambient}")
         self.model = model
-        self.sub = sub
+        self.head = head
+        self._sub = None
 
     @property
-    def rows(self):
-        return self.sub.rows
+    def sub(self) -> Subspace:
+        """The ideal as a subspace of A_N: the head rows padded with zeros,
+        then the conductor rows, which is already canonical."""
+        if self._sub is None:
+            model = self.model
+            pad = (0,) * (model.trunc - model.head_dim)
+            rows = tuple(r + pad for r in self.head.rows) + model.conductor_rows()
+            self._sub = Subspace(model.field, model.trunc, rows, self.value_set)
+        return self._sub
 
     @property
     def dim(self):
-        return self.sub.dim
+        return self.head.dim + len(self.model.conductor_values)
 
     @property
     def value_set(self):
-        """Valuations realized below the truncation (the pivot columns)."""
-        return self.sub.pivots
+        """Valuations realized below the truncation: the head's pivot columns,
+        then those of the conductor."""
+        return self.head.pivots + self.model.conductor_values
 
     def contains(self, other: "RingIdeal") -> bool:
-        if other.dim > self.dim:
+        head, other_head = self.head, other.head
+        if other_head.dim > head.dim:
             return False
-        if not set(other.value_set) <= set(self.value_set):
+        if not set(other_head.pivots) <= set(head.pivots):
             return False
-        return self.contains_subspace(other.sub)
+        return self.contains_subspace(other_head)
 
     def contains_subspace(self, sub: Subspace) -> bool:
-        """Whether sub lies inside the ideal. Rows of sub with pivot above g
-        lie in the conductor block, so only the others are reduced."""
+        """Whether sub, a subspace of K^(g+1) or of A_N, lies inside the
+        ideal. Its rows are read mod t^(g+1); in echelon form, the rows that
+        vanish there, which lie in the conductor, come last."""
         h = self.model.head_dim
-        return all(self.sub.contains(r) for r, p in zip(sub.rows, sub.pivots) if p < h)
+        heads = takewhile(any, (r[:h] for r in sub.rows))
+        return all(self.head.contains(r) for r in heads)
 
     def contains_vector(self, vec) -> bool:
-        return self.sub.contains(vec)
+        return self.head.contains(vec[: self.model.head_dim])
 
     def in_f0(self) -> bool:
-        """R <= I <= V, i.e. the subspace contains 1 (stability is built in)."""
-        return self.sub.contains(self.model.one())
+        """R <= I <= V, i.e. the ideal contains 1 (stability is built in)."""
+        return self.contains_vector(self.model.monomial(0))
 
     # -- arithmetic --------------------------------------------------------
 
     def intersect(self, other: "RingIdeal") -> "RingIdeal":
-        """The meet of two ideals, memoized per model on their rows."""
+        """The meet of two ideals: both contain the conductor, so it is the
+        meet of their heads. Memoized per model on the heads' rows."""
         self._same_model(other)
         memo = self.model._cache.setdefault("intersect", {})
-        key = (self.sub.rows, other.sub.rows)
+        key = (self.head.rows, other.head.rows)
         cached = memo.get(key)
         if cached is None:
-            cached = memo[key] = _shared_ideal(self.model, self.meet(other.sub))
+            cached = memo[key] = _shared_ideal(self.model, self.head.intersect(other.head))
         return cached
 
     def meet(self, sub: Subspace) -> Subspace:
@@ -226,17 +244,23 @@ class RingIdeal:
             return sub
         high = sub.rows[len(block):]
         zero = (0,) * n
-        block += [r[:h] + zero for r, p in zip(self.sub.rows, self.sub.pivots) if p < h]
+        block += [r + zero for r in self.head.rows]
         low = tuple(r[h:] for r in rref(block, field) if not any(r[:h]))
         return Subspace(field, n, low + high)
 
     def product(self, other: "RingIdeal") -> "RingIdeal":
+        """I * J, for factors of which one has an element of valuation 0.
+
+        Such a product contains the conductor, so it is determined by the
+        products of the head rows mod t^(g+1). Without a valuation-0 element
+        the product need not contain the conductor, and is refused.
+        """
         self._same_model(other)
+        if self.value_set[0] and other.value_set[0]:
+            raise InputError("neither factor has an element of valuation 0")
         field = self.model.field
-        rows = [
-            series_mul(u, v, field) for u in self.sub.rows for v in other.sub.rows
-        ]
-        return RingIdeal(self.model, Subspace.span(field, self.model.trunc, rows))
+        rows = [series_mul(u, v, field) for u in self.head.rows for v in other.head.rows]
+        return RingIdeal(self.model, Subspace.span(field, self.model.head_dim, rows))
 
     def colon(self, other: "RingIdeal") -> "RingIdeal":
         """(self : other) computed inside V: all a in A_N with a*other <= self.
@@ -245,30 +269,20 @@ class RingIdeal:
         conductor, quotients landing between the conductor and V) this is the
         exact fractional colon. Only the head coefficients a_0..a_g of the
         unknown are constrained (the tail multiplies everything into the
-        conductor), and the pure conductor rows of the divisor impose
-        nothing. As self contains the conductor, t^i*b lies in it exactly
-        when the head of t^i*b, the shift of head(b) cut to g+1 terms, lies
-        in the head of self. So the colon is that of the heads in K^(g+1),
-        lifted back. Results are memoized per model on the operands' rows.
+        conductor), and the conductor rows of the divisor impose nothing. As
+        self contains the conductor, t^i*b lies in it exactly when the head
+        of t^i*b, the shift of head(b) cut to g+1 terms, lies in the head of
+        self. So the colon is that of the heads in K^(g+1). Results are
+        memoized per model on the operands' heads.
         """
         self._same_model(other)
         model = self.model
         memo = model._cache.setdefault("colon", {})
-        key = (self.sub.rows, other.sub.rows)
+        key = (self.head.rows, other.head.rows)
         cached = memo.get(key)
         if cached is None:
-            head = subspace_colon(self.head(), other.head())
-            cached = memo[key] = _shared_ideal(model, model.lift_head(head))
+            cached = memo[key] = _shared_ideal(model, subspace_colon(self.head, other.head))
         return cached
-
-    def head(self) -> Subspace:
-        """The head of the ideal, coefficients 0..g, as a subspace of
-        K^(g+1): its rows with pivot <= g cut to g+1 columns, already in
-        canonical form."""
-        h = self.model.head_dim
-        pivots = tuple(p for p in self.sub.pivots if p < h)
-        rows = tuple(r[:h] for r in self.sub.rows[: len(pivots)])
-        return Subspace(self.model.field, h, rows, pivots)
 
     def v_closure(self) -> "RingIdeal":
         R = self.model.ring_ideal()
@@ -281,12 +295,12 @@ class RingIdeal:
         """The subspace of u * t^k * I; exact for 0 <= k <= g+1.
 
         The result is generally not a RingIdeal (its conductor block starts
-        at t^(k+g+1)), so it is returned as a raw subspace.
+        at t^(k+g+1)), so it is returned as a raw subspace of A_N.
         """
         g = self.model.sgp.frobenius
         if not 0 <= k <= g + 1:
             raise InputError(f"shift {k} outside [0, {g + 1}]")
-        sub = self.sub if unit is None else subspace_unit_image(self.sub, unit)
+        sub = (self if unit is None else self.unit_image(unit)).sub
         # Shifting keeps the rows in reduced echelon form, pivots moved by k;
         # rows pushed past t^N vanish.
         n = self.model.trunc
@@ -295,37 +309,35 @@ class RingIdeal:
         return Subspace(sub.field, n, rows, pivots)
 
     def unit_image(self, unit) -> "RingIdeal":
-        return RingIdeal(self.model, subspace_unit_image(self.sub, unit))
-
-    def normalize(self) -> "RingIdeal":
-        return normalize_subspace(self.model, self.sub)
+        """u * I, for a unit u of A_N read mod t^(g+1)."""
+        return RingIdeal(self.model, subspace_unit_image(self.head, unit[: self.model.head_dim]))
 
     def __eq__(self, other):
         return (
             isinstance(other, RingIdeal)
             and self.model is other.model
-            and self.sub == other.sub
+            and self.head == other.head
         )
 
     def __hash__(self):
-        return hash(self.sub)
+        return hash(self.head)
 
     def __repr__(self):
-        vs = [p for p in self.value_set if p <= self.model.sgp.frobenius]
-        return f"RingIdeal(values<=g:{vs}, dim={self.dim})"
+        return f"RingIdeal(values<=g:{list(self.head.pivots)}, dim={self.dim})"
 
     def _same_model(self, other):
         if self.model is not other.model:
             raise InputError("ideals belong to different models")
 
 
-def _shared_ideal(model: RingModel, sub: Subspace) -> RingIdeal:
-    """The model's one RingIdeal on sub. The colon and meet memos hold many
-    more entries than distinct results, so their entries share ideals."""
+def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
+    """The model's one RingIdeal with this head. The colon and meet memos
+    hold many more entries than distinct results, so their entries share
+    ideals."""
     shared = model._cache.setdefault("shared_ideals", {})
-    ideal = shared.get(sub.rows)
+    ideal = shared.get(head.rows)
     if ideal is None:
-        ideal = shared[sub.rows] = RingIdeal(model, sub)
+        ideal = shared[head.rows] = RingIdeal(model, head)
     return ideal
 
 
@@ -360,7 +372,7 @@ def _normalize(model: RingModel, sub: Subspace) -> RingIdeal:
         for r, p in zip(sub.rows, sub.pivots)
         if p < m + h
     ]
-    return RingIdeal(model, model.lift_head(Subspace(field, h, rref(heads, field))))
+    return RingIdeal(model, Subspace(field, h, rref(heads, field)))
 
 
 def normalized_translate_intersection(
@@ -409,10 +421,10 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
     """All of F_0: subspaces between the ring and V, stable under the ring.
 
     Ideals correspond to subspaces of the gap-coordinate quotient; each
-    candidate is lifted and kept when stable under every minimal generator.
-    The lifted rows and the ring's basis rows have distinct pivots with
-    entry 1, and each is zero left of its pivot, so merged by pivot they are
-    already in echelon form: back-substitution alone makes the candidate
+    candidate is lifted to a head and kept when stable under every minimal
+    generator. The lifted rows and the ring's head rows have distinct pivots
+    with entry 1, and each is zero left of its pivot, so merged by pivot they
+    are already in echelon form: back-substitution alone makes the candidate
     canonical. Returned sorted by (dimension, canonical matrix).
     """
     from .fq_linear import enumerate_subspaces
@@ -422,21 +434,22 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
     field = model.field
     g = sgp.frobenius
     gaps = sgp.gaps
-    n = model.trunc
-    base = list(zip(model.basis.pivots, model.basis.rows))
+    h = model.head_dim
+    ring = model.ring_ideal().head
+    base = list(zip(ring.pivots, ring.rows))
     low_gens = [a for a in sgp.generators if a <= g]
     out = []
     for u_sub in enumerate_subspaces(len(gaps), field):
         lifted = []
         for urow in u_sub.rows:
-            vec = [0] * n
+            vec = [0] * h
             for coord, val in zip(gaps, urow):
                 vec[coord] = val
             lifted.append(tuple(vec))
         merged = sorted(base + [(gaps[p], w) for p, w in zip(u_sub.pivots, lifted)])
         pivots = tuple(p for p, _ in merged)
         rows = _back_substitute([list(w) for _, w in merged], pivots, field)
-        sub = Subspace(field, n, rows, pivots)
+        sub = Subspace(field, h, rows, pivots)
         ok = True
         for a in low_gens:
             for w in lifted:
@@ -447,7 +460,7 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
                 break
         if ok:
             out.append(RingIdeal(model, sub))
-    out.sort(key=lambda ideal: (ideal.dim, ideal.rows))
+    out.sort(key=lambda ideal: (ideal.dim, ideal.head.rows))
     return tuple(out)
 
 
@@ -510,7 +523,7 @@ def frobenius_overring_model(model: RingModel) -> RingModel:
     if sgp_t.frobenius < 1:
         raise InputError("overring has no gaps; nothing to model")
     n_t = 2 * (sgp_t.frobenius + 1)
-    rows = [r[:n_t] for r in t_ideal.rows if any(r[:n_t])]
+    rows = [r[:n_t] for r in t_ideal.sub.rows if any(r[:n_t])]
     t_model = RingModel.from_basis(model.field, rows, n_t)
     if t_model.sgp != sgp_t:
         raise InvariantError("overring value semigroup mismatch")
@@ -522,14 +535,11 @@ def convert_to_overring(ideal: RingIdeal, t_model: RingModel) -> RingIdeal:
     """Reinterpret a T-stable ideal of the base model inside the T model.
 
     T-stable ideals contain every element of valuation above T's Frobenius
-    number, so truncating the canonical rows to T's working precision is
-    lossless.
+    number, so cutting the head rows to T's head width is lossless.
     """
-    n_t = t_model.trunc
-    rows = [r[:n_t] for r in ideal.rows if any(r[:n_t])]
-    rows += list(t_model.conductor_rows())
-    sub = Subspace.span(t_model.field, n_t, rows)
-    converted = RingIdeal(t_model, sub)
+    h_t = t_model.head_dim
+    head = Subspace.span(t_model.field, h_t, [r[:h_t] for r in ideal.head.rows])
+    converted = RingIdeal(t_model, head)
     if converted.product(t_model.ring_ideal()) != converted:
         raise InvariantError("converted ideal is not stable over the overring")
     return converted
@@ -586,20 +596,9 @@ def unit_orbits(ideals) -> OrbitPartition:
     """Exact orbits of the given ideals under multiplication by units.
 
     The ideals contain the conductor block, so u * I is determined by the
-    head of I, its rows with pivot <= g cut to g+1 columns, and by u mod
-    t^(g+1). The heads are partitioned in K^(g+1); ordering heads orders the
-    full canonical matrices the same way, so orbit ids are those of a
-    full-width partition. Each image is lifted back to A_N and each witness
-    padded to N coefficients.
+    head of I and by u mod t^(g+1): the heads are partitioned in K^(g+1), and
+    the image maps hold heads with witnesses of g+1 coefficients.
     """
     ideals = tuple(ideals)
-    if not ideals:
-        return OrbitPartition((), (), (), ())
-    model = ideals[0].model
-    part = partition_subspaces([I.head() for I in ideals])
-    pad = (0,) * (model.trunc - model.head_dim)
-    image_maps = tuple(
-        {model.lift_head(head): w + pad for head, w in images.items()}
-        for images in part.image_maps
-    )
-    return OrbitPartition(ideals, part.orbit_ids, part.members, image_maps)
+    part = partition_subspaces([I.head for I in ideals])
+    return OrbitPartition(ideals, part.orbit_ids, part.members, part.image_maps)

@@ -131,8 +131,7 @@ class RingWorkspace:
         if self._unit_action is None:
             model = self.model
             # u * I depends on u mod t^(g+1) only
-            pad = (0,) * (model.trunc - model.head_dim)
-            units = [u + pad for u in unit_representatives(model.field, model.head_dim)]
+            units = unit_representatives(model.field, model.head_dim)
             table = []
             for u in units:
                 row = []
@@ -184,16 +183,17 @@ class ClosureTable:
             # distinct translates t^k * (u * rep_j), with provenance for the
             # deep-normalization path; one column's at a time
             translates = {}
-            for image_sub in part.image_maps[j]:
+            for image_head in part.image_maps[j]:
+                image = RingIdeal(model, image_head)
                 for k in range(g + 2):
-                    shifted = RingIdeal(model, image_sub).translate(k)
+                    shifted = image.translate(k)
                     if shifted.rows and shifted not in translates:
-                        translates[shifted] = (k, image_sub)
+                        translates[shifted] = (k, image.sub)
             for i, rep_i in enumerate(part.reps):
                 if sizes[i] < sizes[j]:
                     calls = [
-                        (RingIdeal(model, image_sub), shifted, k, rep_j.sub)
-                        for image_sub in part.image_maps[i]
+                        (RingIdeal(model, image_head), shifted, k, rep_j.sub)
+                        for image_head in part.image_maps[i]
                         for shifted, k in own
                     ]
                 else:
@@ -424,7 +424,7 @@ def verify_star_axioms(star: StarOperation, full_unit_sweep: bool = False):
             rep_image = star.apply(rep)
             for member_idx in part.members[oid]:
                 member = part.items[member_idx]
-                w = part.witness(oid, member.sub)
+                w = part.witness(oid, member.head)
                 if star.apply(member) != rep_image.unit_image(w):
                     raise InvariantError("star is not equivariant on orbit witnesses")
 

@@ -27,7 +27,6 @@ from starlab.kunz_lab import (
 )
 from starlab.numsgp import NumericalSemigroup, is_pseudo_symmetric
 from starlab.ring_model import (
-    RingIdeal,
     convert_to_overring,
     frobenius_overring_model,
 )
@@ -139,10 +138,10 @@ def test_criterion_7_residue_star_family():
         t_model = frobenius_overring_model(r_model)
         ops = residue_star_family(r_model, t_model)
         R = r_model.ring_ideal()
-        M = RingIdeal(r_model, r_model.maximal_ideal_subspace())
+        M = r_model.maximal_ideal()
         L = convert_to_overring(R.colon(M), t_model)
         T = t_model.ring_ideal()
-        M_T = RingIdeal(t_model, t_model.maximal_ideal_subspace())
+        M_T = t_model.maximal_ideal()
         good = (
             len(ops) == q + 1
             and len({op.key() for op in ops}) == q + 1

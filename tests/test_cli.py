@@ -263,6 +263,30 @@ def test_field_poly_flag(capsys):
     assert count_custom == json.loads(out)["results"]["star_count"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("ring", "enum-stars", "--gens", "4,5,7", "--q", "3", "--field-poly", "1,1,1"),
+         "modulus"),
+        (("kunz", "subspace-orbits", "--n", "4", "--q", "2", "--field-poly", "1,1"), "modulus"),
+        (("ring", "enum-stars", "--gens", "4,5,7", "--q", "9", "--field-poly", "x,1,1"),
+         "--field-poly"),
+    ],
+    ids=["prime-q-stars", "prime-q-lab", "non-integer"],
+)
+def test_bad_field_poly_exit_2(capsys, argv, message):
+    # a modulus given with a prime q is bad input, not silently dropped, and
+    # a non-integer coefficient is refused when the flag is parsed
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_timings_flag_populates(capsys):
     code, out, _ = run_cli(
         capsys, "sgp", "info", "--gens", "4,5,7", "--timings"

@@ -15,7 +15,6 @@ from starlab.kunz_lab import (
     verify_counterexample,
 )
 from starlab.ring_model import (
-    RingIdeal,
     convert_to_overring,
     frobenius_overring_model,
 )
@@ -75,7 +74,7 @@ def test_residue_family_avoids_dual_of_maximal_ideal():
     r_model = ring_model_for((4, 5, 7), 2)
     t_model = frobenius_overring_model(r_model)
     R = r_model.ring_ideal()
-    M = RingIdeal(r_model, r_model.maximal_ideal_subspace())
+    M = r_model.maximal_ideal()
     L = convert_to_overring(R.colon(M), t_model)
     for op in residue_star_family(r_model, t_model):
         assert not op.is_closed(L)

@@ -40,6 +40,20 @@ def series_shift_down(coeffs, m):
     return coeffs[m:] + (0,) * m
 
 
+def ideal_from_full(model, sub):
+    """The ideal whose N-wide subspace is sub, which must contain the
+    conductor: its head is the span of its rows cut to g+1 columns."""
+    assert all(sub.contains(r) for r in model.conductor_rows())
+    h = model.head_dim
+    ideal = RingIdeal(model, Subspace.span(model.field, h, [r[:h] for r in sub.rows]))
+    assert ideal.sub == sub
+    return ideal
+
+
+def pivot_scan(rows):
+    return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+
+
 @pytest.fixture(scope="module")
 def model457():
     return semigroup_ring_model(semigroup([4, 5, 7]), F2)
@@ -147,8 +161,8 @@ def _reference_ideals(model):
             lifted.append(tuple(vec))
         sub = Subspace.span(fld, n, list(base) + lifted)
         if all(sub.contains(series_mul(b, r, fld)) for b in base for r in sub.rows):
-            out.append(RingIdeal(model, sub))
-    return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.rows)))
+            out.append(ideal_from_full(model, sub))
+    return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.sub.rows)))
 
 
 @pytest.mark.parametrize(
@@ -167,7 +181,8 @@ def test_enumerate_ideals_matches_span_reference(model):
     ideals = enumerate_ideals(model)
     assert ideals == _reference_ideals(model)
     for I in ideals:
-        assert I.sub.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in I.rows)
+        assert I.head.pivots == pivot_scan(I.head.rows)
+        assert I.sub.pivots == pivot_scan(I.sub.rows)
 
 
 def test_ideal_census_other_fields():
@@ -184,9 +199,7 @@ def test_colon_examples(model457):
     conductor = R.colon(V)
     assert conductor.value_set == tuple(range(7, 14))
     assert R.colon(R) == R
-    from starlab.ring_model import RingIdeal
-
-    M = RingIdeal(model457, model457.maximal_ideal_subspace())
+    M = model457.maximal_ideal()
     L = R.colon(M)
     assert [p for p in L.value_set if p <= 6] == [0, 3, 4, 5, 6]
 
@@ -195,9 +208,7 @@ def test_v_closure_examples(model457, ideals457):
     R = model457.ring_ideal()
     V = model457.full_ideal()
     assert V.v_closure() == V
-    from starlab.ring_model import RingIdeal
-
-    M = RingIdeal(model457, model457.maximal_ideal_subspace())
+    M = model457.maximal_ideal()
     L = R.colon(M)
     for I in canonical_ideals(model457, ideals457):
         assert I.v_closure() == L
@@ -282,8 +293,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     meet = model457.ring_ideal().sub.intersect(shifted)
     res1 = normalize_subspace(model457, meet)
     # perturb: divide by (row0 + row1) instead
-    from starlab.fq_linear import Subspace, series_inv
-    from starlab.ring_model import RingIdeal
+    from starlab.fq_linear import series_inv
 
     rows = meet.rows
     alt = tuple(F2.add[a][b] for a, b in zip(rows[0], rows[1]))
@@ -291,7 +301,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     inv = series_inv(series_shift_down(alt, m), F2)
     alt_rows = [series_shift_down(series_mul(inv, r, F2), m) for r in rows]
     alt_rows += list(model457.conductor_rows())
-    res2 = RingIdeal(model457, Subspace.span(F2, 14, alt_rows))
+    res2 = ideal_from_full(model457, Subspace.span(F2, 14, alt_rows))
     assert part.orbit_of(res1) == part.orbit_of(res2)
 
 
@@ -338,7 +348,7 @@ def test_orbit_partition_is_deterministic(model457, ideals457):
     p1 = unit_orbits(ideals457)
     p2 = unit_orbits(list(reversed(ideals457)))
     assert p1.orbit_count == p2.orbit_count
-    assert [r.rows for r in p1.reps] == [r.rows for r in p2.reps]
+    assert [r.head.rows for r in p1.reps] == [r.head.rows for r in p2.reps]
 
 
 def test_convert_to_overring(model457, ideals457):
@@ -359,7 +369,8 @@ def test_convert_to_overring(model457, ideals457):
 def test_unit_orbits_match_full_width_partition(gens, q):
     # unit_orbits works on heads; the reference partitions the full N-width
     # subspaces under all units of A_N, where the units in 1 + t^(g+1)K[t]
-    # fix every subspace that contains the conductor
+    # fix every subspace that contains the conductor. Head keys are lifted,
+    # and witnesses padded, to compare.
     model = semigroup_ring_model(semigroup(gens), field_from_order(q))
     ideals = enumerate_ideals(model)
     part = unit_orbits(ideals)
@@ -367,12 +378,16 @@ def test_unit_orbits_match_full_width_partition(gens, q):
     assert part.orbit_ids == ref.orbit_ids
     assert part.members == ref.members
     assert [rep.sub for rep in part.reps] == list(ref.reps)
+    pad = (0,) * (model.trunc - model.head_dim)
     for rep, images, ref_images in zip(part.reps, part.image_maps, ref.image_maps):
-        assert set(images) == set(ref_images)
-        for image, w in images.items():
-            assert len(w) == model.trunc
+        lifted = {RingIdeal(model, head).sub: w for head, w in images.items()}
+        assert len(lifted) == len(images)
+        assert set(lifted) == set(ref_images)
+        for image, w in lifted.items():
+            assert len(w) == model.head_dim
             assert rep.unit_image(w).sub == image
-            assert image.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in image.rows)
+            assert subspace_unit_image(rep.sub, w + pad) == image
+            assert image.pivots == pivot_scan(image.rows)
 
 
 def test_translate_matches_span(model457, ideals457):
@@ -388,7 +403,7 @@ def test_translate_matches_span(model457, ideals457):
         fld, n = model.field, model.trunc
         for I in ideals:
             for u in units:
-                rows = I.rows if u is None else [series_mul(u, r, fld) for r in I.rows]
+                rows = I.sub.rows if u is None else [series_mul(u, r, fld) for r in I.sub.rows]
                 if u is not None:
                     assert subspace_unit_image(I.sub, u) == Subspace.span(fld, n, rows)
                 for k in range(model.sgp.frobenius + 2):
@@ -431,11 +446,11 @@ def _reference_colon(I, J):
     ]
     kernel = [r[m:] for r in rref(block, fld) if not any(r[:m])]
     rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor_rows())
-    return RingIdeal(model, Subspace.span(fld, n, rows))
+    return ideal_from_full(model, Subspace.span(fld, n, rows))
 
 
 def _reference_intersect(I, J):
-    return RingIdeal(I.model, I.sub.intersect(J.sub))
+    return ideal_from_full(I.model, I.sub.intersect(J.sub))
 
 
 def _reference_overring_stable(I):
@@ -447,7 +462,7 @@ def _colon_test_ideals(model):
     the conductor and the principal ideals t^a * R for the generators a."""
     ideals = list(enumerate_ideals(model))
     R = model.ring_ideal()
-    M = RingIdeal(model, model.maximal_ideal_subspace())
+    M = model.maximal_ideal()
     extra = [M, R.colon(model.full_ideal()), R.colon(M)]
     extra += [model.span_ideal([model.monomial(a)]) for a in model.sgp.generators]
     return ideals, extra
@@ -487,7 +502,7 @@ def test_colon_memo_is_per_model():
         semigroup_ring_model(semigroup(gens), field(2, 3, poly))
         for poly in ((1, 1, 0, 1), (1, 0, 1, 1))
     ]
-    rows = [{I.rows for I in enumerate_ideals(m)} for m in models]
+    rows = [{I.head.rows for I in enumerate_ideals(m)} for m in models]
     assert len(rows[0] & rows[1]) > 2
     for model in models:
         ideals, extra = _colon_test_ideals(model)
@@ -517,6 +532,75 @@ def test_overring_stable_matches_product_on_counterexample_dual():
     # the (R:M_R) of the residue star family, which must be overring stable
     model = semigroup_ring_model(semigroup([5, 6, 7, 9]), F2)
     R = model.ring_ideal()
-    L_R = R.colon(RingIdeal(model, model.maximal_ideal_subspace()))
+    L_R = R.colon(model.maximal_ideal())
     assert is_overring_stable(L_R)
     assert _reference_overring_stable(L_R)
+
+
+T2T3_ROWS = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)] + [
+    tuple(int(j == k) for j in range(8)) for k in range(4, 8)
+]
+HEAD_FORM_MODELS = [
+    lambda: semigroup_ring_model(semigroup([4, 5, 7]), F2),
+    lambda: semigroup_ring_model(semigroup([4, 5, 7]), F3),
+    lambda: semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(4)),
+    lambda: semigroup_ring_model(semigroup([4, 5, 6, 7]), F3),
+    lambda: semigroup_ring_model(semigroup([3, 5, 7]), field(2, 3, (1, 1, 0, 1))),
+    lambda: subalgebra_model(F3, T2T3_ROWS),
+]
+HEAD_FORM_IDS = ["457-q2", "457-q3", "457-q4", "4567-q3", "357-F8", "t2+t3-q3"]
+
+
+@pytest.mark.parametrize("make_model", HEAD_FORM_MODELS, ids=HEAD_FORM_IDS)
+def test_sub_view_is_the_lifted_head(make_model):
+    # the N-wide view, its dimension and its value set against a span of
+    # the zero-padded head rows and the conductor rows
+    model = make_model()
+    n, h = model.trunc, model.head_dim
+    pad = (0,) * (n - h)
+    for I in enumerate_ideals(model):
+        rows = [r + pad for r in I.head.rows] + list(model.conductor_rows())
+        ref = Subspace.span(model.field, n, rows)
+        assert I.sub == ref
+        assert I.sub.pivots == ref.pivots
+        assert I.dim == ref.dim
+        assert I.value_set == ref.pivots
+    positive = tuple(r for r, p in zip(model.basis.rows, model.basis.pivots) if p)
+    assert model.maximal_ideal() == ideal_from_full(model, Subspace(model.field, n, positive))
+    assert model.ring_ideal().sub == model.basis
+
+
+@pytest.mark.parametrize("make_model", HEAD_FORM_MODELS, ids=HEAD_FORM_IDS)
+def test_contains_subspace_matches_full_width(make_model):
+    # every ideal of F_0 against every unit image of every orbit
+    # representative, as a head and as the translate t * u * rep in A_N
+    model = make_model()
+    ideals = enumerate_ideals(model)
+    part = unit_orbits(ideals)
+    images = [RingIdeal(model, head) for heads in part.image_maps for head in heads]
+    answers = set()
+    for J in ideals:
+        for image in images:
+            full = all(J.sub.contains(r) for r in image.sub.rows)
+            assert J.contains_subspace(image.head) == full
+            shifted = image.translate(1)
+            assert J.contains_subspace(shifted) == all(J.sub.contains(r) for r in shifted.rows)
+            answers.add(full)
+    assert answers == {True, False}
+
+
+def test_product_needs_a_valuation_0_factor(model457):
+    # M * M has no element of valuation 0 and need not contain the
+    # conductor (on <4,5,7> it misses t^7), so heads cannot represent it
+    M = model457.maximal_ideal()
+    with pytest.raises(InputError):
+        M.product(M)
+    R = model457.ring_ideal()
+    assert M.product(R) == M and R.product(M) == M
+
+
+def test_ring_ideal_rejects_a_full_width_subspace(model457):
+    with pytest.raises(InputError):
+        RingIdeal(model457, model457.basis)
+    with pytest.raises(InputError):
+        RingIdeal(model457, model457.ring_ideal().sub)

@@ -29,6 +29,8 @@ from starlab.star_engine import (
     workspace,
 )
 
+from test_ring_model import ideal_from_full
+
 F2 = field(2)
 
 
@@ -68,7 +70,7 @@ def test_identity_closes_everything(m457, ws457):
 def test_divisorial_star_examples(m457, ws457):
     v = divisorial_star(m457)
     R = m457.ring_ideal()
-    M = RingIdeal(m457, m457.maximal_ideal_subspace())
+    M = m457.maximal_ideal()
     L = R.colon(M)
     for I in canonical_ideals(m457, ws457.ideals):
         assert v.apply(I) == L
@@ -207,7 +209,7 @@ def _reference_normalize(model, sub):
     inv = series_inv(series_shift_down(sub.rows[0], m), model.field)
     rows = [series_shift_down(series_mul(inv, r, model.field), m) for r in sub.rows]
     rows += list(model.conductor_rows())
-    return RingIdeal(model, Subspace.span(model.field, model.trunc, rows))
+    return ideal_from_full(model, Subspace.span(model.field, model.trunc, rows))
 
 
 def test_normalize_memo_is_per_model():
@@ -219,7 +221,7 @@ def test_normalize_memo_is_per_model():
         for poly in ((1, 1, 0, 1), (1, 0, 1, 1))
     ]
     image_maps = workspace(models[0]).partition.image_maps
-    inputs = [sub.rows for images in image_maps for sub in images]
+    inputs = [RingIdeal(models[0], head).sub.rows for images in image_maps for head in images]
     results = []
     for model in models:
         subs = [Subspace(model.field, model.trunc, rows) for rows in inputs]
@@ -229,7 +231,7 @@ def test_normalize_memo_is_per_model():
             assert ideal == _reference_normalize(model, sub)
             again = Subspace(model.field, model.trunc, sub.rows)
             assert normalize_subspace(model, again) is ideal
-        results.append([ideal.rows for ideal in ideals])
+        results.append([ideal.head.rows for ideal in ideals])
     assert results[0] != results[1]
 
 
@@ -256,18 +258,19 @@ def test_closure_table_matches_reference(gens, q):
     for i, rep in enumerate(part.reps):
         for j in range(part.orbit_count):
             hits = set()
-            for image_sub in part.image_maps[j]:
+            for image_head in part.image_maps[j]:
+                image = RingIdeal(model, image_head)
                 for k in range(g + 2):
-                    shifted = RingIdeal(model, image_sub).translate(k)
+                    shifted = image.translate(k)
                     if not shifted.rows:
                         continue
                     meet = rep.sub.intersect(shifted)
                     assert rep.meet(shifted) == meet
                     m = meet.pivots[0]
                     if m > g + 1:
-                        meet = image_sub.cut(m - k)
+                        meet = image.sub.cut(m - k)
                     ref = _reference_normalize(model, meet)
-                    assert normalized_translate_intersection(rep, shifted, k, image_sub) == ref
+                    assert normalized_translate_intersection(rep, shifted, k, image.sub) == ref
                     hits.add(ws.orbit_id(ref))
             expected[(i, j)] = frozenset(hits)
     assert ws.table().pair_classes == expected
