@@ -4,7 +4,8 @@ Fields are table driven: elements are integer codes 0..q-1 (base-p digits of
 the residue polynomial for extension fields) and the add/mul tables are built
 once on construction, so everything downstream is pure table lookup.
 Subspaces of K^n are kept in reduced row echelon form, which makes equality,
-hashing and orbit bookkeeping structural.
+hashing and orbit bookkeeping structural. The closure table's hot path works
+on the same rows packed into Python ints by the field's `packing` (packed.py).
 
 The same vectors double as the truncated algebra A_N = K[t]/(t^N): an element
 is a coefficient tuple (c_0, ..., c_{N-1}) and its valuation is the index of
@@ -14,8 +15,10 @@ the first nonzero coefficient.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 from .errors import InputError, InvariantError
+from .packed import packing_for
 
 MAX_FIELD_ORDER = 512
 
@@ -148,6 +151,7 @@ class Field:
                 raise InputError(f"modulus {modulus} is not irreducible over F_{p}")
             self.modulus = modulus
         self._build_tables()
+        self.packing = packing_for(self)
 
     @staticmethod
     def _smallest_irreducible(p, e):
@@ -290,7 +294,7 @@ def series_mul(a, b, fld):
 def series_shift(a, k):
     """Multiply by t^k (k >= 0), truncating at the original length."""
     n = len(a)
-    return tuple(0 for _ in range(min(k, n))) + a[: max(n - k, 0)]
+    return (0,) * min(k, n) + a[: max(n - k, 0)]
 
 
 def series_inv(a, fld):
@@ -322,10 +326,11 @@ def series_inv(a, fld):
 
 def rref(vectors, fld):
     """Reduced row echelon form; returns a tuple of nonzero rows, pivots
-    strictly increasing, pivot entries 1, pivot columns elsewhere zero."""
+    strictly increasing, pivot entries 1, pivot columns elsewhere zero, and
+    the tuple of their pivots."""
     rows = [list(v) for v in vectors if any(v)]
     if not rows:
-        return ()
+        return (), ()
     mul, sub, inv = fld.mul, fld.sub, fld.inv
     ncols = len(rows[0])
     out = []
@@ -358,7 +363,7 @@ def rref(vectors, fld):
         pivots.append(col)
         col += 1
         rows = [r for r in rows if any(r)]
-    return _back_substitute(out, pivots, fld)
+    return _back_substitute(out, pivots, fld), tuple(pivots)
 
 
 def _back_substitute(rows, pivots, fld):
@@ -379,15 +384,20 @@ def _back_substitute(rows, pivots, fld):
 
 
 class Subspace:
-    """A subspace of K^ambient in canonical (reduced row echelon) form."""
+    """A subspace of K^ambient in canonical (reduced row echelon) form.
 
-    __slots__ = ("field", "ambient", "rows", "_pivots")
+    The packed rows and their elimination entries are computed on first use
+    and kept.
+    """
+
+    __slots__ = ("field", "ambient", "rows", "_pivots", "_packed", "_entries")
 
     def __init__(self, fld, ambient, rows, pivots=None):
         self.field = fld
         self.ambient = ambient
         self.rows = rows
         self._pivots = pivots
+        self._packed = self._entries = None
 
     @classmethod
     def span(cls, fld, ambient, vectors):
@@ -395,14 +405,14 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise InputError(f"vector length {len(v)} != ambient {ambient}")
-        return cls(fld, ambient, rref(vectors, fld))
+        return cls(fld, ambient, *rref(vectors, fld))
 
     @classmethod
     def full(cls, fld, ambient):
         rows = tuple(
             tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)
         )
-        return cls(fld, ambient, rows)
+        return cls(fld, ambient, rows, tuple(range(ambient)))
 
     @property
     def dim(self):
@@ -415,6 +425,22 @@ class Subspace:
         if self._pivots is None:
             self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
         return self._pivots
+
+    @property
+    def packed(self):
+        """The rows packed by the field's representation."""
+        if self._packed is None:
+            pack = self.field.packing.pack
+            self._packed = tuple(pack(r) for r in self.rows)
+        return self._packed
+
+    @property
+    def entries(self):
+        """The packed rows as elimination entries for `Packing.reduce`."""
+        if self._entries is None:
+            entry = self.field.packing.entry
+            self._entries = tuple(entry(p, r) for p, r in zip(self.pivots, self.packed))
+        return self._entries
 
     def reduce(self, vec):
         """Residual of vec after eliminating along this subspace's rows."""
@@ -441,15 +467,22 @@ class Subspace:
         zero = (0,) * n
         block = [tuple(r) + tuple(r) for r in self.rows]
         block += [tuple(r) + zero for r in other.rows]
-        # Rows whose first half vanishes come last in the echelon form, and
-        # their second halves are already reduced against each other.
-        reduced = rref(block, self.field)
-        return Subspace(self.field, n, tuple(r[n:] for r in reduced if not any(r[:n])))
+        # Rows whose first half vanishes, those pivoting past column n, come
+        # last in the echelon form, and their second halves are already
+        # reduced against each other.
+        reduced, pivots = rref(block, self.field)
+        low = bisect_left(pivots, n)
+        return Subspace(
+            self.field, n, tuple(r[n:] for r in reduced[low:]), tuple(p - n for p in pivots[low:])
+        )
 
     def cut(self, c):
         """Subspace of elements of valuation >= c (rows with pivot >= c)."""
-        keep = tuple(r for r, p in zip(self.rows, self.pivots) if p >= c)
-        return Subspace(self.field, self.ambient, keep)
+        low = bisect_left(self.pivots, c)
+        cut = Subspace(self.field, self.ambient, self.rows[low:], self.pivots[low:])
+        if self._packed is not None:
+            cut._packed = self._packed[low:]
+        return cut
 
     def __eq__(self, other):
         return (
@@ -467,8 +500,7 @@ class Subspace:
 
 def _kernel(constraint_rows, n, fld):
     """Basis of {a in F^n : M a = 0} for the matrix with the given rows."""
-    reduced = rref(constraint_rows, fld)
-    pivots = [next(j for j, x in enumerate(r) if x) for r in reduced]
+    reduced, pivots = rref(constraint_rows, fld)
     basis = []
     neg = fld.neg
     for f in range(n):
@@ -498,7 +530,7 @@ def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
         residuals = [a.reduce((0,) * i + r[: n - i]) for i in range(n - p)]
         residuals += [(0,) * n] * p
         constraints.extend(row for row in zip(*residuals) if any(row))
-    return Subspace(fld, n, rref(_kernel(constraints, n, fld), fld))
+    return Subspace(fld, n, *rref(_kernel(constraints, n, fld), fld))
 
 
 # ---------------------------------------------------------------------------

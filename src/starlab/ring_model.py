@@ -16,6 +16,7 @@ the semigroup generators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import takewhile
 
 from .errors import BudgetError, InputError, InvariantError
@@ -159,14 +160,14 @@ class RingIdeal:
     as its head: a canonical subspace of K^(g+1), coefficients 0..g. Its
     methods read elements of A_N mod t^(g+1); `sub` is the N-wide view."""
 
-    __slots__ = ("model", "head", "_sub")
+    __slots__ = ("model", "head", "_sub", "_hash")
 
     def __init__(self, model: RingModel, head: Subspace):
         if head.ambient != model.head_dim:
             raise InputError(f"an ideal head has width {model.head_dim}, not {head.ambient}")
         self.model = model
         self.head = head
-        self._sub = None
+        self._sub = self._hash = None
 
     @property
     def sub(self) -> Subspace:
@@ -226,27 +227,15 @@ class RingIdeal:
         return cached
 
     def meet(self, sub: Subspace) -> Subspace:
-        """The intersection of this ideal with any subspace of A_N.
-
-        The ideal contains the conductor block, so w lies in it exactly when
-        head(w), its coefficients 0..g, lies in the head of the ideal. Rows
-        of sub with pivot above g are therefore in the meet as they are; the
-        others go through a Zassenhaus reduction of width (g+1)+N against
-        the ideal's head rows. The rows it yields have pivots <= g and vanish
-        at the pivots of the kept rows, so the union is already canonical.
-        """
-        model = self.model
-        field = model.field
-        h = model.head_dim
-        n = model.trunc
-        block = [r[:h] + r for r, p in zip(sub.rows, sub.pivots) if p < h]
-        if not block:
+        """The intersection of this ideal with any subspace of A_N, by
+        `_packed_meet`."""
+        meet = _packed_meet(self.head, sub)
+        if meet is None:
             return sub
-        high = sub.rows[len(block):]
-        zero = (0,) * n
-        block += [r + zero for r in self.head.rows]
-        low = tuple(r[h:] for r in rref(block, field) if not any(r[:h]))
-        return Subspace(field, n, low + high)
+        n = self.model.trunc
+        unpack = self.model.field.packing.unpack
+        rows, pivots = meet
+        return Subspace(sub.field, n, tuple(unpack(r, n) for r in rows), tuple(pivots))
 
     def product(self, other: "RingIdeal") -> "RingIdeal":
         """I * J, for factors of which one has an element of valuation 0.
@@ -320,7 +309,11 @@ class RingIdeal:
         )
 
     def __hash__(self):
-        return hash(self.head)
+        # kept: the orbit look-ups of the closure table hash F_0's ideals
+        # again and again, and a head's rows are a tuple of tuples
+        if self._hash is None:
+            self._hash = hash(self.head)
+        return self._hash
 
     def __repr__(self):
         return f"RingIdeal(values<=g:{list(self.head.pivots)}, dim={self.dim})"
@@ -331,9 +324,10 @@ class RingIdeal:
 
 
 def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
-    """The model's one RingIdeal with this head. The colon and meet memos
-    hold many more entries than distinct results, so their entries share
-    ideals."""
+    """The model's one RingIdeal with this head. The colon, meet and
+    normalize memos hold many more entries than distinct results, so their
+    entries share ideals, and those of F_0 are its enumerated ones: a look-up
+    of a result among them meets the same object."""
     shared = model._cache.setdefault("shared_ideals", {})
     ideal = shared.get(head.rows)
     if ideal is None:
@@ -341,17 +335,71 @@ def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
     return ideal
 
 
+def _packed_meet(head: Subspace, sub: Subspace):
+    """The packed rows and pivots, as tuples, of the intersection of sub, a
+    subspace of A_N, with the ideal of the given head; None when sub lies
+    inside the ideal.
+
+    The ideal contains the conductor block, so w lies in it exactly when
+    head(w), its coefficients 0..g, lies in the head of the ideal. Rows of
+    sub with pivot above g are therefore in the meet as they are, and so
+    are the rows whose head reduces to zero against the ideal's head. Each
+    other row r enters a Gauss–Jordan elimination as the block (residual of
+    head(r) | r), residual in the low columns; the blocks whose residual
+    cancels carry the rest of the meet. The ideal's head, sub and the meet
+    are in reduced echelon form, and each row kept from sub vanishes at the
+    pivots of all others, so the union, ordered by pivot, is canonical.
+    """
+    kern = head.field.packing
+    h = head.ambient
+    entries = head.entries
+    rows, pivots = sub.packed, sub.pivots
+    low = bisect_left(pivots, h)
+    kept = []
+    block = []
+    reduce, truncate, support = kern.reduce, kern.truncate, kern.support
+    for p, r in zip(pivots[:low], rows[:low]):
+        residual = reduce(truncate(r, h), entries)
+        if support(residual):
+            block.append(kern.add(residual, kern.shift(r, h)))
+        else:
+            kept.append((p, r))
+    if not block:
+        return None
+    kept.extend(zip(pivots[low:], rows[low:]))
+    if len(block) > 1:  # a single block's residual cannot cancel
+        for r, p in zip(*kern.echelon(block)):
+            if p >= h:
+                kept.append((p - h, kern.unshift(r, h)))
+        kept.sort()  # pivots are distinct, so rows are never compared
+    if not kept:
+        return (), ()
+    pivots, rows = zip(*kept)
+    return rows, pivots
+
+
 def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
     """Divide by a minimal-valuation element, landing in F_0.
 
     The divisor is the canonical echelon row with the least pivot, so the
     result is deterministic; any other minimal-valuation divisor gives a
-    unit-equivalent ideal. Results are memoized per model on the rows of sub.
+    unit-equivalent ideal. Results are memoized per model on the packed
+    rows of sub.
     """
+    return _normalize_packed(model, sub.packed, sub.pivots)
+
+
+def _normalize_packed(model: RingModel, rows, pivots) -> RingIdeal:
+    """normalize_subspace of the subspace of A_N with these packed rows and
+    pivots; the tuple rows are unpacked on a memo miss only."""
     memo = model._cache.setdefault("normalize", {})
-    cached = memo.get(sub.rows)
+    key = tuple(rows)
+    cached = memo.get(key)
     if cached is None:
-        cached = memo[sub.rows] = _normalize(model, sub)
+        n = model.trunc
+        unpack = model.field.packing.unpack
+        sub = Subspace(model.field, n, tuple(unpack(r, n) for r in key), tuple(pivots))
+        cached = memo[key] = _normalize(model, sub)
     return cached
 
 
@@ -372,7 +420,7 @@ def _normalize(model: RingModel, sub: Subspace) -> RingIdeal:
         for r, p in zip(sub.rows, sub.pivots)
         if p < m + h
     ]
-    return RingIdeal(model, Subspace(field, h, rref(heads, field)))
+    return _shared_ideal(model, Subspace(field, h, *rref(heads, field)))
 
 
 def normalized_translate_intersection(
@@ -390,15 +438,15 @@ def normalized_translate_intersection(
     may be a unit image of a member of F_0.
     """
     model = ideal.model
-    if ideal.contains_subspace(shifted):
+    meet = _packed_meet(ideal.head, shifted)
+    if meet is None:
         return normalize_subspace(model, base)
-    g = model.sgp.frobenius
-    meet = ideal.meet(shifted)
-    if not meet.rows:
+    rows, pivots = meet
+    if not rows:
         raise InvariantError("ideal intersection collapsed to zero")
-    m = meet.pivots[0]
-    if m <= g + 1:
-        return normalize_subspace(model, meet)
+    m = pivots[0]
+    if m <= model.head_dim:
+        return _normalize_packed(model, rows, pivots)
     return normalize_subspace(model, base.cut(m - k))
 
 
@@ -459,7 +507,7 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
             if not ok:
                 break
         if ok:
-            out.append(RingIdeal(model, sub))
+            out.append(_shared_ideal(model, sub))
     out.sort(key=lambda ideal: (ideal.dim, ideal.head.rows))
     return tuple(out)
 
@@ -485,8 +533,10 @@ def module_length(J: RingIdeal, I: RingIdeal) -> int:
 def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     """T = R + y*R for any y of valuation g, as an ideal inside the model.
 
-    T is independent of the chosen y; this is verified across every unit
-    representative, and length(T/R) = 1 is checked.
+    T is independent of the chosen y: y = t^g * u with u(0) = 1 agrees with
+    t^g mod t^(g+1), and membership in ideals that contain the conductor
+    reads elements mod t^(g+1). So y = t^g is tested, and length(T/R) = 1 is
+    checked.
     """
     cached = model._cache.get("overring_ideal")
     if cached is not None:
@@ -495,20 +545,16 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     g = sgp.frobenius
     if sgp.contains(g):
         raise InputError("Frobenius number already belongs to the value semigroup")
-    field = model.field
     R = model.ring_ideal()
     t_ideal = model.span_ideal(list(model.basis.rows) + [model.monomial(g)])
     if module_length(t_ideal, R) != 1:
         raise InvariantError("length of T/R is not 1")
-    from .fq_linear import unit_representatives
-
     # R[y] = R + K*y here: y*R lands in R beyond the constant term because
     # v(y*r) > g for v(r) > 0. As R < T with length 1, R + K*y = T exactly
     # when y lies in T but not in R.
-    for u in unit_representatives(field, g + 1):
-        y = series_mul(model.monomial(g), u, field)
-        if not t_ideal.contains_vector(y) or R.contains_vector(y):
-            raise InvariantError("overring depends on the valuation-g element chosen")
+    y = model.monomial(g)
+    if not t_ideal.contains_vector(y) or R.contains_vector(y):
+        raise InvariantError("the valuation-g element t^g does not lie in T outside R")
     model._cache["overring_ideal"] = t_ideal
     return t_ideal
 

@@ -180,15 +180,16 @@ class ClosureTable:
         for j, rep_j in enumerate(part.reps):
             own = [(rep_j.translate(k), k) for k in range(g + 2)]
             own = [(shifted, k) for shifted, k in own if shifted.rows]
-            # distinct translates t^k * (u * rep_j), with provenance for the
-            # deep-normalization path; one column's at a time
+            # distinct translates t^k * (u * rep_j), keyed by their packed
+            # rows, with provenance for the deep-normalization path; one
+            # column's at a time
             translates = {}
             for image_head in part.image_maps[j]:
                 image = RingIdeal(model, image_head)
                 for k in range(g + 2):
                     shifted = image.translate(k)
-                    if shifted.rows and shifted not in translates:
-                        translates[shifted] = (k, image.sub)
+                    if shifted.rows:
+                        translates.setdefault(shifted.packed, (shifted, k, image.sub))
             for i, rep_i in enumerate(part.reps):
                 if sizes[i] < sizes[j]:
                     calls = [
@@ -197,10 +198,7 @@ class ClosureTable:
                         for shifted, k in own
                     ]
                 else:
-                    calls = [
-                        (rep_i, shifted, k, base_sub)
-                        for shifted, (k, base_sub) in translates.items()
-                    ]
+                    calls = [(rep_i, *translate) for translate in translates.values()]
                 pair[(i, j)] = frozenset(
                     ws.orbit_id(normalized_translate_intersection(*call)) for call in calls
                 )

@@ -17,6 +17,7 @@ from starlab.fq_linear import (
     rref,
     series_inv,
     series_mul,
+    series_shift,
     subspace_colon,
     subspace_unit_image,
     unit_image_map,
@@ -172,8 +173,8 @@ def test_intersect_exhaustive(p, n):
         for b in subs:
             meet = a.intersect(b)
             assert vectors[meet] == vectors[a] & vectors[b]
-            assert rref(meet.rows, f) == meet.rows
             fresh = tuple(next(j for j, x in enumerate(r) if x) for r in meet.rows)
+            assert rref(meet.rows, f) == (meet.rows, fresh)
             assert meet.pivots == fresh
 
 
@@ -245,6 +246,59 @@ def test_cut_keeps_high_valuation_rows():
     s = Subspace.span(f, 4, [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     assert s.cut(1).pivots == (1, 3)
     assert s.cut(3).pivots == (3,)
+    # a cut of packed rows keeps the packed rows it kept
+    s.packed
+    assert s.cut(1).packed == tuple(f.packing.pack(r) for r in s.cut(1).rows)
+
+
+# ---------------------------------------------------------------------------
+# packed rows
+
+
+PACKED_FIELDS = [field(2), field(3), field(2, 2), field(5), field(3, 2), field(2, 3, (1, 1, 0, 1))]
+
+
+@pytest.mark.parametrize("fld", PACKED_FIELDS, ids=["q2", "q3", "q4", "q5", "q9", "f8"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_rows_agree_with_tuple_rows(fld, data):
+    kern = fld.packing
+    n = data.draw(st.integers(1, 10))
+    vec = st.tuples(*[st.integers(0, fld.q - 1)] * n)
+    a, b = data.draw(vec), data.draw(vec)
+    c = data.draw(st.integers(0, fld.q - 1))
+    k = data.draw(st.integers(0, n))
+    pa, pb = kern.pack(a), kern.pack(b)
+    assert kern.unpack(pa, n) == a
+    assert bool(kern.support(pa)) == any(a)
+    if any(a):
+        assert kern.pivot(pa) == next(j for j, x in enumerate(a) if x)
+        assert all(kern.coef(pa, j) == x for j, x in enumerate(a))
+    assert kern.unpack(kern.add(pa, pb), n) == tuple(fld.add[x][y] for x, y in zip(a, b))
+    assert kern.unpack(kern.scale(c, pa), n) == tuple(fld.mul[c][x] for x in a)
+    shifted = kern.shift(pa, k)
+    assert kern.unpack(kern.truncate(shifted, n), n) == series_shift(a, k)
+    assert kern.unshift(shifted, k) == pa
+    # Gauss-Jordan against the tuple rref, and reduction against the rows
+    # of a span
+    rows = data.draw(st.lists(vec, max_size=6))
+    packed_rows, pivots = kern.echelon([kern.pack(r) for r in rows])
+    reference = rref(rows, fld)
+    assert (tuple(kern.unpack(r, n) for r in packed_rows), tuple(pivots)) == reference
+    sub = Subspace.span(fld, n, rows)
+    assert sub.packed == tuple(packed_rows)
+    assert kern.unpack(kern.reduce(pa, sub.entries), n) == sub.reduce(a)
+
+
+def test_packed_sums_past_the_initial_masks():
+    # the digit slots of odd characteristic grow their masks on demand
+    fld = field(5)
+    kern = fld.packing
+    n = 300
+    a = tuple((3 * j + 1) % 5 for j in range(n))
+    b = tuple((j * j + 4) % 5 for j in range(n))
+    total = kern.add(kern.pack(a), kern.pack(b))
+    assert kern.unpack(total, n) == tuple(fld.add[x][y] for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

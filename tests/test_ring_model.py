@@ -414,14 +414,21 @@ def test_translate_matches_span(model457, ideals457):
 
 
 def test_overring_sweep_rejects_a_bad_valuation_g_element(monkeypatch):
-    # a zero "unit" gives y = 0, which lies in R: the sweep must refuse it
-    import starlab.fq_linear as fq_linear
-
-    model = semigroup_ring_model(semigroup([4, 5, 7]), F2)
-    zero = (0,) * model.trunc
-    monkeypatch.setattr(fq_linear, "unit_representatives", lambda *args: [zero])
-    with pytest.raises(InvariantError):
-        frobenius_overring_ideal(model)
+    # Two bad valuation-g elements, each past the length check: with T
+    # built right, y = t^g read as 0, which lies in R; and T built as
+    # R + R*t^3, which also has length 1 over R on <4,5,7> but misses t^6.
+    for bad in ("inside R", "outside T"):
+        model = semigroup_ring_model(semigroup([4, 5, 7]), F2)
+        g = model.sgp.frobenius
+        monomial, span_ideal = model.monomial, model.span_ideal
+        adjoined = monomial(g) if bad == "inside R" else monomial(3)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "span_ideal", lambda vs: span_ideal(vs[:-1] + [adjoined]))
+            if bad == "inside R":
+                zero = (0,) * model.trunc
+                patch.setattr(model, "monomial", lambda k, c=1: zero if k == g else monomial(k, c))
+            with pytest.raises(InvariantError):
+                frobenius_overring_ideal(model)
 
 
 def _reference_colon(I, J):
@@ -444,7 +451,7 @@ def _reference_colon(I, J):
         tuple(c[i] for c in constraints) + tuple(int(j == i) for j in range(h))
         for i in range(h)
     ]
-    kernel = [r[m:] for r in rref(block, fld) if not any(r[:m])]
+    kernel = [r[m:] for r in rref(block, fld)[0] if not any(r[:m])]
     rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor_rows())
     return ideal_from_full(model, Subspace.span(fld, n, rows))
 

@@ -237,8 +237,16 @@ def test_normalize_memo_is_per_model():
 
 @pytest.mark.parametrize(
     "gens,q",
-    [((4, 5, 7), 2), ((4, 5, 6, 7), 2), ((3, 5, 7), 3), ((3, 5, 7), 4), ((4, 5, 6, 7), 4)],
-    ids=["457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4"],
+    [
+        ((4, 5, 7), 2),
+        ((4, 5, 6, 7), 2),
+        ((3, 5, 7), 3),
+        ((3, 5, 7), 4),
+        ((4, 5, 6, 7), 4),
+        ((3, 5, 7), 5),
+        ((3, 4, 5), 9),
+    ],
+    ids=["457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4", "357-q5", "345-q9"],
 )
 def test_closure_table_matches_reference(gens, q):
     # the containment skip, conductor-aware meet and head-only
