@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from functools import cached_property
 
 from .errors import InputError, InvariantError
-from .packed import packing_for
 
 MAX_FIELD_ORDER = 512
 
@@ -151,7 +151,6 @@ class Field:
                 raise InputError(f"modulus {modulus} is not irreducible over F_{p}")
             self.modulus = modulus
         self._build_tables()
-        self.packing = packing_for(self)
 
     @staticmethod
     def _smallest_irreducible(p, e):
@@ -221,6 +220,14 @@ class Field:
             else:
                 raise InvariantError(f"no inverse for code {a}; modulus not irreducible?")
         self.inv = inv
+
+    @cached_property
+    def packing(self):
+        """The one packed layout of vectors over this field (packed.py)."""
+        # imported on first use: only the closure table packs rows
+        from .packed import packing_for
+
+        return packing_for(self)
 
     def __eq__(self, other):
         return (
@@ -294,7 +301,7 @@ def series_mul(a, b, fld):
 def series_shift(a, k):
     """Multiply by t^k (k >= 0), truncating at the original length."""
     n = len(a)
-    return (0,) * min(k, n) + a[: max(n - k, 0)]
+    return tuple(0 for _ in range(min(k, n))) + a[: max(n - k, 0)]
 
 
 def series_inv(a, fld):
@@ -384,20 +391,15 @@ def _back_substitute(rows, pivots, fld):
 
 
 class Subspace:
-    """A subspace of K^ambient in canonical (reduced row echelon) form.
+    """A subspace of K^ambient in canonical (reduced row echelon) form."""
 
-    The packed rows and their elimination entries are computed on first use
-    and kept.
-    """
-
-    __slots__ = ("field", "ambient", "rows", "_pivots", "_packed", "_entries")
+    __slots__ = ("field", "ambient", "rows", "_pivots")
 
     def __init__(self, fld, ambient, rows, pivots=None):
         self.field = fld
         self.ambient = ambient
         self.rows = rows
         self._pivots = pivots
-        self._packed = self._entries = None
 
     @classmethod
     def span(cls, fld, ambient, vectors):
@@ -425,22 +427,6 @@ class Subspace:
         if self._pivots is None:
             self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
         return self._pivots
-
-    @property
-    def packed(self):
-        """The rows packed by the field's representation."""
-        if self._packed is None:
-            pack = self.field.packing.pack
-            self._packed = tuple(pack(r) for r in self.rows)
-        return self._packed
-
-    @property
-    def entries(self):
-        """The packed rows as elimination entries for `Packing.reduce`."""
-        if self._entries is None:
-            entry = self.field.packing.entry
-            self._entries = tuple(entry(p, r) for p, r in zip(self.pivots, self.packed))
-        return self._entries
 
     def reduce(self, vec):
         """Residual of vec after eliminating along this subspace's rows."""
@@ -478,11 +464,8 @@ class Subspace:
 
     def cut(self, c):
         """Subspace of elements of valuation >= c (rows with pivot >= c)."""
-        low = bisect_left(self.pivots, c)
-        cut = Subspace(self.field, self.ambient, self.rows[low:], self.pivots[low:])
-        if self._packed is not None:
-            cut._packed = self._packed[low:]
-        return cut
+        keep = tuple(r for r, p in zip(self.rows, self.pivots) if p >= c)
+        return Subspace(self.field, self.ambient, keep)
 
     def __eq__(self, other):
         return (

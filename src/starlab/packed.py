@@ -2,12 +2,11 @@
 
 Column j of a vector sits in the j-th slot of a fixed number of bits, so
 multiplying by t^k is a shift and the lowest nonzero slot is the pivot. Each
-field has one layout, chosen by `packing_for`: characteristic 2 puts the
-code's e bits in a slot and adds by XOR (Albrecht and Bard, "The M4RI
-library"); F_3 is bitsliced into a pair of masks (Boothby and Bradshaw,
-"Bitslicing and the method of four Russians over larger finite fields");
-any other field adds its base-p digits slot by slot with a guard bit.
-Scalar multiples of a row come from the field's tables.
+field has one layout, chosen by `packing_for`: F_3 is bitsliced into a pair
+of masks (Boothby and Bradshaw, "Bitslicing and the method of four Russians
+over larger finite fields"), and every other field adds its base-p digits
+slot by slot with a guard bit. Scalar multiples of a row come from the
+field's tables.
 """
 
 from __future__ import annotations
@@ -110,30 +109,6 @@ class Packing:
         return rows, pivots
 
 
-class Char2Packing(Packing):
-    """Characteristic 2: a slot holds the code's e bits, and addition is
-    XOR."""
-
-    def __init__(self, fld):
-        super().__init__(fld, 1)
-
-    def add(self, a, b):
-        return a ^ b
-
-
-class Gf2Packing(Char2Packing):
-    """F_2: one bit per column, and the only multiple of a row is itself."""
-
-    def entry(self, p, row):
-        return (1 << p, row)
-
-    def reduce(self, v, entries):
-        for bit, row in entries:
-            if v & bit:
-                v ^= row
-        return v
-
-
 class Gf3Packing(Packing):
     """F_3, bitsliced: a vector is the pair (pos, neg) of the masks of its
     columns equal to 1 and to 2 = -1, so negating swaps the masks."""
@@ -195,7 +170,7 @@ class Gf3Packing(Packing):
 
 
 class SwarPacking(Packing):
-    """Any other field: each base-p digit in a slot of b bits, where
+    """Any field but F_3: each base-p digit in a slot of b bits, where
     2^(b-1) > 2(p-1), so a digitwise sum fits below the slot's top (guard)
     bit. Adding (2^(b-1) - p) to every digit sets the guard bit exactly
     where the sum reached p, and p is taken off there."""
@@ -224,10 +199,6 @@ class SwarPacking(Packing):
 
 def packing_for(fld) -> Packing:
     """The one packed layout of vectors over fld."""
-    if fld.q == 2:
-        return Gf2Packing(fld)
-    if fld.p == 2:
-        return Char2Packing(fld)
     if fld.q == 3:
         return Gf3Packing(fld)
     return SwarPacking(fld)

@@ -160,14 +160,14 @@ class RingIdeal:
     as its head: a canonical subspace of K^(g+1), coefficients 0..g. Its
     methods read elements of A_N mod t^(g+1); `sub` is the N-wide view."""
 
-    __slots__ = ("model", "head", "_sub", "_hash")
+    __slots__ = ("model", "head", "_sub", "_hash", "_entries")
 
     def __init__(self, model: RingModel, head: Subspace):
         if head.ambient != model.head_dim:
             raise InputError(f"an ideal head has width {model.head_dim}, not {head.ambient}")
         self.model = model
         self.head = head
-        self._sub = self._hash = None
+        self._sub = self._hash = self._entries = None
 
     @property
     def sub(self) -> Subspace:
@@ -179,6 +179,16 @@ class RingIdeal:
             rows = tuple(r + pad for r in self.head.rows) + model.conductor_rows()
             self._sub = Subspace(model.field, model.trunc, rows, self.value_set)
         return self._sub
+
+    @property
+    def head_entries(self):
+        """The head's rows packed by the field (packed.py), as the
+        elimination entries that `_packed_meet` reduces against."""
+        if self._entries is None:
+            kern = self.model.field.packing
+            rows = map(kern.pack, self.head.rows)
+            self._entries = tuple(map(kern.entry, self.head.pivots, rows))
+        return self._entries
 
     @property
     def dim(self):
@@ -225,17 +235,6 @@ class RingIdeal:
         if cached is None:
             cached = memo[key] = _shared_ideal(self.model, self.head.intersect(other.head))
         return cached
-
-    def meet(self, sub: Subspace) -> Subspace:
-        """The intersection of this ideal with any subspace of A_N, by
-        `_packed_meet`."""
-        meet = _packed_meet(self.head, sub)
-        if meet is None:
-            return sub
-        n = self.model.trunc
-        unpack = self.model.field.packing.unpack
-        rows, pivots = meet
-        return Subspace(sub.field, n, tuple(unpack(r, n) for r in rows), tuple(pivots))
 
     def product(self, other: "RingIdeal") -> "RingIdeal":
         """I * J, for factors of which one has an element of valuation 0.
@@ -335,25 +334,25 @@ def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
     return ideal
 
 
-def _packed_meet(head: Subspace, sub: Subspace):
-    """The packed rows and pivots, as tuples, of the intersection of sub, a
-    subspace of A_N, with the ideal of the given head; None when sub lies
-    inside the ideal.
+def _packed_meet(ideal: RingIdeal, rows, pivots):
+    """The packed rows and pivots, as tuples, of the intersection of the
+    ideal with a subspace of A_N, given by its packed rows and their
+    pivots; None when the subspace lies inside the ideal.
 
     The ideal contains the conductor block, so w lies in it exactly when
     head(w), its coefficients 0..g, lies in the head of the ideal. Rows of
-    sub with pivot above g are therefore in the meet as they are, and so
-    are the rows whose head reduces to zero against the ideal's head. Each
-    other row r enters a Gauss–Jordan elimination as the block (residual of
-    head(r) | r), residual in the low columns; the blocks whose residual
-    cancels carry the rest of the meet. The ideal's head, sub and the meet
-    are in reduced echelon form, and each row kept from sub vanishes at the
-    pivots of all others, so the union, ordered by pivot, is canonical.
+    the subspace with pivot above g are therefore in the meet as they are,
+    and so are the rows whose head reduces to zero against the ideal's head.
+    Each other row r enters a Gauss–Jordan elimination as the block
+    (residual of head(r) | r), residual in the low columns; the blocks whose
+    residual cancels carry the rest of the meet. The ideal's head, the
+    subspace and the meet are in reduced echelon form, and each row kept
+    from the subspace vanishes at the pivots of all others, so the union,
+    ordered by pivot, is canonical.
     """
-    kern = head.field.packing
-    h = head.ambient
-    entries = head.entries
-    rows, pivots = sub.packed, sub.pivots
+    kern = ideal.model.field.packing
+    h = ideal.model.head_dim
+    entries = ideal.head_entries
     low = bisect_left(pivots, h)
     kept = []
     block = []
@@ -386,45 +385,38 @@ def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
     unit-equivalent ideal. Results are memoized per model on the packed
     rows of sub.
     """
-    return _normalize_packed(model, sub.packed, sub.pivots)
+    pack = model.field.packing.pack
+    return _normalize(model, tuple(map(pack, sub.rows)), sub.pivots)
 
 
-def _normalize_packed(model: RingModel, rows, pivots) -> RingIdeal:
-    """normalize_subspace of the subspace of A_N with these packed rows and
-    pivots; the tuple rows are unpacked on a memo miss only."""
+def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
+    """normalize_subspace of the subspace of A_N with these packed rows, a
+    tuple, and their pivots."""
     memo = model._cache.setdefault("normalize", {})
-    key = tuple(rows)
-    cached = memo.get(key)
-    if cached is None:
-        n = model.trunc
-        unpack = model.field.packing.unpack
-        sub = Subspace(model.field, n, tuple(unpack(r, n) for r in key), tuple(pivots))
-        cached = memo[key] = _normalize(model, sub)
-    return cached
-
-
-def _normalize(model: RingModel, sub: Subspace) -> RingIdeal:
-    if not sub.rows:
+    cached = memo.get(rows)
+    if cached is not None:
+        return cached
+    if not rows:
         raise InputError("cannot normalize the zero ideal")
     h = model.head_dim
-    m = sub.pivots[0]
+    m = pivots[0]
     if m > h:
         raise InvariantError(f"minimal valuation {m} exceeds g+1; precision lost")
     field = model.field
+    kern = field.packing
     # The result contains the conductor block, so only the heads of the
     # quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
-    # t^m, and rows with pivot >= m+h have zero heads.
-    inv = series_inv(sub.rows[0][m : m + h], field)
-    heads = [
-        series_mul(inv, r[m : m + h], field)
-        for r, p in zip(sub.rows, sub.pivots)
-        if p < m + h
-    ]
-    return _shared_ideal(model, Subspace(field, h, *rref(heads, field)))
+    # t^m, and rows with pivot >= m+h have zero heads. Only those h columns
+    # of each row are unpacked.
+    windows = [kern.unpack(kern.unshift(r, m), h) for r, p in zip(rows, pivots) if p < m + h]
+    inv = series_inv(windows[0], field)
+    heads = [series_mul(inv, w, field) for w in windows]
+    cached = memo[rows] = _shared_ideal(model, Subspace(field, h, *rref(heads, field)))
+    return cached
 
 
 def normalized_translate_intersection(
-    ideal: RingIdeal, shifted: Subspace, k: int, base: Subspace
+    ideal: RingIdeal, shifted: Subspace, k: int, base: Subspace, packed=None
 ) -> RingIdeal:
     """normalize(ideal meet (t^k * base)) where shifted = t^k * base.
 
@@ -436,18 +428,26 @@ def normalized_translate_intersection(
     intersection equals t^k * (base cut at m-k), and normalizing that cut of
     base stays exact. The ideal need only contain the conductor block, so it
     may be a unit image of a member of F_0.
+
+    The work reads packed rows: `packed` is the pair of tuples of the packed
+    rows of shifted and of base, packed here when not given.
     """
     model = ideal.model
-    meet = _packed_meet(ideal.head, shifted)
+    if packed is None:
+        pack = model.field.packing.pack
+        packed = (tuple(map(pack, shifted.rows)), tuple(map(pack, base.rows)))
+    shifted_rows, base_rows = packed
+    meet = _packed_meet(ideal, shifted_rows, shifted.pivots)
     if meet is None:
-        return normalize_subspace(model, base)
+        return _normalize(model, base_rows, base.pivots)
     rows, pivots = meet
     if not rows:
         raise InvariantError("ideal intersection collapsed to zero")
     m = pivots[0]
     if m <= model.head_dim:
-        return _normalize_packed(model, rows, pivots)
-    return normalize_subspace(model, base.cut(m - k))
+        return _normalize(model, rows, pivots)
+    low = bisect_left(base.pivots, m - k)
+    return _normalize(model, base_rows[low:], base.pivots[low:])
 
 
 # ---------------------------------------------------------------------------

@@ -173,32 +173,44 @@ class ClosureTable:
         of every image of rep_i with the translates of rep_j itself."""
         model = ws.model
         g = model.sgp.frobenius
+        kern = model.field.packing
         part = ws.partition
         sizes = [len(images) for images in part.image_maps]
+        # the images of each representative as ideals, which keep their
+        # packed heads for the smaller-orbit loop below
+        images = [[RingIdeal(model, head) for head in heads] for heads in part.image_maps]
+
+        def translates(ideal):
+            # the nonzero t^k * ideal as normalized_translate_intersection
+            # takes them: with k, the ideal's N-wide view and the packed rows
+            # of both. A translate's packed rows are the view's, shifted:
+            # head rows end at t^g and k <= g+1, so none passes t^N
+            base = ideal.sub
+            packed_base = tuple(map(kern.pack, base.rows))
+            out = []
+            for k in range(g + 2):
+                shifted = ideal.translate(k)
+                if shifted.rows:
+                    rows = tuple(kern.shift(r, k) for r in packed_base[: shifted.dim])
+                    out.append((shifted, k, base, (rows, packed_base)))
+            return out
+
         pair = {}
         entries = 0
         for j, rep_j in enumerate(part.reps):
-            own = [(rep_j.translate(k), k) for k in range(g + 2)]
-            own = [(shifted, k) for shifted, k in own if shifted.rows]
+            own = translates(rep_j)
             # distinct translates t^k * (u * rep_j), keyed by their packed
             # rows, with provenance for the deep-normalization path; one
             # column's at a time
-            translates = {}
+            distinct = {}
             for image_head in part.image_maps[j]:
-                image = RingIdeal(model, image_head)
-                for k in range(g + 2):
-                    shifted = image.translate(k)
-                    if shifted.rows:
-                        translates.setdefault(shifted.packed, (shifted, k, image.sub))
+                for translate in translates(RingIdeal(model, image_head)):
+                    distinct.setdefault(translate[3][0], translate)
             for i, rep_i in enumerate(part.reps):
                 if sizes[i] < sizes[j]:
-                    calls = [
-                        (RingIdeal(model, image_head), shifted, k, rep_j.sub)
-                        for image_head in part.image_maps[i]
-                        for shifted, k in own
-                    ]
+                    calls = [(image, *translate) for image in images[i] for translate in own]
                 else:
-                    calls = [(rep_i, *translate) for translate in translates.values()]
+                    calls = [(rep_i, *translate) for translate in distinct.values()]
                 pair[(i, j)] = frozenset(
                     ws.orbit_id(normalized_translate_intersection(*call)) for call in calls
                 )

@@ -246,9 +246,6 @@ def test_cut_keeps_high_valuation_rows():
     s = Subspace.span(f, 4, [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     assert s.cut(1).pivots == (1, 3)
     assert s.cut(3).pivots == (3,)
-    # a cut of packed rows keeps the packed rows it kept
-    s.packed
-    assert s.cut(1).packed == tuple(f.packing.pack(r) for r in s.cut(1).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +283,8 @@ def test_packed_rows_agree_with_tuple_rows(fld, data):
     reference = rref(rows, fld)
     assert (tuple(kern.unpack(r, n) for r in packed_rows), tuple(pivots)) == reference
     sub = Subspace.span(fld, n, rows)
-    assert sub.packed == tuple(packed_rows)
-    assert kern.unpack(kern.reduce(pa, sub.entries), n) == sub.reduce(a)
+    entries = [kern.entry(p, r) for p, r in zip(pivots, packed_rows)]
+    assert kern.unpack(kern.reduce(pa, entries), n) == sub.reduce(a)
 
 
 def test_packed_sums_past_the_initial_masks():
