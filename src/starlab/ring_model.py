@@ -160,14 +160,14 @@ class RingIdeal:
     as its head: a canonical subspace of K^(g+1), coefficients 0..g. Its
     methods read elements of A_N mod t^(g+1); `sub` is the N-wide view."""
 
-    __slots__ = ("model", "head", "_sub", "_hash", "_entries")
+    __slots__ = ("model", "head", "_sub", "_hash")
 
     def __init__(self, model: RingModel, head: Subspace):
         if head.ambient != model.head_dim:
             raise InputError(f"an ideal head has width {model.head_dim}, not {head.ambient}")
         self.model = model
         self.head = head
-        self._sub = self._hash = self._entries = None
+        self._sub = self._hash = None
 
     @property
     def sub(self) -> Subspace:
@@ -179,16 +179,6 @@ class RingIdeal:
             rows = tuple(r + pad for r in self.head.rows) + model.conductor_rows()
             self._sub = Subspace(model.field, model.trunc, rows, self.value_set)
         return self._sub
-
-    @property
-    def head_entries(self):
-        """The head's rows packed by the field (packed.py), as the
-        elimination entries that `_packed_meet` reduces against."""
-        if self._entries is None:
-            kern = self.model.field.packing
-            rows = map(kern.pack, self.head.rows)
-            self._entries = tuple(map(kern.entry, self.head.pivots, rows))
-        return self._entries
 
     @property
     def dim(self):
@@ -334,10 +324,18 @@ def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
     return ideal
 
 
-def _packed_meet(ideal: RingIdeal, rows, pivots):
+def head_entries(head: Subspace):
+    """The rows of an ideal's head packed by the field (packed.py), as the
+    elimination entries that `_packed_meet` reduces against."""
+    kern = head.field.packing
+    return tuple(map(kern.entry, head.pivots, map(kern.pack, head.rows)))
+
+
+def _packed_meet(model: RingModel, entries, rows, pivots):
     """The packed rows and pivots, as tuples, of the intersection of the
-    ideal with a subspace of A_N, given by its packed rows and their
-    pivots; None when the subspace lies inside the ideal.
+    model's ideal whose head has these `head_entries` with a subspace of
+    A_N, given by its packed rows and their pivots; None when the subspace
+    lies inside the ideal.
 
     The ideal contains the conductor block, so w lies in it exactly when
     head(w), its coefficients 0..g, lies in the head of the ideal. Rows of
@@ -350,9 +348,8 @@ def _packed_meet(ideal: RingIdeal, rows, pivots):
     from the subspace vanishes at the pivots of all others, so the union,
     ordered by pivot, is canonical.
     """
-    kern = ideal.model.field.packing
-    h = ideal.model.head_dim
-    entries = ideal.head_entries
+    kern = model.field.packing
+    h = model.head_dim
     low = bisect_left(pivots, h)
     kept = []
     block = []
@@ -429,15 +426,20 @@ def normalized_translate_intersection(
     base stays exact. The ideal need only contain the conductor block, so it
     may be a unit image of a member of F_0.
 
-    The work reads packed rows: `packed` is the pair of tuples of the packed
-    rows of shifted and of base, packed here when not given.
+    The work reads packed rows: `packed` is the triple of the ideal's
+    `head_entries` and the packed rows of shifted and of base, tuples,
+    packed here when not given.
     """
     model = ideal.model
     if packed is None:
         pack = model.field.packing.pack
-        packed = (tuple(map(pack, shifted.rows)), tuple(map(pack, base.rows)))
-    shifted_rows, base_rows = packed
-    meet = _packed_meet(ideal, shifted_rows, shifted.pivots)
+        packed = (
+            head_entries(ideal.head),
+            tuple(map(pack, shifted.rows)),
+            tuple(map(pack, base.rows)),
+        )
+    entries, shifted_rows, base_rows = packed
+    meet = _packed_meet(model, entries, shifted_rows, shifted.pivots)
     if meet is None:
         return _normalize(model, base_rows, base.pivots)
     rows, pivots = meet

@@ -30,6 +30,7 @@ from .ring_model import (
     frobenius_overring_ideal,
     frobenius_overring_model,
     convert_to_overring,
+    head_entries,
     is_overring_stable,
     normalized_translate_intersection,
     unit_orbits,
@@ -176,15 +177,19 @@ class ClosureTable:
         kern = model.field.packing
         part = ws.partition
         sizes = [len(images) for images in part.image_maps]
-        # the images of each representative as ideals, which keep their
-        # packed heads for the smaller-orbit loop below
-        images = [[RingIdeal(model, head) for head in heads] for heads in part.image_maps]
+        # the packed heads of the representatives and, for the smaller-orbit
+        # loop below, of their images
+        rep_entries = [head_entries(rep.head) for rep in part.reps]
+        images = [
+            [(RingIdeal(model, head), head_entries(head)) for head in heads]
+            for heads in part.image_maps
+        ]
 
         def translates(ideal):
-            # the nonzero t^k * ideal as normalized_translate_intersection
-            # takes them: with k, the ideal's N-wide view and the packed rows
-            # of both. A translate's packed rows are the view's, shifted:
-            # head rows end at t^g and k <= g+1, so none passes t^N
+            # the nonzero t^k * ideal, with k, the ideal's N-wide view and
+            # the packed rows of both. A translate's packed rows are the
+            # view's, shifted: head rows end at t^g and k <= g+1, so none
+            # passes t^N
             base = ideal.sub
             packed_base = tuple(map(kern.pack, base.rows))
             out = []
@@ -192,7 +197,7 @@ class ClosureTable:
                 shifted = ideal.translate(k)
                 if shifted.rows:
                     rows = tuple(kern.shift(r, k) for r in packed_base[: shifted.dim])
-                    out.append((shifted, k, base, (rows, packed_base)))
+                    out.append((shifted, k, base, rows, packed_base))
             return out
 
         pair = {}
@@ -205,12 +210,19 @@ class ClosureTable:
             distinct = {}
             for image_head in part.image_maps[j]:
                 for translate in translates(RingIdeal(model, image_head)):
-                    distinct.setdefault(translate[3][0], translate)
+                    distinct.setdefault(translate[3], translate)
             for i, rep_i in enumerate(part.reps):
                 if sizes[i] < sizes[j]:
-                    calls = [(image, *translate) for image in images[i] for translate in own]
+                    calls = [
+                        (image, shifted, k, base, (image_entries, rows, packed_base))
+                        for image, image_entries in images[i]
+                        for shifted, k, base, rows, packed_base in own
+                    ]
                 else:
-                    calls = [(rep_i, *translate) for translate in distinct.values()]
+                    calls = [
+                        (rep_i, shifted, k, base, (rep_entries[i], rows, packed_base))
+                        for shifted, k, base, rows, packed_base in distinct.values()
+                    ]
                 pair[(i, j)] = frozenset(
                     ws.orbit_id(normalized_translate_intersection(*call)) for call in calls
                 )

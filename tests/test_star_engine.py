@@ -12,6 +12,7 @@ from starlab.ring_model import (
     canonical_ideals,
     frobenius_overring_ideal,
     frobenius_overring_model,
+    head_entries,
     is_overring_stable,
     normalize_subspace,
     normalized_translate_intersection,
@@ -276,7 +277,8 @@ def test_closure_table_matches_reference(gens, q):
                         continue
                     meet = rep.sub.intersect(shifted)
                     packed = tuple(map(pack, shifted.rows))
-                    packed_meet = _packed_meet(rep, packed, shifted.pivots)
+                    entries = head_entries(rep.head)
+                    packed_meet = _packed_meet(model, entries, packed, shifted.pivots)
                     rows, pivots = (packed, shifted.pivots) if packed_meet is None else packed_meet
                     assert tuple(unpack(r, model.trunc) for r in rows) == meet.rows
                     assert tuple(pivots) == meet.pivots
