@@ -127,12 +127,10 @@ def cmd_ring_enum_stars(args):
         }
         for oid, rep in enumerate(ws.partition.reps)
     ]
-    families = []
-    for star in stars:
-        entry = {"closed_orbits": sorted(star.closed)}
-        tag = classify_family(ws, star.closed)
-        entry["classification"] = tag
-        families.append(entry)
+    families = [
+        {"closed_orbits": list(star.key()), "classification": classify_family(ws, star.closed)}
+        for star in stars
+    ]
     results = {
         "generators": list(model.sgp.generators),
         "q": model.field.q,

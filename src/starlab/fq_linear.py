@@ -462,11 +462,6 @@ class Subspace:
             self.field, n, tuple(r[n:] for r in reduced[low:]), tuple(p - n for p in pivots[low:])
         )
 
-    def cut(self, c):
-        """Subspace of elements of valuation >= c (rows with pivot >= c)."""
-        keep = tuple(r for r, p in zip(self.rows, self.pivots) if p >= c)
-        return Subspace(self.field, self.ambient, keep)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

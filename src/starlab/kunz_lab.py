@@ -126,28 +126,16 @@ def require_gate(gens, q):
 # the residue-indexed star family on T
 
 
-def _lex_elements_of_valuation(sub: Subspace, val: int):
-    """Elements of the subspace with the given valuation and leading
-    coefficient 1, in lexicographic coefficient order."""
-    rows = [r for r, p in zip(sub.rows, sub.pivots) if p > val]
-    base_row = None
+def _least_element_of_valuation(sub: Subspace, val: int):
+    """The lexicographically least element of the subspace with the given
+    valuation and leading coefficient 1, or None: the reduced echelon row
+    with pivot val. Any other such element adds c times rows of later
+    pivots to it; at the first pivot p with c nonzero the two differ first,
+    and there the echelon row is 0."""
     for r, p in zip(sub.rows, sub.pivots):
         if p == val:
-            base_row = r
-    if base_row is None:
-        return []
-    fld = sub.field
-    out = []
-    for coeffs in itertools.product(range(fld.q), repeat=len(rows)):
-        vec = list(base_row)
-        for c, r in zip(coeffs, rows):
-            if c:
-                for k in range(len(vec)):
-                    if r[k]:
-                        vec[k] = fld.add[vec[k]][fld.mul[c][r[k]]]
-        out.append(tuple(vec))
-    out.sort()
-    return out
+            return r
+    return None
 
 
 def residue_star_family(r_model, t_model=None):
@@ -191,16 +179,14 @@ def residue_star_family(r_model, t_model=None):
     if L_R_in_t.v_closure() != L_T:
         raise InvariantError("(R:M_R)^v over T is not (T:M_T)")
 
-    u_candidates = _lex_elements_of_valuation(L_T.head, b)
-    if not u_candidates:
+    u = _least_element_of_valuation(L_T.head, b)
+    if u is None:
         raise InvariantError(f"no element of valuation {b} in (T:M_T)")
-    u = u_candidates[0]
     if L_R_in_t.contains_vector(u):
         raise InvariantError(f"valuation-{b} element unexpectedly inside (R:M_R)")
-    z_candidates = _lex_elements_of_valuation(L_R_in_t.head, a)
-    if not z_candidates:
+    z = _least_element_of_valuation(L_R_in_t.head, a)
+    if z is None:
         raise InvariantError(f"no element of valuation {a} in (R:M_R)")
-    z = z_candidates[0]
     if not L_T.contains_vector(z):
         raise InvariantError("(R:M_R) escaped (T:M_T)")
 
@@ -219,11 +205,9 @@ def residue_star_family(r_model, t_model=None):
         if not T_i.contains_vector(series_mul(gen, gen, fld)):
             raise InvariantError("adjoined module is not multiplicatively closed")
         adjoined.append(T_i)
-        closed = []
-        for J in t_ws.ideals:
-            if J.v_closure().intersect(J.product(T_i)) == J:
-                closed.append(J)
-        family = frozenset(t_ws.orbit_id(J) for J in closed)
+        family = t_ws.family(
+            J for J in t_ws.ideals if J.v_closure().intersect(J.product(T_i)) == J
+        )
         if t_ws.close(family) != family:
             raise InvariantError("residue star family member is not closure stable")
         stars.append(StarOperation(t_ws, family))
@@ -689,7 +673,7 @@ def formula_check(
         # dump the closed families so a mismatch can be audited directly
         model = ring_model_for(tuple(S.generators), q, modulus)
         report.results["closed_families"] = [
-            sorted(star.closed) for star in enumerate_stars(model, max_orbits, max_ideals)
+            list(star.key()) for star in enumerate_stars(model, max_orbits, max_ideals)
         ]
     return report
 

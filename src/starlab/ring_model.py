@@ -269,8 +269,8 @@ class RingIdeal:
     def is_divisorial(self) -> bool:
         return self.v_closure() == self
 
-    def translate(self, k: int, unit=None) -> Subspace:
-        """The subspace of u * t^k * I; exact for 0 <= k <= g+1.
+    def translate(self, k: int) -> Subspace:
+        """The subspace of t^k * I; exact for 0 <= k <= g+1.
 
         The result is generally not a RingIdeal (its conductor block starts
         at t^(k+g+1)), so it is returned as a raw subspace of A_N.
@@ -278,7 +278,7 @@ class RingIdeal:
         g = self.model.sgp.frobenius
         if not 0 <= k <= g + 1:
             raise InputError(f"shift {k} outside [0, {g + 1}]")
-        sub = (self if unit is None else self.unit_image(unit)).sub
+        sub = self.sub
         # Shifting keeps the rows in reduced echelon form, pivots moved by k;
         # rows pushed past t^N vanish.
         n = self.model.trunc

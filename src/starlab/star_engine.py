@@ -6,8 +6,8 @@ contain every divisorial ideal, are saturated under unit equivalence, and are
 stable under normalized translate-intersections: for closed I, J, every
 normalize(I meet u*t^k*J) is closed again. Enumerating star operations
 therefore means enumerating the elements of a closure system over orbit ids,
-which is done by seeded closure expansion from the divisorial base family
-(never by iterating all subsets).
+which is done by Ganter's NextClosure on orbit-id bitmasks (never by
+iterating all subsets).
 
 The closure data is tabulated once per model: for each ordered pair of orbit
 representatives (I, J) and every distinct translate u*t^k*J (units taken from
@@ -47,10 +47,8 @@ class RingWorkspace:
         self.model = model
         self.ideals = enumerate_ideals(model, max_ideals)
         self.partition = unit_orbits(self.ideals)
-        self.divisorial_ids = frozenset(
-            oid
-            for oid, rep in enumerate(self.partition.reps)
-            if rep.is_divisorial()
+        self.divisorial_ids = sum(
+            1 << oid for oid, rep in enumerate(self.partition.reps) if rep.is_divisorial()
         )
         self._above = None
         self._table = None
@@ -85,41 +83,49 @@ class RingWorkspace:
             self._table = ClosureTable.build(self)
         return self._table
 
-    def close(self, orbit_ids) -> frozenset:
-        """Smallest valid closed family containing the given orbit ids."""
-        pair = self.table().pair_classes
-        fam = set(orbit_ids) | self.divisorial_ids
-        changed = True
-        while changed:
-            changed = False
-            current = list(fam)
-            for i in current:
-                for j in current:
-                    extra = pair[(i, j)] - fam
-                    if extra:
-                        fam |= extra
-                        changed = True
-        return frozenset(fam)
+    def family(self, ideals) -> int:
+        """Bitmask of the orbit ids of the given ideals."""
+        mask = 0
+        for ideal in ideals:
+            mask |= 1 << self.orbit_id(ideal)
+        return mask
+
+    def close(self, mask: int) -> int:
+        """Smallest valid closed family containing the orbit-id bitmask. Each
+        orbit x joins once and ORs in the rules of x against every member so
+        far, x included, so each pair of members fires once (LinClosure)."""
+        rules = self.table().rules
+        todo = mask | self.divisorial_ids
+        fam = 0
+        members = []
+        while todo:
+            x = todo.bit_length() - 1
+            fam |= 1 << x
+            members.append(x)
+            row = rules[x]
+            for y in members:
+                todo |= row[y]
+            todo &= ~fam
+        return fam
 
     def family_classes(self):
         """(canonical-class orbit ids, T's orbit id, orbit ids of the
-        non-divisorial T-stable ideals one dimension above T), the orbit
-        classes that classify_family compares families against."""
+        non-divisorial T-stable ideals one dimension above T), the two sets
+        as bitmasks: the orbit classes that classify_family compares
+        families against."""
         if self._family_classes is None:
             model = self.model
             reps = self.partition.reps
             R = model.ring_ideal()
             t_ideal = frobenius_overring_ideal(model)
             stable = [is_overring_stable(rep) for rep in reps]
-            canonical_ids = frozenset(
-                oid for oid, rep in enumerate(reps) if rep != R and not stable[oid]
+            canonical_ids = sum(
+                1 << oid for oid, rep in enumerate(reps) if rep != R and not stable[oid]
             )
-            dim2 = frozenset(
-                oid
+            dim2 = ~self.divisorial_ids & sum(
+                1 << oid
                 for oid, rep in enumerate(reps)
-                if rep.dim == t_ideal.dim + 1
-                and stable[oid]
-                and oid not in self.divisorial_ids
+                if rep.dim == t_ideal.dim + 1 and stable[oid]
             )
             self._family_classes = (canonical_ids, self.orbit_id(t_ideal), dim2)
         return self._family_classes
@@ -156,13 +162,16 @@ def workspace(model: RingModel, max_ideals=DEFAULT_MAX_IDEALS) -> RingWorkspace:
 
 
 class ClosureTable:
-    """pair (orbit i, orbit j) -> frozenset of orbit ids hit by normalized
-    translate-intersections normalize(rep_i meet u*t^k*rep_j)."""
+    """pair (orbit i, orbit j) -> bitmask of the orbit ids hit by normalized
+    translate-intersections normalize(rep_i meet u*t^k*rep_j); rules[i][j]
+    is the union of the (i, j) and (j, i) masks."""
 
-    __slots__ = ("pair_classes", "entry_count")
+    __slots__ = ("pair_classes", "rules", "entry_count")
 
-    def __init__(self, pair_classes, entry_count):
-        self.pair_classes = pair_classes
+    def __init__(self, pair, entry_count):
+        self.pair_classes = pair
+        n = max(pair)[0] + 1  # the keys are all pairs of 0..n-1
+        self.rules = [[pair[(i, j)] | pair[(j, i)] for j in range(n)] for i in range(n)]
         self.entry_count = entry_count
 
     @classmethod
@@ -223,22 +232,23 @@ class ClosureTable:
                         (rep_i, shifted, k, base, (rep_entries[i], rows, packed_base))
                         for shifted, k, base, rows, packed_base in distinct.values()
                     ]
-                pair[(i, j)] = frozenset(
-                    ws.orbit_id(normalized_translate_intersection(*call)) for call in calls
+                pair[(i, j)] = ws.family(
+                    normalized_translate_intersection(*call) for call in calls
                 )
                 entries += len(calls)
         return cls(pair, entries)
 
 
 class StarOperation:
-    """A star operation on the model, canonically the set of orbit ids of
-    its closed ideals. Equality is set equality over the same model."""
+    """A star operation on the model, canonically the bitmask of the orbit
+    ids of its closed ideals. Equality is family equality over the same
+    model."""
 
     __slots__ = ("ws", "closed", "_mask")
 
-    def __init__(self, ws: RingWorkspace, closed):
+    def __init__(self, ws: RingWorkspace, closed: int):
         self.ws = ws
-        self.closed = frozenset(closed)
+        self.closed = closed
         self._mask = None
 
     @property
@@ -250,14 +260,14 @@ class StarOperation:
         """Bitmask of the indices of the closed ideals of F_0."""
         if self._mask is None:
             oids = self.ws.partition.orbit_ids
-            self._mask = sum(1 << b for b, oid in enumerate(oids) if oid in self.closed)
+            self._mask = sum(1 << b for b, oid in enumerate(oids) if self.closed >> oid & 1)
         return self._mask
 
     def key(self):
-        return tuple(sorted(self.closed))
+        return tuple(oid for oid in range(self.closed.bit_length()) if self.closed >> oid & 1)
 
     def is_closed(self, ideal: RingIdeal) -> bool:
-        return self.ws.orbit_id(ideal) in self.closed
+        return bool(self.closed >> self.ws.orbit_id(ideal) & 1)
 
     def closed_ideals(self):
         mask = self.mask
@@ -287,13 +297,13 @@ class StarOperation:
         return hash((id(self.ws), self.closed))
 
     def __repr__(self):
-        return f"StarOperation(closed_orbits={sorted(self.closed)})"
+        return f"StarOperation(closed_orbits={list(self.key())})"
 
 
 def identity_star(model: RingModel) -> StarOperation:
     """d: every ideal is closed."""
     ws = workspace(model)
-    return StarOperation(ws, range(ws.partition.orbit_count))
+    return StarOperation(ws, (1 << ws.partition.orbit_count) - 1)
 
 
 def divisorial_star(model: RingModel) -> StarOperation:
@@ -308,14 +318,10 @@ def generated_star(ideal: RingIdeal) -> StarOperation:
     validated against the closure system; a failure indicates an engine bug
     rather than bad input."""
     ws = workspace(ideal.model)
-    closed = [
-        b
-        for b, J in enumerate(ws.ideals)
-        if ideal.colon(ideal.colon(J)).intersect(J.v_closure()) == J
-    ]
-    star = StarOperation(ws, (ws.partition.orbit_ids[b] for b in closed))
+    closed = [J for J in ws.ideals if ideal.colon(ideal.colon(J)).intersect(J.v_closure()) == J]
+    star = StarOperation(ws, ws.family(closed))
     # saturation: every orbit member of a closed ideal must be closed
-    if star.mask != sum(1 << b for b in closed):
+    if star.closed_ideals() != closed:
         raise InvariantError("generated star has an unsaturated closed family")
     if ws.close(star.closed) != star.closed:
         raise InvariantError("generated star family is not closure stable")
@@ -327,8 +333,7 @@ def induced_star(model: RingModel, ideals) -> StarOperation:
     generated stars): its closed family is the closure of theirs together
     with the base. An empty set yields the divisorial closure."""
     ws = workspace(model)
-    ids = frozenset(ws.orbit_id(I) for I in ideals)
-    return StarOperation(ws, ws.close(ids))
+    return StarOperation(ws, ws.close(ws.family(ideals)))
 
 
 def enumerate_stars(
@@ -336,39 +341,36 @@ def enumerate_stars(
     max_orbits: int | None = DEFAULT_MAX_ORBITS,
     max_ideals: int | None = DEFAULT_MAX_IDEALS,
 ):
-    """Every star operation on the model, by breadth-first seeded closure.
+    """Every star operation on the model, by Ganter's NextClosure.
 
-    Starting from the divisorial family, repeatedly add one absent orbit and
-    re-close; every closed family is reached this way because the closure
-    operator is monotone. Results are deduplicated by canonical family
-    encoding and returned sorted by (size, ids).
+    The closed families are walked in lectic order: the next one after A is
+    close(A below i, plus i) for the largest orbit i outside A whose closure
+    adds no orbit below i. Results are returned sorted by (size, ids).
     """
     ws = workspace(model, max_ideals)
-    if max_orbits is not None and ws.partition.orbit_count > max_orbits:
-        raise BudgetError(
-            f"{ws.partition.orbit_count} orbits exceed the cap {max_orbits}"
-        )
+    n = ws.partition.orbit_count
+    if max_orbits is not None and n > max_orbits:
+        raise BudgetError(f"{n} orbits exceed the cap {max_orbits}")
     if ws._stars is not None:
         return ws._stars
-    base = ws.close(frozenset())
-    if base != ws.divisorial_ids:
+    families = [ws.close(0)]
+    if families[0] != ws.divisorial_ids:
         raise InvariantError("closure of the empty family is not the divisorial family")
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for fam in frontier:
-            for oid in range(ws.partition.orbit_count):
-                if oid not in fam:
-                    bigger = ws.close(fam | {oid})
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        nxt.append(bigger)
-        frontier = nxt
-    families = sorted(seen, key=lambda f: (len(f), tuple(sorted(f))))
-    stars = tuple(StarOperation(ws, fam) for fam in families)
-    ws._stars = stars
-    return stars
+    while True:
+        fam = families[-1]
+        for i in reversed(range(n)):
+            below = (1 << i) - 1
+            if not fam >> i & 1:
+                nxt = ws.close(fam & below | 1 << i)
+                if nxt & below == fam & below:
+                    families.append(nxt)
+                    break
+        else:
+            break
+    stars = [StarOperation(ws, fam) for fam in families]
+    stars.sort(key=lambda star: (star.closed.bit_count(), star.key()))
+    ws._stars = tuple(stars)
+    return ws._stars
 
 
 def restrict_star(star: StarOperation, t_model: RingModel | None = None) -> StarOperation:
@@ -380,18 +382,16 @@ def restrict_star(star: StarOperation, t_model: RingModel | None = None) -> Star
     re-normalized over T's unit orbits.
     """
     ws = star.ws
-    model = ws.model
-    all_ids = frozenset(range(ws.partition.orbit_count))
-    if star.closed == all_ids or star.closed == ws.divisorial_ids:
+    if star.closed in ((1 << ws.partition.orbit_count) - 1, ws.divisorial_ids):
         raise InputError("restriction is defined away from d and v")
     if t_model is None:
-        t_model = frobenius_overring_model(model)
+        t_model = frobenius_overring_model(ws.model)
     t_ws = workspace(t_model)
-    t_family = set()
-    for ideal in star.closed_ideals():
-        if is_overring_stable(ideal):
-            t_family.add(t_ws.orbit_id(convert_to_overring(ideal, t_model)))
-    family = frozenset(t_family)
+    family = t_ws.family(
+        convert_to_overring(ideal, t_model)
+        for ideal in star.closed_ideals()
+        if is_overring_stable(ideal)
+    )
     if t_ws.close(family) != family:
         raise InvariantError("restricted family is not a valid star operation on T")
     return StarOperation(t_ws, family)
@@ -455,19 +455,19 @@ def verify_star_axioms(star: StarOperation, full_unit_sweep: bool = False):
 # classification of closed families for the n = 4 shape
 
 
-def classify_family(ws: RingWorkspace, family: frozenset) -> str:
+def classify_family(ws: RingWorkspace, family: int) -> str:
     """Human-readable tag for a closed family: the identity, the divisorial
     closure, everything-but-the-canonical-class, or a union of unit classes
     of 1-dim-over-T ideals together with T."""
-    all_ids = frozenset(range(ws.partition.orbit_count))
+    all_ids = (1 << ws.partition.orbit_count) - 1
     if family == all_ids:
         return "identity"
     if family == ws.divisorial_ids:
         return "divisorial"
     canonical_ids, t_oid, dim2 = ws.family_classes()
-    if family == all_ids - canonical_ids:
+    if family == all_ids & ~canonical_ids:
         return "all_but_canonical_class"
-    extra = family - ws.divisorial_ids
-    if t_oid in extra and extra - {t_oid} <= dim2:
+    extra = family & ~ws.divisorial_ids
+    if extra >> t_oid & 1 and not extra & ~dim2 & ~(1 << t_oid):
         return "unit_class_union_with_overring"
     return "other"

@@ -150,13 +150,14 @@ def test_bad_timeout_exit_2(capsys, value):
 
 def test_timeout_holds_under_jobs_2():
     # leaving the worker pool terminates its workers, so the deadline is not
-    # held up by the two enumerations; the untimed run takes over 40 s
+    # held up by the two enumerations; untimed, the closure table of R alone
+    # takes about a minute at q = 3
     src = os.path.dirname(os.path.dirname(starlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     started = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "starlab.cli", "kunz", "counterexample", "--gens", "5,6,7,9",
-         "--q", "2", "--timeout-s", "3", "--jobs", "2"],
+         "--q", "3", "--timeout-s", "3", "--jobs", "2"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr

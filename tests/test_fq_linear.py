@@ -241,13 +241,6 @@ def test_canon_representation_independent(data):
     assert Subspace.span(f, n, s.rows) == s
 
 
-def test_cut_keeps_high_valuation_rows():
-    f = field(2)
-    s = Subspace.span(f, 4, [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
-    assert s.cut(1).pivots == (1, 3)
-    assert s.cut(3).pivots == (3,)
-
-
 # ---------------------------------------------------------------------------
 # packed rows
 

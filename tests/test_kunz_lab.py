@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
 
+from starlab import kunz_lab
 from starlab.errors import GateError, InputError
+from starlab.fq_linear import enumerate_subspaces, field_from_order
 from starlab.kunz_lab import (
+    _least_element_of_valuation,
     family_semigroup,
     formula_check,
     hypothesis_gate,
@@ -18,7 +23,7 @@ from starlab.ring_model import (
     convert_to_overring,
     frobenius_overring_model,
 )
-from starlab.star_engine import divisorial_star, enumerate_stars
+from starlab.star_engine import divisorial_star, enumerate_stars, workspace
 
 
 def test_family_semigroup_members():
@@ -41,6 +46,14 @@ def test_counterexample_q2():
     report = verify_counterexample([4, 5, 7], 2)
     assert report.results["star_count"] == 19
     assert report.results["overring_star_count"] == 42
+    assert report.all_verified()
+
+
+def test_counterexample_5679_q2():
+    # the n = 5 member of the family, with T = <5,6,7,8,9>
+    report = verify_counterexample([5, 6, 7, 9], 2)
+    assert report.results["star_count"] == 711
+    assert report.results["overring_star_count"] == 15956
     assert report.all_verified()
 
 
@@ -68,6 +81,30 @@ def test_residue_family_members_are_enumerated_stars():
     all_keys = {s.key() for s in enumerate_stars(t_model)}
     for op in residue_star_family(r_model, t_model):
         assert op.key() in all_keys
+
+
+@pytest.mark.parametrize(
+    "q,n,cases",
+    [(2, 5, 1870), (3, 4, 848), (4, 3, 132), (5, 3, 192)],
+    ids=["q2", "q3", "q4", "q5"],
+)
+def test_least_element_of_valuation_matches_brute_force(q, n, cases):
+    # every (subspace, valuation) pair of F_q^n: the least of all q^dim
+    # elements with that valuation and leading coefficient 1, or None
+    fld = field_from_order(q)
+    seen = 0
+    for sub in enumerate_subspaces(n, fld):
+        elements = set()
+        for coeffs in itertools.product(range(q), repeat=len(sub.rows)):
+            vec = (0,) * n
+            for c, row in zip(coeffs, sub.rows):
+                vec = tuple(fld.add[a][fld.mul[c][b]] for a, b in zip(vec, row))
+            elements.add(vec)
+        for val in range(n):
+            hits = [v for v in elements if v[val] == 1 and not any(v[:val])]
+            assert _least_element_of_valuation(sub, val) == (min(hits) if hits else None)
+            seen += 1
+    assert seen == cases
 
 
 def test_residue_family_avoids_dual_of_maximal_ideal():
@@ -150,6 +187,20 @@ def test_formula_check_q2():
     assert report.all_verified()
     assert report.results["star_count"] == 19
     assert report.results["overring_star_count"] == 42
+
+
+def test_formula_check_dumps_families_on_a_mismatch(monkeypatch):
+    # a count off the closed form makes the report list every closed family
+    # by its ascending orbit ids, in enumeration order
+    monkeypatch.setattr(kunz_lab, "star_count", lambda *args: 0)
+    report = formula_check(2)
+    assert report.verdicts["ring_count_matches_formula"] == "failed"
+    ws = workspace(ring_model_for((4, 5, 7), 2))
+    n = ws.partition.orbit_count
+    families = report.results["closed_families"]
+    assert len(families) == 19
+    assert families[0] == [oid for oid in range(n) if ws.divisorial_ids >> oid & 1]
+    assert families[-1] == list(range(n))
 
 
 def test_formula_check_q3():

@@ -277,7 +277,7 @@ def test_normalize_translate_lands_in_f0(model457, ideals457):
     unit = (1, 1) + (0,) * 12
     for I in ideals457[:5]:
         for k in (0, 1, 3, 7):
-            shifted = I.translate(k, unit)
+            shifted = I.unit_image(unit).translate(k)
             res = normalized_translate_intersection(
                 model457.full_ideal(), shifted, k, I.unit_image(unit).sub
             )
@@ -289,7 +289,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     # the two results must be unit equivalent
     part = unit_orbits(ideals457)
     I = ideals457[5]
-    shifted = I.translate(1, None)
+    shifted = I.translate(1)
     meet = model457.ring_ideal().sub.intersect(shifted)
     res1 = normalize_subspace(model457, meet)
     # perturb: divide by (row0 + row1) instead
@@ -407,7 +407,7 @@ def test_translate_matches_span(model457, ideals457):
                 if u is not None:
                     assert subspace_unit_image(I.sub, u) == Subspace.span(fld, n, rows)
                 for k in range(model.sgp.frobenius + 2):
-                    shifted = I.translate(k, u)
+                    shifted = (I if u is None else I.unit_image(u)).translate(k)
                     ref = Subspace.span(fld, n, [series_shift(r, k) for r in rows])
                     assert shifted == ref
                     assert shifted.pivots == ref.pivots

@@ -1,4 +1,6 @@
+import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,8 @@ from starlab.ring_model import (
     semigroup_ring_model,
 )
 from starlab.star_engine import (
+    ClosureTable,
+    RingWorkspace,
     StarOperation,
     classify_family,
     divisorial_star,
@@ -146,8 +150,8 @@ def test_induced_star_closed_family_shape(m457, ws457):
         and not rep.is_divisorial()
     ]
     star = induced_star(m457, [dim2_reps[0]])
-    extra = star.closed - ws457.divisorial_ids
-    expected = {ws457.orbit_id(dim2_reps[0]), ws457.orbit_id(t_ideal)}
+    extra = star.closed & ~ws457.divisorial_ids
+    expected = 1 << ws457.orbit_id(dim2_reps[0]) | 1 << ws457.orbit_id(t_ideal)
     assert extra == expected
 
 
@@ -162,8 +166,8 @@ def test_enumerate_stars_345_is_3():
     t_oid = ws.orbit_id(frobenius_overring_ideal(m))
     keys = {s.closed for s in stars}
     assert ws.divisorial_ids in keys
-    assert frozenset(range(ws.partition.orbit_count)) in keys
-    assert (ws.divisorial_ids | {t_oid}) in keys
+    assert (1 << ws.partition.orbit_count) - 1 in keys
+    assert (ws.divisorial_ids | 1 << t_oid) in keys
 
 
 def test_enumerate_stars_357_is_4():
@@ -180,28 +184,88 @@ def test_enumerate_stars_overring_q2():
     assert len(enumerate_stars(m)) == 42
 
 
-def brute_force_family_count(ws):
+def ids_of(mask):
+    return {oid for oid in range(mask.bit_length()) if mask >> oid & 1}
+
+
+def brute_force_families(ws):
     """Independent oracle: filter all divisorial-containing orbit-id subsets
     through the closure table instead of expanding closures."""
     pair = ws.table().pair_classes
-    nondiv = [o for o in range(ws.partition.orbit_count) if o not in ws.divisorial_ids]
-    count = 0
+    div = ids_of(ws.divisorial_ids)
+    nondiv = [o for o in range(ws.partition.orbit_count) if o not in div]
+    families = set()
     for r in range(len(nondiv) + 1):
         for combo in itertools.combinations(nondiv, r):
-            fam = ws.divisorial_ids | frozenset(combo)
-            if all(pair[(i, j)] <= fam for i in fam for j in fam):
-                count += 1
-    return count
+            fam = div | set(combo)
+            if all(ids_of(pair[(i, j)]) <= fam for i in fam for j in fam):
+                families.add(sum(1 << oid for oid in fam))
+    return families
 
 
 def test_star_count_against_subset_oracle(ws457, stars457):
-    assert brute_force_family_count(ws457) == len(stars457)
+    assert sorted(s.closed for s in stars457) == sorted(brute_force_families(ws457))
 
 
 def test_star_count_subset_oracle_overring():
     m = semigroup_ring_model(semigroup([4, 5, 6, 7]), F2)
     stars = enumerate_stars(m)
-    assert brute_force_family_count(workspace(m)) == len(stars)
+    assert sorted(s.closed for s in stars) == sorted(brute_force_families(workspace(m)))
+    # the output order: by size, then by the ascending id tuples
+    keys = [s.key() for s in stars]
+    assert keys == sorted(keys, key=lambda key: (len(key), key))
+
+
+def test_star_families_subset_oracle_357_q3():
+    m = semigroup_ring_model(semigroup([3, 5, 7]), field_from_order(3))
+    stars = enumerate_stars(m)
+    assert sorted(s.closed for s in stars) == sorted(brute_force_families(workspace(m)))
+
+
+def reference_close(ws, ids):
+    """The set fixpoint: rescan every pair of members until nothing joins."""
+    pair = ws.table().pair_classes
+    fam = set(ids) | ids_of(ws.divisorial_ids)
+    changed = True
+    while changed:
+        changed = False
+        for i in list(fam):
+            for j in list(fam):
+                extra = ids_of(pair[(i, j)]) - fam
+                if extra:
+                    fam |= extra
+                    changed = True
+    return fam
+
+
+def test_close_fires_both_orders_and_self_pairs():
+    # a made-up table on 9 orbits, none divisorial, where each rule sits in
+    # one ordered pair only; close joins the higher orbit of a seed first
+    pair = {(i, j): 0 for i in range(9) for j in range(9)}
+    pair[(0, 0)] = 1 << 1
+    pair[(3, 2)] = 1 << 4
+    pair[(5, 6)] = 1 << 7 | 1 << 8
+    ws = SimpleNamespace(table=lambda: ClosureTable(pair, 0), divisorial_ids=0)
+    close = functools.partial(RingWorkspace.close, ws)
+    assert close(1 << 0) == 0b11
+    assert close(1 << 2 | 1 << 3) == 0b11100
+    assert close(1 << 5 | 1 << 6) == 0b111100000
+    assert close(1 << 5) == 1 << 5
+
+
+@pytest.mark.parametrize(
+    "gens,q",
+    [((4, 5, 7), 2), ((4, 5, 6, 7), 2), ((3, 5, 7), 3)],
+    ids=["457-q2", "4567-q2", "357-q3"],
+)
+def test_close_matches_set_fixpoint(gens, q):
+    # every seed of at most two orbits
+    ws = workspace(semigroup_ring_model(semigroup(list(gens)), field_from_order(q)))
+    n = ws.partition.orbit_count
+    for r in range(3):
+        for seed in itertools.combinations(range(n), r):
+            mask = ws.close(sum(1 << oid for oid in seed))
+            assert ids_of(mask) == reference_close(ws, seed)
 
 
 def _reference_normalize(model, sub):
@@ -284,11 +348,13 @@ def test_closure_table_matches_reference(gens, q):
                     assert tuple(pivots) == meet.pivots
                     m = meet.pivots[0]
                     if m > g + 1:
-                        meet = image.sub.cut(m - k)
+                        # the elements of t^k*u*rep_j of valuation >= m
+                        keep = [r for r, p in zip(image.sub.rows, image.sub.pivots) if p >= m - k]
+                        meet = Subspace(model.field, model.trunc, tuple(keep))
                     ref = _reference_normalize(model, meet)
                     assert normalized_translate_intersection(rep, shifted, k, image.sub) == ref
                     hits.add(ws.orbit_id(ref))
-            expected[(i, j)] = frozenset(hits)
+            expected[(i, j)] = sum(1 << oid for oid in hits)
     assert ws.table().pair_classes == expected
     # the table's normalize-memo keys are packed rows of A_N: nothing past
     # t^N survives a translate
@@ -376,7 +442,7 @@ def test_containment_order_and_closure_map(gens):
             assert bool(above[a] >> b & 1) == J.contains(I)
     for star in enumerate_stars(model):
         closed = star.closed_ideals()
-        assert [ws.orbit_id(J) in star.closed for J in ws.ideals] == [
+        assert [bool(star.closed >> ws.orbit_id(J) & 1) for J in ws.ideals] == [
             J in closed for J in ws.ideals
         ]
         for J in ws.ideals:
@@ -394,7 +460,7 @@ def _unstable_family(ws):
     for A, B in itertools.combinations(ws.ideals, 2):
         M = A.intersect(B)
         if M not in (A, B):
-            return M, frozenset(range(ws.partition.orbit_count)) - {ws.orbit_id(M)}
+            return M, (1 << ws.partition.orbit_count) - 1 & ~(1 << ws.orbit_id(M))
     raise AssertionError("the lattice is a chain")
 
 
@@ -404,7 +470,7 @@ def test_apply_rejects_a_family_that_is_not_intersection_stable(ws457, capsys, m
     with pytest.raises(InvariantError, match="closure map left the closed family"):
         star.apply(M)
     with pytest.raises(InvariantError, match="no closed ideal contains the argument"):
-        StarOperation(ws457, ()).apply(M)
+        StarOperation(ws457, 0).apply(M)
 
     # the CLI reports the fault as an engine error
     def broken(args):
