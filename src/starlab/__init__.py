@@ -12,10 +12,11 @@ finite fields.
 
 __version__ = "0.1.0"
 
-from .errors import BudgetError, GateError, InputError, InvariantError, StarlabError
+from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError, StarlabError
 
 __all__ = [
     "BudgetError",
+    "DeadlineError",
     "GateError",
     "InputError",
     "InvariantError",

@@ -8,7 +8,8 @@ only populated under --timings since wall-clock numbers are not reproducible.
 
 Exit codes: 0 all verdicts verified, 1 some verdict failed, 2 bad input,
 3 budget exceeded, 4 hypothesis gate failed, 5 engine error (an internal
-consistency check failed, which is a bug rather than a failed verdict).
+consistency check failed or an unexpected exception was raised, which is a
+bug rather than a failed verdict).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetError, GateError, InputError, InvariantError
+from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError
 from .kunz_lab import (
     formula_check,
     lab_report,
@@ -144,22 +145,6 @@ def cmd_ring_enum_stars(args):
     return inp, results, {}
 
 
-def _pool_runner(jobs):
-    def run(fn, kwargs_list):
-        if jobs <= 1 or len(kwargs_list) <= 1:
-            return [fn(**kw) for kw in kwargs_list]
-        import multiprocessing
-
-        workers = min(jobs, len(kwargs_list))
-        # leaving the block terminates the workers, so a deadline raised in
-        # the parent does not wait for them (forked workers hold no alarm)
-        with multiprocessing.Pool(workers) as pool:
-            pending = [pool.apply_async(fn, (), kw) for kw in kwargs_list]
-            return [p.get() for p in pending]
-
-    return run
-
-
 def cmd_kunz(args):
     sub = args.kunz_command
     modulus = args.field_poly
@@ -170,7 +155,7 @@ def cmd_kunz(args):
             args.q,
             max_ideals=args.max_ideals,
             max_orbits=args.max_orbits,
-            runner=_pool_runner(args.jobs),
+            jobs=args.jobs,
             modulus=modulus,
         )
     elif sub == "formula-check":
@@ -180,6 +165,7 @@ def cmd_kunz(args):
             max_ideals=args.max_ideals,
             max_orbits=args.max_orbits,
             modulus=modulus,
+            jobs=args.jobs,
         )
     elif sub == "lower-bound":
         if args.n is None:
@@ -256,15 +242,8 @@ def render_md(envelope) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 
-def _cache_key(inp, args):
-    payload = {
-        "engine": __version__,
-        "input": inp,
-        "max_ideals": args.max_ideals,
-        "max_orbits": args.max_orbits,
-        "field_poly": getattr(args, "field_poly", None),
-    }
-    blob = json.dumps(payload, sort_keys=True)
+def _cache_key(inp):
+    blob = json.dumps({"engine": __version__, "input": inp}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -331,7 +310,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add_common(p, gens=False, q=False, n=False):
+    def add_common(p, gens=False, q=False, n=False, ideals=True, orbits=False):
         if gens:
             p.add_argument("--gens", required=True, help="comma-separated generators")
         if q:
@@ -346,8 +325,11 @@ def build_parser():
             p.add_argument("--n", type=int, help="family parameter n")
         p.add_argument("--out", choices=("json", "csv", "md"), default="json")
         p.add_argument("--cache-dir", default=os.environ.get("STARLAB_CACHE_DIR"))
-        p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
-        p.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
+        # each command takes only the caps it honours
+        if ideals:
+            p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
+        if orbits:
+            p.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
         p.add_argument("--timeout-s", type=_seconds, default=0)
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument(
@@ -358,24 +340,24 @@ def build_parser():
 
     sgp = sub.add_parser("sgp").add_subparsers(dest="sgp_command", required=True)
     p = sgp.add_parser("info")
-    add_common(p, gens=True)
+    add_common(p, gens=True, ideals=False)
 
     ring = sub.add_parser("ring").add_subparsers(dest="ring_command", required=True)
     p = ring.add_parser("enum-ideals")
     add_common(p, gens=True, q=True)
     p = ring.add_parser("enum-stars")
-    add_common(p, gens=True, q=True)
+    add_common(p, gens=True, q=True, orbits=True)
 
     kunz = sub.add_parser("kunz").add_subparsers(dest="kunz_command", required=True)
-    for name, needs_gens, needs_n in (
-        ("counterexample", True, False),
-        ("formula-check", False, True),
-        ("lower-bound", False, True),
-        ("subspace-orbits", False, True),
-        ("lemmas", True, False),
+    for name, needs_gens, needs_n, caps_orbits in (
+        ("counterexample", True, False, True),
+        ("formula-check", False, True, True),
+        ("lower-bound", False, True, False),
+        ("subspace-orbits", False, True, False),
+        ("lemmas", True, False, False),
     ):
         p = kunz.add_parser(name)
-        add_common(p, gens=needs_gens, q=True, n=needs_n)
+        add_common(p, gens=needs_gens, q=True, n=needs_n, orbits=caps_orbits)
     return parser
 
 
@@ -397,7 +379,7 @@ def main(argv=None) -> int:
     old_handler = None
     if args.timeout_s:
         def _on_alarm(signum, frame):
-            raise BudgetError(f"wall clock budget of {args.timeout_s}s exceeded")
+            raise DeadlineError(f"wall clock budget of {args.timeout_s}s exceeded")
 
         old_handler = signal.signal(signal.SIGALRM, _on_alarm)
         signal.alarm(args.timeout_s)
@@ -414,7 +396,7 @@ def main(argv=None) -> int:
                     if k not in ("out", "cache_dir", "jobs", "timings", "timeout_s")
                 ),
             }
-            key = _cache_key(probe, args)
+            key = _cache_key(probe)
             cache_hit = _cache_load(args.cache_dir, key)
         if cache_hit is not None:
             inp, results, verdicts = (
@@ -447,6 +429,9 @@ def main(argv=None) -> int:
         return 4
     except InvariantError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        return 5
+    except Exception as exc:
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     finally:
         if args.timeout_s:

@@ -13,6 +13,10 @@ class BudgetError(StarlabError):
     """An enumeration would exceed its configured budget."""
 
 
+class DeadlineError(BudgetError):
+    """The wall-clock budget (--timeout-s) ran out: no further work may run."""
+
+
 class GateError(StarlabError):
     """A precondition gate (hypothesis check) failed for a requested run."""
 

@@ -654,12 +654,6 @@ class OrbitPartition:
     def orbit_sizes(self):
         return tuple(len(m) for m in self.members)
 
-    def orbit_of(self, item):
-        idx = self.index.get(item)
-        if idx is None:
-            raise InputError("item not part of the partitioned family")
-        return self.orbit_ids[idx]
-
     def witness(self, orbit_id, member: Subspace):
         """Unit u with u * rep == member (member must lie in the orbit)."""
         return self.image_maps[orbit_id][member]

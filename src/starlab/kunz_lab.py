@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BudgetError, GateError, InputError, InvariantError
+from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError
 from .fq_linear import (
     Subspace,
     count_subspaces,
@@ -30,11 +30,9 @@ from .numsgp import (
 from .ring_model import (
     RingIdeal,
     convert_to_overring,
-    enumerate_ideals,
     frobenius_overring_model,
     is_overring_stable,
     semigroup_ring_model,
-    unit_orbits,
 )
 from .star_engine import (
     DEFAULT_MAX_IDEALS,
@@ -63,18 +61,12 @@ class KunzReport:
 
 
 # ---------------------------------------------------------------------------
-# model pipeline (memoized per process)
-
-_MODEL_CACHE: dict = {}
+# model pipeline
 
 
 def ring_model_for(gens, q, modulus=None):
-    key = (tuple(gens), q, tuple(modulus) if modulus else None)
-    model = _MODEL_CACHE.get(key)
-    if model is None:
-        model = semigroup_ring_model(semigroup(gens), field_from_order(q, modulus))
-        _MODEL_CACHE[key] = model
-    return model
+    """The process's one model of K[[<gens>]] over F_q."""
+    return semigroup_ring_model(semigroup(gens), field_from_order(q, modulus))
 
 
 def star_count(
@@ -138,7 +130,7 @@ def _least_element_of_valuation(sub: Subspace, val: int):
     return None
 
 
-def residue_star_family(r_model, t_model=None):
+def residue_star_family(r_model):
     """q + 1 pairwise distinct star operations on T, none closing (R:M_R).
 
     The two witness valuations a, b come from the pseudo-Frobenius pair of
@@ -160,8 +152,7 @@ def residue_star_family(r_model, t_model=None):
     S = r_model.sgp
     if not is_pseudo_symmetric(S) or S.genus < 4:
         raise GateError("residue star family needs the counterexample hypotheses")
-    if t_model is None:
-        t_model = frobenius_overring_model(r_model)
+    t_model = frobenius_overring_model(r_model)
     t_ws = workspace(t_model)
     q = t_model.field.q
     a, b = pseudo_frobenius_pair(S)
@@ -240,14 +231,29 @@ def residue_star_family(r_model, t_model=None):
 # the counterexample verdict
 
 
+def _star_counts(gens_list, q, max_ideals, max_orbits, modulus, jobs):
+    """star_count of each generator list, in order; on up to `jobs` worker
+    processes when jobs > 1."""
+    calls = [(gens, q, max_ideals, max_orbits, modulus) for gens in gens_list]
+    if jobs <= 1:
+        return [star_count(*call) for call in calls]
+    import multiprocessing
+
+    # leaving the block terminates the workers, so a deadline raised in the
+    # parent does not wait for them (forked workers hold no alarm)
+    with multiprocessing.Pool(min(jobs, len(calls))) as pool:
+        pending = [pool.apply_async(star_count, call) for call in calls]
+        return [p.get() for p in pending]
+
+
 def verify_counterexample(
-    gens, q, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, runner=None, modulus=None
+    gens, q, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, jobs=1, modulus=None
 ) -> KunzReport:
     """1 < |Star(R)| < |Star(T)|, with the gap |Star(T)| - |Star(R)| >= q - 1.
 
-    The two enumerations are independent tasks; the optional runner maps a
-    function over argument tuples (possibly in parallel) and must preserve
-    order.
+    The two enumerations are independent and run on up to `jobs` processes.
+    A cap that skips them still certifies the bound of a family member; a
+    deadline skips that too.
     """
     require_gate(gens, q)
     S = semigroup(gens)
@@ -255,21 +261,16 @@ def verify_counterexample(
         input={"generators": list(S.generators), "q": q, "command": "counterexample"}
     )
     t_gens = list(S.adjoin_frobenius().generators)
-    run = runner if runner is not None else _sequential_runner
     try:
-        counts = run(
-            star_count,
-            [
-                {"gens": list(S.generators), "q": q, "max_ideals": max_ideals,
-                 "max_orbits": max_orbits, "modulus": modulus},
-                {"gens": t_gens, "q": q, "max_ideals": max_ideals,
-                 "max_orbits": max_orbits, "modulus": modulus},
-            ],
+        counts = _star_counts(
+            [list(S.generators), t_gens], q, max_ideals, max_orbits, modulus, jobs
         )
     except BudgetError as exc:
         report.results["budget_error"] = str(exc)
         report.verdicts["counterexample"] = "skipped(budget)"
-        _attach_certified_bound(report, S, q, max_ideals, modulus)
+        report.results["certified_lower_bound"] = None
+        if not isinstance(exc, DeadlineError):
+            _attach_certified_bound(report, S, q, max_ideals, modulus)
         return report
     n_r, n_t = counts
     report.results["star_count"] = n_r
@@ -281,14 +282,10 @@ def verify_counterexample(
     return report
 
 
-def _sequential_runner(fn, kwargs_list):
-    return [fn(**kw) for kw in kwargs_list]
-
-
 def _attach_certified_bound(report, S, q, max_ideals, modulus):
     """The family member's certified bound, under the run's own ideal budget
-    and modulus; None when S is no family member or the budget is exceeded."""
-    report.results["certified_lower_bound"] = None
+    and modulus; left None when S is no family member or the budget is
+    exceeded."""
     for n in range(3, 40):
         try:
             if family_semigroup(n) == S:
@@ -461,40 +458,33 @@ def lower_bound_certificate(
     )
     lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
     report.results["class_count"] = lab.class_count
-    ideals = enumerate_ideals(model, max_ideals)
-    stable = [I for I in ideals if is_overring_stable(I)]
+    ws = workspace(model, max_ideals)
+    stable = [I for I in ws.ideals if is_overring_stable(I)]
     expected_stable = count_subspaces(n - 1, q)
     report.results["overring_stable_ideals"] = len(stable)
     report.results["subspace_count_formula"] = expected_stable
     report.verdict("overring_stable_count", len(stable) == expected_stable)
 
-    known = set(ideals)
-    lifted_all = [_lift_lab_subspace(model, sub) for sub in lab.subspaces]
-    for L in lifted_all:
-        if L not in known:
-            raise InvariantError("lifted lab subspace escaped F_0")
-    part = unit_orbits(ideals)
-    # the lab partition must coincide with the ring partition under lifting
-    agree = True
-    for (i, a), (j, b) in itertools.combinations(enumerate(lifted_all), 2):
-        lab_same = lab.partition.orbit_ids[i] == lab.partition.orbit_ids[j]
-        ring_same = part.orbit_of(a) == part.orbit_of(b)
-        if lab_same != ring_same:
-            agree = False
+    # orbit_id raises InvariantError for a lift that escapes F_0
+    lifts = [_lift_lab_subspace(model, sub) for sub in lab.subspaces]
+    lab_ids = lab.partition.orbit_ids
+    ring_ids = [ws.orbit_id(L) for L in lifts]
+    # the lab partition must coincide with the ring partition under lifting:
+    # each lab class meets one ring class and each ring class one lab class
+    pairs = set(zip(lab_ids, ring_ids))
+    agree = len(pairs) == len(set(lab_ids)) == len(set(ring_ids))
     report.verdict("lab_partition_matches_ring_partition", agree)
 
-    reps = [
-        _lift_lab_subspace(model, rep) for rep in lab.representatives
-    ]
-    nondiv = all(not L.is_divisorial() for L in reps)
+    # the lifts of the lab's representatives, the least member of each class
+    reps = [(lifts[m[0]], ring_ids[m[0]]) for m in lab.partition.members]
+    nondiv = all(not L.is_divisorial() for L, _ in reps)
     report.verdict("representatives_nondivisorial", nondiv)
-    distinct = len({part.orbit_of(L) for L in reps}) == len(reps)
+    distinct = len({oid for _, oid in reps}) == len(reps)
     report.verdict("representatives_pairwise_inequivalent", distinct)
     absorbed = False
     pair_checks = 0
-    for a, b in itertools.permutations(reps, 2):
-        oid = part.orbit_of(a)
-        for image_head in part.image_maps[oid]:
+    for (_, oid), (b, _) in itertools.permutations(reps, 2):
+        for image_head in ws.partition.image_maps[oid]:
             pair_checks += 1
             if b.contains_subspace(image_head):
                 absorbed = True
@@ -648,19 +638,22 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
 
 
 def formula_check(
-    q, n: int = 4, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, modulus=None
+    q, n: int = 4, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, modulus=None,
+    jobs=1,
 ) -> KunzReport:
     """Exact enumeration against the closed forms 2^(2q) + 3 for the n = 4
-    family member and 2^(2q+1) + 2^(q+1) + 2 for its overring."""
+    family member and 2^(2q+1) + 2^(q+1) + 2 for its overring, the two on up
+    to `jobs` processes."""
     if n != 4:
         raise InputError("closed-form counts are only available for n = 4")
     S = family_semigroup(4)
     report = KunzReport(
         input={"n": n, "q": q, "generators": list(S.generators), "command": "formula-check"}
     )
-    n_r = star_count(tuple(S.generators), q, max_ideals, max_orbits, modulus)
-    t_gens = tuple(S.adjoin_frobenius().generators)
-    n_t = star_count(t_gens, q, max_ideals, max_orbits, modulus)
+    t_gens = S.adjoin_frobenius().generators
+    n_r, n_t = _star_counts(
+        [S.generators, t_gens], q, max_ideals, max_orbits, modulus, jobs
+    )
     report.results["star_count"] = n_r
     report.results["ring_formula"] = 2 ** (2 * q) + 3
     report.results["overring_star_count"] = n_t

@@ -54,53 +54,6 @@ class RingModel:
         rows = tuple(r[:h] for r in basis.rows[: len(pivots)])
         self._ring = RingIdeal(self, Subspace(field, h, rows, pivots))
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def semigroup_ring(cls, sgp: NumericalSemigroup, field) -> "RingModel":
-        if sgp.frobenius < 1:
-            raise InputError("value semigroup must have at least one gap")
-        g = sgp.frobenius
-        n = 2 * (g + 1)
-        rows = []
-        for s in range(n):
-            if sgp.contains(s):
-                row = [0] * n
-                row[s] = 1
-                rows.append(tuple(row))
-        basis = Subspace(field, n, tuple(rows))
-        return cls(field, sgp, n, basis)
-
-    @classmethod
-    def from_basis(cls, field, vectors, trunc: int | None = None) -> "RingModel":
-        """Generic subalgebra input: explicit basis vectors of a subalgebra
-        of A_N. Validates multiplicative closure, the presence of 1 and of
-        the full conductor block, and that the truncation is 2*(g+1) for the
-        value semigroup read off the pivots."""
-        vectors = [tuple(v) for v in vectors]
-        if not vectors:
-            raise InputError("empty basis")
-        n = trunc if trunc is not None else len(vectors[0])
-        sub = Subspace.span(field, n, vectors)
-        pivots = set(sub.pivots)
-        one = (1,) + (0,) * (n - 1)
-        if not sub.contains(one):
-            raise InputError("subalgebra must contain 1")
-        gap_candidates = [x for x in range(n) if x not in pivots]
-        if not gap_candidates:
-            raise InputError("subalgebra equals the full algebra; no gaps")
-        g = max(gap_candidates)
-        if n != 2 * (g + 1):
-            raise InputError(
-                f"truncation {n} must equal 2*(Frobenius+1) = {2 * (g + 1)}"
-            )
-        sgp = NumericalSemigroup.from_gaps(gap_candidates)
-        for i, u in enumerate(sub.rows):
-            for v in sub.rows[i:]:
-                if not sub.contains(series_mul(u, v, field)):
-                    raise InputError("basis does not span a multiplicatively closed space")
-        return cls(field, sgp, n, sub)
-
     # -- basic objects -----------------------------------------------------
 
     def monomial(self, k, c=1):
@@ -147,12 +100,59 @@ class RingModel:
         return f"RingModel(S={self.sgp.generators}, q={self.field.q}, N={self.trunc})"
 
 
-def semigroup_ring_model(sgp, field) -> RingModel:
-    return RingModel.semigroup_ring(sgp, field)
+# one model per ring: the factories below return the process's first model
+# of an equal field and basis, with its memos and workspace, whatever path
+# leads to it
+_MODELS: dict = {}
 
 
-def subalgebra_model(field, vectors, trunc=None) -> RingModel:
-    return RingModel.from_basis(field, vectors, trunc)
+def _shared(model: RingModel) -> RingModel:
+    return _MODELS.setdefault((model.field, model.basis.rows), model)
+
+
+def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
+    if sgp.frobenius < 1:
+        raise InputError("value semigroup must have at least one gap")
+    g = sgp.frobenius
+    n = 2 * (g + 1)
+    rows = []
+    for s in range(n):
+        if sgp.contains(s):
+            row = [0] * n
+            row[s] = 1
+            rows.append(tuple(row))
+    basis = Subspace(field, n, tuple(rows))
+    return _shared(RingModel(field, sgp, n, basis))
+
+
+def subalgebra_model(field, vectors, trunc: int | None = None) -> RingModel:
+    """Generic subalgebra input: explicit basis vectors of a subalgebra
+    of A_N. Validates multiplicative closure, the presence of 1 and of
+    the full conductor block, and that the truncation is 2*(g+1) for the
+    value semigroup read off the pivots."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        raise InputError("empty basis")
+    n = trunc if trunc is not None else len(vectors[0])
+    sub = Subspace.span(field, n, vectors)
+    pivots = set(sub.pivots)
+    one = (1,) + (0,) * (n - 1)
+    if not sub.contains(one):
+        raise InputError("subalgebra must contain 1")
+    gap_candidates = [x for x in range(n) if x not in pivots]
+    if not gap_candidates:
+        raise InputError("subalgebra equals the full algebra; no gaps")
+    g = max(gap_candidates)
+    if n != 2 * (g + 1):
+        raise InputError(
+            f"truncation {n} must equal 2*(Frobenius+1) = {2 * (g + 1)}"
+        )
+    sgp = NumericalSemigroup.from_gaps(gap_candidates)
+    for i, u in enumerate(sub.rows):
+        for v in sub.rows[i:]:
+            if not sub.contains(series_mul(u, v, field)):
+                raise InputError("basis does not span a multiplicatively closed space")
+    return _shared(RingModel(field, sgp, n, sub))
 
 
 class RingIdeal:
@@ -562,20 +562,18 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
 
 
 def frobenius_overring_model(model: RingModel) -> RingModel:
-    """T as a ring model in its own right, with its own (smaller) truncation."""
-    cached = model._cache.get("overring_model")
-    if cached is not None:
-        return cached
+    """T as a ring model in its own right, with its own (smaller) truncation:
+    the process's one model of T, shared with semigroup_ring_model of S with
+    g adjoined."""
     t_ideal = frobenius_overring_ideal(model)
     sgp_t = model.sgp.adjoin_frobenius()
     if sgp_t.frobenius < 1:
         raise InputError("overring has no gaps; nothing to model")
     n_t = 2 * (sgp_t.frobenius + 1)
     rows = [r[:n_t] for r in t_ideal.sub.rows if any(r[:n_t])]
-    t_model = RingModel.from_basis(model.field, rows, n_t)
+    t_model = subalgebra_model(model.field, rows, n_t)
     if t_model.sgp != sgp_t:
         raise InvariantError("overring value semigroup mismatch")
-    model._cache["overring_model"] = t_model
     return t_model
 
 
@@ -603,7 +601,7 @@ def is_overring_stable(ideal: RingIdeal) -> bool:
     return ideal.contains_subspace(ideal.translate(ideal.model.sgp.frobenius))
 
 
-def canonical_ideals(model: RingModel, ideals=None, verify: bool = True):
+def canonical_ideals(model: RingModel, ideals=None):
     """All I in F_0 other than R that T does not stabilize.
 
     Each returned ideal is checked to carry the canonical-ideal signature:
@@ -618,21 +616,17 @@ def canonical_ideals(model: RingModel, ideals=None, verify: bool = True):
         ideals = enumerate_ideals(model)
     R = model.ring_ideal()
     found = tuple(I for I in ideals if I != R and not is_overring_stable(I))
-    if verify:
-        g = model.sgp.frobenius
-        tau = model.sgp.tau
-        expected_low = tuple(
-            sorted(set(x for x in model.sgp.small_members()) | {tau})
-        )
-        for I in found:
-            low = tuple(p for p in I.value_set if p <= g)
-            if low != expected_low:
-                raise InvariantError(f"canonical candidate has value set {low}")
-            if g in I.value_set:
-                raise InvariantError("canonical candidate contains a valuation-g element")
-            for J in ideals:
-                if I.colon(I.colon(J)) != J:
-                    raise InvariantError("biduality failed for a canonical candidate")
+    g = model.sgp.frobenius
+    expected_low = tuple(sorted(set(model.sgp.small_members()) | {model.sgp.tau}))
+    for I in found:
+        low = tuple(p for p in I.value_set if p <= g)
+        if low != expected_low:
+            raise InvariantError(f"canonical candidate has value set {low}")
+        if g in I.value_set:
+            raise InvariantError("canonical candidate contains a valuation-g element")
+        for J in ideals:
+            if I.colon(I.colon(J)) != J:
+                raise InvariantError("biduality failed for a canonical candidate")
     return found
 
 

@@ -19,6 +19,8 @@ with the translates t^k*J.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import BudgetError, InputError, InvariantError
 from .fq_linear import unit_representatives
 from .ring_model import (
@@ -40,21 +42,26 @@ DEFAULT_MAX_ORBITS = 512
 
 
 class RingWorkspace:
-    """Shared per-model state: the ideal lattice, its orbit partition, the
-    divisorial base family, and (lazily) the closure table."""
+    """Shared per-model state: the ideal lattice, its orbit partition and,
+    lazily, the divisorial base family and the closure table."""
 
     def __init__(self, model: RingModel, max_ideals=DEFAULT_MAX_IDEALS):
         self.model = model
         self.ideals = enumerate_ideals(model, max_ideals)
         self.partition = unit_orbits(self.ideals)
-        self.divisorial_ids = sum(
-            1 << oid for oid, rep in enumerate(self.partition.reps) if rep.is_divisorial()
-        )
         self._above = None
         self._table = None
         self._stars = None
         self._unit_action = None
         self._family_classes = None
+
+    @cached_property
+    def divisorial_ids(self) -> int:
+        """Bitmask of the orbits of divisorial ideals, on first use: the
+        certificate and the lemma suite never read it."""
+        return sum(
+            1 << oid for oid, rep in enumerate(self.partition.reps) if rep.is_divisorial()
+        )
 
     def ideal_id(self, ideal: RingIdeal) -> int:
         idx = self.partition.index.get(ideal)
@@ -373,7 +380,7 @@ def enumerate_stars(
     return ws._stars
 
 
-def restrict_star(star: StarOperation, t_model: RingModel | None = None) -> StarOperation:
+def restrict_star(star: StarOperation) -> StarOperation:
     """Restriction of a star operation to the distinguished overring T.
 
     Defined away from the identity and the divisorial closure (those two are
@@ -384,8 +391,7 @@ def restrict_star(star: StarOperation, t_model: RingModel | None = None) -> Star
     ws = star.ws
     if star.closed in ((1 << ws.partition.orbit_count) - 1, ws.divisorial_ids):
         raise InputError("restriction is defined away from d and v")
-    if t_model is None:
-        t_model = frobenius_overring_model(ws.model)
+    t_model = frobenius_overring_model(ws.model)
     t_ws = workspace(t_model)
     family = t_ws.family(
         convert_to_overring(ideal, t_model)

@@ -136,7 +136,7 @@ def test_criterion_7_residue_star_family():
     for q in (2, 3):
         r_model = ring_model_for((4, 5, 7), q)
         t_model = frobenius_overring_model(r_model)
-        ops = residue_star_family(r_model, t_model)
+        ops = residue_star_family(r_model)
         R = r_model.ring_ideal()
         M = r_model.maximal_ideal()
         L = convert_to_overring(R.colon(M), t_model)
@@ -160,7 +160,7 @@ def test_criterion_8_restriction_structure():
     t_stars = enumerate_stars(t_model)
     d = identity_star(model)
     v = divisorial_star(model)
-    images = [restrict_star(s, t_model).key() for s in stars if s not in (d, v)]
+    images = [restrict_star(s).key() for s in stars if s not in (d, v)]
     injective = len(set(images)) == len(images)
     bounded = len(stars) <= len(t_stars) + 2
     valid = set(images) <= {s.key() for s in t_stars}

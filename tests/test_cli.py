@@ -203,6 +203,60 @@ def test_engine_error_exit_5(capsys, monkeypatch):
     assert out == ""
     assert err.splitlines() == ["engine error: closure map left the closed family"]
 
+    # any other exception is an engine error too, not the exit 1 of a
+    # failed verdict
+    def lookup(args):
+        return {}["stars"]
+
+    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), lookup)
+    code, out, err = run_cli(capsys, "sgp", "info", "--gens", "4,5,7")
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == ["engine error: KeyError: 'stars'"]
+
+
+def test_deadline_skips_the_certificate():
+    # a deadline ends the run: the family member's certificate is not
+    # computed after it, unlike under a --max-ideals cap
+    src = os.path.dirname(os.path.dirname(starlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "starlab.cli", "kunz", "counterexample",
+         "--gens", "6,7,8,9,11", "--q", "3", "--timeout-s", "2", "--jobs", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["verdicts"] == {"counterexample": "skipped(budget)"}
+    assert payload["results"]["certified_lower_bound"] is None
+    assert time.monotonic() - started < 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kunz", "lemmas", "--gens", "4,5,7", "--q", "2", "--max-orbits", "1"),
+        ("kunz", "lower-bound", "--n", "4", "--q", "2", "--max-orbits", "1"),
+        ("ring", "enum-ideals", "--gens", "4,5,7", "--q", "2", "--max-orbits", "1"),
+        ("sgp", "info", "--gens", "4,5,7", "--max-ideals", "1"),
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_unhonoured_cap_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_honoured_cap_is_accepted(capsys):
+    code, out, err = run_cli(
+        capsys, "ring", "enum-stars", "--gens", "4,5,7", "--q", "2", "--max-orbits", "1"
+    )
+    assert code == 3
+    assert "orbits exceed the cap 1" in err
+
 
 def test_csv_output(capsys):
     code, out, _ = run_cli(
@@ -224,15 +278,16 @@ def test_md_output(capsys):
 
 
 def test_jobs_do_not_change_bytes(capsys):
-    outputs = set()
-    for jobs in ("1", "2", "4"):
-        code, out, _ = run_cli(
-            capsys,
-            "kunz", "counterexample", "--gens", "4,5,7", "--q", "2", "--jobs", jobs,
-        )
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+    for argv in (
+        ("kunz", "counterexample", "--gens", "4,5,7", "--q", "2"),
+        ("kunz", "formula-check", "--q", "2"),
+    ):
+        outputs = set()
+        for jobs in ("1", "2", "4"):
+            code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
 
 
 def test_cache_roundtrip(tmp_path, capsys):

@@ -14,6 +14,7 @@ from starlab.fq_linear import (
     series_shift,
     subspace_unit_image,
 )
+from starlab.kunz_lab import ring_model_for
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     RingIdeal,
@@ -30,6 +31,7 @@ from starlab.ring_model import (
     subalgebra_model,
     unit_orbits,
 )
+from starlab.star_engine import workspace
 
 F2 = field(2)
 F3 = field(3)
@@ -94,6 +96,14 @@ def test_generic_subalgebra_roundtrip(model457):
     rebuilt = subalgebra_model(F2, model457.basis.rows, model457.trunc)
     assert rebuilt.sgp == model457.sgp
     assert rebuilt.basis == model457.basis
+    assert rebuilt is model457
+
+
+def test_one_model_per_ring():
+    # redundant or reordered generators, and a modulus equal to the default
+    # one, reach the same model
+    assert ring_model_for((7, 5, 4, 8), 2) is ring_model_for((4, 5, 7), 2)
+    assert ring_model_for((3, 5, 7), 4, (1, 1, 1)) is ring_model_for((3, 5, 7), 4)
 
 
 def test_generic_subalgebra_rejects_non_closed():
@@ -115,6 +125,7 @@ def test_overring_model_equals_full_semigroup_ring(model457):
     assert t_model.sgp == direct.sgp
     assert t_model.basis == direct.basis
     assert t_model.trunc == 8
+    assert t_model is direct
 
 
 def test_enumerate_ideals_23():
@@ -287,7 +298,7 @@ def test_normalize_translate_lands_in_f0(model457, ideals457):
 def test_normalize_is_orbit_well_defined(model457, ideals457):
     # divide by the canonical minimal-valuation row versus a perturbed one:
     # the two results must be unit equivalent
-    part = unit_orbits(ideals457)
+    ws = workspace(model457)
     I = ideals457[5]
     shifted = I.translate(1)
     meet = model457.ring_ideal().sub.intersect(shifted)
@@ -302,14 +313,14 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     alt_rows = [series_shift_down(series_mul(inv, r, F2), m) for r in rows]
     alt_rows += list(model457.conductor_rows())
     res2 = ideal_from_full(model457, Subspace.span(F2, 14, alt_rows))
-    assert part.orbit_of(res1) == part.orbit_of(res2)
+    assert ws.orbit_id(res1) == ws.orbit_id(res2)
 
 
 def test_unit_orbit_examples(model457, ideals457):
-    part = unit_orbits(ideals457)
+    ws = workspace(model457)
     R = model457.ring_ideal()
-    r_orbit = part.orbit_of(R)
-    assert part.members[r_orbit] == (ideals457.index(R),)
+    r_orbit = ws.orbit_id(R)
+    assert ws.partition.members[r_orbit] == (ideals457.index(R),)
     # overring-stable ideals of head type 2 (dimension 2 over T) split into
     # 2q = 4 classes; the head-3 ones form a single class
     t_ideal = frobenius_overring_ideal(model457)
@@ -327,7 +338,7 @@ def test_unit_orbit_examples(model457, ideals457):
         if is_overring_stable(I) and head_type(I) == 2 and tau not in I.value_set
     ]
     assert len(two_dim) == 6
-    orbits2 = {part.orbit_of(I) for I in two_dim}
+    orbits2 = {ws.orbit_id(I) for I in two_dim}
     assert len(orbits2) == 4
     three_dim = [
         I
@@ -335,13 +346,13 @@ def test_unit_orbit_examples(model457, ideals457):
         if is_overring_stable(I) and head_type(I) == 3 and tau not in I.value_set
     ]
     assert len(three_dim) == 4
-    assert len({part.orbit_of(I) for I in three_dim}) == 1
+    assert len({ws.orbit_id(I) for I in three_dim}) == 1
 
 
 def test_canonical_ideals_form_one_orbit(model457, ideals457):
-    part = unit_orbits(ideals457)
+    ws = workspace(model457)
     canon = canonical_ideals(model457, ideals457)
-    assert len({part.orbit_of(I) for I in canon}) == 1
+    assert len({ws.orbit_id(I) for I in canon}) == 1
 
 
 def test_orbit_partition_is_deterministic(model457, ideals457):
@@ -423,6 +434,8 @@ def test_overring_sweep_rejects_a_bad_valuation_g_element(monkeypatch):
         monomial, span_ideal = model.monomial, model.span_ideal
         adjoined = monomial(g) if bad == "inside R" else monomial(3)
         with monkeypatch.context() as patch:
+            # the model is shared, so its overring memo may already hold T
+            patch.setattr(model, "_cache", {})
             patch.setattr(model, "span_ideal", lambda vs: span_ideal(vs[:-1] + [adjoined]))
             if bad == "inside R":
                 zero = (0,) * model.trunc

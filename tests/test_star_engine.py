@@ -408,7 +408,7 @@ def test_restriction_injective_and_bounded(m457, stars457):
     for star in stars457:
         if star in (d, v):
             continue
-        restricted = restrict_star(star, t_model)
+        restricted = restrict_star(star)
         images.add(restricted.key())
     assert len(images) == len(stars457) - 2
     t_keys = {s.key() for s in t_stars}
