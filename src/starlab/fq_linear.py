@@ -4,8 +4,9 @@ Fields are table driven: elements are integer codes 0..q-1 (base-p digits of
 the residue polynomial for extension fields) and the add/mul tables are built
 once on construction, so everything downstream is pure table lookup.
 Subspaces of K^n are kept in reduced row echelon form, which makes equality,
-hashing and orbit bookkeeping structural. The closure table's hot path works
-on the same rows packed into Python ints by the field's `packing` (packed.py).
+hashing and orbit bookkeeping structural. The closure table's hot path and
+the colon work on the same rows packed into Python ints by the field's
+`packing` (packed.py).
 
 The same vectors double as the truncated algebra A_N = K[t]/(t^N): an element
 is a coefficient tuple (c_0, ..., c_{N-1}) and its valuation is the index of
@@ -224,7 +225,8 @@ class Field:
     @cached_property
     def packing(self):
         """The one packed layout of vectors over this field (packed.py)."""
-        # imported on first use: only the closure table packs rows
+        # imported on first use: the closure table and the colon pack rows,
+        # and a run that needs neither never loads packed.py
         from .packed import packing_for
 
         return packing_for(self)
@@ -476,39 +478,62 @@ class Subspace:
         return f"Subspace(dim={self.dim}, pivots={self.pivots})"
 
 
-def _kernel(constraint_rows, n, fld):
-    """Basis of {a in F^n : M a = 0} for the matrix with the given rows."""
-    reduced, pivots = rref(constraint_rows, fld)
-    basis = []
-    neg = fld.neg
-    for f in range(n):
-        if f in pivots:
-            continue
-        vec = [0] * n
-        vec[f] = 1
-        for r, p in zip(reduced, pivots):
-            vec[p] = neg[r[f]]
-        basis.append(tuple(vec))
-    return basis
-
-
-def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
+def subspace_colon(a: Subspace, b: Subspace, packed=None) -> Subspace:
     """(a : b), all x in K[t]/(t^n) with x*b inside a, products truncated
-    at t^n.
+    at t^n. `packed` is the pair of a's packed rows as elimination entries
+    (`Packing.entry`) and b's packed rows, packed here when not given.
 
     Each row r of b with pivot p contributes, for every shift t^i*r with
     i < n - p, the residual of t^i*r against a; x lies in the colon exactly
-    when sum_i x_i * residual_i vanishes, a linear system in n unknowns.
-    Shifts with i >= n - p vanish and constrain nothing.
+    when sum_i x_i * residual_i vanishes for every r. Shifts with i >= n - p
+    vanish and constrain nothing. On packed rows (packed.py), unknown i gets
+    the block of the residuals of all rows side by side, n columns each,
+    tagged with e_i in the columns above. Forward elimination, last unknown
+    first, keeps the blocks whose residuals do not cancel. Each block that
+    cancels, or has none, leaves its tag: e_i plus unknowns of kept blocks
+    only, so the tags are the colon's rows in reduced echelon form.
     """
-    fld = a.field
+    if a.ambient != b.ambient:
+        raise InputError("ambient dimension mismatch")
+    kern = a.field.packing
     n = a.ambient
-    constraints = []
-    for r, p in zip(b.rows, b.pivots):
-        residuals = [a.reduce((0,) * i + r[: n - i]) for i in range(n - p)]
-        residuals += [(0,) * n] * p
-        constraints.extend(row for row in zip(*residuals) if any(row))
-    return Subspace(fld, n, *rref(_kernel(constraints, n, fld), fld))
+    if packed is None:
+        packed = (tuple(map(kern.entry, a.pivots, map(kern.pack, a.rows))), map(kern.pack, b.rows))
+    entries, divisors = packed
+    add, reduce, shift, truncate = kern.add, kern.reduce, kern.shift, kern.truncate
+    support = kern.support
+    blocks = [None] * n
+    for k, (p, r) in enumerate(zip(b.pivots, divisors)):
+        for i in range(n - p):
+            residual = reduce(truncate(shift(r, i), n), entries)
+            if support(residual):
+                residual = shift(residual, k * n)
+                blocks[i] = residual if blocks[i] is None else add(blocks[i], residual)
+    one = kern.pack((1,))
+    wide = n * b.dim
+    # the forward elimination's entries and their pivots, by pivot, and the
+    # colon's rows and pivots
+    pivots, live = [], []
+    rows, colon_pivots = [], []
+    for i in range(n - 1, -1, -1):
+        v = blocks[i]
+        if v is None:
+            v = shift(one, i)
+        else:
+            v = reduce(add(v, shift(one, wide + i)), live)
+            if support(truncate(v, wide)):
+                c = kern.pivot(v)
+                x = kern.coef(v, c)
+                if x != 1:
+                    v = kern.scale(a.field.inv[x], v)
+                j = bisect_left(pivots, c)
+                pivots.insert(j, c)
+                live.insert(j, kern.entry(c, v))
+                continue
+            v = kern.unshift(v, wide)
+        rows.append(kern.unpack(v, n))
+        colon_pivots.append(i)
+    return Subspace(a.field, n, tuple(rows[::-1]), tuple(colon_pivots[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,22 @@ def _lift_lab_subspace(model, sub: Subspace) -> RingIdeal:
 # structural lemma suite
 
 
+def unit_translate_criterion(ws, pool) -> dict:
+    """{(jx, ix): whether some unit sends pool[ix] inside pool[jx]}, for
+    ideals of the workspace's F_0. The unit images of I are those of its
+    orbit's representative, so each J is tested once per orbit."""
+    part = ws.partition
+    orbit_ids = [ws.orbit_id(I) for I in pool]
+    out = {}
+    for jx, J in enumerate(pool):
+        hit = {
+            oid: any(J.contains_subspace(img) for img in part.image_maps[oid])
+            for oid in set(orbit_ids)
+        }
+        out.update(((jx, ix), hit[oid]) for ix, oid in enumerate(orbit_ids))
+    return out
+
+
 def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> KunzReport:
     """Exhaustive verification of the structural facts the lab leans on:
     the length identity, the four-way detection of ideals moved by T, colon
@@ -581,11 +597,9 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
 
         # pairwise closure criterion: I^{star_J} = (J:(J:I)) meet I^v equals
         # I exactly when some valuation-0 unit sends I inside J
-        part = ws.partition
         pool = [I for I in stable if not I.is_divisorial()]
-        pool_ids = [ws.orbit_id(I) for I in pool]
+        unit_criterion = unit_translate_criterion(ws, pool)
         images = {}
-        unit_criterion = {}
         ok_pair = True
         ok_step = True
         for jx, J in enumerate(pool):
@@ -594,12 +608,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
                 images[(jx, ix)] = image
                 if image != I and image != I.v_closure():
                     ok_step = False
-                contained = any(
-                    J.contains_subspace(img)
-                    for img in part.image_maps[pool_ids[ix]]
-                )
-                unit_criterion[(jx, ix)] = contained
-                if (image == I) != contained:
+                if (image == I) != unit_criterion[(jx, ix)]:
                     ok_pair = False
         report.verdict("closure_by_unit_translate", ok_pair)
         report.verdict("closure_one_step_below_v", ok_step)

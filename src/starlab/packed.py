@@ -2,11 +2,12 @@
 
 Column j of a vector sits in the j-th slot of a fixed number of bits, so
 multiplying by t^k is a shift and the lowest nonzero slot is the pivot. Each
-field has one layout, chosen by `packing_for`: F_3 is bitsliced into a pair
-of masks (Boothby and Bradshaw, "Bitslicing and the method of four Russians
-over larger finite fields"), and every other field adds its base-p digits
-slot by slot with a guard bit. Scalar multiples of a row come from the
-field's tables.
+field has one layout, chosen by `packing_for`: F_2 is a bit mask added by
+XOR, F_3 is bitsliced into a pair of masks (Boothby and Bradshaw,
+"Bitslicing and the method of four Russians over larger finite fields"),
+and every other field adds its base-p digits slot by slot with a guard bit.
+The closure table's meets and normalizations and the colon work on these
+vectors.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from bisect import bisect_left
 class Packing:
     """Vectors of K^n, column j in the j-th slot of `width` bits. A slot
     holds the e base-p digits of its code, each in `digit_bits` bits.
-    Subclasses fix addition; scalar multiples come from the field tables.
-
-    `reduce` and `echelon` work on entries (pivot, row, multiples) of rows
-    in reduced echelon form, whose negated multiples -(c * row) are taken
-    from the tables on first use.
+    Each layout fixes `add`, `scale` and `reduce`, which eliminates along
+    the rows of a reduced echelon form given as `entry` tuples shaped for
+    it; `echelon` is built on these.
     """
 
-    def __init__(self, fld, digit_bits):
+    def __init__(self, fld, digit_bits=1):
         self.field = fld
         self.digit_bits = digit_bits
         self.width = digit_bits * fld.e
@@ -64,26 +63,6 @@ class Packing:
     def truncate(self, v, n):
         return v & (1 << n * self.width) - 1
 
-    def scale(self, c, v):
-        mc = self.field.mul[c]
-        n = -(-self.support(v).bit_length() // self.width)
-        return self.pack([mc[x] for x in self.unpack(v, n)])
-
-    def entry(self, p, row):
-        return (p, row, [None] * self.field.q)
-
-    def reduce(self, v, entries):
-        """v minus its coefficient at each pivot times that pivot's row."""
-        neg = self.field.neg
-        for p, row, multiples in entries:
-            c = self.coef(v, p)
-            if c:
-                m = multiples[c]
-                if m is None:
-                    m = multiples[c] = self.scale(neg[c], row)
-                v = self.add(v, m)
-        return v
-
     def echelon(self, vectors):
         """Gauss–Jordan on packed vectors: the rows of the reduced echelon
         form of their span and the rows' pivots, both as lists."""
@@ -109,12 +88,29 @@ class Packing:
         return rows, pivots
 
 
+class Gf2Packing(Packing):
+    """F_2: a vector is the mask of its nonzero columns, so addition is XOR
+    and the only nonzero multiple of a row is the row."""
+
+    def add(self, a, b):
+        return a ^ b
+
+    def scale(self, c, v):
+        return v if c else 0
+
+    def entry(self, p, row):
+        return (1 << p, row)
+
+    def reduce(self, v, entries):
+        for bit, row in entries:
+            if v & bit:
+                v ^= row
+        return v
+
+
 class Gf3Packing(Packing):
     """F_3, bitsliced: a vector is the pair (pos, neg) of the masks of its
     columns equal to 1 and to 2 = -1, so negating swaps the masks."""
-
-    def __init__(self, fld):
-        super().__init__(fld, 1)
 
     def pack(self, row):
         pos = neg = 0
@@ -170,24 +166,47 @@ class Gf3Packing(Packing):
 
 
 class SwarPacking(Packing):
-    """Any field but F_3: each base-p digit in a slot of b bits, where
+    """Any field but F_2 and F_3: each base-p digit in a slot of b bits, where
     2^(b-1) > 2(p-1), so a digitwise sum fits below the slot's top (guard)
     bit. Adding (2^(b-1) - p) to every digit sets the guard bit exactly
-    where the sum reached p, and p is taken off there."""
+    where the sum reached p, and p is taken off there.
+
+    Multiplying by c is F_p-linear on the e digits of a slot: digit d of
+    c * x is the sum over k of m_dk * x_k, where m_dk is digit d of
+    c * p^k. So c * v is a sum of the k-th digits of all slots moved to
+    digit d, each added m_dk times by doubling, and nothing is unpacked.
+    Terms with the same move d - k and the same m_dk share one mask."""
 
     def __init__(self, fld):
         b = (2 * (fld.p - 1)).bit_length() + 1
         super().__init__(fld, b)
+        p, e = fld.p, fld.e
+        # per c, the digits k by (move in bits, bits of m_dk after its leading 1)
+        self._groups = []
+        for c in range(fld.q):
+            groups = {}
+            for k in range(e):
+                for d in range(e):
+                    m = fld.mul[c][p**k] // p**d % p
+                    if m:
+                        groups.setdefault(((d - k) * b, bin(m)[3:]), []).append(k)
+            self._groups.append(groups)
         self._bits = 0
         self._grow(64 * self.width)
 
     def _grow(self, bits):
-        b, p = self.digit_bits, self.field.p
-        digits = -(-bits // b)
+        b, p, w, e = self.digit_bits, self.field.p, self.width, self.field.e
+        digits = -(-bits // w) * e
         ones = sum(1 << d * b for d in range(digits))
         self._bits = digits * b
         self._offset = ((1 << b - 1) - p) * ones
         self._guard = (1 << b - 1) * ones
+        slots = sum(1 << j * w for j in range(digits // e))
+        digit = [((1 << b) - 1 << k * b) * slots for k in range(e)]
+        self._terms = [
+            [(sum(digit[k] for k in ks), move, chain) for (move, chain), ks in groups.items()]
+            for groups in self._groups
+        ]
 
     def add(self, a, b):
         s = a + b
@@ -196,9 +215,49 @@ class SwarPacking(Packing):
         over = (s + self._offset) & self._guard
         return s - (over >> self.digit_bits - 1) * self.field.p
 
+    def entry(self, p, row):
+        # the pivot's bit offset, the row and its negated multiples
+        # -(c * row), scaled on first use
+        return (p * self.width, row, [None] * self.field.q)
+
+    def reduce(self, v, entries):
+        """v minus its coefficient at each pivot times that pivot's row;
+        `add`, inlined."""
+        mask, code, neg, p = self.slot_mask, self.slot_code, self.field.neg, self.field.p
+        top = self.digit_bits - 1
+        for s, row, multiples in entries:
+            c = code[v >> s & mask]
+            if c:
+                m = multiples[c]
+                if m is None:
+                    m = multiples[c] = self.scale(neg[c], row)
+                v += m
+                if v >> self._bits:
+                    self._grow(v.bit_length())
+                v -= (((v + self._offset) & self._guard) >> top) * p
+        return v
+
+    def scale(self, c, v):
+        if v >> self._bits:
+            self._grow(v.bit_length())
+        out = 0
+        for mask, move, chain in self._terms[c]:
+            part = v & mask
+            if move:
+                part = part << move if move > 0 else part >> -move
+            term = part
+            for bit in chain:  # the bits of m_dk after the leading 1
+                term = self.add(term, term)
+                if bit == "1":
+                    term = self.add(term, part)
+            out = self.add(out, term) if out else term
+        return out
+
 
 def packing_for(fld) -> Packing:
     """The one packed layout of vectors over fld."""
+    if fld.q == 2:
+        return Gf2Packing(fld)
     if fld.q == 3:
         return Gf3Packing(fld)
     return SwarPacking(fld)

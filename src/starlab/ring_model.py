@@ -259,7 +259,9 @@ class RingIdeal:
         key = (self.head.rows, other.head.rows)
         cached = memo.get(key)
         if cached is None:
-            cached = memo[key] = _shared_ideal(model, subspace_colon(self.head, other.head))
+            packed = (packed_head(model, self.head)[1], packed_head(model, other.head)[0])
+            colon = subspace_colon(self.head, other.head, packed)
+            cached = memo[key] = _shared_ideal(model, colon)
         return cached
 
     def v_closure(self) -> "RingIdeal":
@@ -324,16 +326,23 @@ def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
     return ideal
 
 
-def head_entries(head: Subspace):
-    """The rows of an ideal's head packed by the field (packed.py), as the
-    elimination entries that `_packed_meet` reduces against."""
-    kern = head.field.packing
-    return tuple(map(kern.entry, head.pivots, map(kern.pack, head.rows)))
+def packed_head(model: RingModel, head: Subspace):
+    """The rows of an ideal's head packed by the field (packed.py), and
+    their elimination entries, which `_packed_meet` and the colon reduce
+    against. Memoized per model on the head's rows, so the negated
+    multiples that an entry scales on first use are scaled once."""
+    memo = model._cache.setdefault("packed_heads", {})
+    packed = memo.get(head.rows)
+    if packed is None:
+        kern = model.field.packing
+        rows = tuple(map(kern.pack, head.rows))
+        packed = memo[head.rows] = (rows, tuple(map(kern.entry, head.pivots, rows)))
+    return packed
 
 
 def _packed_meet(model: RingModel, entries, rows, pivots):
     """The packed rows and pivots, as tuples, of the intersection of the
-    model's ideal whose head has these `head_entries` with a subspace of
+    model's ideal whose head has these entries (`packed_head`) with a subspace of
     A_N, given by its packed rows and their pivots; None when the subspace
     lies inside the ideal.
 
@@ -427,14 +436,14 @@ def normalized_translate_intersection(
     may be a unit image of a member of F_0.
 
     The work reads packed rows: `packed` is the triple of the ideal's
-    `head_entries` and the packed rows of shifted and of base, tuples,
+    entries (`packed_head`) and the packed rows of shifted and of base, tuples,
     packed here when not given.
     """
     model = ideal.model
     if packed is None:
         pack = model.field.packing.pack
         packed = (
-            head_entries(ideal.head),
+            packed_head(model, ideal.head)[1],
             tuple(map(pack, shifted.rows)),
             tuple(map(pack, base.rows)),
         )

@@ -32,9 +32,9 @@ from .ring_model import (
     frobenius_overring_ideal,
     frobenius_overring_model,
     convert_to_overring,
-    head_entries,
     is_overring_stable,
     normalized_translate_intersection,
+    packed_head,
     unit_orbits,
 )
 
@@ -195,9 +195,9 @@ class ClosureTable:
         sizes = [len(images) for images in part.image_maps]
         # the packed heads of the representatives and, for the smaller-orbit
         # loop below, of their images
-        rep_entries = [head_entries(rep.head) for rep in part.reps]
+        rep_entries = [packed_head(model, rep.head)[1] for rep in part.reps]
         images = [
-            [(RingIdeal(model, head), head_entries(head)) for head in heads]
+            [(RingIdeal(model, head), packed_head(model, head)[1]) for head in heads]
             for heads in part.image_maps
         ]
 

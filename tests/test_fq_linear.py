@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import starlab.fq_linear as fq_linear
-from starlab import cli
+from starlab import cli, packed
 from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
@@ -280,6 +281,25 @@ def test_packed_rows_agree_with_tuple_rows(fld, data):
     assert kern.unpack(kern.reduce(pa, entries), n) == sub.reduce(a)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_one_layout_per_field(q):
+    # the XOR mask serves F_2 only: F_4 and F_8 keep the digit slots
+    kern = field_from_order(q).packing
+    layout = {2: packed.Gf2Packing, 3: packed.Gf3Packing}.get(q, packed.SwarPacking)
+    assert type(kern) is layout
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_swar_scale_past_the_initial_masks(p):
+    # the add chains of a prime field's scale grow the masks on demand
+    fld = field(p)
+    kern = fld.packing
+    n = 300
+    a = tuple((3 * j + 1) % p for j in range(n))
+    for c in range(p):
+        assert kern.unpack(kern.scale(c, kern.pack(a)), n) == tuple(fld.mul[c][x] for x in a)
+
+
 def test_packed_sums_past_the_initial_masks():
     # the digit slots of odd characteristic grow their masks on demand
     fld = field(5)
@@ -289,6 +309,67 @@ def test_packed_sums_past_the_initial_masks():
     b = tuple((j * j + 4) % 5 for j in range(n))
     total = kern.add(kern.pack(a), kern.pack(b))
     assert kern.unpack(total, n) == tuple(fld.add[x][y] for x, y in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# colon
+
+
+def _elements(sub):
+    """Every vector of a subspace, as a set."""
+    fld, n = sub.field, sub.ambient
+    out = set()
+    for coeffs in itertools.product(range(fld.q), repeat=sub.dim):
+        v = (0,) * n
+        for c, r in zip(coeffs, sub.rows):
+            v = tuple(fld.add[x][fld.mul[c][y]] for x, y in zip(v, r))
+        out.add(v)
+    return out
+
+
+def _colon_cases(fld, n):
+    """Pairs (a, b): the zero and the full space against each other and
+    against random spans, which are mostly not closed under t, and pairs of
+    random spans."""
+    rng = random.Random(fld.q * 100 + n)
+    spans = [
+        Subspace.span(fld, n, [tuple(rng.randrange(fld.q) for _ in range(n)) for _ in range(d)])
+        for d in (1, n // 2, n - 1)
+    ]
+    zero, full = Subspace.span(fld, n, []), Subspace.full(fld, n)
+    cases = [(zero, zero), (zero, full), (full, zero), (full, full)]
+    cases += [(s, t) for s in spans for t in (zero, full)] + [(zero, spans[1]), (full, spans[1])]
+    cases += [(s, t) for s in spans for t in spans]
+    return cases
+
+
+@pytest.mark.parametrize("fld", PACKED_FIELDS, ids=["q2", "q3", "q4", "q5", "q9", "f8"])
+def test_colon_matches_brute_force(fld):
+    # every x in K^n with x * r mod t^n in a for each row r of b, against
+    # the colon's span, for every n with q^n <= 1000; the colon's rows are
+    # in reduced echelon form
+    n, unstable = 1, 0
+    while fld.q**n <= 1000:
+        space = list(itertools.product(range(fld.q), repeat=n))
+        t = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
+        for a, b in _colon_cases(fld, n):
+            inside = _elements(a)
+            want = {x for x in space if all(series_mul(x, r, fld) in inside for r in b.rows)}
+            colon = subspace_colon(a, b)
+            assert _elements(colon) == want, (fld, a, b)
+            assert (colon.rows, colon.pivots) == rref(colon.rows, fld)
+            unstable += not all(series_mul(t, r, fld) in inside for r in a.rows)
+        n += 1
+    assert unstable
+
+
+def test_colon_rejects_mismatched_ambients():
+    f = field(3)
+    wide = Subspace.span(f, 4, [(1, 0, 2, 0), (0, 1, 1, 1)])
+    narrow = Subspace.span(f, 3, [(0, 1, 2)])
+    for a, b in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(InputError, match="ambient dimension mismatch"):
+            subspace_colon(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from starlab import kunz_lab
 from starlab.errors import GateError, InputError
-from starlab.fq_linear import enumerate_subspaces, field_from_order
+from starlab.fq_linear import enumerate_subspaces, field_from_order, unit_representatives
 from starlab.kunz_lab import (
     _least_element_of_valuation,
     family_semigroup,
@@ -17,11 +17,13 @@ from starlab.kunz_lab import (
     star_count,
     structure_report,
     subspace_lab,
+    unit_translate_criterion,
     verify_counterexample,
 )
 from starlab.ring_model import (
     convert_to_overring,
     frobenius_overring_model,
+    is_overring_stable,
 )
 from starlab.star_engine import divisorial_star, enumerate_stars, workspace
 
@@ -180,6 +182,31 @@ def test_structure_report_5679_q2():
     report = structure_report([5, 6, 7, 9], 2)
     assert report.results["family_member"]
     assert report.all_verified()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_unit_translate_criterion_matches_every_unit(q):
+    # the per-orbit criterion against J containing u * I for each unit u
+    # with constant term 1; the pool varies it along J for a fixed orbit and
+    # along the orbits for a fixed J, so neither key alone reproduces it
+    model = ring_model_for((4, 5, 7), q)
+    ws = workspace(model)
+    pool = [I for I in ws.ideals if is_overring_stable(I) and not I.is_divisorial()]
+    criterion = unit_translate_criterion(ws, pool)
+    units = unit_representatives(model.field, model.head_dim)
+    expected = {}
+    for ix, I in enumerate(pool):
+        images = {I.unit_image(u) for u in units}
+        for jx, J in enumerate(pool):
+            expected[(jx, ix)] = any(J.contains(image) for image in images)
+    assert criterion == expected
+    orbit = [ws.orbit_id(I) for I in pool]
+    by_orbit, by_j = {}, {}
+    for (jx, ix), hit in expected.items():
+        by_orbit.setdefault(orbit[ix], set()).add(hit)
+        by_j.setdefault(jx, set()).add(hit)
+    assert any(len(hits) == 2 for hits in by_orbit.values())
+    assert any(len(hits) == 2 for hits in by_j.values())
 
 
 def test_formula_check_q2():

@@ -14,10 +14,10 @@ from starlab.ring_model import (
     canonical_ideals,
     frobenius_overring_ideal,
     frobenius_overring_model,
-    head_entries,
     is_overring_stable,
     normalize_subspace,
     normalized_translate_intersection,
+    packed_head,
     semigroup_ring_model,
 )
 from starlab.star_engine import (
@@ -341,7 +341,7 @@ def test_closure_table_matches_reference(gens, q):
                         continue
                     meet = rep.sub.intersect(shifted)
                     packed = tuple(map(pack, shifted.rows))
-                    entries = head_entries(rep.head)
+                    entries = packed_head(model, rep.head)[1]
                     packed_meet = _packed_meet(model, entries, packed, shifted.pivots)
                     rows, pivots = (packed, shifted.pivots) if packed_meet is None else packed_meet
                     assert tuple(unpack(r, model.trunc) for r in rows) == meet.rows
