@@ -287,12 +287,21 @@ COMMANDS = {
 }
 
 
-def _seconds(text):
-    """A --timeout-s value: a whole number of seconds, 0 for no deadline."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 means no deadline), got {value}")
-    return value
+def _whole(low, high=None):
+    """An argparse type: a whole number, at least low and at most high."""
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def whole(text):
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return whole
+
+
+# --timeout-s: 0 means no deadline, and signal.alarm takes at most 2^31 - 1
+_seconds = _whole(0, 2**31 - 1)
 
 
 def _field_poly(text):
@@ -327,11 +336,11 @@ def build_parser():
         p.add_argument("--cache-dir", default=os.environ.get("STARLAB_CACHE_DIR"))
         # each command takes only the caps it honours
         if ideals:
-            p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
+            p.add_argument("--max-ideals", type=_whole(0), default=DEFAULT_MAX_IDEALS)
         if orbits:
-            p.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
+            p.add_argument("--max-orbits", type=_whole(0), default=DEFAULT_MAX_ORBITS)
         p.add_argument("--timeout-s", type=_seconds, default=0)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=_whole(1), default=os.cpu_count() or 1)
         p.add_argument(
             "--timings",
             action="store_true",

@@ -38,6 +38,7 @@ from .star_engine import (
     DEFAULT_MAX_IDEALS,
     DEFAULT_MAX_ORBITS,
     StarOperation,
+    closed_families,
     divisorial_star,
     enumerate_stars,
     verify_star_axioms,
@@ -72,9 +73,10 @@ def ring_model_for(gens, q, modulus=None):
 def star_count(
     gens, q, max_ideals=DEFAULT_MAX_IDEALS, max_orbits=DEFAULT_MAX_ORBITS, modulus=None
 ) -> int:
-    """Number of star operations on the model of K[[<gens>]] over F_q."""
+    """Number of star operations on the model of K[[<gens>]] over F_q:
+    the closed families counted as they are walked, none of them kept."""
     model = ring_model_for(gens, q, modulus)
-    return len(enumerate_stars(model, max_orbits, max_ideals))
+    return sum(1 for _ in closed_families(model, max_orbits, max_ideals)[1])
 
 
 def family_semigroup(n: int) -> NumericalSemigroup:

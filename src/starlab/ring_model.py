@@ -46,6 +46,9 @@ class RingModel:
         self.basis = basis
         h = self.head_dim = sgp.frobenius + 1
         self._cache = {}
+        # the model's one RingIdeal per head, by its rows; kept out of _cache,
+        # whose memos may be dropped while the ideals stay shared
+        self._ideals = {}
         # one shared copy: every derived N-wide view ends in these rows
         self._conductor_rows = tuple(self.monomial(k) for k in range(h, trunc))
         self.conductor_values = tuple(range(h, trunc))
@@ -158,27 +161,33 @@ def subalgebra_model(field, vectors, trunc: int | None = None) -> RingModel:
 class RingIdeal:
     """A fractional ideal of the model between the conductor and V, stored
     as its head: a canonical subspace of K^(g+1), coefficients 0..g. Its
-    methods read elements of A_N mod t^(g+1); `sub` is the N-wide view."""
+    methods read elements of A_N mod t^(g+1); `sub` is the N-wide view.
 
-    __slots__ = ("model", "head", "_sub", "_hash")
+    A model has one RingIdeal per head: RingIdeal(model, head) returns the
+    object made first for equal rows, so ideals compare and hash by
+    identity, and memos key on them."""
 
-    def __init__(self, model: RingModel, head: Subspace):
+    __slots__ = ("model", "head")
+
+    def __new__(cls, model: RingModel, head: Subspace):
         if head.ambient != model.head_dim:
             raise InputError(f"an ideal head has width {model.head_dim}, not {head.ambient}")
-        self.model = model
-        self.head = head
-        self._sub = self._hash = None
+        ideal = model._ideals.get(head.rows)
+        if ideal is None:
+            ideal = model._ideals[head.rows] = super().__new__(cls)
+            ideal.model = model
+            ideal.head = head
+        return ideal
 
     @property
     def sub(self) -> Subspace:
         """The ideal as a subspace of A_N: the head rows padded with zeros,
-        then the conductor rows, which is already canonical."""
-        if self._sub is None:
-            model = self.model
-            pad = (0,) * (model.trunc - model.head_dim)
-            rows = tuple(r + pad for r in self.head.rows) + model.conductor_rows()
-            self._sub = Subspace(model.field, model.trunc, rows, self.value_set)
-        return self._sub
+        then the conductor rows, which is already canonical. Computed on
+        each read, so the many interned unit images hold no N-wide copy."""
+        model = self.model
+        pad = (0,) * (model.trunc - model.head_dim)
+        rows = tuple(r + pad for r in self.head.rows) + model.conductor_rows()
+        return Subspace(model.field, model.trunc, rows, self.value_set)
 
     @property
     def dim(self):
@@ -217,13 +226,12 @@ class RingIdeal:
 
     def intersect(self, other: "RingIdeal") -> "RingIdeal":
         """The meet of two ideals: both contain the conductor, so it is the
-        meet of their heads. Memoized per model on the heads' rows."""
+        meet of their heads. Memoized per model on the two ideals."""
         self._same_model(other)
         memo = self.model._cache.setdefault("intersect", {})
-        key = (self.head.rows, other.head.rows)
-        cached = memo.get(key)
+        cached = memo.get((self, other))
         if cached is None:
-            cached = memo[key] = _shared_ideal(self.model, self.head.intersect(other.head))
+            cached = memo[self, other] = RingIdeal(self.model, self.head.intersect(other.head))
         return cached
 
     def product(self, other: "RingIdeal") -> "RingIdeal":
@@ -251,17 +259,15 @@ class RingIdeal:
         self contains the conductor, t^i*b lies in it exactly when the head
         of t^i*b, the shift of head(b) cut to g+1 terms, lies in the head of
         self. So the colon is that of the heads in K^(g+1). Results are
-        memoized per model on the operands' heads.
+        memoized per model on the two ideals.
         """
         self._same_model(other)
-        model = self.model
-        memo = model._cache.setdefault("colon", {})
-        key = (self.head.rows, other.head.rows)
-        cached = memo.get(key)
+        memo = self.model._cache.setdefault("colon", {})
+        cached = memo.get((self, other))
         if cached is None:
-            packed = (packed_head(model, self.head)[1], packed_head(model, other.head)[0])
+            packed = (packed_head(self)[1], packed_head(other)[0])
             colon = subspace_colon(self.head, other.head, packed)
-            cached = memo[key] = _shared_ideal(model, colon)
+            cached = memo[self, other] = RingIdeal(self.model, colon)
         return cached
 
     def v_closure(self) -> "RingIdeal":
@@ -292,20 +298,6 @@ class RingIdeal:
         """u * I, for a unit u of A_N read mod t^(g+1)."""
         return RingIdeal(self.model, subspace_unit_image(self.head, unit[: self.model.head_dim]))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingIdeal)
-            and self.model is other.model
-            and self.head == other.head
-        )
-
-    def __hash__(self):
-        # kept: the orbit look-ups of the closure table hash F_0's ideals
-        # again and again, and a head's rows are a tuple of tuples
-        if self._hash is None:
-            self._hash = hash(self.head)
-        return self._hash
-
     def __repr__(self):
         return f"RingIdeal(values<=g:{list(self.head.pivots)}, dim={self.dim})"
 
@@ -314,29 +306,18 @@ class RingIdeal:
             raise InputError("ideals belong to different models")
 
 
-def _shared_ideal(model: RingModel, head: Subspace) -> RingIdeal:
-    """The model's one RingIdeal with this head. The colon, meet and
-    normalize memos hold many more entries than distinct results, so their
-    entries share ideals, and those of F_0 are its enumerated ones: a look-up
-    of a result among them meets the same object."""
-    shared = model._cache.setdefault("shared_ideals", {})
-    ideal = shared.get(head.rows)
-    if ideal is None:
-        ideal = shared[head.rows] = RingIdeal(model, head)
-    return ideal
-
-
-def packed_head(model: RingModel, head: Subspace):
+def packed_head(ideal: RingIdeal):
     """The rows of an ideal's head packed by the field (packed.py), and
     their elimination entries, which `_packed_meet` and the colon reduce
-    against. Memoized per model on the head's rows, so the negated
-    multiples that an entry scales on first use are scaled once."""
-    memo = model._cache.setdefault("packed_heads", {})
-    packed = memo.get(head.rows)
+    against. Memoized per model on the ideal, so the negated multiples that
+    an entry scales on first use are scaled once."""
+    memo = ideal.model._cache.setdefault("packed_heads", {})
+    packed = memo.get(ideal)
     if packed is None:
-        kern = model.field.packing
+        kern = ideal.model.field.packing
+        head = ideal.head
         rows = tuple(map(kern.pack, head.rows))
-        packed = memo[head.rows] = (rows, tuple(map(kern.entry, head.pivots, rows)))
+        packed = memo[ideal] = (rows, tuple(map(kern.entry, head.pivots, rows)))
     return packed
 
 
@@ -383,21 +364,14 @@ def _packed_meet(model: RingModel, entries, rows, pivots):
     return rows, pivots
 
 
-def normalize_subspace(model: RingModel, sub: Subspace) -> RingIdeal:
-    """Divide by a minimal-valuation element, landing in F_0.
+def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
+    """The subspace of A_N with these packed rows, a tuple, and their pivots,
+    divided by a minimal-valuation element, landing in F_0.
 
     The divisor is the canonical echelon row with the least pivot, so the
     result is deterministic; any other minimal-valuation divisor gives a
-    unit-equivalent ideal. Results are memoized per model on the packed
-    rows of sub.
+    unit-equivalent ideal. Results are memoized per model on the rows.
     """
-    pack = model.field.packing.pack
-    return _normalize(model, tuple(map(pack, sub.rows)), sub.pivots)
-
-
-def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
-    """normalize_subspace of the subspace of A_N with these packed rows, a
-    tuple, and their pivots."""
     memo = model._cache.setdefault("normalize", {})
     cached = memo.get(rows)
     if cached is not None:
@@ -417,7 +391,7 @@ def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
     windows = [kern.unpack(kern.unshift(r, m), h) for r, p in zip(rows, pivots) if p < m + h]
     inv = series_inv(windows[0], field)
     heads = [series_mul(inv, w, field) for w in windows]
-    cached = memo[rows] = _shared_ideal(model, Subspace(field, h, *rref(heads, field)))
+    cached = memo[rows] = RingIdeal(model, Subspace(field, h, *rref(heads, field)))
     return cached
 
 
@@ -443,7 +417,7 @@ def normalized_translate_intersection(
     if packed is None:
         pack = model.field.packing.pack
         packed = (
-            packed_head(model, ideal.head)[1],
+            packed_head(ideal)[1],
             tuple(map(pack, shifted.rows)),
             tuple(map(pack, base.rows)),
         )
@@ -518,7 +492,7 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
             if not ok:
                 break
         if ok:
-            out.append(_shared_ideal(model, sub))
+            out.append(RingIdeal(model, sub))
     out.sort(key=lambda ideal: (ideal.dim, ideal.head.rows))
     return tuple(out)
 

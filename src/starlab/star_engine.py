@@ -193,13 +193,10 @@ class ClosureTable:
         kern = model.field.packing
         part = ws.partition
         sizes = [len(images) for images in part.image_maps]
-        # the packed heads of the representatives and, for the smaller-orbit
-        # loop below, of their images
-        rep_entries = [packed_head(model, rep.head)[1] for rep in part.reps]
-        images = [
-            [(RingIdeal(model, head), packed_head(model, head)[1]) for head in heads]
-            for heads in part.image_maps
-        ]
+        # every orbit's unit images as ideals, wrapped once for both loops,
+        # and their packed heads; each representative is among its images
+        images = [[RingIdeal(model, head) for head in heads] for heads in part.image_maps]
+        entries_of = {image: packed_head(image)[1] for row in images for image in row}
 
         def translates(ideal):
             # the nonzero t^k * ideal, with k, the ideal's N-wide view and
@@ -224,19 +221,19 @@ class ClosureTable:
             # rows, with provenance for the deep-normalization path; one
             # column's at a time
             distinct = {}
-            for image_head in part.image_maps[j]:
-                for translate in translates(RingIdeal(model, image_head)):
+            for image in images[j]:
+                for translate in translates(image):
                     distinct.setdefault(translate[3], translate)
             for i, rep_i in enumerate(part.reps):
                 if sizes[i] < sizes[j]:
                     calls = [
-                        (image, shifted, k, base, (image_entries, rows, packed_base))
-                        for image, image_entries in images[i]
+                        (image, shifted, k, base, (entries_of[image], rows, packed_base))
+                        for image in images[i]
                         for shifted, k, base, rows, packed_base in own
                     ]
                 else:
                     calls = [
-                        (rep_i, shifted, k, base, (rep_entries[i], rows, packed_base))
+                        (rep_i, shifted, k, base, (entries_of[rep_i], rows, packed_base))
                         for shifted, k, base, rows, packed_base in distinct.values()
                     ]
                 pair[(i, j)] = ws.family(
@@ -343,40 +340,54 @@ def induced_star(model: RingModel, ideals) -> StarOperation:
     return StarOperation(ws, ws.close(ws.family(ideals)))
 
 
-def enumerate_stars(
+def closed_families(
     model: RingModel,
     max_orbits: int | None = DEFAULT_MAX_ORBITS,
     max_ideals: int | None = DEFAULT_MAX_IDEALS,
 ):
-    """Every star operation on the model, by Ganter's NextClosure.
+    """The model's workspace, once both caps hold, and an iterator over its
+    closed families as orbit-id bitmasks, by Ganter's NextClosure.
 
     The closed families are walked in lectic order: the next one after A is
     close(A below i, plus i) for the largest orbit i outside A whose closure
-    adds no orbit below i. Results are returned sorted by (size, ids).
+    adds no orbit below i.
     """
     ws = workspace(model, max_ideals)
     n = ws.partition.orbit_count
     if max_orbits is not None and n > max_orbits:
         raise BudgetError(f"{n} orbits exceed the cap {max_orbits}")
-    if ws._stars is not None:
-        return ws._stars
-    families = [ws.close(0)]
-    if families[0] != ws.divisorial_ids:
-        raise InvariantError("closure of the empty family is not the divisorial family")
-    while True:
-        fam = families[-1]
-        for i in reversed(range(n)):
-            below = (1 << i) - 1
-            if not fam >> i & 1:
-                nxt = ws.close(fam & below | 1 << i)
-                if nxt & below == fam & below:
-                    families.append(nxt)
-                    break
-        else:
-            break
-    stars = [StarOperation(ws, fam) for fam in families]
-    stars.sort(key=lambda star: (star.closed.bit_count(), star.key()))
-    ws._stars = tuple(stars)
+
+    def walk():
+        fam = ws.close(0)
+        if fam != ws.divisorial_ids:
+            raise InvariantError("closure of the empty family is not the divisorial family")
+        while True:
+            yield fam
+            for i in reversed(range(n)):
+                below = (1 << i) - 1
+                if not fam >> i & 1:
+                    nxt = ws.close(fam & below | 1 << i)
+                    if nxt & below == fam & below:
+                        fam = nxt
+                        break
+            else:
+                return
+
+    return ws, walk()
+
+
+def enumerate_stars(
+    model: RingModel,
+    max_orbits: int | None = DEFAULT_MAX_ORBITS,
+    max_ideals: int | None = DEFAULT_MAX_IDEALS,
+):
+    """Every star operation on the model, one per closed family, sorted by
+    (size, ids) and kept in the workspace."""
+    ws, families = closed_families(model, max_orbits, max_ideals)
+    if ws._stars is None:
+        stars = [StarOperation(ws, fam) for fam in families]
+        stars.sort(key=lambda star: (star.closed.bit_count(), star.key()))
+        ws._stars = tuple(stars)
     return ws._stars
 
 

@@ -137,15 +137,33 @@ def test_budget_exit_3(capsys, argv):
     assert "budget" in err + out
 
 
-@pytest.mark.parametrize("value", ["-5", "-1"])
+@pytest.mark.parametrize("value", ["-5", "-1", "2147483648"])
 def test_bad_timeout_exit_2(capsys, value):
-    # a negative deadline must not reach signal.alarm, where -1 arms an
-    # alarm of 2^32 - 1 seconds
+    # a deadline outside [0, 2^31 - 1] must not reach signal.alarm, where -1
+    # arms an alarm of 2^32 - 1 seconds and 2^31 raises OverflowError
     with pytest.raises(SystemExit) as exc:
         main(["kunz", "counterexample", "--gens", "4,5,7", "--q", "2",
               "--timeout-s", value])
     assert exc.value.code == 2
     assert "--timeout-s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "enum-stars", "--max-ideals", "-1"),
+        ("ring", "enum-stars", "--max-orbits", "-1"),
+        ("ring", "enum-stars", "--jobs", "0"),
+        ("kunz", "counterexample", "--jobs", "-3"),
+    ],
+)
+def test_bad_cap_or_jobs_exit_2(capsys, argv):
+    # a negative cap is bad input, not a budget every run exceeds, and a run
+    # needs at least one process
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--gens", "4,5,7", "--q", "2"])
+    assert exc.value.code == 2
+    assert argv[2] in capsys.readouterr().err
 
 
 def test_timeout_holds_under_jobs_2():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from starlab import kunz_lab
-from starlab.errors import GateError, InputError
+from starlab.errors import BudgetError, GateError, InputError
 from starlab.fq_linear import enumerate_subspaces, field_from_order, unit_representatives
 from starlab.kunz_lab import (
     _least_element_of_valuation,
@@ -284,3 +284,29 @@ def test_restriction_image_misses_residue_family():
     family_keys = {op.key() for op in residue_star_family(r_model)}
     assert not (image_keys & family_keys)
     assert len(image_keys) + len(family_keys) <= len(enumerate_stars(t_model))
+
+
+@pytest.mark.parametrize(
+    "gens,q,count",
+    [
+        ((5, 6, 7, 9), 2, 711),
+        ((5, 6, 7, 8, 9), 2, 15956),
+        ((4, 5, 7), 2, 2**4 + 3),
+        ((4, 5, 6, 7), 2, 2**5 + 2**3 + 2),
+        ((4, 5, 7), 3, 2**6 + 3),
+        ((4, 5, 6, 7), 3, 2**7 + 2**4 + 2),
+    ],
+)
+def test_star_count_keeps_no_stars(monkeypatch, gens, q, count):
+    # the count walks the closed families that enumerate_stars sorts, keeps
+    # none of them, and honours the orbit cap like the enumeration
+    ws = workspace(ring_model_for(gens, q))
+    monkeypatch.setattr(ws, "_stars", None)
+    assert star_count(gens, q) == count
+    assert ws._stars is None
+    assert len(enumerate_stars(ws.model)) == count
+    cap = ws.partition.orbit_count - 1
+    with pytest.raises(BudgetError):
+        star_count(gens, q, max_orbits=cap)
+    with pytest.raises(BudgetError):
+        enumerate_stars(ws.model, cap)

@@ -13,11 +13,13 @@ from starlab.fq_linear import (
     series_mul,
     series_shift,
     subspace_unit_image,
+    unit_representatives,
 )
 from starlab.kunz_lab import ring_model_for
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     RingIdeal,
+    _normalize,
     canonical_ideals,
     convert_to_overring,
     enumerate_ideals,
@@ -25,7 +27,6 @@ from starlab.ring_model import (
     frobenius_overring_model,
     is_overring_stable,
     module_length,
-    normalize_subspace,
     normalized_translate_intersection,
     semigroup_ring_model,
     subalgebra_model,
@@ -50,6 +51,13 @@ def ideal_from_full(model, sub):
     ideal = RingIdeal(model, Subspace.span(model.field, h, [r[:h] for r in sub.rows]))
     assert ideal.sub == sub
     return ideal
+
+
+def normalize(model, sub):
+    """sub, a subspace of A_N, divided by its least-pivot row: the engine's
+    normalization, called on the packed rows of sub."""
+    pack = model.field.packing.pack
+    return _normalize(model, tuple(map(pack, sub.rows)), sub.pivots)
 
 
 def pivot_scan(rows):
@@ -302,7 +310,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     I = ideals457[5]
     shifted = I.translate(1)
     meet = model457.ring_ideal().sub.intersect(shifted)
-    res1 = normalize_subspace(model457, meet)
+    res1 = normalize(model457, meet)
     # perturb: divide by (row0 + row1) instead
     from starlab.fq_linear import series_inv
 
@@ -624,3 +632,51 @@ def test_ring_ideal_rejects_a_full_width_subspace(model457):
         RingIdeal(model457, model457.basis)
     with pytest.raises(InputError):
         RingIdeal(model457, model457.ring_ideal().sub)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_ideal_per_head(q, monkeypatch):
+    # equal heads are one object whichever path made them, and stay so when
+    # the model's memos are dropped: the first object made for each head is
+    # recorded, and every later result with that head must be it
+    model = semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(q))
+    fld, h = model.field, model.head_dim
+    first = {}
+
+    def same(*ideals):
+        for ideal in ideals:
+            assert ideal.model is model
+            assert first.setdefault(ideal.head.rows, ideal) is ideal
+            assert RingIdeal(model, Subspace(fld, h, ideal.head.rows)) is ideal
+
+    def every_path():
+        ideals, extra = _colon_test_ideals(model)
+        same(*ideals, *extra)
+        same(*enumerate_ideals(model), model.maximal_ideal(), model.ring_ideal())
+        for I, J in itertools.product(ideals[::3] + extra, ideals + extra):
+            same(I.colon(J), I.intersect(J))
+            if 0 in I.value_set:
+                same(I.product(J))
+        for I in ideals + extra:
+            same(model.span_ideal(I.head.rows))
+            for u in unit_representatives(fld, h)[::5]:
+                same(I.unit_image(u))
+            for k in (0, 1, model.sgp.frobenius + 1):
+                shifted = I.translate(k)
+                if not shifted.rows:
+                    continue
+                if shifted.pivots[0] <= h:
+                    same(normalize(model, shifted))
+                same(normalized_translate_intersection(model.full_ideal(), shifted, k, I.sub))
+        return ideals
+
+    ideals = every_path()
+    assert len(first) > len(ideals)
+    t_model = frobenius_overring_model(model)
+    t_f0 = {I.head.rows: I for I in enumerate_ideals(t_model)}
+    for I in ideals:
+        if is_overring_stable(I):
+            converted = convert_to_overring(I, t_model)
+            assert t_f0[converted.head.rows] is converted
+    monkeypatch.setattr(model, "_cache", {})
+    every_path()

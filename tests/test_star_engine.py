@@ -15,7 +15,6 @@ from starlab.ring_model import (
     frobenius_overring_ideal,
     frobenius_overring_model,
     is_overring_stable,
-    normalize_subspace,
     normalized_translate_intersection,
     packed_head,
     semigroup_ring_model,
@@ -35,7 +34,7 @@ from starlab.star_engine import (
     workspace,
 )
 
-from test_ring_model import ideal_from_full
+from test_ring_model import ideal_from_full, normalize
 
 F2 = field(2)
 
@@ -291,12 +290,12 @@ def test_normalize_memo_is_per_model():
     results = []
     for model in models:
         subs = [Subspace(model.field, model.trunc, rows) for rows in inputs]
-        ideals = [normalize_subspace(model, sub) for sub in subs]
+        ideals = [normalize(model, sub) for sub in subs]
         for sub, ideal in zip(subs, ideals):
             assert ideal.model is model
             assert ideal == _reference_normalize(model, sub)
             again = Subspace(model.field, model.trunc, sub.rows)
-            assert normalize_subspace(model, again) is ideal
+            assert normalize(model, again) is ideal
         results.append([ideal.head.rows for ideal in ideals])
     assert results[0] != results[1]
 
@@ -341,7 +340,7 @@ def test_closure_table_matches_reference(gens, q):
                         continue
                     meet = rep.sub.intersect(shifted)
                     packed = tuple(map(pack, shifted.rows))
-                    entries = packed_head(model, rep.head)[1]
+                    entries = packed_head(rep)[1]
                     packed_meet = _packed_meet(model, entries, packed, shifted.pivots)
                     rows, pivots = (packed, shifted.pivots) if packed_meet is None else packed_meet
                     assert tuple(unpack(r, model.trunc) for r in rows) == meet.rows
