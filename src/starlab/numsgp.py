@@ -379,21 +379,30 @@ def enumerate_stars(S: NumericalSemigroup, max_count: int | None = 4096):
     table = _pair_results(ideals, index, g)
     base = frozenset(i for i, e in enumerate(ideals) if e.is_divisorial())
 
-    def close(family):
-        fam = set(family)
-        changed = True
-        while changed:
-            changed = False
-            current = list(fam)
-            for i in current:
-                for j in current:
-                    extra = table[(i, j)] - fam
-                    if extra:
-                        fam |= extra
-                        changed = True
+    # the pairs of x and y in either order, as tuples, so that a member
+    # joining fires each of its pairs once
+    rules = [
+        [tuple(table[(x, y)] | table[(y, x)]) for y in range(len(ideals))]
+        for x in range(len(ideals))
+    ]
+
+    def close(fam, new):
+        """The closed family fam with the indices in new joined: each index
+        joins once and fires its pairs with every member so far, itself
+        included, so no pair inside fam is scanned again."""
+        fam = set(fam)
+        todo = list(new)
+        while todo:
+            x = todo.pop()
+            if x in fam:
+                continue
+            fam.add(x)
+            row = rules[x]
+            for y in fam:
+                todo.extend(row[y])
         return frozenset(fam)
 
-    base = close(base)
+    base = close((), base)
     seen = {base}
     frontier = [base]
     while frontier:
@@ -401,7 +410,7 @@ def enumerate_stars(S: NumericalSemigroup, max_count: int | None = 4096):
         for fam in frontier:
             for i in range(len(ideals)):
                 if i not in fam:
-                    bigger = close(fam | {i})
+                    bigger = close(fam, (i,))
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)

@@ -181,13 +181,9 @@ class RingIdeal:
 
     @property
     def sub(self) -> Subspace:
-        """The ideal as a subspace of A_N: the head rows padded with zeros,
-        then the conductor rows, which is already canonical. Computed on
-        each read, so the many interned unit images hold no N-wide copy."""
-        model = self.model
-        pad = (0,) * (model.trunc - model.head_dim)
-        rows = tuple(r + pad for r in self.head.rows) + model.conductor_rows()
-        return Subspace(model.field, model.trunc, rows, self.value_set)
+        """The ideal as a subspace of A_N: t^0 * I. Computed on each read, so
+        the many interned unit images hold no N-wide copy."""
+        return self.translate(0)
 
     @property
     def dim(self):
@@ -281,18 +277,19 @@ class RingIdeal:
         """The subspace of t^k * I; exact for 0 <= k <= g+1.
 
         The result is generally not a RingIdeal (its conductor block starts
-        at t^(k+g+1)), so it is returned as a raw subspace of A_N.
+        at t^(k+g+1)), so it is returned as a raw subspace of A_N: the head
+        rows moved k columns right and padded to N, then the conductor rows
+        from t^(k+g+1) on. That is already reduced echelon form, as the head
+        rows end before t^(k+g+1) and the conductor rows are monomials.
         """
-        g = self.model.sgp.frobenius
-        if not 0 <= k <= g + 1:
-            raise InputError(f"shift {k} outside [0, {g + 1}]")
-        sub = self.sub
-        # Shifting keeps the rows in reduced echelon form, pivots moved by k;
-        # rows pushed past t^N vanish.
-        n = self.model.trunc
-        pivots = tuple(p + k for p in sub.pivots if p + k < n)
-        rows = tuple(series_shift(r, k) for r in sub.rows[: len(pivots)])
-        return Subspace(sub.field, n, rows, pivots)
+        model = self.model
+        h, n = model.head_dim, model.trunc
+        if not 0 <= k <= h:
+            raise InputError(f"shift {k} outside [0, {h}]")
+        pad, tail = (0,) * k, (0,) * (n - h - k)
+        rows = tuple(pad + r + tail for r in self.head.rows) + model.conductor_rows()[k:]
+        pivots = tuple(p + k for p in self.head.pivots) + model.conductor_values[k:]
+        return Subspace(model.field, n, rows, pivots)
 
     def unit_image(self, unit) -> "RingIdeal":
         """u * I, for a unit u of A_N read mod t^(g+1)."""

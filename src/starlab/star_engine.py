@@ -10,11 +10,19 @@ which is done by Ganter's NextClosure on orbit-id bitmasks (never by
 iterating all subsets).
 
 The closure data is tabulated once per model: for each ordered pair of orbit
-representatives (I, J) and every distinct translate u*t^k*J (units taken from
-the precomputed orbit image maps, shifts up to g+1, both reductions of a
-general translate difference), the orbit id of the normalized intersection.
-Where I has the smaller orbit, the same ids come from every image u*I met
-with the translates t^k*J.
+representatives (I, J), the orbit ids of normalize(I meet t^k*u*J) over the
+units u (from the precomputed orbit image maps) and the shifts k = 0..g+1.
+With h = g+1, two lemmas leave few of those meets to evaluate:
+
+(A) When every column k..g is a pivot of I's head, t^k*u*J lies in t^k*V,
+    which lies in I, so the meet is t^k*u*J and normalizes into J's orbit.
+(B) For e = 1 mod t^(h-k) and y in t^k*u*J, e*y - y has valuation >= h, so
+    it lies in the conductor, inside I; hence I meet t^k*e*u*J is
+    e*(I meet t^k*u*J), and the orbit depends on u only mod t^(h-k).
+
+So each shift meets one unit image per class mod t^(h-k), taken on the side
+with fewer classes: translates of images of J with I, or images u*I with
+t^k*J, which give the same orbits as the unit group is abelian.
 """
 
 from __future__ import annotations
@@ -183,63 +191,87 @@ class ClosureTable:
 
     @classmethod
     def build(cls, ws: RingWorkspace) -> "ClosureTable":
-        """Each entry loops over the smaller of the two unit orbits. U is
-        abelian, so rep_i meet t^k*u*rep_j = u*(u^-1*rep_i meet t^k*rep_j),
-        and normalizing a unit multiple stays in its orbit: when rep_i has
-        fewer images than rep_j, pair (i, j) is read off the intersections
-        of every image of rep_i with the translates of rep_j itself."""
+        """Entry (i, j) is the set of orbits of normalize(rep_i meet
+        t^k*u*rep_j) over the units u and the shifts k = 0..g+1, h = g+1
+        the head width. Two lemmas leave few of those meets to evaluate.
+
+        (A) Let kappa(I) be the least k with every column k..g a pivot of
+        I's head. For k >= kappa(rep_i) the translate lies in t^k*V, which
+        lies in rep_i, so it normalizes into orbit j. The entry therefore
+        starts as orbit j (k = g+1 always qualifies), and only the shifts
+        k < kappa(rep_i) are evaluated.
+
+        (B) For e = 1 mod t^(h-k) and y in t^k*u*rep_j, e*y - y has
+        valuation >= h, so it lies in the conductor, inside rep_i. Hence
+        rep_i meet t^k*e*u*rep_j = e*(rep_i meet t^k*u*rep_j), and the
+        orbit depends on u only mod t^(h-k): per shift, each orbit keeps
+        one unit image per class of witnesses mod t^(h-k).
+
+        U is abelian, so rep_i meet t^k*u*rep_j = u*(u^-1*rep_i meet
+        t^k*rep_j): the images u*rep_i met with t^k*rep_j give the same
+        orbits, and (A) and (B) hold for them too, as unit images keep the
+        pivots. Each (i, j, k) loops over the side with fewer classes.
+        """
         model = ws.model
-        g = model.sgp.frobenius
+        h = model.head_dim
         kern = model.field.packing
         part = ws.partition
-        sizes = [len(images) for images in part.image_maps]
-        # every orbit's unit images as ideals, wrapped once for both loops,
-        # and their packed heads; each representative is among its images
-        images = [[RingIdeal(model, head) for head in heads] for heads in part.image_maps]
-        entries_of = {image: packed_head(image)[1] for row in images for image in row}
-
-        def translates(ideal):
-            # the nonzero t^k * ideal, with k, the ideal's N-wide view and
-            # the packed rows of both. A translate's packed rows are the
-            # view's, shifted: head rows end at t^g and k <= g+1, so none
-            # passes t^N
-            base = ideal.sub
-            packed_base = tuple(map(kern.pack, base.rows))
-            out = []
-            for k in range(g + 2):
-                shifted = ideal.translate(k)
-                if shifted.rows:
-                    rows = tuple(kern.shift(r, k) for r in packed_base[: shifted.dim])
-                    out.append((shifted, k, base, rows, packed_base))
-            return out
+        conductor = tuple(map(kern.pack, model.conductor_rows()))
+        kappa = []
+        for rep in part.reps:
+            k = h
+            while k and k - 1 in rep.head.pivots:
+                k -= 1
+            kappa.append(k)
+        # per orbit and shift k < h, one unit image per class of witnesses
+        # mod t^(h-k); the representative, whose witness is 1, comes first
+        # in its image map and stands for its class
+        classes = []
+        for images in part.image_maps:
+            ideals = {head: RingIdeal(model, head) for head in images}
+            by_class = []
+            for k in range(h):
+                picked = {}
+                for head, w in images.items():
+                    picked.setdefault(w[: h - k], ideals[head])
+                by_class.append(tuple(picked.values()))
+            classes.append(by_class)
 
         pair = {}
         entries = 0
         for j, rep_j in enumerate(part.reps):
-            own = translates(rep_j)
-            # distinct translates t^k * (u * rep_j), keyed by their packed
-            # rows, with provenance for the deep-normalization path; one
-            # column's at a time
-            distinct = {}
-            for image in images[j]:
-                for translate in translates(image):
-                    distinct.setdefault(translate[3], translate)
+            # per unit image of rep_j, its N-wide view and packed rows, the
+            # head rows then the conductor's; per image and shift, t^k *
+            # image and its packed rows, the head rows shifted and then the
+            # conductor rows from t^(h+k) on. Held for one column at a time
+            views, column = {}, {}
+
+            def translate(image, k):
+                args = column.get((image, k))
+                if args is None:
+                    view = views.get(image)
+                    if view is None:
+                        rows = packed_head(image)[0]
+                        view = views[image] = (image.sub, rows, rows + conductor)
+                    base, rows, packed_base = view
+                    shifted = tuple(kern.shift(r, k) for r in rows) + conductor[k:]
+                    args = column[image, k] = (image.translate(k), base, shifted, packed_base)
+                return args
+
             for i, rep_i in enumerate(part.reps):
-                if sizes[i] < sizes[j]:
-                    calls = [
-                        (image, shifted, k, base, (entries_of[image], rows, packed_base))
-                        for image in images[i]
-                        for shifted, k, base, rows, packed_base in own
-                    ]
-                else:
-                    calls = [
-                        (rep_i, shifted, k, base, (entries_of[rep_i], rows, packed_base))
-                        for shifted, k, base, rows, packed_base in distinct.values()
-                    ]
-                pair[(i, j)] = ws.family(
-                    normalized_translate_intersection(*call) for call in calls
-                )
-                entries += len(calls)
+                mask = 1 << j
+                for k in range(kappa[i]):
+                    mine, theirs = classes[i][k], classes[j][k]
+                    if len(mine) < len(theirs):
+                        calls = [(image, translate(rep_j, k)) for image in mine]
+                    else:
+                        calls = [(rep_i, translate(image, k)) for image in theirs]
+                    for ideal, (shifted, base, rows, packed_base) in calls:
+                        packed = (packed_head(ideal)[1], rows, packed_base)
+                        found = normalized_translate_intersection(ideal, shifted, k, base, packed)
+                        mask |= 1 << ws.orbit_id(found)
+                    entries += len(calls)
+                pair[(i, j)] = mask
         return cls(pair, entries)
 
 

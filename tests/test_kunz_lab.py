@@ -44,18 +44,25 @@ def test_gate_pass_and_fail():
     assert r2.results["gate"] == "fail" and not r2.results["pseudo_symmetric"]
 
 
-def test_counterexample_q2():
-    report = verify_counterexample([4, 5, 7], 2)
-    assert report.results["star_count"] == 19
-    assert report.results["overring_star_count"] == 42
-    assert report.all_verified()
-
-
-def test_counterexample_5679_q2():
-    # the n = 5 member of the family, with T = <5,6,7,8,9>
-    report = verify_counterexample([5, 6, 7, 9], 2)
-    assert report.results["star_count"] == 711
-    assert report.results["overring_star_count"] == 15956
+@pytest.mark.parametrize(
+    "gens,count,t_gens,t_count",
+    [
+        ((4, 5, 7), 19, [4, 5, 6, 7], 42),
+        ((5, 6, 7, 9), 711, [5, 6, 7, 8, 9], 15956),
+        ((3, 7, 11), 9, [3, 7, 8], 16),
+        ((4, 7, 9), 565, [4, 7, 9, 10], 7541),
+        ((3, 8, 13), 15, [3, 8, 10], 33),
+    ],
+    ids=["457", "5679", "3-7-11", "479", "3-8-13"],
+)
+def test_counterexample_census_q2(gens, count, t_gens, t_count):
+    # five of the six pseudo-symmetric semigroups with at least 4 gaps and
+    # g <= 10, each with its overring T = R + R*t^g; the sixth,
+    # <6,7,8,9,11>, has over 98 million closed families
+    report = verify_counterexample(list(gens), 2)
+    assert report.results["star_count"] == count
+    assert report.results["overring_generators"] == t_gens
+    assert report.results["overring_star_count"] == t_count
     assert report.all_verified()
 
 

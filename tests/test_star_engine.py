@@ -6,7 +6,14 @@ import pytest
 
 from starlab import cli
 from starlab.errors import BudgetError, InputError, InvariantError
-from starlab.fq_linear import Subspace, field, field_from_order, series_inv, series_mul
+from starlab.fq_linear import (
+    Subspace,
+    field,
+    field_from_order,
+    series_inv,
+    series_mul,
+    unit_representatives,
+)
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     RingIdeal,
@@ -300,6 +307,12 @@ def test_normalize_memo_is_per_model():
     assert results[0] != results[1]
 
 
+def kappa(ideal):
+    """The least k with every column k..g a pivot of the ideal's head."""
+    h = ideal.model.head_dim
+    return min(k for k in range(h + 1) if set(range(k, h)) <= set(ideal.head.pivots))
+
+
 @pytest.mark.parametrize(
     "gens,q",
     [
@@ -310,23 +323,35 @@ def test_normalize_memo_is_per_model():
         ((4, 5, 6, 7), 4),
         ((3, 5, 7), 5),
         ((3, 4, 5), 9),
+        ((4, 5, 6, 7), 3),
     ],
-    ids=["457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4", "357-q5", "345-q9"],
+    ids=["457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4", "357-q5", "345-q9", "4567-q3"],
 )
 def test_closure_table_matches_reference(gens, q):
     # the containment skip, conductor-aware meet and head-only
     # normalization against a Zassenhaus meet and full normalization of
     # every translate, both per translate and in the table. The reference
-    # always loops over the images of rep_j; the table loops over the
-    # images of rep_i where that orbit is the smaller one, so each model
-    # must have pairs of both kinds: m_i < m_j for (i, j) is m_j > m_i for
-    # (j, i).
+    # loops over every image of rep_j at every shift k = 0..g+1; the table
+    # skips k >= kappa(rep_i) and, per shift k, loops over one image per
+    # class of units mod t^(g+1-k) on whichever side, rep_i's or rep_j's,
+    # has fewer classes, so each model must have (i, j, k) of both kinds
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     ws = workspace(model)
     g = model.sgp.frobenius
+    h = g + 1
     part = ws.partition
-    sizes = [len(images) for images in part.image_maps]
-    assert any(a < b for a in sizes for b in sizes)
+    classes = [
+        [len({w[: h - k] for w in images.values()}) for k in range(h)]
+        for images in part.image_maps
+    ]
+    n = part.orbit_count
+    kinds = {
+        classes[i][k] < classes[j][k]
+        for i in range(n)
+        for j in range(n)
+        for k in range(kappa(part.reps[i]))
+    }
+    assert kinds == {True, False}
     pack, unpack = model.field.packing.pack, model.field.packing.unpack
     expected = {}
     for i, rep in enumerate(part.reps):
@@ -359,6 +384,57 @@ def test_closure_table_matches_reference(gens, q):
     # t^N survives a translate
     keys = model._cache["normalize"]
     assert all(pack(unpack(r, model.trunc)) == r for key in keys for r in key)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[((4, 5, 7), 2), ((4, 5, 7), 3), ((3, 5, 7), 4)],
+    ids=["457-q2", "457-q3", "357-q4"],
+)
+def unit_sweep(request):
+    """A workspace, its unit representatives mod t^(g+1), and per orbit
+    the image u * rep of every one of them."""
+    gens, q = request.param
+    ws = workspace(semigroup_ring_model(semigroup(list(gens)), field_from_order(q)))
+    units = unit_representatives(ws.model.field, ws.model.head_dim)
+    images = [{u: rep.unit_image(u) for u in units} for rep in ws.partition.reps]
+    return ws, units, images
+
+
+def test_translates_from_kappa_lie_inside(unit_sweep):
+    # lemma (A) of ClosureTable.build: for k >= kappa(I), every t^k*u*J
+    # lies in I, and normalizes into J's orbit
+    ws, _, images = unit_sweep
+    h = ws.model.head_dim
+    for I in ws.partition.reps:
+        for j, by_unit in enumerate(images):
+            for image in set(by_unit.values()):
+                for k in range(kappa(I), h + 1):
+                    shifted = image.translate(k)
+                    assert I.contains_subspace(shifted)
+                    found = normalized_translate_intersection(I, shifted, k, image.sub)
+                    assert ws.orbit_id(found) == j
+
+
+def test_meet_orbit_depends_on_unit_mod_t_h_minus_k(unit_sweep):
+    # lemma (B) of ClosureTable.build: units u, u' equal mod t^(h-k) give
+    # the same orbit, both for I meet t^k*u*J and for u*I meet t^k*J; for
+    # k >= kappa(I) both translates lie inside, which the test above covers
+    ws, units, images = unit_sweep
+    h = ws.model.head_dim
+    reps = ws.partition.reps
+    orbit = functools.lru_cache(maxsize=None)(
+        lambda I, J, k: ws.orbit_id(normalized_translate_intersection(I, J.translate(k), k, J.sub))
+    )
+    for i, I in enumerate(reps):
+        for j, J in enumerate(reps):
+            for k in range(kappa(I)):
+                on_j, on_i = {}, {}
+                for u in units:
+                    a = orbit(I, images[j][u], k)
+                    b = orbit(images[i][u], J, k)
+                    assert on_j.setdefault(u[: h - k], a) == a
+                    assert on_i.setdefault(u[: h - k], b) == b
 
 
 def test_axiom_suite_full_sweep_q2(m457, stars457):

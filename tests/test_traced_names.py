@@ -4,7 +4,13 @@ only in a later traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import starlab
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -29,3 +35,25 @@ def test_traced_names_resolve():
         if not callable(raw):
             unresolved.append(f"{module}.{path}")
     assert unresolved == []
+
+
+def test_traced_run_matches_untraced(tmp_path):
+    # the tracer's hooks also read the arguments of what they wrap: the
+    # table.useful hook reads the rows of the translate and the ideal's
+    # N-wide view. A change of their shape must fail here too
+    src = os.path.dirname(os.path.dirname(starlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("STARLAB_CACHE_DIR", None)
+    argv = ["ring", "enum-stars", "--gens", "4,5,7", "--q", "2", "--jobs", "1"]
+    runs = [
+        subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+        for cmd in (
+            [sys.executable, "-m", "starlab.cli", *argv],
+            [sys.executable, str(LAYERS), str(tmp_path / "trace"), "cli", *argv],
+        )
+    ]
+    plain, traced = runs
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    counters = json.loads((tmp_path / "trace.json").read_text())["counters"]
+    assert 0 < counters["star_engine.table.useful"] <= counters["star_engine.table.translates"]
