@@ -4,9 +4,9 @@ Fields are table driven: elements are integer codes 0..q-1 (base-p digits of
 the residue polynomial for extension fields) and the add/mul tables are built
 once on construction, so everything downstream is pure table lookup.
 Subspaces of K^n are kept in reduced row echelon form, which makes equality,
-hashing and orbit bookkeeping structural. The closure table's hot path and
-the colon work on the same rows packed into Python ints by the field's
-`packing` (packed.py).
+hashing and orbit bookkeeping structural. The closure table's hot path, the
+colon and the unit-orbit search work on the same rows packed into Python
+ints by the field's `packing` (packed.py).
 
 The same vectors double as the truncated algebra A_N = K[t]/(t^N): an element
 is a coefficient tuple (c_0, ..., c_{N-1}) and its valuation is the index of
@@ -225,8 +225,9 @@ class Field:
     @cached_property
     def packing(self):
         """The one packed layout of vectors over this field (packed.py)."""
-        # imported on first use: the closure table and the colon pack rows,
-        # and a run that needs neither never loads packed.py
+        # imported on first use: the unit orbits, the closure table and the
+        # colon pack rows, and a run that needs none of them never loads
+        # packed.py
         from .packed import packing_for
 
         return packing_for(self)
@@ -618,10 +619,12 @@ def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
 
 
 def unit_image_map(sub: Subspace):
-    """The orbit of sub under the units 1 + t*K[t] of K[t]/(t^ambient).
+    """The orbit of sub under the units 1 + t*K[t] of K[t]/(t^ambient), on
+    the rows packed by the field (packed.py).
 
-    Returns {subspace: witness} where witness is a unit coefficient tuple
-    with witness * sub == subspace.
+    Returns {rows: witness}: rows is the tuple of the packed rows of an
+    image in reduced echelon form, and witness the packed unit u, of
+    constant term 1, with u * sub equal to that image.
 
     The stabilizer of sub is 1 + M with M = (sub : sub) meet t*K[t]; let V
     be the valuations of M. Two products of factors 1 + c_j*t^j, one per
@@ -631,21 +634,37 @@ def unit_image_map(sub: Subspace):
     element is computed once, as the image of an earlier one under a single
     sparse factor, and the product is its witness. Finding any other number
     of images is an engine error.
+
+    A factor 1 + c*t^j sends a row r to r + c*t^j*r, which keeps its pivot
+    and pivot entry 1, so only back-substitution is left: each row is
+    reduced against the rows below it, last row first.
     """
-    fld = sub.field
+    kern = sub.field.packing
     n = sub.ambient
-    one = (1,) + (0,) * (n - 1)
-    fixed = [p for p in subspace_colon(sub, sub).pivots if p]
-    images = {sub: one}
+    pivots = sub.pivots
+    start = tuple(map(kern.pack, sub.rows))
+    entries = tuple(map(kern.entry, pivots, start))
+    fixed = {p for p in subspace_colon(sub, sub, (entries, start)).pivots if p}
+    add, scale, shift, truncate = kern.add, kern.scale, kern.shift, kern.truncate
+    reduce, entry = kern.reduce, kern.entry
+
+    def times(c, j, v):  # (1 + c*t^j) * v
+        return add(v, truncate(shift(scale(c, v), j), n))
+
+    images = {start: kern.pack((1,))}
     for j in range(1, n):
         if j in fixed:
             continue
         layer = tuple(images.items())
-        for c in range(1, fld.q):
-            factor = one[:j] + (c,) + one[j + 1 :]
-            for img, w in layer:
-                images[subspace_unit_image(img, factor)] = series_mul(factor, w, fld)
-    expected = fld.q ** (n - 1 - len(fixed))
+        for c in range(1, sub.field.q):
+            for rows, w in layer:
+                image = [None] * len(rows)
+                below = []  # canonical rows vanish at each other's pivots: any order
+                for i in reversed(range(len(rows))):
+                    image[i] = r = reduce(times(c, j, rows[i]), below)
+                    below.append(entry(pivots[i], r))
+                images[tuple(image)] = times(c, j, w)
+    expected = sub.field.q ** (n - 1 - len(fixed))
     if len(images) != expected:
         raise InvariantError(f"unit orbit has {len(images)} images, not {expected}")
     return images
@@ -657,9 +676,9 @@ class OrbitPartition:
     `items` are the partitioned objects (subspaces, or ideals partitioned by
     their heads) and `members[k]` the item indices of orbit k, least
     canonical matrix first; that least member is the representative.
-    `image_maps[k]` records every subspace (inside the family or not) that
-    some unit sends the representative's subspace to, with a witness unit,
-    and `index` maps each item to its position in `items`.
+    `image_maps[k]` is the representative subspace's `unit_image_map`: it
+    maps the packed rows of every image (inside the family or not) to a
+    packed witness unit. `index` maps each item to its position in `items`.
     """
 
     __slots__ = ("items", "orbit_ids", "reps", "members", "image_maps", "index")
@@ -680,8 +699,11 @@ class OrbitPartition:
         return tuple(len(m) for m in self.members)
 
     def witness(self, orbit_id, member: Subspace):
-        """Unit u with u * rep == member (member must lie in the orbit)."""
-        return self.image_maps[orbit_id][member]
+        """Unit u, a coefficient tuple, with u * rep == member (member must
+        lie in the orbit)."""
+        kern = member.field.packing
+        w = self.image_maps[orbit_id][tuple(map(kern.pack, member.rows))]
+        return kern.unpack(w, member.ambient)
 
 
 def partition_subspaces(subspaces) -> OrbitPartition:
@@ -690,10 +712,11 @@ def partition_subspaces(subspaces) -> OrbitPartition:
 
     Subspaces are visited in canonical order, so each orbit is found from its
     least member: orbit ids ascend with the representatives, and every
-    witness already maps the representative.
+    witness already maps the representative. The image maps are keyed by
+    packed rows, and so is the look-up of the members among them.
     """
     subspaces = tuple(subspaces)
-    index = {s: i for i, s in enumerate(subspaces)}
+    index = {tuple(map(s.field.packing.pack, s.rows)): i for i, s in enumerate(subspaces)}
     orbit_ids = [None] * len(subspaces)
     members = []
     image_maps = []
@@ -702,7 +725,7 @@ def partition_subspaces(subspaces) -> OrbitPartition:
             continue
         images = unit_image_map(subspaces[i])
         orbit = sorted(
-            (index[s] for s in images if s in index), key=lambda j: subspaces[j].rows
+            (index[key] for key in images if key in index), key=lambda j: subspaces[j].rows
         )
         for j in orbit:
             orbit_ids[j] = len(members)

@@ -486,9 +486,9 @@ def lower_bound_certificate(
     absorbed = False
     pair_checks = 0
     for (_, oid), (b, _) in itertools.permutations(reps, 2):
-        for image_head in ws.partition.image_maps[oid]:
+        for image_rows in ws.partition.image_maps[oid]:
             pair_checks += 1
-            if b.contains_subspace(image_head):
+            if b.contains_packed(image_rows):
                 absorbed = True
     report.results["non_absorption_pairs_checked"] = pair_checks
     report.verdict("mutual_non_absorption", not absorbed)
@@ -526,7 +526,7 @@ def unit_translate_criterion(ws, pool) -> dict:
     out = {}
     for jx, J in enumerate(pool):
         hit = {
-            oid: any(J.contains_subspace(img) for img in part.image_maps[oid])
+            oid: any(J.contains_packed(rows) for rows in part.image_maps[oid])
             for oid in set(orbit_ids)
         }
         out.update(((jx, ix), hit[oid]) for ix, oid in enumerate(orbit_ids))

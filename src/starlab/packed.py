@@ -6,8 +6,8 @@ field has one layout, chosen by `packing_for`: F_2 is a bit mask added by
 XOR, F_3 is bitsliced into a pair of masks (Boothby and Bradshaw,
 "Bitslicing and the method of four Russians over larger finite fields"),
 and every other field adds its base-p digits slot by slot with a guard bit.
-The closure table's meets and normalizations and the colon work on these
-vectors.
+The closure table's meets and normalizations, the colon, ideal containment
+and the unit-orbit search with its image maps work on these vectors.
 """
 
 from __future__ import annotations

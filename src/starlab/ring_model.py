@@ -17,7 +17,6 @@ the semigroup generators.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import takewhile
 
 from .errors import BudgetError, InputError, InvariantError
 from .fq_linear import (
@@ -201,18 +200,28 @@ class RingIdeal:
             return False
         if not set(other_head.pivots) <= set(head.pivots):
             return False
-        return self.contains_subspace(other_head)
+        return self.contains_packed(packed_head(other)[0])
 
     def contains_subspace(self, sub: Subspace) -> bool:
         """Whether sub, a subspace of K^(g+1) or of A_N, lies inside the
         ideal. Its rows are read mod t^(g+1); in echelon form, the rows that
         vanish there, which lie in the conductor, come last."""
         h = self.model.head_dim
-        heads = takewhile(any, (r[:h] for r in sub.rows))
-        return all(self.head.contains(r) for r in heads)
+        pack = self.model.field.packing.pack
+        heads = sub.rows[: bisect_left(sub.pivots, h)]
+        return self.contains_packed(pack(r[:h]) for r in heads)
+
+    def contains_packed(self, rows) -> bool:
+        """Whether vectors of K^(g+1), packed by the field (packed.py), all
+        lie in the head: each reduces to zero against `packed_head`."""
+        entries = packed_head(self)[1]
+        kern = self.model.field.packing
+        reduce, support = kern.reduce, kern.support
+        return not any(support(reduce(r, entries)) for r in rows)
 
     def contains_vector(self, vec) -> bool:
-        return self.head.contains(vec[: self.model.head_dim])
+        pack = self.model.field.packing.pack
+        return self.contains_packed((pack(vec[: self.model.head_dim]),))
 
     def in_f0(self) -> bool:
         """R <= I <= V, i.e. the ideal contains 1 (stability is built in)."""
@@ -619,7 +628,8 @@ def unit_orbits(ideals) -> OrbitPartition:
 
     The ideals contain the conductor block, so u * I is determined by the
     head of I and by u mod t^(g+1): the heads are partitioned in K^(g+1), and
-    the image maps hold heads with witnesses of g+1 coefficients.
+    the image maps hold the packed rows of heads with packed witnesses of
+    g+1 coefficients (`unit_image_map`).
     """
     ideals = tuple(ideals)
     part = partition_subspaces([I.head for I in ideals])

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import BudgetError, InputError, InvariantError
-from .fq_linear import unit_representatives
+from .fq_linear import Subspace, unit_representatives
 from .ring_model import (
     DEFAULT_MAX_IDEALS,
     RingIdeal,
@@ -225,15 +225,20 @@ class ClosureTable:
             kappa.append(k)
         # per orbit and shift k < h, one unit image per class of witnesses
         # mod t^(h-k); the representative, whose witness is 1, comes first
-        # in its image map and stands for its class
+        # in its image map and stands for its class. The image maps hold
+        # packed heads, which keep the representative's pivots; at k = 0
+        # each image is a class of its own, so every image becomes an ideal
         classes = []
-        for images in part.image_maps:
-            ideals = {head: RingIdeal(model, head) for head in images}
+        for rep, images in zip(part.reps, part.image_maps):
+            ideals, pivots = {}, rep.head.pivots
+            for rows in images:
+                head = tuple(kern.unpack(r, h) for r in rows)
+                ideals[rows] = RingIdeal(model, Subspace(model.field, h, head, pivots))
             by_class = []
             for k in range(h):
                 picked = {}
-                for head, w in images.items():
-                    picked.setdefault(w[: h - k], ideals[head])
+                for rows, w in images.items():
+                    picked.setdefault(kern.truncate(w, h - k), ideals[rows])
                 by_class.append(tuple(picked.values()))
             classes.append(by_class)
 

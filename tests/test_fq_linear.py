@@ -376,6 +376,18 @@ def test_colon_rejects_mismatched_ambients():
 # unit orbits
 
 
+def unpacked_images(images, fld, n):
+    """A unit image map with its packed keys and witnesses unpacked:
+    {Subspace: witness tuple}."""
+    unpack = fld.packing.unpack
+    out = {
+        Subspace(fld, n, tuple(unpack(r, n) for r in rows)): unpack(w, n)
+        for rows, w in images.items()
+    }
+    assert len(out) == len(images)
+    return out
+
+
 @pytest.mark.parametrize(
     "p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 3), (5, 1, 3), (3, 1, 4)]
 )
@@ -390,7 +402,7 @@ def test_unit_generators_reach_every_unit_image(p, e, n):
     assert len(reps) == f.q ** (n - 1)
     one = (1,) + (0,) * (n - 1)
     for sub in enumerate_subspaces(n, f):
-        images = unit_image_map(sub)
+        images = unpacked_images(unit_image_map(sub), f, n)
         all_images = [subspace_unit_image(sub, u) for u in reps]
         assert set(images) == set(all_images)
         for img, w in images.items():
@@ -405,7 +417,7 @@ def test_unit_generators_reach_every_unit_image(p, e, n):
 def test_understated_stabilizer_is_an_engine_error(capsys, monkeypatch):
     # a multiplier ring that loses its positive valuations makes the orbit
     # count exceed what the units reach
-    def scalars_only(a, b):
+    def scalars_only(a, b, packed=None):
         return Subspace.span(a.field, a.ambient, [(1,) + (0,) * (a.ambient - 1)])
 
     monkeypatch.setattr(fq_linear, "subspace_colon", scalars_only)

@@ -17,6 +17,7 @@ from starlab.fq_linear import (
 )
 from starlab.kunz_lab import ring_model_for
 from starlab.numsgp import semigroup
+from starlab.packed import Gf2Packing, Gf3Packing, SwarPacking
 from starlab.ring_model import (
     RingIdeal,
     _normalize,
@@ -51,6 +52,15 @@ def ideal_from_full(model, sub):
     ideal = RingIdeal(model, Subspace.span(model.field, h, [r[:h] for r in sub.rows]))
     assert ideal.sub == sub
     return ideal
+
+
+def image_ideal(rep, rows):
+    """The ideal whose head has these packed rows, a key of the image map
+    of rep's orbit; unit images keep the pivots of rep's head."""
+    model = rep.model
+    h = model.head_dim
+    head = tuple(model.field.packing.unpack(r, h) for r in rows)
+    return RingIdeal(model, Subspace(model.field, h, head, rep.head.pivots))
 
 
 def normalize(model, sub):
@@ -398,15 +408,52 @@ def test_unit_orbits_match_full_width_partition(gens, q):
     assert part.members == ref.members
     assert [rep.sub for rep in part.reps] == list(ref.reps)
     pad = (0,) * (model.trunc - model.head_dim)
+    unpack, h, n = model.field.packing.unpack, model.head_dim, model.trunc
     for rep, images, ref_images in zip(part.reps, part.image_maps, ref.image_maps):
-        lifted = {RingIdeal(model, head).sub: w for head, w in images.items()}
+        lifted = {image_ideal(rep, rows).sub: unpack(w, h) for rows, w in images.items()}
         assert len(lifted) == len(images)
-        assert set(lifted) == set(ref_images)
+        assert {tuple(unpack(r, n) for r in rows) for rows in ref_images} == {
+            image.rows for image in lifted
+        }
         for image, w in lifted.items():
             assert len(w) == model.head_dim
             assert rep.unit_image(w).sub == image
             assert subspace_unit_image(rep.sub, w + pad) == image
             assert image.pivots == pivot_scan(image.rows)
+
+
+@pytest.mark.parametrize(
+    "gens,q,layout",
+    [
+        ((4, 5, 7), 2, Gf2Packing),
+        ((4, 5, 7), 3, Gf3Packing),
+        ((3, 5, 7), 4, SwarPacking),
+        ((3, 5, 7), 9, SwarPacking),
+    ],
+    ids=["q2", "q3", "q4", "q9"],
+)
+def test_packed_image_maps_per_layout(gens, q, layout):
+    # for each packed layout: the image maps of the ring-level orbits hold
+    # packed heads and packed witnesses. Every key unpacks to the image of
+    # rep's head under its unpacked witness, the keys are the images under
+    # all units with constant term 1, and witness() gives g+1 coefficients
+    model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
+    kern = model.field.packing
+    assert type(kern) is layout
+    h = model.head_dim
+    units = unit_representatives(model.field, h)
+    part = unit_orbits(enumerate_ideals(model))
+    for oid, (rep, images) in enumerate(zip(part.reps, part.image_maps)):
+        for rows, w in images.items():
+            image = subspace_unit_image(rep.head, kern.unpack(w, h))
+            assert tuple(kern.unpack(r, h) for r in rows) == image.rows
+        brute = {subspace_unit_image(rep.head, u).rows for u in units}
+        assert {tuple(kern.unpack(r, h) for r in rows) for rows in images} == brute
+        for m in part.members[oid]:
+            member = part.items[m]
+            w = part.witness(oid, member.head)
+            assert isinstance(w, tuple) and len(w) == h
+            assert rep.unit_image(w) is member
 
 
 def test_translate_matches_span(model457, ideals457):
@@ -601,16 +648,22 @@ def test_sub_view_is_the_lifted_head(make_model):
 @pytest.mark.parametrize("make_model", HEAD_FORM_MODELS, ids=HEAD_FORM_IDS)
 def test_contains_subspace_matches_full_width(make_model):
     # every ideal of F_0 against every unit image of every orbit
-    # representative, as a head and as the translate t * u * rep in A_N
+    # representative, as a head, as its packed image-map key and as the
+    # translate t * u * rep in A_N
     model = make_model()
     ideals = enumerate_ideals(model)
     part = unit_orbits(ideals)
-    images = [RingIdeal(model, head) for heads in part.image_maps for head in heads]
+    images = [
+        (rows, image_ideal(rep, rows))
+        for rep, heads in zip(part.reps, part.image_maps)
+        for rows in heads
+    ]
     answers = set()
     for J in ideals:
-        for image in images:
+        for rows, image in images:
             full = all(J.sub.contains(r) for r in image.sub.rows)
             assert J.contains_subspace(image.head) == full
+            assert J.contains_packed(rows) == full
             shifted = image.translate(1)
             assert J.contains_subspace(shifted) == all(J.sub.contains(r) for r in shifted.rows)
             answers.add(full)

@@ -51,6 +51,12 @@ def series_shift_down(coeffs, m):
     return coeffs[m:] + (0,) * m
 
 
+def image_head(model, rows):
+    """The head with these packed rows, a key of an orbit's image map."""
+    h = model.head_dim
+    return Subspace(model.field, h, tuple(model.field.packing.unpack(r, h) for r in rows))
+
+
 @pytest.fixture(scope="module")
 def m457():
     return semigroup_ring_model(semigroup([4, 5, 7]), F2)
@@ -113,7 +119,7 @@ def test_generated_star_closure_criterion(m457, ws457):
         for J in pool:
             oid = ws457.orbit_id(J)
             unit_containment = any(
-                I.contains_subspace(img) for img in part.image_maps[oid]
+                I.contains_subspace(image_head(m457, rows)) for rows in part.image_maps[oid]
             )
             assert star_i.is_closed(J) == unit_containment, (I, J)
 
@@ -293,7 +299,11 @@ def test_normalize_memo_is_per_model():
         for poly in ((1, 1, 0, 1), (1, 0, 1, 1))
     ]
     image_maps = workspace(models[0]).partition.image_maps
-    inputs = [RingIdeal(models[0], head).sub.rows for images in image_maps for head in images]
+    inputs = [
+        RingIdeal(models[0], image_head(models[0], rows)).sub.rows
+        for images in image_maps
+        for rows in images
+    ]
     results = []
     for model in models:
         subs = [Subspace(model.field, model.trunc, rows) for rows in inputs]
@@ -340,8 +350,9 @@ def test_closure_table_matches_reference(gens, q):
     g = model.sgp.frobenius
     h = g + 1
     part = ws.partition
+    unpack = model.field.packing.unpack
     classes = [
-        [len({w[: h - k] for w in images.values()}) for k in range(h)]
+        [len({unpack(w, h)[: h - k] for w in images.values()}) for k in range(h)]
         for images in part.image_maps
     ]
     n = part.orbit_count
@@ -352,13 +363,13 @@ def test_closure_table_matches_reference(gens, q):
         for k in range(kappa(part.reps[i]))
     }
     assert kinds == {True, False}
-    pack, unpack = model.field.packing.pack, model.field.packing.unpack
+    pack = model.field.packing.pack
     expected = {}
     for i, rep in enumerate(part.reps):
         for j in range(part.orbit_count):
             hits = set()
-            for image_head in part.image_maps[j]:
-                image = RingIdeal(model, image_head)
+            for rows in part.image_maps[j]:
+                image = RingIdeal(model, image_head(model, rows))
                 for k in range(g + 2):
                     shifted = image.translate(k)
                     if not shifted.rows:
