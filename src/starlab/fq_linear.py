@@ -394,15 +394,20 @@ def _back_substitute(rows, pivots, fld):
 
 
 class Subspace:
-    """A subspace of K^ambient in canonical (reduced row echelon) form."""
+    """A subspace of K^ambient in canonical (reduced row echelon) form:
+    `rows` are coefficient tuples, `packed` the same rows packed by the
+    field (packed.py) and `entries` those as `Packing.entry` tuples, both
+    built on first use unless the packed rows are given."""
 
-    __slots__ = ("field", "ambient", "rows", "_pivots")
+    __slots__ = ("field", "ambient", "rows", "_pivots", "_packed", "_entries")
 
-    def __init__(self, fld, ambient, rows, pivots=None):
+    def __init__(self, fld, ambient, rows, pivots=None, packed=None):
         self.field = fld
         self.ambient = ambient
         self.rows = rows
         self._pivots = pivots
+        self._packed = packed
+        self._entries = None
 
     @classmethod
     def span(cls, fld, ambient, vectors):
@@ -430,6 +435,20 @@ class Subspace:
         if self._pivots is None:
             self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
         return self._pivots
+
+    @property
+    def packed(self):
+        if self._packed is None:
+            self._packed = tuple(map(self.field.packing.pack, self.rows))
+        return self._packed
+
+    @property
+    def entries(self):
+        # held with the rows: an entry scales the negated multiples of its
+        # row on first use, so each is scaled once
+        if self._entries is None:
+            self._entries = tuple(map(self.field.packing.entry, self.pivots, self.packed))
+        return self._entries
 
     def reduce(self, vec):
         """Residual of vec after eliminating along this subspace's rows."""
@@ -479,15 +498,14 @@ class Subspace:
         return f"Subspace(dim={self.dim}, pivots={self.pivots})"
 
 
-def subspace_colon(a: Subspace, b: Subspace, packed=None) -> Subspace:
+def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
     """(a : b), all x in K[t]/(t^n) with x*b inside a, products truncated
-    at t^n. `packed` is the pair of a's packed rows as elimination entries
-    (`Packing.entry`) and b's packed rows, packed here when not given.
+    at t^n.
 
     Each row r of b with pivot p contributes, for every shift t^i*r with
     i < n - p, the residual of t^i*r against a; x lies in the colon exactly
     when sum_i x_i * residual_i vanishes for every r. Shifts with i >= n - p
-    vanish and constrain nothing. On packed rows (packed.py), unknown i gets
+    vanish and constrain nothing. On packed rows (`packed`), unknown i gets
     the block of the residuals of all rows side by side, n columns each,
     tagged with e_i in the columns above. Forward elimination, last unknown
     first, keeps the blocks whose residuals do not cancel. Each block that
@@ -498,13 +516,11 @@ def subspace_colon(a: Subspace, b: Subspace, packed=None) -> Subspace:
         raise InputError("ambient dimension mismatch")
     kern = a.field.packing
     n = a.ambient
-    if packed is None:
-        packed = (tuple(map(kern.entry, a.pivots, map(kern.pack, a.rows))), map(kern.pack, b.rows))
-    entries, divisors = packed
+    entries = a.entries
     add, reduce, shift, truncate = kern.add, kern.reduce, kern.shift, kern.truncate
     support = kern.support
     blocks = [None] * n
-    for k, (p, r) in enumerate(zip(b.pivots, divisors)):
+    for k, (p, r) in enumerate(zip(b.pivots, b.packed)):
         for i in range(n - p):
             residual = reduce(truncate(shift(r, i), n), entries)
             if support(residual):
@@ -541,22 +557,13 @@ def subspace_colon(a: Subspace, b: Subspace, packed=None) -> Subspace:
 # counting and enumeration
 
 
-def gaussian_binomial(m, k, q):
-    """Number of k-dimensional subspaces of F_q^m."""
-    if k < 0 or k > m:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (m - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
-
-
 def count_subspaces(m, q):
-    """Total number of subspaces of F_q^m (the Galois number)."""
-    return sum(gaussian_binomial(m, k, q) for k in range(m + 1))
+    """Total number of subspaces of F_q^m (the Galois number), by the
+    recurrence G(i+1) = 2*G(i) + (q^i - 1)*G(i-1) of Goldman and Rota."""
+    prev, cur = 0, 1
+    for i in range(m):
+        prev, cur = cur, 2 * cur + (q**i - 1) * prev
+    return cur
 
 
 def enumerate_subspaces(ambient, fld):
@@ -642,16 +649,14 @@ def unit_image_map(sub: Subspace):
     kern = sub.field.packing
     n = sub.ambient
     pivots = sub.pivots
-    start = tuple(map(kern.pack, sub.rows))
-    entries = tuple(map(kern.entry, pivots, start))
-    fixed = {p for p in subspace_colon(sub, sub, (entries, start)).pivots if p}
+    fixed = {p for p in subspace_colon(sub, sub).pivots if p}
     add, scale, shift, truncate = kern.add, kern.scale, kern.shift, kern.truncate
     reduce, entry = kern.reduce, kern.entry
 
     def times(c, j, v):  # (1 + c*t^j) * v
         return add(v, truncate(shift(scale(c, v), j), n))
 
-    images = {start: kern.pack((1,))}
+    images = {sub.packed: kern.pack((1,))}
     for j in range(1, n):
         if j in fixed:
             continue
@@ -701,9 +706,8 @@ class OrbitPartition:
     def witness(self, orbit_id, member: Subspace):
         """Unit u, a coefficient tuple, with u * rep == member (member must
         lie in the orbit)."""
-        kern = member.field.packing
-        w = self.image_maps[orbit_id][tuple(map(kern.pack, member.rows))]
-        return kern.unpack(w, member.ambient)
+        w = self.image_maps[orbit_id][member.packed]
+        return member.field.packing.unpack(w, member.ambient)
 
 
 def partition_subspaces(subspaces) -> OrbitPartition:
@@ -716,7 +720,7 @@ def partition_subspaces(subspaces) -> OrbitPartition:
     packed rows, and so is the look-up of the members among them.
     """
     subspaces = tuple(subspaces)
-    index = {tuple(map(s.field.packing.pack, s.rows)): i for i, s in enumerate(subspaces)}
+    index = {s.packed: i for i, s in enumerate(subspaces)}
     orbit_ids = [None] * len(subspaces)
     members = []
     image_maps = []

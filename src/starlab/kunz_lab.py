@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError
+from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError, check_budget
 from .fq_linear import (
     Subspace,
     count_subspaces,
@@ -85,6 +85,13 @@ def family_semigroup(n: int) -> NumericalSemigroup:
         raise InputError("the family needs n >= 3")
     gaps = list(range(1, n)) + [2 * n - 2]
     return NumericalSemigroup.from_gaps(gaps)
+
+
+def family_index(S: NumericalSemigroup) -> int | None:
+    """The n with S = family_semigroup(n), or None: a member's Frobenius
+    number is 2n - 2."""
+    n = (S.frobenius + 2) // 2
+    return n if n >= 3 and S == family_semigroup(n) else None
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +295,14 @@ def _attach_certified_bound(report, S, q, max_ideals, modulus):
     """The family member's certified bound, under the run's own ideal budget
     and modulus; left None when S is no family member or the budget is
     exceeded."""
-    for n in range(3, 40):
-        try:
-            if family_semigroup(n) == S:
-                cert = lower_bound_certificate(n, q, max_ideals, modulus)
-                report.results["certified_lower_bound"] = cert.results[
-                    "certified_lower_bound"
-                ]
-                return
-        except InputError:
-            continue
-        except BudgetError:
-            return
+    n = family_index(S)
+    if n is None:
+        return
+    try:
+        cert = lower_bound_certificate(n, q, max_ideals, modulus)
+    except BudgetError:
+        return
+    report.results["certified_lower_bound"] = cert.results["certified_lower_bound"]
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +336,7 @@ def subspace_lab(
     if n < 3:
         raise InputError("lab needs n >= 3")
     fld = field_from_order(q, modulus)
-    if max_count is not None and q ** (n - 1) > max_count:
-        raise BudgetError(f"q^(n-1) = {q ** (n - 1)} exceeds budget {max_count}")
+    check_budget(q ** (n - 1), max_count, "q^(n-1) = {} exceeds budget {}")
     e0 = tuple(1 if i == 0 else 0 for i in range(n))
     X = []
     for p in range(1, n - 1):
@@ -454,11 +456,12 @@ def lower_bound_certificate(
     if n < 4:
         raise InputError("the certificate construction needs n >= 4")
     S = family_semigroup(n)
+    # the lab's budget check comes first: a large member's ring is slow to build
+    lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
     model = ring_model_for(tuple(S.generators), q, modulus)
     report = KunzReport(
         input={"n": n, "q": q, "generators": list(S.generators), "command": "lower-bound"}
     )
-    lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
     report.results["class_count"] = lab.class_count
     ws = workspace(model, max_ideals)
     stable = [I for I in ws.ideals if is_overring_stable(I)]
@@ -582,7 +585,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
     ok = all(I.colon(R) == I and I.colon(I.colon(I)).contains(I) for I in ideals)
     report.verdict("colon_laws", ok)
 
-    is_family = S == family_semigroup((g + 2) // 2)
+    is_family = family_index(S) is not None
     report.results["family_member"] = is_family
     if is_family:
         stable = [I for I in ideals if is_overring_stable(I)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BudgetError, InputError, InvariantError
+from .errors import InputError, InvariantError, check_budget
 
 
 def _gcd_all(values):
@@ -327,8 +327,7 @@ def enumerate_ideals(S: NumericalSemigroup, max_count: int | None = 4096):
     order (subsets of the gap set, binary counting over sorted gaps)."""
     gaps = S.gaps
     total = 2 ** len(gaps)
-    if max_count is not None and total > max_count:
-        raise BudgetError(f"{total} candidate ideals exceed budget {max_count}")
+    check_budget(total, max_count, "{} candidate ideals exceed budget {}")
     small_s = frozenset(S.small_members())
     g = S.frobenius
     out = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import BudgetError, InputError, InvariantError
+from .errors import InputError, InvariantError, check_budget
 from .fq_linear import (
     OrbitPartition,
     Subspace,
@@ -48,9 +48,10 @@ class RingModel:
         # the model's one RingIdeal per head, by its rows; kept out of _cache,
         # whose memos may be dropped while the ideals stay shared
         self._ideals = {}
-        # one shared copy: every derived N-wide view ends in these rows
-        self._conductor_rows = tuple(self.monomial(k) for k in range(h, trunc))
-        self.conductor_values = tuple(range(h, trunc))
+        # the block t^(g+1), ..., t^(N-1), one shared copy: every N-wide
+        # view of an ideal ends in its rows, pivots and packed rows
+        values = tuple(range(h, trunc))
+        self.conductor = Subspace(field, trunc, tuple(map(self.monomial, values)), values)
         # the ring's head: its basis rows with pivot <= g, cut to g+1 columns
         pivots = tuple(p for p in basis.pivots if p < h)
         rows = tuple(r[:h] for r in basis.rows[: len(pivots)])
@@ -74,9 +75,6 @@ class RingModel:
         head = self._ring.head  # its first row has pivot 0, as R contains 1
         rows, pivots = head.rows[1:], head.pivots[1:]
         return RingIdeal(self, Subspace(self.field, self.head_dim, rows, pivots))
-
-    def conductor_rows(self):
-        return self._conductor_rows
 
     def span_ideal(self, vectors) -> "RingIdeal":
         """Smallest conductor-containing R-submodule spanning the vectors,
@@ -186,13 +184,13 @@ class RingIdeal:
 
     @property
     def dim(self):
-        return self.head.dim + len(self.model.conductor_values)
+        return self.head.dim + self.model.conductor.dim
 
     @property
     def value_set(self):
         """Valuations realized below the truncation: the head's pivot columns,
         then those of the conductor."""
-        return self.head.pivots + self.model.conductor_values
+        return self.head.pivots + self.model.conductor.pivots
 
     def contains(self, other: "RingIdeal") -> bool:
         head, other_head = self.head, other.head
@@ -200,21 +198,21 @@ class RingIdeal:
             return False
         if not set(other_head.pivots) <= set(head.pivots):
             return False
-        return self.contains_packed(packed_head(other)[0])
+        return self.contains_packed(other_head.packed)
 
     def contains_subspace(self, sub: Subspace) -> bool:
         """Whether sub, a subspace of K^(g+1) or of A_N, lies inside the
         ideal. Its rows are read mod t^(g+1); in echelon form, the rows that
         vanish there, which lie in the conductor, come last."""
         h = self.model.head_dim
-        pack = self.model.field.packing.pack
-        heads = sub.rows[: bisect_left(sub.pivots, h)]
-        return self.contains_packed(pack(r[:h]) for r in heads)
+        truncate = self.model.field.packing.truncate
+        heads = sub.packed[: bisect_left(sub.pivots, h)]
+        return self.contains_packed(truncate(r, h) for r in heads)
 
     def contains_packed(self, rows) -> bool:
         """Whether vectors of K^(g+1), packed by the field (packed.py), all
-        lie in the head: each reduces to zero against `packed_head`."""
-        entries = packed_head(self)[1]
+        lie in the head: each reduces to zero against the head's entries."""
+        entries = self.head.entries
         kern = self.model.field.packing
         reduce, support = kern.reduce, kern.support
         return not any(support(reduce(r, entries)) for r in rows)
@@ -270,8 +268,7 @@ class RingIdeal:
         memo = self.model._cache.setdefault("colon", {})
         cached = memo.get((self, other))
         if cached is None:
-            packed = (packed_head(self)[1], packed_head(other)[0])
-            colon = subspace_colon(self.head, other.head, packed)
+            colon = subspace_colon(self.head, other.head)
             cached = memo[self, other] = RingIdeal(self.model, colon)
         return cached
 
@@ -289,16 +286,22 @@ class RingIdeal:
         at t^(k+g+1)), so it is returned as a raw subspace of A_N: the head
         rows moved k columns right and padded to N, then the conductor rows
         from t^(k+g+1) on. That is already reduced echelon form, as the head
-        rows end before t^(k+g+1) and the conductor rows are monomials.
+        rows end before t^(k+g+1) and the conductor rows are monomials. Its
+        packed rows are the head's shifted, then the conductor's; at k = 0
+        the head's own.
         """
         model = self.model
         h, n = model.head_dim, model.trunc
         if not 0 <= k <= h:
             raise InputError(f"shift {k} outside [0, {h}]")
+        head, conductor = self.head, model.conductor
+        shift = model.field.packing.shift
         pad, tail = (0,) * k, (0,) * (n - h - k)
-        rows = tuple(pad + r + tail for r in self.head.rows) + model.conductor_rows()[k:]
-        pivots = tuple(p + k for p in self.head.pivots) + model.conductor_values[k:]
-        return Subspace(model.field, n, rows, pivots)
+        rows = tuple(pad + r + tail for r in head.rows) + conductor.rows[k:]
+        pivots = tuple(p + k for p in head.pivots) + conductor.pivots[k:]
+        packed = tuple(shift(r, k) for r in head.packed) if k else head.packed
+        packed += conductor.packed[k:]
+        return Subspace(model.field, n, rows, pivots, packed)
 
     def unit_image(self, unit) -> "RingIdeal":
         """u * I, for a unit u of A_N read mod t^(g+1)."""
@@ -312,26 +315,10 @@ class RingIdeal:
             raise InputError("ideals belong to different models")
 
 
-def packed_head(ideal: RingIdeal):
-    """The rows of an ideal's head packed by the field (packed.py), and
-    their elimination entries, which `_packed_meet` and the colon reduce
-    against. Memoized per model on the ideal, so the negated multiples that
-    an entry scales on first use are scaled once."""
-    memo = ideal.model._cache.setdefault("packed_heads", {})
-    packed = memo.get(ideal)
-    if packed is None:
-        kern = ideal.model.field.packing
-        head = ideal.head
-        rows = tuple(map(kern.pack, head.rows))
-        packed = memo[ideal] = (rows, tuple(map(kern.entry, head.pivots, rows)))
-    return packed
-
-
-def _packed_meet(model: RingModel, entries, rows, pivots):
+def _packed_meet(ideal: RingIdeal, sub: Subspace):
     """The packed rows and pivots, as tuples, of the intersection of the
-    model's ideal whose head has these entries (`packed_head`) with a subspace of
-    A_N, given by its packed rows and their pivots; None when the subspace
-    lies inside the ideal.
+    ideal with a subspace of A_N; None when the subspace lies inside the
+    ideal.
 
     The ideal contains the conductor block, so w lies in it exactly when
     head(w), its coefficients 0..g, lies in the head of the ideal. Rows of
@@ -344,8 +331,10 @@ def _packed_meet(model: RingModel, entries, rows, pivots):
     from the subspace vanishes at the pivots of all others, so the union,
     ordered by pivot, is canonical.
     """
+    model = ideal.model
     kern = model.field.packing
     h = model.head_dim
+    entries, rows, pivots = ideal.head.entries, sub.packed, sub.pivots
     low = bisect_left(pivots, h)
     kept = []
     block = []
@@ -402,7 +391,7 @@ def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
 
 
 def normalized_translate_intersection(
-    ideal: RingIdeal, shifted: Subspace, k: int, base: Subspace, packed=None
+    ideal: RingIdeal, shifted: Subspace, k: int, base: Subspace
 ) -> RingIdeal:
     """normalize(ideal meet (t^k * base)) where shifted = t^k * base.
 
@@ -413,24 +402,13 @@ def normalized_translate_intersection(
     every element of the intersection lies inside the conductor, the
     intersection equals t^k * (base cut at m-k), and normalizing that cut of
     base stays exact. The ideal need only contain the conductor block, so it
-    may be a unit image of a member of F_0.
-
-    The work reads packed rows: `packed` is the triple of the ideal's
-    entries (`packed_head`) and the packed rows of shifted and of base, tuples,
-    packed here when not given.
+    may be a unit image of a member of F_0. The work reads the packed rows
+    of the ideal's head, of shifted and of base.
     """
     model = ideal.model
-    if packed is None:
-        pack = model.field.packing.pack
-        packed = (
-            packed_head(ideal)[1],
-            tuple(map(pack, shifted.rows)),
-            tuple(map(pack, base.rows)),
-        )
-    entries, shifted_rows, base_rows = packed
-    meet = _packed_meet(model, entries, shifted_rows, shifted.pivots)
+    meet = _packed_meet(ideal, shifted)
     if meet is None:
-        return _normalize(model, base_rows, base.pivots)
+        return _normalize(model, base.packed, base.pivots)
     rows, pivots = meet
     if not rows:
         raise InvariantError("ideal intersection collapsed to zero")
@@ -438,7 +416,7 @@ def normalized_translate_intersection(
     if m <= model.head_dim:
         return _normalize(model, rows, pivots)
     low = bisect_left(base.pivots, m - k)
-    return _normalize(model, base_rows[low:], base.pivots[low:])
+    return _normalize(model, base.packed[low:], base.pivots[low:])
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +430,7 @@ def check_ideal_budget(model: RingModel, max_count: int | None):
     """Raise BudgetError when enumerating F_0 would lift more candidate
     subspaces (one per subspace of the gap coordinates) than max_count."""
     total = count_subspaces(model.sgp.genus, model.field.q)
-    if max_count is not None and total > max_count:
-        raise BudgetError(f"{total} candidate ideals exceed budget {max_count}")
+    check_budget(total, max_count, "{} candidate ideals exceed budget {}")
 
 
 def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEALS):

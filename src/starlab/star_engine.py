@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import BudgetError, InputError, InvariantError
+from .errors import InputError, InvariantError, check_budget
 from .fq_linear import Subspace, unit_representatives
 from .ring_model import (
     DEFAULT_MAX_IDEALS,
@@ -42,7 +42,6 @@ from .ring_model import (
     convert_to_overring,
     is_overring_stable,
     normalized_translate_intersection,
-    packed_head,
     unit_orbits,
 )
 
@@ -216,7 +215,6 @@ class ClosureTable:
         h = model.head_dim
         kern = model.field.packing
         part = ws.partition
-        conductor = tuple(map(kern.pack, model.conductor_rows()))
         kappa = []
         for rep in part.reps:
             k = h
@@ -226,14 +224,15 @@ class ClosureTable:
         # per orbit and shift k < h, one unit image per class of witnesses
         # mod t^(h-k); the representative, whose witness is 1, comes first
         # in its image map and stands for its class. The image maps hold
-        # packed heads, which keep the representative's pivots; at k = 0
-        # each image is a class of its own, so every image becomes an ideal
+        # packed heads, which keep the representative's pivots and become
+        # the heads' packed rows; at k = 0 each image is a class of its own,
+        # so every image becomes an ideal
         classes = []
         for rep, images in zip(part.reps, part.image_maps):
             ideals, pivots = {}, rep.head.pivots
             for rows in images:
                 head = tuple(kern.unpack(r, h) for r in rows)
-                ideals[rows] = RingIdeal(model, Subspace(model.field, h, head, pivots))
+                ideals[rows] = RingIdeal(model, Subspace(model.field, h, head, pivots, rows))
             by_class = []
             for k in range(h):
                 picked = {}
@@ -245,22 +244,16 @@ class ClosureTable:
         pair = {}
         entries = 0
         for j, rep_j in enumerate(part.reps):
-            # per unit image of rep_j, its N-wide view and packed rows, the
-            # head rows then the conductor's; per image and shift, t^k *
-            # image and its packed rows, the head rows shifted and then the
-            # conductor rows from t^(h+k) on. Held for one column at a time
+            # per unit image, its N-wide view, and per image and shift,
+            # t^k * image; held for one column at a time
             views, column = {}, {}
 
             def translate(image, k):
                 args = column.get((image, k))
                 if args is None:
-                    view = views.get(image)
-                    if view is None:
-                        rows = packed_head(image)[0]
-                        view = views[image] = (image.sub, rows, rows + conductor)
-                    base, rows, packed_base = view
-                    shifted = tuple(kern.shift(r, k) for r in rows) + conductor[k:]
-                    args = column[image, k] = (image.translate(k), base, shifted, packed_base)
+                    if image not in views:
+                        views[image] = image.sub
+                    args = column[image, k] = (image.translate(k), views[image])
                 return args
 
             for i, rep_i in enumerate(part.reps):
@@ -271,9 +264,8 @@ class ClosureTable:
                         calls = [(image, translate(rep_j, k)) for image in mine]
                     else:
                         calls = [(rep_i, translate(image, k)) for image in theirs]
-                    for ideal, (shifted, base, rows, packed_base) in calls:
-                        packed = (packed_head(ideal)[1], rows, packed_base)
-                        found = normalized_translate_intersection(ideal, shifted, k, base, packed)
+                    for ideal, (shifted, base) in calls:
+                        found = normalized_translate_intersection(ideal, shifted, k, base)
                         mask |= 1 << ws.orbit_id(found)
                     entries += len(calls)
                 pair[(i, j)] = mask
@@ -391,8 +383,7 @@ def closed_families(
     """
     ws = workspace(model, max_ideals)
     n = ws.partition.orbit_count
-    if max_orbits is not None and n > max_orbits:
-        raise BudgetError(f"{n} orbits exceed the cap {max_orbits}")
+    check_budget(n, max_orbits, "{} orbits exceed the cap {}")
 
     def walk():
         fam = ws.close(0)

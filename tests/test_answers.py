@@ -1,7 +1,8 @@
 """The benchmark's answer gate in tier-1: every invocation pinned in
 perfbench/answers.json, run as perfbench/run.py runs it, prints stdout with
 the pinned sha256. A change of output bytes fails here, not only in a later
-benchmark run."""
+benchmark run. A few invocations the benchmark does not run are pinned here
+the same way."""
 
 import hashlib
 import json
@@ -15,6 +16,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 PINNED = json.loads((BENCH / "answers.json").read_text())
+# the digit-slot packed layout (q = 4), a counterexample verdict and a
+# closed-form count check
+PINNED.update({
+    "cli ring enum-stars --gens 4,5,7 --q 4":
+        "d67922c377cbd8c39823cc8073eb7401510911d26e346606e5e70870a42015ea",
+    "cli kunz lemmas --gens 4,5,7 --q 4":
+        "6eed299195062a02c8b6389357633f3655f8bfca21acef6acdf1eaea5cf356b6",
+    "cli kunz counterexample --gens 5,6,7,9 --q 2":
+        "4a603d65aa0d28f8f8484df792629cde960666de2788cd28d9ccae3bf1892b2e",
+    "cli kunz formula-check --q 3":
+        "cf6d69a88d5e7ede423aab7e1db431bb6c77a671b2a20ee1f4819bd9d44ed356",
+})
 
 
 def argv(key):

@@ -137,6 +137,44 @@ def test_budget_exit_3(capsys, argv):
     assert "budget" in err + out
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh process, so no model it builds stays in this one;
+    its result and its wall time in seconds."""
+    src = os.path.dirname(os.path.dirname(starlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "starlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc, time.monotonic() - started
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("ring", "enum-ideals", "--gens", "30,31"), "2.936e+14241 candidate ideals"),
+        (("kunz", "subspace-orbits", "--n", "20000"), "q^(n-1) = 1.990e+6020 exceeds"),
+    ],
+    ids=["enum-ideals", "subspace-orbits"],
+)
+def test_budget_past_the_int_str_limit_exit_3(argv, message):
+    # counts of more than 4300 decimal digits, Python's int-to-str limit,
+    # are shown in scientific notation, not raised as an engine error
+    proc, _ = run_subprocess(*argv, "--q", "2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("budget exceeded: ") and message in proc.stderr
+
+
+def test_lower_bound_budget_exits_before_the_model():
+    # the lab's q^(n-1) check runs before the family member's ring, whose
+    # model alone takes tens of seconds to build at n = 600
+    proc, seconds = run_subprocess("kunz", "lower-bound", "--n", "600", "--q", "2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("budget exceeded: q^(n-1) = 2074757784")
+    assert seconds < 5
+
+
 @pytest.mark.parametrize("value", ["-5", "-1", "2147483648"])
 def test_bad_timeout_exit_2(capsys, value):
     # a deadline outside [0, 2^31 - 1] must not reach signal.alarm, where -1
@@ -170,17 +208,13 @@ def test_timeout_holds_under_jobs_2():
     # leaving the worker pool terminates its workers, so the deadline is not
     # held up by the two enumerations; untimed, the closure table of R alone
     # takes about a minute at q = 3
-    src = os.path.dirname(os.path.dirname(starlab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "starlab.cli", "kunz", "counterexample", "--gens", "5,6,7,9",
-         "--q", "3", "--timeout-s", "3", "--jobs", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+    proc, seconds = run_subprocess(
+        "kunz", "counterexample", "--gens", "5,6,7,9", "--q", "3", "--timeout-s", "3",
+        "--jobs", "2",
     )
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["verdicts"] == {"counterexample": "skipped(budget)"}
-    assert time.monotonic() - started < 15
+    assert seconds < 15
 
 
 def test_formula_check_n0_exit_2(capsys):
@@ -236,19 +270,15 @@ def test_engine_error_exit_5(capsys, monkeypatch):
 def test_deadline_skips_the_certificate():
     # a deadline ends the run: the family member's certificate is not
     # computed after it, unlike under a --max-ideals cap
-    src = os.path.dirname(os.path.dirname(starlab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "starlab.cli", "kunz", "counterexample",
-         "--gens", "6,7,8,9,11", "--q", "3", "--timeout-s", "2", "--jobs", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
+    proc, seconds = run_subprocess(
+        "kunz", "counterexample", "--gens", "6,7,8,9,11", "--q", "3", "--timeout-s", "2",
+        "--jobs", "1",
     )
     assert proc.returncode == 3, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["verdicts"] == {"counterexample": "skipped(budget)"}
     assert payload["results"]["certified_lower_bound"] is None
-    assert time.monotonic() - started < 6
+    assert seconds < 6
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from starlab.errors import BudgetError, GateError, InputError
 from starlab.fq_linear import enumerate_subspaces, field_from_order, unit_representatives
 from starlab.kunz_lab import (
     _least_element_of_valuation,
+    family_index,
     family_semigroup,
     formula_check,
     hypothesis_gate,
@@ -20,6 +21,7 @@ from starlab.kunz_lab import (
     unit_translate_criterion,
     verify_counterexample,
 )
+from starlab.numsgp import semigroup
 from starlab.ring_model import (
     convert_to_overring,
     frobenius_overring_model,
@@ -34,6 +36,10 @@ def test_family_semigroup_members():
     assert family_semigroup(5).generators == (5, 6, 7, 9)
     S = family_semigroup(6)
     assert S.frobenius == 10 and S.multiplicity == 6
+    assert [family_index(family_semigroup(n)) for n in range(3, 60)] == list(range(3, 60))
+    # <6,..,10> has the gaps 1..5 and 11, the member n = 6 the gaps 1..5 and 10
+    for gens in [(2, 3), (3, 4, 5), (4, 5, 6, 7), (5, 6, 7, 8, 9), (6, 7, 8, 9, 10)]:
+        assert family_index(semigroup(gens)) is None
 
 
 def test_gate_pass_and_fail():

@@ -47,7 +47,7 @@ def series_shift_down(coeffs, m):
 def ideal_from_full(model, sub):
     """The ideal whose N-wide subspace is sub, which must contain the
     conductor: its head is the span of its rows cut to g+1 columns."""
-    assert all(sub.contains(r) for r in model.conductor_rows())
+    assert all(sub.contains(r) for r in model.conductor.rows)
     h = model.head_dim
     ideal = RingIdeal(model, Subspace.span(model.field, h, [r[:h] for r in sub.rows]))
     assert ideal.sub == sub
@@ -329,7 +329,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     m = meet.pivots[0]
     inv = series_inv(series_shift_down(alt, m), F2)
     alt_rows = [series_shift_down(series_mul(inv, r, F2), m) for r in rows]
-    alt_rows += list(model457.conductor_rows())
+    alt_rows += list(model457.conductor.rows)
     res2 = ideal_from_full(model457, Subspace.span(F2, 14, alt_rows))
     assert ws.orbit_id(res1) == ws.orbit_id(res2)
 
@@ -436,13 +436,29 @@ def test_packed_image_maps_per_layout(gens, q, layout):
     # for each packed layout: the image maps of the ring-level orbits hold
     # packed heads and packed witnesses. Every key unpacks to the image of
     # rep's head under its unpacked witness, the keys are the images under
-    # all units with constant term 1, and witness() gives g+1 coefficients
+    # all units with constant term 1, and witness() gives g+1 coefficients.
+    # Every head the closure table interns, the unit images made from those
+    # keys included, holds its rows packed and their entries, and every
+    # translate t^k * I holds its rows packed
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     kern = model.field.packing
     assert type(kern) is layout
     h = model.head_dim
     units = unit_representatives(model.field, h)
     part = unit_orbits(enumerate_ideals(model))
+    workspace(model).table()
+
+    def bare(entries):
+        # an entry's negated multiples, a list scaled on first use, left out
+        return [tuple(x for x in e if not isinstance(x, list)) for e in entries]
+
+    for ideal in tuple(model._ideals.values()):
+        head = ideal.head
+        assert head.packed == tuple(map(kern.pack, head.rows))
+        assert bare(head.entries) == bare(map(kern.entry, head.pivots, head.packed))
+        for k in range(h + 1):
+            shifted = ideal.translate(k)
+            assert shifted.packed == tuple(map(kern.pack, shifted.rows))
     for oid, (rep, images) in enumerate(zip(part.reps, part.image_maps)):
         for rows, w in images.items():
             image = subspace_unit_image(rep.head, kern.unpack(w, h))
@@ -520,7 +536,7 @@ def _reference_colon(I, J):
         for i in range(h)
     ]
     kernel = [r[m:] for r in rref(block, fld)[0] if not any(r[:m])]
-    rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor_rows())
+    rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor.rows)
     return ideal_from_full(model, Subspace.span(fld, n, rows))
 
 
@@ -634,7 +650,7 @@ def test_sub_view_is_the_lifted_head(make_model):
     n, h = model.trunc, model.head_dim
     pad = (0,) * (n - h)
     for I in enumerate_ideals(model):
-        rows = [r + pad for r in I.head.rows] + list(model.conductor_rows())
+        rows = [r + pad for r in I.head.rows] + list(model.conductor.rows)
         ref = Subspace.span(model.field, n, rows)
         assert I.sub == ref
         assert I.sub.pivots == ref.pivots

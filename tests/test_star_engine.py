@@ -23,7 +23,6 @@ from starlab.ring_model import (
     frobenius_overring_model,
     is_overring_stable,
     normalized_translate_intersection,
-    packed_head,
     semigroup_ring_model,
 )
 from starlab.star_engine import (
@@ -286,7 +285,7 @@ def _reference_normalize(model, sub):
     m = sub.pivots[0]
     inv = series_inv(series_shift_down(sub.rows[0], m), model.field)
     rows = [series_shift_down(series_mul(inv, r, model.field), m) for r in sub.rows]
-    rows += list(model.conductor_rows())
+    rows += list(model.conductor.rows)
     return ideal_from_full(model, Subspace.span(model.field, model.trunc, rows))
 
 
@@ -375,10 +374,7 @@ def test_closure_table_matches_reference(gens, q):
                     if not shifted.rows:
                         continue
                     meet = rep.sub.intersect(shifted)
-                    packed = tuple(map(pack, shifted.rows))
-                    entries = packed_head(rep)[1]
-                    packed_meet = _packed_meet(model, entries, packed, shifted.pivots)
-                    rows, pivots = (packed, shifted.pivots) if packed_meet is None else packed_meet
+                    rows, pivots = _packed_meet(rep, shifted) or (shifted.packed, shifted.pivots)
                     assert tuple(unpack(r, model.trunc) for r in rows) == meet.rows
                     assert tuple(pivots) == meet.pivots
                     m = meet.pivots[0]
