@@ -15,7 +15,6 @@ bug rather than a failed verdict).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -25,11 +24,11 @@ import time
 
 from . import __version__
 from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError
+from .fq_linear import field_from_order
 from .kunz_lab import (
     formula_check,
     lab_report,
     lower_bound_certificate,
-    ring_model_for,
     structure_report,
     verify_counterexample,
 )
@@ -40,7 +39,12 @@ from .numsgp import (
     pseudo_frobenius_pair,
     semigroup,
 )
-from .ring_model import enumerate_ideals, is_overring_stable
+from .ring_model import (
+    check_ideal_budget,
+    enumerate_ideals,
+    is_overring_stable,
+    semigroup_ring_model,
+)
 from .star_engine import (
     DEFAULT_MAX_IDEALS,
     DEFAULT_MAX_ORBITS,
@@ -89,10 +93,18 @@ def cmd_sgp_info(args):
     return {"command": "sgp info", "generators": results["generators"]}, results, {}
 
 
+def _ring_model(args):
+    """The model a ring command acts on, built once the ideal budget is met:
+    the budget needs only S and q, the model's basis is 2(g+1) wide."""
+    S = semigroup(_parse_gens(args.gens))
+    fld = field_from_order(args.q, args.field_poly)
+    if S.frobenius >= 1:  # else semigroup_ring_model refuses S as bad input
+        check_ideal_budget(S, fld.q, args.max_ideals)
+    return semigroup_ring_model(S, fld)
+
+
 def cmd_ring_enum_ideals(args):
-    model = ring_model_for(
-        tuple(semigroup(_parse_gens(args.gens)).generators), args.q, args.field_poly
-    )
+    model = _ring_model(args)
     ideals = enumerate_ideals(model, args.max_ideals)
     listing = []
     for I in ideals:
@@ -114,9 +126,7 @@ def cmd_ring_enum_ideals(args):
 
 
 def cmd_ring_enum_stars(args):
-    model = ring_model_for(
-        tuple(semigroup(_parse_gens(args.gens)).generators), args.q, args.field_poly
-    )
+    model = _ring_model(args)
     ws = workspace(model, args.max_ideals)
     stars = enumerate_stars(model, args.max_orbits, args.max_ideals)
     orbit_summary = [
@@ -243,6 +253,8 @@ RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 
 def _cache_key(inp):
+    import hashlib  # only --cache-dir needs it
+
     blob = json.dumps({"engine": __version__, "input": inp}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

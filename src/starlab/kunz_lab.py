@@ -10,7 +10,6 @@ silently repaired.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError, check_budget
 from .fq_linear import (
@@ -46,13 +45,13 @@ from .star_engine import (
 )
 
 
-@dataclass
 class KunzReport:
     """Aggregated, JSON-ready run report."""
 
-    input: dict
-    results: dict = dc_field(default_factory=dict)
-    verdicts: dict = dc_field(default_factory=dict)
+    def __init__(self, input: dict, results: dict | None = None, verdicts: dict | None = None):
+        self.input = input
+        self.results = {} if results is None else results
+        self.verdicts = {} if verdicts is None else verdicts
 
     def verdict(self, name: str, ok: bool):
         self.verdicts[name] = "verified" if ok else "failed"
@@ -309,17 +308,17 @@ def _attach_certified_bound(report, S, q, max_ideals, modulus):
 # the subspace laboratory
 
 
-@dataclass
 class SubspaceLab:
     """The set X of 2-dimensional subspaces of K[x]/(x^n) containing e_0 but
     not e_{n-1}, partitioned by the valuation-zero unit action."""
 
-    n: int
-    q: int
-    subspaces: tuple
-    partition: object
-    results: dict
-    verdicts: dict
+    def __init__(self, n: int, q: int, subspaces: tuple, partition, results: dict, verdicts: dict):
+        self.n = n
+        self.q = q
+        self.subspaces = subspaces
+        self.partition = partition
+        self.results = results
+        self.verdicts = verdicts
 
     @property
     def representatives(self):

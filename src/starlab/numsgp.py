@@ -60,18 +60,15 @@ class NumericalSemigroup:
         limit = 2 * frobenius + 2
         members = [(x > frobenius) or (x < len(sieve) and sieve[x]) for x in range(limit + 1)]
         gaps = tuple(x for x in range(1, frobenius + 1) if not members[x])
-        multiplicity = next(x for x in range(1, limit + 1) if members[x])
-        small = [x for x in range(1, limit + 1) if members[x]]
-        minimal = []
-        sums = set()
-        for a in small:
-            for b in small:
-                if a + b <= limit:
-                    sums.add(a + b)
-        for x in small:
-            if x not in sums:
-                minimal.append(x)
-        return cls(tuple(minimal), frobenius, gaps, multiplicity, members)
+        m = next(x for x in range(1, limit + 1) if members[x])
+        # A minimal generator x != m has x - m outside S, so x <= F + m: it
+        # lies in the Apery set of m. When such an x is a + b, a and b
+        # nonzero members, both lie in that set too, as a - m in S would
+        # put x - m in S.
+        apery = [x for x in range(m + 1, frobenius + m + 1) if members[x] and not members[x - m]]
+        inside = set(apery)
+        minimal = [m] + [x for x in apery if not any(x - a in inside for a in apery if 2 * a <= x)]
+        return cls(tuple(minimal), frobenius, gaps, m, members)
 
     @classmethod
     def from_gaps(cls, gapset) -> "NumericalSemigroup":

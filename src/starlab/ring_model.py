@@ -9,14 +9,16 @@ image in K^(g+1) (coefficients 0..g), and the head is all a RingIdeal
 stores. The chosen truncation keeps translation by t^k (k <= g+1) followed
 by division by a minimal-valuation element exact.
 
-F_0(R) is the set of ideals I with R <= I <= V; it is enumerated by lifting
-subspaces of the gap-coordinate quotient and filtering for stability under
-the semigroup generators.
+F_0(R) is the set of ideals I with R <= I <= V; it is enumerated by a
+depth-first search that extends the stable tails of reduced echelon forms
+in the gap coordinates, one gap column at a time from g down, so no
+unstable candidate is lifted and filtered.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import product
 
 from .errors import InputError, InvariantError, check_budget
 from .fq_linear import (
@@ -28,7 +30,6 @@ from .fq_linear import (
     rref,
     series_inv,
     series_mul,
-    series_shift,
     subspace_colon,
     subspace_unit_image,
 )
@@ -115,13 +116,13 @@ def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
         raise InputError("value semigroup must have at least one gap")
     g = sgp.frobenius
     n = 2 * (g + 1)
+    values = tuple(s for s in range(n) if sgp.contains(s))
     rows = []
-    for s in range(n):
-        if sgp.contains(s):
-            row = [0] * n
-            row[s] = 1
-            rows.append(tuple(row))
-    basis = Subspace(field, n, tuple(rows))
+    for s in values:
+        row = [0] * n
+        row[s] = 1
+        rows.append(tuple(row))
+    basis = Subspace(field, n, tuple(rows), values)
     return _shared(RingModel(field, sgp, n, basis))
 
 
@@ -426,56 +427,81 @@ def normalized_translate_intersection(
 DEFAULT_MAX_IDEALS = 100000
 
 
-def check_ideal_budget(model: RingModel, max_count: int | None):
-    """Raise BudgetError when enumerating F_0 would lift more candidate
-    subspaces (one per subspace of the gap coordinates) than max_count."""
-    total = count_subspaces(model.sgp.genus, model.field.q)
+def check_ideal_budget(sgp: NumericalSemigroup, q: int, max_count: int | None):
+    """Raise BudgetError when F_0 of a ring with value semigroup sgp over
+    F_q has more candidates than max_count: one per subspace of the gap
+    coordinates, the space the search for F_0 runs in. Needs no model, so
+    a caller may check it before building one."""
+    total = count_subspaces(sgp.genus, q)
     check_budget(total, max_count, "{} candidate ideals exceed budget {}")
 
 
 def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEALS):
     """All of F_0: subspaces between the ring and V, stable under the ring.
 
-    Ideals correspond to subspaces of the gap-coordinate quotient; each
-    candidate is lifted to a head and kept when stable under every minimal
-    generator. The lifted rows and the ring's head rows have distinct pivots
-    with entry 1, and each is zero left of its pivot, so merged by pivot they
-    are already in echelon form: back-substitution alone makes the candidate
+    An ideal's head is the ring's head plus the lift of a subspace U of the
+    gap coordinates, and U has one reduced echelon form: a row per pivot,
+    with entry 1 there and free entries at the gap columns above it that
+    are not pivots. A depth-first search takes the gap columns from g down
+    and at each either skips it or adds the row with that pivot, for every
+    choice of its free entries. A row w is kept when t^a * w lies in the
+    span of the ring's head rows and the rows chosen before it, for every
+    generator a <= g. That span holds every element of the final head of
+    valuation above w's pivot, as t^a * w does, so the test is exact. And
+    the tail of a stable U, its rows with pivot >= c, spans the head of
+    R + (I meet t^c V), an ideal too: each ideal is reached once, through
+    its own echelon form, and an unstable tail cuts off its whole subtree.
+    Rows are tested on packed rows, the ring's and the chosen ones sorted by
+    pivot: they are in echelon form, though not reduced against each other
+    when the ring's head rows have entries in gap columns.
+
+    The lifted rows and the ring's head rows have distinct pivots with
+    entry 1, and each is zero left of its pivot, so merged by pivot they
+    are already in echelon form: back-substitution alone makes a head
     canonical. Returned sorted by (dimension, canonical matrix).
     """
-    from .fq_linear import enumerate_subspaces
-
-    check_ideal_budget(model, max_count)
-    sgp = model.sgp
+    check_ideal_budget(model.sgp, model.field.q, max_count)
     field = model.field
-    g = sgp.frobenius
-    gaps = sgp.gaps
+    kern = field.packing
+    reduce, shift, truncate, support = kern.reduce, kern.shift, kern.truncate, kern.support
     h = model.head_dim
     ring = model.ring_ideal().head
     base = list(zip(ring.pivots, ring.rows))
-    low_gens = [a for a in sgp.generators if a <= g]
+    gaps = model.sgp.gaps[::-1]
+    gens = [a for a in model.sgp.generators if a < h]
+    # the rows chosen so far as (pivot, row), and, with the ring's head
+    # rows, the entries they reduce by, sorted by pivot
+    chosen = []
+    pivots, entries = list(ring.pivots), list(ring.entries)
     out = []
-    for u_sub in enumerate_subspaces(len(gaps), field):
-        lifted = []
-        for urow in u_sub.rows:
-            vec = [0] * h
-            for coord, val in zip(gaps, urow):
-                vec[coord] = val
-            lifted.append(tuple(vec))
-        merged = sorted(base + [(gaps[p], w) for p, w in zip(u_sub.pivots, lifted)])
-        pivots = tuple(p for p, _ in merged)
-        rows = _back_substitute([list(w) for _, w in merged], pivots, field)
-        sub = Subspace(field, h, rows, pivots)
-        ok = True
-        for a in low_gens:
-            for w in lifted:
-                if not sub.contains(series_shift(w, a)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(RingIdeal(model, sub))
+
+    def visit(start):
+        merged = sorted(base + chosen)
+        head_pivots = tuple(p for p, _ in merged)
+        rows = _back_substitute([list(w) for _, w in merged], head_pivots, field)
+        out.append(RingIdeal(model, Subspace(field, h, rows, head_pivots)))
+        taken = {p for p, _ in chosen}
+        for i in range(start, len(gaps)):
+            c = gaps[i]
+            free = [j for j in gaps[:i] if j not in taken]
+            moves = [a for a in gens if c + a < h]
+            k = bisect_left(pivots, c)
+            for values in product(range(field.q), repeat=len(free)):
+                row = [0] * h
+                row[c] = 1
+                for j, x in zip(free, values):
+                    row[j] = x
+                w = kern.pack(row)
+                if any(support(reduce(truncate(shift(w, a), h), entries)) for a in moves):
+                    continue
+                pivots.insert(k, c)
+                entries.insert(k, kern.entry(c, w))
+                chosen.append((c, tuple(row)))
+                visit(i + 1)
+                chosen.pop()
+                del pivots[k], entries[k]
+
+    visit(0)
     out.sort(key=lambda ideal: (ideal.dim, ideal.head.rows))
     return tuple(out)
 

@@ -167,7 +167,7 @@ class RingWorkspace:
 def workspace(model: RingModel, max_ideals=DEFAULT_MAX_IDEALS) -> RingWorkspace:
     """The model's shared workspace, built on first use. The ideal budget is
     checked on every call, so a cached workspace never bypasses it."""
-    check_ideal_budget(model, max_ideals)
+    check_ideal_budget(model.sgp, model.field.q, max_ideals)
     ws = model._cache.get("workspace")
     if ws is None:
         ws = RingWorkspace(model, max_ideals)

@@ -175,6 +175,26 @@ def test_lower_bound_budget_exits_before_the_model():
     assert seconds < 5
 
 
+@pytest.mark.parametrize("command", ["enum-ideals", "enum-stars"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--gens", "4,5,7", "--max-ideals", "1"), "67 candidate ideals exceed budget 1"),
+        (("--gens", "30,31"), "2.936e+14241 candidate ideals exceed budget 100000"),
+    ],
+    ids=["457", "30-31"],
+)
+def test_ring_budget_exits_before_the_model(capsys, monkeypatch, command, argv, message):
+    # the ideal budget needs only S and q, so the model, 2(g+1) columns
+    # wide, is never built when it is exceeded
+    def refuse(*args):
+        raise AssertionError("the model was built before the ideal budget was checked")
+
+    monkeypatch.setattr(cli, "semigroup_ring_model", refuse)
+    code, out, err = run_cli(capsys, "ring", command, *argv, "--q", "2")
+    assert (code, out, err) == (3, "", f"budget exceeded: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["-5", "-1", "2147483648"])
 def test_bad_timeout_exit_2(capsys, value):
     # a deadline outside [0, 2^31 - 1] must not reach signal.alarm, where -1

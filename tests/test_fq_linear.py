@@ -10,7 +10,6 @@ from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
     count_subspaces,
-    enumerate_subspaces,
     field,
     field_from_order,
     partition_subspaces,
@@ -23,6 +22,8 @@ from starlab.fq_linear import (
     unit_image_map,
     unit_representatives,
 )
+
+from subspaces import enumerate_subspaces
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
 

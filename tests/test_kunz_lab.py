@@ -4,7 +4,7 @@ import pytest
 
 from starlab import kunz_lab
 from starlab.errors import BudgetError, GateError, InputError
-from starlab.fq_linear import enumerate_subspaces, field_from_order, unit_representatives
+from starlab.fq_linear import field_from_order, unit_representatives
 from starlab.kunz_lab import (
     _least_element_of_valuation,
     family_index,
@@ -28,6 +28,8 @@ from starlab.ring_model import (
     is_overring_stable,
 )
 from starlab.star_engine import divisorial_star, enumerate_stars, workspace
+
+from subspaces import enumerate_subspaces
 
 
 def test_family_semigroup_members():

@@ -45,6 +45,24 @@ def test_from_generators_23():
     assert S.frobenius == 1
 
 
+def test_minimal_generators_match_definition():
+    # the nonzero members that are no sum of two nonzero members; past
+    # F + m every member x is m + (x - m), and m <= F + 1
+    for S in all_semigroups_with_frobenius_upto(10):
+        members = [x for x in range(1, 2 * S.frobenius + 4) if S.contains(x)]
+        expected = tuple(
+            x for x in members if not any(S.contains(x - a) for a in members if a < x)
+        )
+        assert S.generators == expected
+        assert semigroup(S.generators) == S
+
+
+def test_two_generators_far_apart():
+    S = semigroup([60, 61])
+    assert S.generators == (60, 61)
+    assert S.frobenius == 3539
+
+
 def test_gcd_rejected():
     with pytest.raises(InputError):
         semigroup([4, 6])

@@ -5,7 +5,7 @@ import pytest
 from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
-    enumerate_subspaces,
+    _back_substitute,
     field,
     field_from_order,
     partition_subspaces,
@@ -34,6 +34,8 @@ from starlab.ring_model import (
     unit_orbits,
 )
 from starlab.star_engine import workspace
+
+from subspaces import enumerate_subspaces
 
 F2 = field(2)
 F3 = field(3)
@@ -212,6 +214,72 @@ def test_enumerate_ideals_matches_span_reference(model):
     for I in ideals:
         assert I.head.pivots == pivot_scan(I.head.rows)
         assert I.sub.pivots == pivot_scan(I.sub.rows)
+
+
+def _filtered_ideals(model):
+    """F_0 as enumerate_ideals found it before the search: every subspace of
+    the gap coordinates lifted, merged with the ring's head rows by pivot,
+    back-substituted, and kept when t^a times each lifted row lies in it for
+    every generator a <= g."""
+    fld, h, gaps = model.field, model.head_dim, model.sgp.gaps
+    ring = model.ring_ideal().head
+    base = list(zip(ring.pivots, ring.rows))
+    gens = [a for a in model.sgp.generators if a < h]
+    out = []
+    for u_sub in enumerate_subspaces(len(gaps), fld):
+        lifted = []
+        for urow in u_sub.rows:
+            vec = [0] * h
+            for coord, val in zip(gaps, urow):
+                vec[coord] = val
+            lifted.append(tuple(vec))
+        merged = sorted(base + [(gaps[p], w) for p, w in zip(u_sub.pivots, lifted)])
+        pivots = tuple(p for p, _ in merged)
+        sub = Subspace(fld, h, _back_substitute([list(w) for _, w in merged], pivots, fld), pivots)
+        if all(sub.contains(series_shift(w, a)) for a in gens for w in lifted):
+            out.append(RingIdeal(model, sub))
+    return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.head.rows)))
+
+
+T2_T3 = ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)) + tuple(
+    tuple(int(j == k) for j in range(8)) for k in range(4, 8)
+)
+
+
+@pytest.mark.parametrize("gens", [(4, 5, 7), (5, 6, 7, 9), (3, 7, 11), (4, 7, 9), (3, 8, 13)])
+def test_enumerate_ideals_matches_filter_census(gens):
+    # each ring R of the q = 2 counterexample census and its overring T
+    model = semigroup_ring_model(semigroup(gens), F2)
+    for m in (model, frobenius_overring_model(model)):
+        assert enumerate_ideals(m) == _filtered_ideals(m)
+
+
+@pytest.mark.parametrize(
+    "gens, q",
+    [
+        ((5, 6, 7, 9), 3),
+        # fields with two and three digits per slot
+        ((3, 5, 7), 4),
+        ((3, 5, 7), 9),
+        ((4, 5, 7), 5),
+        ("t2+t3", 3),
+    ],
+)
+def test_enumerate_ideals_matches_filter(gens, q):
+    fld = field_from_order(q)
+    if gens == "t2+t3":
+        model = subalgebra_model(fld, T2_T3)
+    else:
+        model = semigroup_ring_model(semigroup(gens), fld)
+    assert enumerate_ideals(model) == _filtered_ideals(model)
+
+
+def test_enumerate_ideals_5679_q5():
+    model = semigroup_ring_model(semigroup([5, 6, 7, 9]), field_from_order(5))
+    ideals = enumerate_ideals(model)
+    assert len(ideals) == 1126
+    assert len(set(ideals)) == 1126
+    assert all(I.in_f0() for I in ideals)
 
 
 def test_ideal_census_other_fields():
