@@ -21,10 +21,31 @@ def check_budget(count: int, max_count: int | None, message: str):
         try:
             shown = str(count)
         except ValueError:
-            from decimal import Decimal
-
-            shown = f"{Decimal(count):.3e}"
+            shown = _scientific(count)
         raise BudgetError(message.format(shown, max_count))
+
+
+def _scientific(count: int) -> str:
+    """A positive count to 4 significant digits, as f"{Decimal(count):.3e}"
+    shows it (ties to even), without converting all its digits: the
+    bit length bounds the decimal exponent, and one integer division
+    leaves 4 to 6 leading digits and the rest."""
+    shift = max((count.bit_length() - 1) * 30103 // 100000 - 4, 0)  # log10(2) ~ 0.30103
+    unit = 10**shift
+    digits, rest = divmod(count, unit)
+    extra = len(str(digits)) - 4
+    if extra > 0:
+        digits, low = divmod(digits, 10**extra)
+        rest += low * unit
+        unit *= 10**extra
+    elif extra < 0:  # a count of fewer than 4 digits, so rest is 0
+        digits *= 10**-extra
+    shift += extra
+    if 2 * rest > unit or (2 * rest == unit and digits % 2):
+        digits += 1
+        if digits == 10000:
+            digits, shift = 1000, shift + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e+{shift + 3}"
 
 
 class DeadlineError(BudgetError):

@@ -4,9 +4,9 @@ Fields are table driven: elements are integer codes 0..q-1 (base-p digits of
 the residue polynomial for extension fields) and the add/mul tables are built
 once on construction, so everything downstream is pure table lookup.
 Subspaces of K^n are kept in reduced row echelon form, which makes equality,
-hashing and orbit bookkeeping structural. The closure table's hot path, the
-colon and the unit-orbit search work on the same rows packed into Python
-ints by the field's `packing` (packed.py).
+hashing and orbit bookkeeping structural. Their rows are stored packed into
+Python ints by the field's `packing` (packed.py), and every elimination runs
+on those; the rows as coefficient tuples are a view, unpacked on first read.
 
 The same vectors double as the truncated algebra A_N = K[t]/(t^N): an element
 is a coefficient tuple (c_0, ..., c_{N-1}) and its valuation is the index of
@@ -335,78 +335,26 @@ def series_inv(a, fld):
 
 
 def rref(vectors, fld):
-    """Reduced row echelon form; returns a tuple of nonzero rows, pivots
-    strictly increasing, pivot entries 1, pivot columns elsewhere zero, and
-    the tuple of their pivots."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return (), ()
-    mul, sub, inv = fld.mul, fld.sub, fld.inv
-    ncols = len(rows[0])
-    out = []
-    pivots = []
-    col = 0
-    while rows and col < ncols:
-        pivot_row = None
-        for r in rows:
-            if r[col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows.remove(pivot_row)
-        c = pivot_row[col]
-        if c != 1:
-            ci = inv[c]
-            mi = mul[ci]
-            pivot_row = [mi[x] for x in pivot_row]
-        for r in rows:
-            f = r[col]
-            if f:
-                mf = mul[f]
-                for j in range(col, ncols):
-                    pj = pivot_row[j]
-                    if pj:
-                        r[j] = sub[r[j]][mf[pj]]
-        out.append(pivot_row)
-        pivots.append(col)
-        col += 1
-        rows = [r for r in rows if any(r)]
-    return _back_substitute(out, pivots, fld), tuple(pivots)
-
-
-def _back_substitute(rows, pivots, fld):
-    """Clear the entries above each pivot of echelon rows (lists, pivot
-    entries 1), last pivot first; returns the rows as tuples."""
-    sub, mul = fld.sub, fld.mul
-    for i in range(len(rows) - 1, 0, -1):
-        prow = rows[i]
-        pcol = pivots[i]
-        tail = [(j, x) for j, x in enumerate(prow[pcol:], pcol) if x]
-        for row in rows[:i]:
-            f = row[pcol]
-            if f:
-                mf = mul[f]
-                for j, pj in tail:
-                    row[j] = sub[row[j]][mf[pj]]
-    return tuple(tuple(r) for r in rows)
+    """The reduced row echelon form of the span of coefficient tuples: its
+    rows packed by the field (packed.py) and their pivots, as tuples."""
+    kern = fld.packing
+    return kern.echelon(map(kern.pack, vectors))
 
 
 class Subspace:
-    """A subspace of K^ambient in canonical (reduced row echelon) form:
-    `rows` are coefficient tuples, `packed` the same rows packed by the
-    field (packed.py) and `entries` those as `Packing.entry` tuples, both
-    built on first use unless the packed rows are given."""
+    """A subspace of K^ambient in canonical (reduced row echelon) form,
+    stored as its rows packed by the field (packed.py), `packed`, and their
+    `pivots`. `rows`, the same rows as coefficient tuples, and `entries`,
+    them as `Packing.entry` tuples, are built on first use."""
 
-    __slots__ = ("field", "ambient", "rows", "_pivots", "_packed", "_entries")
+    __slots__ = ("field", "ambient", "packed", "pivots", "_rows", "_entries")
 
-    def __init__(self, fld, ambient, rows, pivots=None, packed=None):
+    def __init__(self, fld, ambient, packed, pivots):
         self.field = fld
         self.ambient = ambient
-        self.rows = rows
-        self._pivots = pivots
-        self._packed = packed
+        self.packed = packed
+        self.pivots = pivots
+        self._rows = None
         self._entries = None
 
     @classmethod
@@ -419,28 +367,21 @@ class Subspace:
 
     @classmethod
     def full(cls, fld, ambient):
-        rows = tuple(
-            tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)
-        )
+        kern = fld.packing
+        one = kern.pack((1,))
+        rows = tuple(kern.shift(one, i) for i in range(ambient))
         return cls(fld, ambient, rows, tuple(range(ambient)))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
-    def pivots(self):
-        # Scanned on first use, not in __init__: most enumerated subspaces
-        # never read their pivots.
-        if self._pivots is None:
-            self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
-        return self._pivots
-
-    @property
-    def packed(self):
-        if self._packed is None:
-            self._packed = tuple(map(self.field.packing.pack, self.rows))
-        return self._packed
+    def rows(self):
+        if self._rows is None:
+            unpack, n = self.field.packing.unpack, self.ambient
+            self._rows = tuple(unpack(r, n) for r in self.packed)
+        return self._rows
 
     @property
     def entries(self):
@@ -451,51 +392,74 @@ class Subspace:
         return self._entries
 
     def reduce(self, vec):
-        """Residual of vec after eliminating along this subspace's rows."""
-        v = list(vec)
-        sub, mul = self.field.sub, self.field.mul
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                mc = mul[c]
-                for j in range(p, self.ambient):
-                    rj = row[j]
-                    if rj:
-                        v[j] = sub[v[j]][mc[rj]]
-        return tuple(v)
+        """Residual of vec, a coefficient tuple, after eliminating along this
+        subspace's rows."""
+        kern = self.field.packing
+        return kern.unpack(kern.reduce(kern.pack(vec), self.entries), len(vec))
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        kern = self.field.packing
+        return not kern.support(kern.reduce(kern.pack(vec), self.entries))
 
     def intersect(self, other):
-        """Lattice meet, by the Zassenhaus double-block reduction."""
+        """Lattice meet (`packed_meet` at the full width)."""
         if self.ambient != other.ambient:
             raise InputError("ambient dimension mismatch")
-        n = self.ambient
-        zero = (0,) * n
-        block = [tuple(r) + tuple(r) for r in self.rows]
-        block += [tuple(r) + zero for r in other.rows]
-        # Rows whose first half vanishes, those pivoting past column n, come
-        # last in the echelon form, and their second halves are already
-        # reduced against each other.
-        reduced, pivots = rref(block, self.field)
-        low = bisect_left(pivots, n)
-        return Subspace(
-            self.field, n, tuple(r[n:] for r in reduced[low:]), tuple(p - n for p in pivots[low:])
-        )
+        meet = packed_meet(self.entries, self.ambient, other)
+        return other if meet is None else Subspace(self.field, self.ambient, *meet)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.packed))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, pivots={self.pivots})"
+
+
+def packed_meet(entries, cut, sub: Subspace):
+    """The packed rows and pivots, as tuples, of the meet of sub with
+    A + t^cut*K^n, where A is a subspace of K^cut in reduced echelon form
+    given by its `Packing.entry` tuples; None when sub lies inside.
+
+    w lies in A + t^cut*K^n exactly when its coefficients below cut lie in
+    A. Rows of sub with pivot >= cut are therefore in the meet as they are,
+    and so are the rows whose cut reduces to zero against A. Each other row
+    r enters a Gauss–Jordan elimination as the block (residual of the cut
+    of r | r), residual in the low columns; the blocks whose residual
+    cancels carry the rest of the meet. A, sub and the meet are in reduced
+    echelon form, and each row kept from sub vanishes at the pivots of all
+    others, so the union, ordered by pivot, is canonical.
+    """
+    kern = sub.field.packing
+    rows, pivots = sub.packed, sub.pivots
+    low = bisect_left(pivots, cut)
+    kept = []
+    block = []
+    reduce, truncate, support = kern.reduce, kern.truncate, kern.support
+    for p, r in zip(pivots[:low], rows[:low]):
+        residual = reduce(truncate(r, cut), entries)
+        if support(residual):
+            block.append(kern.add(residual, kern.shift(r, cut)))
+        else:
+            kept.append((p, r))
+    if not block:
+        return None
+    kept.extend(zip(pivots[low:], rows[low:]))
+    if len(block) > 1:  # a single block's residual cannot cancel
+        for r, p in zip(*kern.echelon(block)):
+            if p >= cut:
+                kept.append((p - cut, kern.unshift(r, cut)))
+        kept.sort()  # pivots are distinct, so rows are never compared
+    if not kept:
+        return (), ()
+    pivots, rows = zip(*kept)
+    return rows, pivots
 
 
 def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
@@ -548,7 +512,7 @@ def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
                 live.insert(j, kern.entry(c, v))
                 continue
             v = kern.unshift(v, wide)
-        rows.append(kern.unpack(v, n))
+        rows.append(v)
         colon_pivots.append(i)
     return Subspace(a.field, n, tuple(rows[::-1]), tuple(colon_pivots[::-1]))
 
@@ -577,25 +541,45 @@ def unit_representatives(fld, length):
     return [(1,) + tail for tail in itertools.product(range(fld.q), repeat=length - 1)]
 
 
-def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
-    """u * sub for a unit u of K[t]/(t^ambient).
+def _image_rows(kern, rows, pivots, times):
+    """The packed rows of u * S, for S in reduced echelon form with these
+    packed rows and pivots and times(v) = u * v for a unit u of constant
+    term 1. Such a unit keeps each row's pivot and pivot entry 1, so only
+    back-substitution is left: each product is reduced against the
+    products below it, last row first."""
+    reduce, entry = kern.reduce, kern.entry
+    image = [None] * len(rows)
+    below = []  # canonical rows vanish at each other's pivots: any order
+    for i in reversed(range(len(rows))):
+        image[i] = r = reduce(times(rows[i]), below)
+        below.append(entry(pivots[i], r))
+    return tuple(image)
 
-    Scalars act trivially, so u is first scaled to constant term 1. Such a
-    unit keeps every pivot: the product rows are still in echelon form with
-    pivot entries 1, and only back-substitution is left.
-    """
+
+def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
+    """u * sub for a unit u of K[t]/(t^ambient), a coefficient tuple.
+
+    Scalars act trivially, so u is first scaled to constant term 1."""
     fld = sub.field
-    if len(unit_coeffs) != sub.ambient:
-        raise InputError(f"unit length {len(unit_coeffs)} != ambient {sub.ambient}")
+    kern = fld.packing
+    n = sub.ambient
+    if len(unit_coeffs) != n:
+        raise InputError(f"unit length {len(unit_coeffs)} != ambient {n}")
     c = unit_coeffs[0]
     if c == 0:
         raise InputError("series has positive valuation, not a unit")
     if c != 1:
-        mi = fld.mul[fld.inv[c]]
-        unit_coeffs = tuple(mi[x] for x in unit_coeffs)
-    pivots = sub.pivots
-    rows = [list(series_mul(unit_coeffs, r, fld)) for r in sub.rows]
-    return Subspace(fld, sub.ambient, _back_substitute(rows, pivots, fld), pivots)
+        unit_coeffs = kern.unpack(kern.scale(fld.inv[c], kern.pack(unit_coeffs)), n)
+    add, scale, shift = kern.add, kern.scale, kern.shift
+    terms = [(j, x) for j, x in enumerate(unit_coeffs) if j and x]
+
+    def times(v):
+        out = v
+        for j, x in terms:
+            out = add(out, shift(scale(x, v), j))
+        return kern.truncate(out, n)
+
+    return Subspace(fld, n, _image_rows(kern, sub.packed, sub.pivots, times), sub.pivots)
 
 
 def unit_image_map(sub: Subspace):
@@ -612,22 +596,14 @@ def unit_image_map(sub: Subspace):
     with c != 0, which lies outside 1 + M. So these q^(ambient-1-|V|)
     products, the index of the stabilizer, meet each coset once: each orbit
     element is computed once, as the image of an earlier one under a single
-    sparse factor, and the product is its witness. Finding any other number
-    of images is an engine error.
-
-    A factor 1 + c*t^j sends a row r to r + c*t^j*r, which keeps its pivot
-    and pivot entry 1, so only back-substitution is left: each row is
-    reduced against the rows below it, last row first.
+    sparse factor (`_image_rows`), and the product is its witness. Finding
+    any other number of images is an engine error.
     """
     kern = sub.field.packing
     n = sub.ambient
     pivots = sub.pivots
     fixed = {p for p in subspace_colon(sub, sub).pivots if p}
     add, scale, shift, truncate = kern.add, kern.scale, kern.shift, kern.truncate
-    reduce, entry = kern.reduce, kern.entry
-
-    def times(c, j, v):  # (1 + c*t^j) * v
-        return add(v, truncate(shift(scale(c, v), j), n))
 
     images = {sub.packed: kern.pack((1,))}
     for j in range(1, n):
@@ -635,13 +611,12 @@ def unit_image_map(sub: Subspace):
             continue
         layer = tuple(images.items())
         for c in range(1, sub.field.q):
+
+            def times(v):  # (1 + c*t^j) * v
+                return add(v, truncate(shift(scale(c, v), j), n))
+
             for rows, w in layer:
-                image = [None] * len(rows)
-                below = []  # canonical rows vanish at each other's pivots: any order
-                for i in reversed(range(len(rows))):
-                    image[i] = r = reduce(times(c, j, rows[i]), below)
-                    below.append(entry(pivots[i], r))
-                images[tuple(image)] = times(c, j, w)
+                images[_image_rows(kern, rows, pivots, times)] = times(w)
     expected = sub.field.q ** (n - 1 - len(fixed))
     if len(images) != expected:
         raise InvariantError(f"unit orbit has {len(images)} images, not {expected}")

@@ -28,6 +28,7 @@ from .numsgp import (
 )
 from .ring_model import (
     RingIdeal,
+    check_ideal_budget,
     convert_to_overring,
     frobenius_overring_model,
     is_overring_stable,
@@ -241,7 +242,13 @@ def residue_star_family(r_model):
 
 def _star_counts(gens_list, q, max_ideals, max_orbits, modulus, jobs):
     """star_count of each generator list, in order; on up to `jobs` worker
-    processes when jobs > 1."""
+    processes when jobs > 1. The inputs and ideal budgets are checked
+    first, ring by ring as star_count checks them, so a run over budget
+    stops the same way on any number of jobs, and forks no worker."""
+    for gens in gens_list:
+        S = semigroup(gens)
+        field_from_order(q, modulus)
+        check_ideal_budget(S, q, max_ideals)
     calls = [(gens, q, max_ideals, max_orbits, modulus) for gens in gens_list]
     if jobs <= 1:
         return [star_count(*call) for call in calls]
@@ -336,15 +343,12 @@ def subspace_lab(
         raise InputError("lab needs n >= 3")
     fld = field_from_order(q, modulus)
     check_budget(q ** (n - 1), max_count, "q^(n-1) = {} exceeds budget {}")
-    e0 = tuple(1 if i == 0 else 0 for i in range(n))
+    pack = fld.packing.pack
+    e0 = pack((1,))
     X = []
     for p in range(1, n - 1):
         for tail in itertools.product(range(q), repeat=n - 1 - p):
-            f = [0] * n
-            f[p] = 1
-            for off, c in enumerate(tail):
-                f[p + 1 + off] = c
-            X.append(Subspace(fld, n, (e0, tuple(f))))
+            X.append(Subspace(fld, n, (e0, pack((0,) * p + (1,) + tail)), (0, p)))
     expected = (q ** (n - 1) - q) // (q - 1)
     results = {"n": n, "q": q, "x_size": len(X), "x_size_formula": expected}
     verdicts = {}
@@ -375,9 +379,7 @@ def _verify_lab_n4(fld, part, results, verdicts):
     singletons = {part.reps[i] for i in singleton_ids}
     expected_singletons = set()
     for c in range(q):
-        expected_singletons.add(
-            Subspace(fld, 4, ((1, 0, 0, 0), (0, 0, 1, c)))
-        )
+        expected_singletons.add(Subspace.span(fld, 4, ((1, 0, 0, 0), (0, 0, 1, c))))
     ok_singletons = singletons == expected_singletons and len(singleton_ids) == q
     verdicts["n4_singleton_classes"] = "verified" if ok_singletons else "failed"
     size_q_ids = [i for i, m in enumerate(part.members) if len(m) == q]
@@ -411,7 +413,7 @@ def _verify_three_dim_single_orbit(fld, n, results, verdicts):
     W = {}
     for th1, th2 in itertools.product(range(q), repeat=2):
         rows = ((1, 0, 0, 0), (0, 1, 0, th1), (0, 0, 1, th2))
-        W[(th1, th2)] = Subspace(fld, 4, rows)
+        W[(th1, th2)] = Subspace.span(fld, 4, rows)
     base = W[(0, 0)]
     ok_explicit = True
     for (th1, th2), sub in W.items():

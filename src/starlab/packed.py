@@ -6,8 +6,9 @@ field has one layout, chosen by `packing_for`: F_2 is a bit mask added by
 XOR, F_3 is bitsliced into a pair of masks (Boothby and Bradshaw,
 "Bitslicing and the method of four Russians over larger finite fields"),
 and every other field adds its base-p digits slot by slot with a guard bit.
-The closure table's meets and normalizations, the colon, ideal containment
-and the unit-orbit search with its image maps work on these vectors.
+These vectors are the one stored form of a subspace (fq_linear.Subspace):
+every elimination, from a span to the closure table's meets, the colon,
+ideal containment and the unit-orbit search, works on them.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class Packing:
 
     def echelon(self, vectors):
         """Gauss–Jordan on packed vectors: the rows of the reduced echelon
-        form of their span and the rows' pivots, both as lists."""
+        form of their span and the rows' pivots, both as tuples."""
         rows, pivots, entries = [], [], []
         for v in vectors:
             v = self.reduce(v, entries)
@@ -85,7 +86,7 @@ class Packing:
             rows.insert(i, v)
             pivots.insert(i, p)
             entries.insert(i, new[0])
-        return rows, pivots
+        return tuple(rows), tuple(pivots)
 
 
 class Gf2Packing(Packing):

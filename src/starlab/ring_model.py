@@ -24,10 +24,9 @@ from .errors import InputError, InvariantError, check_budget
 from .fq_linear import (
     OrbitPartition,
     Subspace,
-    _back_substitute,
     count_subspaces,
+    packed_meet,
     partition_subspaces,
-    rref,
     series_inv,
     series_mul,
     subspace_colon,
@@ -46,16 +45,17 @@ class RingModel:
         self.basis = basis
         h = self.head_dim = sgp.frobenius + 1
         self._cache = {}
-        # the model's one RingIdeal per head, by its rows; kept out of _cache,
-        # whose memos may be dropped while the ideals stay shared
+        # the model's one RingIdeal per head, by its packed rows; kept out of
+        # _cache, whose memos may be dropped while the ideals stay shared
         self._ideals = {}
         # the block t^(g+1), ..., t^(N-1), one shared copy: every N-wide
-        # view of an ideal ends in its rows, pivots and packed rows
+        # view of an ideal ends in its packed rows and pivots
+        kern = field.packing
         values = tuple(range(h, trunc))
-        self.conductor = Subspace(field, trunc, tuple(map(self.monomial, values)), values)
+        self.conductor = Subspace(field, trunc, _monomials(kern, values), values)
         # the ring's head: its basis rows with pivot <= g, cut to g+1 columns
         pivots = tuple(p for p in basis.pivots if p < h)
-        rows = tuple(r[:h] for r in basis.rows[: len(pivots)])
+        rows = tuple(kern.truncate(r, h) for r in basis.packed[: len(pivots)])
         self._ring = RingIdeal(self, Subspace(field, h, rows, pivots))
 
     # -- basic objects -----------------------------------------------------
@@ -74,7 +74,7 @@ class RingModel:
     def maximal_ideal(self) -> "RingIdeal":
         """M, the elements of R of positive valuation."""
         head = self._ring.head  # its first row has pivot 0, as R contains 1
-        rows, pivots = head.rows[1:], head.pivots[1:]
+        rows, pivots = head.packed[1:], head.pivots[1:]
         return RingIdeal(self, Subspace(self.field, self.head_dim, rows, pivots))
 
     def span_ideal(self, vectors) -> "RingIdeal":
@@ -108,7 +108,13 @@ _MODELS: dict = {}
 
 
 def _shared(model: RingModel) -> RingModel:
-    return _MODELS.setdefault((model.field, model.basis.rows), model)
+    return _MODELS.setdefault((model.field, model.basis), model)
+
+
+def _monomials(kern, values):
+    """The packed monomials t^v for v in values, as a tuple."""
+    one = kern.pack((1,))
+    return tuple(kern.shift(one, v) for v in values)
 
 
 def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
@@ -117,12 +123,7 @@ def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
     g = sgp.frobenius
     n = 2 * (g + 1)
     values = tuple(s for s in range(n) if sgp.contains(s))
-    rows = []
-    for s in values:
-        row = [0] * n
-        row[s] = 1
-        rows.append(tuple(row))
-    basis = Subspace(field, n, tuple(rows), values)
+    basis = Subspace(field, n, _monomials(field.packing, values), values)
     return _shared(RingModel(field, sgp, n, basis))
 
 
@@ -162,7 +163,7 @@ class RingIdeal:
     methods read elements of A_N mod t^(g+1); `sub` is the N-wide view.
 
     A model has one RingIdeal per head: RingIdeal(model, head) returns the
-    object made first for equal rows, so ideals compare and hash by
+    object made first for equal packed rows, so ideals compare and hash by
     identity, and memos key on them."""
 
     __slots__ = ("model", "head")
@@ -170,9 +171,9 @@ class RingIdeal:
     def __new__(cls, model: RingModel, head: Subspace):
         if head.ambient != model.head_dim:
             raise InputError(f"an ideal head has width {model.head_dim}, not {head.ambient}")
-        ideal = model._ideals.get(head.rows)
+        ideal = model._ideals.get(head.packed)
         if ideal is None:
-            ideal = model._ideals[head.rows] = super().__new__(cls)
+            ideal = model._ideals[head.packed] = super().__new__(cls)
             ideal.model = model
             ideal.head = head
         return ideal
@@ -285,24 +286,21 @@ class RingIdeal:
 
         The result is generally not a RingIdeal (its conductor block starts
         at t^(k+g+1)), so it is returned as a raw subspace of A_N: the head
-        rows moved k columns right and padded to N, then the conductor rows
-        from t^(k+g+1) on. That is already reduced echelon form, as the head
-        rows end before t^(k+g+1) and the conductor rows are monomials. Its
-        packed rows are the head's shifted, then the conductor's; at k = 0
-        the head's own.
+        rows moved k columns right, then the conductor rows from t^(k+g+1)
+        on. That is already reduced echelon form, as the head rows end
+        before t^(k+g+1) and the conductor rows are monomials.
         """
         model = self.model
-        h, n = model.head_dim, model.trunc
+        h = model.head_dim
         if not 0 <= k <= h:
             raise InputError(f"shift {k} outside [0, {h}]")
         head, conductor = self.head, model.conductor
         shift = model.field.packing.shift
-        pad, tail = (0,) * k, (0,) * (n - h - k)
-        rows = tuple(pad + r + tail for r in head.rows) + conductor.rows[k:]
-        pivots = tuple(p + k for p in head.pivots) + conductor.pivots[k:]
         packed = tuple(shift(r, k) for r in head.packed) if k else head.packed
-        packed += conductor.packed[k:]
-        return Subspace(model.field, n, rows, pivots, packed)
+        pivots = tuple(p + k for p in head.pivots) if k else head.pivots
+        return Subspace(
+            model.field, model.trunc, packed + conductor.packed[k:], pivots + conductor.pivots[k:]
+        )
 
     def unit_image(self, unit) -> "RingIdeal":
         """u * I, for a unit u of A_N read mod t^(g+1)."""
@@ -314,50 +312,6 @@ class RingIdeal:
     def _same_model(self, other):
         if self.model is not other.model:
             raise InputError("ideals belong to different models")
-
-
-def _packed_meet(ideal: RingIdeal, sub: Subspace):
-    """The packed rows and pivots, as tuples, of the intersection of the
-    ideal with a subspace of A_N; None when the subspace lies inside the
-    ideal.
-
-    The ideal contains the conductor block, so w lies in it exactly when
-    head(w), its coefficients 0..g, lies in the head of the ideal. Rows of
-    the subspace with pivot above g are therefore in the meet as they are,
-    and so are the rows whose head reduces to zero against the ideal's head.
-    Each other row r enters a Gauss–Jordan elimination as the block
-    (residual of head(r) | r), residual in the low columns; the blocks whose
-    residual cancels carry the rest of the meet. The ideal's head, the
-    subspace and the meet are in reduced echelon form, and each row kept
-    from the subspace vanishes at the pivots of all others, so the union,
-    ordered by pivot, is canonical.
-    """
-    model = ideal.model
-    kern = model.field.packing
-    h = model.head_dim
-    entries, rows, pivots = ideal.head.entries, sub.packed, sub.pivots
-    low = bisect_left(pivots, h)
-    kept = []
-    block = []
-    reduce, truncate, support = kern.reduce, kern.truncate, kern.support
-    for p, r in zip(pivots[:low], rows[:low]):
-        residual = reduce(truncate(r, h), entries)
-        if support(residual):
-            block.append(kern.add(residual, kern.shift(r, h)))
-        else:
-            kept.append((p, r))
-    if not block:
-        return None
-    kept.extend(zip(pivots[low:], rows[low:]))
-    if len(block) > 1:  # a single block's residual cannot cancel
-        for r, p in zip(*kern.echelon(block)):
-            if p >= h:
-                kept.append((p - h, kern.unshift(r, h)))
-        kept.sort()  # pivots are distinct, so rows are never compared
-    if not kept:
-        return (), ()
-    pivots, rows = zip(*kept)
-    return rows, pivots
 
 
 def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
@@ -382,12 +336,15 @@ def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
     kern = field.packing
     # The result contains the conductor block, so only the heads of the
     # quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
-    # t^m, and rows with pivot >= m+h have zero heads. Only those h columns
-    # of each row are unpacked.
-    windows = [kern.unpack(kern.unshift(r, m), h) for r, p in zip(rows, pivots) if p < m + h]
-    inv = series_inv(windows[0], field)
-    heads = [series_mul(inv, w, field) for w in windows]
-    cached = memo[rows] = RingIdeal(model, Subspace(field, h, *rref(heads, field)))
+    # t^m, and rows with pivot >= m+h have zero heads. Those windows of h
+    # columns are a reduced echelon form, alpha's window first, with pivot
+    # entry 1: the head is the image of their span under the unit 1/alpha,
+    # and only alpha's window is unpacked.
+    low = bisect_left(pivots, m + h)
+    windows = tuple(kern.truncate(kern.unshift(r, m), h) for r in rows[:low])
+    inv = series_inv(kern.unpack(windows[0], h), field)
+    span = Subspace(field, h, windows, tuple(p - m for p in pivots[:low]))
+    cached = memo[rows] = RingIdeal(model, subspace_unit_image(span, inv))
     return cached
 
 
@@ -403,11 +360,12 @@ def normalized_translate_intersection(
     every element of the intersection lies inside the conductor, the
     intersection equals t^k * (base cut at m-k), and normalizing that cut of
     base stays exact. The ideal need only contain the conductor block, so it
-    may be a unit image of a member of F_0. The work reads the packed rows
-    of the ideal's head, of shifted and of base.
+    may be a unit image of a member of F_0. Containing the conductor
+    block, it is its head plus t^(g+1)*A_N: the meet is `packed_meet` cut
+    at g+1.
     """
     model = ideal.model
-    meet = _packed_meet(ideal, shifted)
+    meet = packed_meet(ideal.head.entries, model.head_dim, shifted)
     if meet is None:
         return _normalize(model, base.packed, base.pivots)
     rows, pivots = meet
@@ -457,8 +415,8 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
 
     The lifted rows and the ring's head rows have distinct pivots with
     entry 1, and each is zero left of its pivot, so merged by pivot they
-    are already in echelon form: back-substitution alone makes a head
-    canonical. Returned sorted by (dimension, canonical matrix).
+    are already in echelon form, which `Packing.echelon` makes reduced.
+    Returned sorted by (dimension, canonical matrix).
     """
     check_ideal_budget(model.sgp, model.field.q, max_count)
     field = model.field
@@ -466,7 +424,7 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
     reduce, shift, truncate, support = kern.reduce, kern.shift, kern.truncate, kern.support
     h = model.head_dim
     ring = model.ring_ideal().head
-    base = list(zip(ring.pivots, ring.rows))
+    base = list(zip(ring.pivots, ring.packed))
     gaps = model.sgp.gaps[::-1]
     gens = [a for a in model.sgp.generators if a < h]
     # the rows chosen so far as (pivot, row), and, with the ring's head
@@ -476,10 +434,8 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
     out = []
 
     def visit(start):
-        merged = sorted(base + chosen)
-        head_pivots = tuple(p for p, _ in merged)
-        rows = _back_substitute([list(w) for _, w in merged], head_pivots, field)
-        out.append(RingIdeal(model, Subspace(field, h, rows, head_pivots)))
+        merged = sorted(base + chosen)  # pivots are distinct
+        out.append(RingIdeal(model, Subspace(field, h, *kern.echelon(w for _, w in merged))))
         taken = {p for p, _ in chosen}
         for i in range(start, len(gaps)):
             c = gaps[i]
@@ -496,7 +452,7 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
                     continue
                 pivots.insert(k, c)
                 entries.insert(k, kern.entry(c, w))
-                chosen.append((c, tuple(row)))
+                chosen.append((c, w))
                 visit(i + 1)
                 chosen.pop()
                 del pivots[k], entries[k]
@@ -576,7 +532,9 @@ def convert_to_overring(ideal: RingIdeal, t_model: RingModel) -> RingIdeal:
     number, so cutting the head rows to T's head width is lossless.
     """
     h_t = t_model.head_dim
-    head = Subspace.span(t_model.field, h_t, [r[:h_t] for r in ideal.head.rows])
+    kern = t_model.field.packing
+    heads = (kern.truncate(r, h_t) for r in ideal.head.packed)
+    head = Subspace(t_model.field, h_t, *kern.echelon(heads))
     converted = RingIdeal(t_model, head)
     if converted.product(t_model.ring_ideal()) != converted:
         raise InvariantError("converted ideal is not stable over the overring")

@@ -224,15 +224,13 @@ class ClosureTable:
         # per orbit and shift k < h, one unit image per class of witnesses
         # mod t^(h-k); the representative, whose witness is 1, comes first
         # in its image map and stands for its class. The image maps hold
-        # packed heads, which keep the representative's pivots and become
-        # the heads' packed rows; at k = 0 each image is a class of its own,
-        # so every image becomes an ideal
+        # packed heads, which keep the representative's pivots; at k = 0
+        # each image is a class of its own, so every image becomes an ideal
         classes = []
         for rep, images in zip(part.reps, part.image_maps):
             ideals, pivots = {}, rep.head.pivots
             for rows in images:
-                head = tuple(kern.unpack(r, h) for r in rows)
-                ideals[rows] = RingIdeal(model, Subspace(model.field, h, head, pivots, rows))
+                ideals[rows] = RingIdeal(model, Subspace(model.field, h, rows, pivots))
             by_class = []
             for k in range(h):
                 picked = {}

@@ -1,9 +1,13 @@
 """All subspaces of F_q^n, for tests that sweep them or check a search
-against a filter over every candidate."""
+against a filter over every candidate, and the tuple-row references the
+packed elimination kernel (packed.py) is checked against: Gauss–Jordan
+elimination, reduction and the Zassenhaus meet on coefficient tuples,
+by the field's add/sub/mul tables."""
 
 import itertools
+from bisect import bisect_left
 
-from starlab.fq_linear import Subspace
+from starlab.fq_linear import Subspace, series_mul
 
 
 def enumerate_subspaces(ambient, fld):
@@ -13,6 +17,7 @@ def enumerate_subspaces(ambient, fld):
     pivot columns in lexicographic order, free entries counted row-major.
     """
     q = fld.q
+    pack = fld.packing.pack
     out = []
     for d in range(ambient + 1):
         for pivots in itertools.combinations(range(ambient), d):
@@ -29,5 +34,119 @@ def enumerate_subspaces(ambient, fld):
                     rows[i][pivots[i]] = 1
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                out.append(Subspace(fld, ambient, tuple(tuple(r) for r in rows), pivots))
+                out.append(Subspace(fld, ambient, tuple(map(pack, rows)), pivots))
     return out
+
+
+# ---------------------------------------------------------------------------
+# tuple-row references
+
+
+def rref(vectors, fld):
+    """Reduced row echelon form; returns a tuple of nonzero rows, pivots
+    strictly increasing, pivot entries 1, pivot columns elsewhere zero, and
+    the tuple of their pivots."""
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return (), ()
+    mul, sub, inv = fld.mul, fld.sub, fld.inv
+    ncols = len(rows[0])
+    out = []
+    pivots = []
+    col = 0
+    while rows and col < ncols:
+        pivot_row = None
+        for r in rows:
+            if r[col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            col += 1
+            continue
+        rows.remove(pivot_row)
+        c = pivot_row[col]
+        if c != 1:
+            ci = inv[c]
+            mi = mul[ci]
+            pivot_row = [mi[x] for x in pivot_row]
+        for r in rows:
+            f = r[col]
+            if f:
+                mf = mul[f]
+                for j in range(col, ncols):
+                    pj = pivot_row[j]
+                    if pj:
+                        r[j] = sub[r[j]][mf[pj]]
+        out.append(pivot_row)
+        pivots.append(col)
+        col += 1
+        rows = [r for r in rows if any(r)]
+    return _back_substitute(out, pivots, fld), tuple(pivots)
+
+
+def _back_substitute(rows, pivots, fld):
+    """Clear the entries above each pivot of echelon rows (lists, pivot
+    entries 1), last pivot first; returns the rows as tuples."""
+    sub, mul = fld.sub, fld.mul
+    for i in range(len(rows) - 1, 0, -1):
+        prow = rows[i]
+        pcol = pivots[i]
+        tail = [(j, x) for j, x in enumerate(prow[pcol:], pcol) if x]
+        for row in rows[:i]:
+            f = row[pcol]
+            if f:
+                mf = mul[f]
+                for j, pj in tail:
+                    row[j] = sub[row[j]][mf[pj]]
+    return tuple(tuple(r) for r in rows)
+
+
+def span(fld, ambient, vectors):
+    """The subspace spanned by coefficient tuples, by the tuple rref."""
+    return _subspace(fld, ambient, *rref([tuple(v) for v in vectors], fld))
+
+
+def _subspace(fld, ambient, rows, pivots):
+    """The subspace with these canonical tuple rows and their pivots."""
+    return Subspace(fld, ambient, tuple(map(fld.packing.pack, rows)), pivots)
+
+
+def reduce(rows, pivots, vec, fld):
+    """Residual of vec after eliminating along canonical tuple rows."""
+    v = list(vec)
+    sub, mul = fld.sub, fld.mul
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            mc = mul[c]
+            for j in range(p, len(v)):
+                rj = row[j]
+                if rj:
+                    v[j] = sub[v[j]][mc[rj]]
+    return tuple(v)
+
+
+def intersect(a, b):
+    """Lattice meet of two subspaces, by the Zassenhaus double-block
+    reduction of their tuple rows."""
+    n = a.ambient
+    zero = (0,) * n
+    block = [r + r for r in a.rows]
+    block += [r + zero for r in b.rows]
+    # Rows whose first half vanishes, those pivoting past column n, come
+    # last in the echelon form, and their second halves are already
+    # reduced against each other.
+    reduced, pivots = rref(block, a.field)
+    low = bisect_left(pivots, n)
+    rows = tuple(r[n:] for r in reduced[low:])
+    return _subspace(a.field, n, rows, tuple(p - n for p in pivots[low:]))
+
+
+def unit_image(sub, unit):
+    """u * sub, by the tuple rref of the products of its rows."""
+    return span(sub.field, sub.ambient, [series_mul(unit, r, sub.field) for r in sub.rows])
+
+
+def contains(sub, vec):
+    """Whether vec lies in sub, by the tuple reduction."""
+    return not any(reduce(sub.rows, sub.pivots, vec, sub.field))

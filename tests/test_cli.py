@@ -166,6 +166,26 @@ def test_budget_past_the_int_str_limit_exit_3(argv, message):
     assert proc.stderr.startswith("budget exceeded: ") and message in proc.stderr
 
 
+@pytest.mark.parametrize("digits", [1, 2, 3, 4, 5, 6, 7, 20, 4300, 4301, 14242])
+def test_scientific_count_matches_decimal(digits):
+    # a count past the int-to-str limit is shown as Decimal's .3e shows it,
+    # ties to even: counts just below and above 10^k, and exact halves at
+    # the 4th significant digit, rounding down to an even digit and up from
+    # an odd one
+    from decimal import Decimal
+
+    from starlab.errors import _scientific
+
+    p = 10**digits
+    counts = [p - 2, p - 1, p, p + 1, p + 2]
+    if digits > 4:
+        unit = 10 ** (digits - 4)
+        counts += [m * unit + unit // 2 + d for m in (1234, 1235, 9999) for d in (-1, 0, 1)]
+    for count in counts:
+        if count > 0:
+            assert _scientific(count) == f"{Decimal(count):.3e}", count
+
+
 def test_lower_bound_budget_exits_before_the_model():
     # the lab's q^(n-1) check runs before the family member's ring, whose
     # model alone takes tens of seconds to build at n = 600
@@ -222,6 +242,26 @@ def test_bad_cap_or_jobs_exit_2(capsys, argv):
         main([*argv, "--gens", "4,5,7", "--q", "2"])
     assert exc.value.code == 2
     assert argv[2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kunz", "formula-check", "--q", "2", "--max-ideals", "1"),
+        ("kunz", "counterexample", "--gens", "4,5,7", "--q", "2", "--max-ideals", "1"),
+    ],
+    ids=["formula-check", "counterexample"],
+)
+def test_budget_exit_is_the_same_on_jobs_2(capsys, monkeypatch, argv):
+    # the caps are checked before the worker pool opens: over budget, two
+    # jobs exit as one does, and no pool is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool opened over budget")
+
+    monkeypatch.setattr("multiprocessing.Pool", refuse)
+    one = run_cli(capsys, *argv, "--jobs", "1")
+    assert one[0] == 3
+    assert run_cli(capsys, *argv, "--jobs", "2") == one
 
 
 def test_timeout_holds_under_jobs_2():

@@ -13,7 +13,6 @@ from starlab.fq_linear import (
     field,
     field_from_order,
     partition_subspaces,
-    rref,
     series_inv,
     series_mul,
     series_shift,
@@ -23,6 +22,7 @@ from starlab.fq_linear import (
     unit_representatives,
 )
 
+import subspaces
 from subspaces import enumerate_subspaces
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
@@ -175,7 +175,7 @@ def test_intersect_exhaustive(p, n):
             meet = a.intersect(b)
             assert vectors[meet] == vectors[a] & vectors[b]
             fresh = tuple(next(j for j, x in enumerate(r) if x) for r in meet.rows)
-            assert rref(meet.rows, f) == (meet.rows, fresh)
+            assert subspaces.rref(meet.rows, f) == (meet.rows, fresh)
             assert meet.pivots == fresh
 
 
@@ -243,6 +243,35 @@ def test_canon_representation_independent(data):
     assert Subspace.span(f, n, s.rows) == s
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9], ids=["q2", "q3", "q4", "q5", "q9"])
+def test_subspace_matches_tuple_references(q):
+    # span, reduce, contains, intersect and unit images against the tuple
+    # Gauss-Jordan, reduction and Zassenhaus meet of tests/subspaces.py, on
+    # random spans of random widths, low ranks and full ones included
+    fld = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+
+        def vector():
+            return tuple(rng.randrange(q) for _ in range(n))
+
+        a_rows, b_rows = ([vector() for _ in range(rng.randint(0, n + 1))] for _ in range(2))
+        a, b = Subspace.span(fld, n, a_rows), Subspace.span(fld, n, b_rows)
+        ref_rows, ref_pivots = subspaces.rref(a_rows, fld)
+        assert (a.rows, a.pivots) == (ref_rows, ref_pivots)
+        assert a == subspaces.span(fld, n, a_rows) and a.dim == len(ref_rows)
+        for v in [vector() for _ in range(4)] + list(b.rows):
+            residual = subspaces.reduce(ref_rows, ref_pivots, v, fld)
+            assert a.reduce(v) == residual
+            assert a.contains(v) == (not any(residual))
+        meet = a.intersect(b)
+        assert meet == subspaces.intersect(a, b)
+        assert (meet.rows, meet.pivots) == subspaces.rref(meet.rows, fld)
+        unit = (rng.randrange(1, q),) + vector()[1:]
+        assert subspace_unit_image(a, unit) == subspaces.unit_image(a, unit)
+
+
 # ---------------------------------------------------------------------------
 # packed rows
 
@@ -275,11 +304,10 @@ def test_packed_rows_agree_with_tuple_rows(fld, data):
     # of a span
     rows = data.draw(st.lists(vec, max_size=6))
     packed_rows, pivots = kern.echelon([kern.pack(r) for r in rows])
-    reference = rref(rows, fld)
-    assert (tuple(kern.unpack(r, n) for r in packed_rows), tuple(pivots)) == reference
-    sub = Subspace.span(fld, n, rows)
+    reference = subspaces.rref(rows, fld)
+    assert (tuple(kern.unpack(r, n) for r in packed_rows), pivots) == reference
     entries = [kern.entry(p, r) for p, r in zip(pivots, packed_rows)]
-    assert kern.unpack(kern.reduce(pa, entries), n) == sub.reduce(a)
+    assert kern.unpack(kern.reduce(pa, entries), n) == subspaces.reduce(*reference, a, fld)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -358,7 +386,7 @@ def test_colon_matches_brute_force(fld):
             want = {x for x in space if all(series_mul(x, r, fld) in inside for r in b.rows)}
             colon = subspace_colon(a, b)
             assert _elements(colon) == want, (fld, a, b)
-            assert (colon.rows, colon.pivots) == rref(colon.rows, fld)
+            assert (colon.rows, colon.pivots) == subspaces.rref(colon.rows, fld)
             unstable += not all(series_mul(t, r, fld) in inside for r in a.rows)
         n += 1
     assert unstable
@@ -380,9 +408,9 @@ def test_colon_rejects_mismatched_ambients():
 def unpacked_images(images, fld, n):
     """A unit image map with its packed keys and witnesses unpacked:
     {Subspace: witness tuple}."""
-    unpack = fld.packing.unpack
+    kern = fld.packing
     out = {
-        Subspace(fld, n, tuple(unpack(r, n) for r in rows)): unpack(w, n)
+        Subspace(fld, n, rows, tuple(map(kern.pivot, rows))): kern.unpack(w, n)
         for rows, w in images.items()
     }
     assert len(out) == len(images)
@@ -405,6 +433,7 @@ def test_unit_generators_reach_every_unit_image(p, e, n):
     for sub in enumerate_subspaces(n, f):
         images = unpacked_images(unit_image_map(sub), f, n)
         all_images = [subspace_unit_image(sub, u) for u in reps]
+        assert all_images == [subspaces.unit_image(sub, u) for u in reps]
         assert set(images) == set(all_images)
         for img, w in images.items():
             assert subspace_unit_image(sub, w) == img
@@ -437,7 +466,7 @@ def test_subspace_unit_image_matches_span():
     for sub in [s for s in enumerate_subspaces(4, f) if s.dim == 2][::7]:
         for u in units:
             img = subspace_unit_image(sub, u)
-            assert img == Subspace.span(f, 4, [series_mul(u, r, f) for r in sub.rows])
+            assert img == subspaces.unit_image(sub, u)
             assert img.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in img.rows)
     with pytest.raises(InputError):
         subspace_unit_image(sub, (0, 1, 0, 0))
@@ -473,5 +502,4 @@ def test_partition_witnesses():
     for member_idx in part.members[0]:
         member = part.items[member_idx]
         w = part.witness(0, member)
-        image = Subspace.span(f, 3, [series_mul(w, r, f) for r in rep.rows])
-        assert image == member
+        assert subspaces.unit_image(rep, w) == member

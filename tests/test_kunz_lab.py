@@ -100,6 +100,21 @@ def test_residue_family_members_are_enumerated_stars():
         assert op.key() in all_keys
 
 
+def test_star_counts_check_every_budget_before_forking(monkeypatch):
+    # over budget on either ring, _star_counts raises before it opens a
+    # worker pool, and for the first ring over budget, in order
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool opened over budget")
+
+    monkeypatch.setattr("multiprocessing.Pool", refuse)
+    with pytest.raises(BudgetError, match="^67 candidate ideals exceed budget 1$"):
+        kunz_lab.formula_check(2, max_ideals=1, jobs=2)
+    # <3,4,5> has 5 candidates and <4,5,7> 67: over a budget of 10, the
+    # second ring stops the run before the first is counted
+    with pytest.raises(BudgetError, match="^67 candidate ideals exceed budget 10$"):
+        kunz_lab._star_counts([(3, 4, 5), (4, 5, 7)], 2, 10, None, None, 2)
+
+
 @pytest.mark.parametrize(
     "q,n,cases",
     [(2, 5, 1870), (3, 4, 848), (4, 3, 132), (5, 3, 192)],

@@ -5,11 +5,9 @@ import pytest
 from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
-    _back_substitute,
     field,
     field_from_order,
     partition_subspaces,
-    rref,
     series_mul,
     series_shift,
     subspace_unit_image,
@@ -35,6 +33,7 @@ from starlab.ring_model import (
 )
 from starlab.star_engine import workspace
 
+import subspaces
 from subspaces import enumerate_subspaces
 
 F2 = field(2)
@@ -49,9 +48,9 @@ def series_shift_down(coeffs, m):
 def ideal_from_full(model, sub):
     """The ideal whose N-wide subspace is sub, which must contain the
     conductor: its head is the span of its rows cut to g+1 columns."""
-    assert all(sub.contains(r) for r in model.conductor.rows)
+    assert all(subspaces.contains(sub, r) for r in model.conductor.rows)
     h = model.head_dim
-    ideal = RingIdeal(model, Subspace.span(model.field, h, [r[:h] for r in sub.rows]))
+    ideal = RingIdeal(model, subspaces.span(model.field, h, [r[:h] for r in sub.rows]))
     assert ideal.sub == sub
     return ideal
 
@@ -60,16 +59,13 @@ def image_ideal(rep, rows):
     """The ideal whose head has these packed rows, a key of the image map
     of rep's orbit; unit images keep the pivots of rep's head."""
     model = rep.model
-    h = model.head_dim
-    head = tuple(model.field.packing.unpack(r, h) for r in rows)
-    return RingIdeal(model, Subspace(model.field, h, head, rep.head.pivots))
+    return RingIdeal(model, Subspace(model.field, model.head_dim, rows, rep.head.pivots))
 
 
 def normalize(model, sub):
     """sub, a subspace of A_N, divided by its least-pivot row: the engine's
     normalization, called on the packed rows of sub."""
-    pack = model.field.packing.pack
-    return _normalize(model, tuple(map(pack, sub.rows)), sub.pivots)
+    return _normalize(model, sub.packed, sub.pivots)
 
 
 def pivot_scan(rows):
@@ -190,8 +186,8 @@ def _reference_ideals(model):
             for coord, val in zip(gaps, urow):
                 vec[coord] = val
             lifted.append(tuple(vec))
-        sub = Subspace.span(fld, n, list(base) + lifted)
-        if all(sub.contains(series_mul(b, r, fld)) for b in base for r in sub.rows):
+        sub = subspaces.span(fld, n, list(base) + lifted)
+        if all(subspaces.contains(sub, series_mul(b, r, fld)) for b in base for r in sub.rows):
             out.append(ideal_from_full(model, sub))
     return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.sub.rows)))
 
@@ -235,8 +231,9 @@ def _filtered_ideals(model):
             lifted.append(tuple(vec))
         merged = sorted(base + [(gaps[p], w) for p, w in zip(u_sub.pivots, lifted)])
         pivots = tuple(p for p, _ in merged)
-        sub = Subspace(fld, h, _back_substitute([list(w) for _, w in merged], pivots, fld), pivots)
-        if all(sub.contains(series_shift(w, a)) for a in gens for w in lifted):
+        rows = subspaces._back_substitute([list(w) for _, w in merged], pivots, fld)
+        sub = Subspace(fld, h, tuple(map(fld.packing.pack, rows)), pivots)
+        if all(subspaces.contains(sub, series_shift(w, a)) for a in gens for w in lifted):
             out.append(RingIdeal(model, sub))
     return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.head.rows)))
 
@@ -387,7 +384,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     ws = workspace(model457)
     I = ideals457[5]
     shifted = I.translate(1)
-    meet = model457.ring_ideal().sub.intersect(shifted)
+    meet = subspaces.intersect(model457.ring_ideal().sub, shifted)
     res1 = normalize(model457, meet)
     # perturb: divide by (row0 + row1) instead
     from starlab.fq_linear import series_inv
@@ -398,7 +395,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     inv = series_inv(series_shift_down(alt, m), F2)
     alt_rows = [series_shift_down(series_mul(inv, r, F2), m) for r in rows]
     alt_rows += list(model457.conductor.rows)
-    res2 = ideal_from_full(model457, Subspace.span(F2, 14, alt_rows))
+    res2 = ideal_from_full(model457, subspaces.span(F2, 14, alt_rows))
     assert ws.orbit_id(res1) == ws.orbit_id(res2)
 
 
@@ -531,7 +528,7 @@ def test_packed_image_maps_per_layout(gens, q, layout):
         for rows, w in images.items():
             image = subspace_unit_image(rep.head, kern.unpack(w, h))
             assert tuple(kern.unpack(r, h) for r in rows) == image.rows
-        brute = {subspace_unit_image(rep.head, u).rows for u in units}
+        brute = {subspaces.unit_image(rep.head, u).rows for u in units}
         assert {tuple(kern.unpack(r, h) for r in rows) for rows in images} == brute
         for m in part.members[oid]:
             member = part.items[m]
@@ -555,10 +552,10 @@ def test_translate_matches_span(model457, ideals457):
             for u in units:
                 rows = I.sub.rows if u is None else [series_mul(u, r, fld) for r in I.sub.rows]
                 if u is not None:
-                    assert subspace_unit_image(I.sub, u) == Subspace.span(fld, n, rows)
+                    assert subspace_unit_image(I.sub, u) == subspaces.span(fld, n, rows)
                 for k in range(model.sgp.frobenius + 2):
                     shifted = (I if u is None else I.unit_image(u)).translate(k)
-                    ref = Subspace.span(fld, n, [series_shift(r, k) for r in rows])
+                    ref = subspaces.span(fld, n, [series_shift(r, k) for r in rows])
                     assert shifted == ref
                     assert shifted.pivots == ref.pivots
 
@@ -588,11 +585,14 @@ def _reference_colon(I, J):
     all N columns of I, and the kernel read off a transposed rref."""
     model = I.model
     fld, n, h = model.field, model.trunc, model.head_dim
+    I_sub, J_sub = I.sub, J.sub
     constraints = []
-    for b, p in zip(J.sub.rows, J.sub.pivots):
+    for b, p in zip(J_sub.rows, J_sub.pivots):
         if p >= h:
             continue
-        residuals = [I.sub.reduce(series_shift(b, i)) for i in range(h)]
+        residuals = [
+            subspaces.reduce(I_sub.rows, I_sub.pivots, series_shift(b, i), fld) for i in range(h)
+        ]
         for coord in range(n):
             row = tuple(residuals[i][coord] for i in range(h))
             if any(row):
@@ -603,13 +603,13 @@ def _reference_colon(I, J):
         tuple(c[i] for c in constraints) + tuple(int(j == i) for j in range(h))
         for i in range(h)
     ]
-    kernel = [r[m:] for r in rref(block, fld)[0] if not any(r[:m])]
+    kernel = [r[m:] for r in subspaces.rref(block, fld)[0] if not any(r[:m])]
     rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor.rows)
-    return ideal_from_full(model, Subspace.span(fld, n, rows))
+    return ideal_from_full(model, subspaces.span(fld, n, rows))
 
 
 def _reference_intersect(I, J):
-    return ideal_from_full(I.model, I.sub.intersect(J.sub))
+    return ideal_from_full(I.model, subspaces.intersect(I.sub, J.sub))
 
 
 def _reference_overring_stable(I):
@@ -719,13 +719,14 @@ def test_sub_view_is_the_lifted_head(make_model):
     pad = (0,) * (n - h)
     for I in enumerate_ideals(model):
         rows = [r + pad for r in I.head.rows] + list(model.conductor.rows)
-        ref = Subspace.span(model.field, n, rows)
+        ref = subspaces.span(model.field, n, rows)
         assert I.sub == ref
         assert I.sub.pivots == ref.pivots
         assert I.dim == ref.dim
         assert I.value_set == ref.pivots
     positive = tuple(r for r, p in zip(model.basis.rows, model.basis.pivots) if p)
-    assert model.maximal_ideal() == ideal_from_full(model, Subspace(model.field, n, positive))
+    maximal = ideal_from_full(model, subspaces.span(model.field, n, positive))
+    assert model.maximal_ideal() == maximal
     assert model.ring_ideal().sub == model.basis
 
 
@@ -742,14 +743,16 @@ def test_contains_subspace_matches_full_width(make_model):
         for rep, heads in zip(part.reps, part.image_maps)
         for rows in heads
     ]
+    images = [(rows, image, image.sub.rows, image.translate(1)) for rows, image in images]
     answers = set()
     for J in ideals:
-        for rows, image in images:
-            full = all(J.sub.contains(r) for r in image.sub.rows)
+        J_sub = J.sub
+        for rows, image, image_rows, shifted in images:
+            full = all(subspaces.contains(J_sub, r) for r in image_rows)
             assert J.contains_subspace(image.head) == full
             assert J.contains_packed(rows) == full
-            shifted = image.translate(1)
-            assert J.contains_subspace(shifted) == all(J.sub.contains(r) for r in shifted.rows)
+            inside = all(subspaces.contains(J_sub, r) for r in shifted.rows)
+            assert J.contains_subspace(shifted) == inside
             answers.add(full)
     assert answers == {True, False}
 
@@ -784,7 +787,7 @@ def test_one_ideal_per_head(q, monkeypatch):
         for ideal in ideals:
             assert ideal.model is model
             assert first.setdefault(ideal.head.rows, ideal) is ideal
-            assert RingIdeal(model, Subspace(fld, h, ideal.head.rows)) is ideal
+            assert RingIdeal(model, subspaces.span(fld, h, ideal.head.rows)) is ideal
 
     def every_path():
         ideals, extra = _colon_test_ideals(model)

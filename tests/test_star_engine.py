@@ -10,6 +10,7 @@ from starlab.fq_linear import (
     Subspace,
     field,
     field_from_order,
+    packed_meet,
     series_inv,
     series_mul,
     unit_representatives,
@@ -17,7 +18,6 @@ from starlab.fq_linear import (
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     RingIdeal,
-    _packed_meet,
     canonical_ideals,
     frobenius_overring_ideal,
     frobenius_overring_model,
@@ -40,6 +40,7 @@ from starlab.star_engine import (
     workspace,
 )
 
+import subspaces
 from test_ring_model import ideal_from_full, normalize
 
 F2 = field(2)
@@ -52,8 +53,8 @@ def series_shift_down(coeffs, m):
 
 def image_head(model, rows):
     """The head with these packed rows, a key of an orbit's image map."""
-    h = model.head_dim
-    return Subspace(model.field, h, tuple(model.field.packing.unpack(r, h) for r in rows))
+    pivots = tuple(map(model.field.packing.pivot, rows))
+    return Subspace(model.field, model.head_dim, rows, pivots)
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +287,7 @@ def _reference_normalize(model, sub):
     inv = series_inv(series_shift_down(sub.rows[0], m), model.field)
     rows = [series_shift_down(series_mul(inv, r, model.field), m) for r in sub.rows]
     rows += list(model.conductor.rows)
-    return ideal_from_full(model, Subspace.span(model.field, model.trunc, rows))
+    return ideal_from_full(model, subspaces.span(model.field, model.trunc, rows))
 
 
 def test_normalize_memo_is_per_model():
@@ -305,12 +306,12 @@ def test_normalize_memo_is_per_model():
     ]
     results = []
     for model in models:
-        subs = [Subspace(model.field, model.trunc, rows) for rows in inputs]
+        subs = [subspaces.span(model.field, model.trunc, rows) for rows in inputs]
         ideals = [normalize(model, sub) for sub in subs]
         for sub, ideal in zip(subs, ideals):
             assert ideal.model is model
             assert ideal == _reference_normalize(model, sub)
-            again = Subspace(model.field, model.trunc, sub.rows)
+            again = subspaces.span(model.field, model.trunc, sub.rows)
             assert normalize(model, again) is ideal
         results.append([ideal.head.rows for ideal in ideals])
     assert results[0] != results[1]
@@ -365,25 +366,28 @@ def test_closure_table_matches_reference(gens, q):
     pack = model.field.packing.pack
     expected = {}
     for i, rep in enumerate(part.reps):
+        rep_sub = rep.sub
         for j in range(part.orbit_count):
             hits = set()
             for rows in part.image_maps[j]:
                 image = RingIdeal(model, image_head(model, rows))
+                image_sub = image.sub
                 for k in range(g + 2):
                     shifted = image.translate(k)
                     if not shifted.rows:
                         continue
-                    meet = rep.sub.intersect(shifted)
-                    rows, pivots = _packed_meet(rep, shifted) or (shifted.packed, shifted.pivots)
+                    meet = subspaces.intersect(rep_sub, shifted)
+                    found = packed_meet(rep.head.entries, model.head_dim, shifted)
+                    rows, pivots = found or (shifted.packed, shifted.pivots)
                     assert tuple(unpack(r, model.trunc) for r in rows) == meet.rows
                     assert tuple(pivots) == meet.pivots
                     m = meet.pivots[0]
                     if m > g + 1:
                         # the elements of t^k*u*rep_j of valuation >= m
-                        keep = [r for r, p in zip(image.sub.rows, image.sub.pivots) if p >= m - k]
-                        meet = Subspace(model.field, model.trunc, tuple(keep))
+                        keep = [r for r, p in zip(image_sub.rows, image_sub.pivots) if p >= m - k]
+                        meet = subspaces.span(model.field, model.trunc, keep)
                     ref = _reference_normalize(model, meet)
-                    assert normalized_translate_intersection(rep, shifted, k, image.sub) == ref
+                    assert normalized_translate_intersection(rep, shifted, k, image_sub) == ref
                     hits.add(ws.orbit_id(ref))
             expected[(i, j)] = sum(1 << oid for oid in hits)
     assert ws.table().pair_classes == expected
@@ -514,8 +518,8 @@ def test_formula_counts_small(q, expected):
 @pytest.mark.parametrize("gens", [(4, 5, 7), (4, 5, 6, 7)], ids=["457", "4567"])
 def test_containment_order_and_closure_map(gens):
     # the order is RingIdeal.contains on every pair, and on every star the
-    # closure map is the meet, by Subspace.intersect, of the closed ideals
-    # above the argument
+    # closure map is the meet, by the tuple Zassenhaus meet, of the closed
+    # ideals above the argument
     model = semigroup_ring_model(semigroup(list(gens)), F2)
     ws = workspace(model)
     above = ws.above()
@@ -531,7 +535,7 @@ def test_containment_order_and_closure_map(gens):
             meet = None
             for C in closed:
                 if C.contains(J):
-                    meet = C.sub if meet is None else meet.intersect(C.sub)
+                    meet = C.sub if meet is None else subspaces.intersect(meet, C.sub)
             assert star.apply(J).sub == meet
 
 

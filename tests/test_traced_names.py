@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import starlab
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -37,14 +39,17 @@ def test_traced_names_resolve():
     assert unresolved == []
 
 
-def test_traced_run_matches_untraced(tmp_path):
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_traced_run_matches_untraced(tmp_path, q):
     # the tracer's hooks also read the arguments of what they wrap: the
     # table.useful hook reads the rows of the translate and the ideal's
-    # N-wide view. A change of their shape must fail here too
+    # N-wide view, and reduces them by the unwrapped Subspace.reduce. A
+    # change of their shape must fail here too, on the XOR layout of F_2
+    # and on the bitsliced one of F_3 that the stars workload runs
     src = os.path.dirname(os.path.dirname(starlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("STARLAB_CACHE_DIR", None)
-    argv = ["ring", "enum-stars", "--gens", "4,5,7", "--q", "2", "--jobs", "1"]
+    argv = ["ring", "enum-stars", "--gens", "4,5,7", "--q", q, "--jobs", "1"]
     runs = [
         subprocess.run(cmd, capture_output=True, env=env, timeout=120)
         for cmd in (
