@@ -8,9 +8,12 @@ hashing and orbit bookkeeping structural. Their rows are stored packed into
 Python ints by the field's `packing` (packed.py), and every elimination runs
 on those; the rows as coefficient tuples are a view, unpacked on first read.
 
-The same vectors double as the truncated algebra A_N = K[t]/(t^N): an element
-is a coefficient tuple (c_0, ..., c_{N-1}) and its valuation is the index of
-the first nonzero coefficient.
+The same packed vectors double as the truncated algebra A_N = K[t]/(t^N):
+an element c_0 + c_1*t + ... + c_{N-1}*t^(N-1) is the packed vector
+(c_0, ..., c_{N-1}), and its valuation is its pivot. Series and units, the
+witnesses of the unit orbits included, are packed; coefficient tuples
+enter only as literal input to `Subspace.span` and `Subspace.reduce`, and
+leave only as `Subspace.rows`.
 """
 
 from __future__ import annotations
@@ -280,54 +283,48 @@ def field_from_order(q: int, modulus=None) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series K[t]/(t^N) over a Field, coefficient tuples
+# truncated power series K[t]/(t^n) over a Field, packed by the field
 
 
-def series_mul(a, b, fld):
-    """Product of coefficient tuples, truncated to len(a) terms."""
-    n = len(a)
-    out = [0] * n
-    mul = fld.mul
-    add = fld.add
-    for i, ai in enumerate(a):
-        if ai:
-            mi = mul[ai]
-            top = n - i
-            for j in range(min(len(b), top)):
-                bj = b[j]
-                if bj:
-                    k = i + j
-                    out[k] = add[out[k]][mi[bj]]
-    return tuple(out)
+def _multiplier(kern, a, n):
+    """The map v -> a*v mod t^n, for a packed series a: one scaled shift
+    of v per nonzero coefficient of a below t^n."""
+    add, scale, shift, coef = kern.add, kern.scale, kern.shift, kern.coef
+    terms = [(j, c) for j in range(n) if (c := coef(a, j))]
+    zero = kern.zero
+
+    def times(v):
+        out = zero
+        for j, c in terms:
+            out = add(out, shift(v if c == 1 else scale(c, v), j))
+        return kern.truncate(out, n)
+
+    return times
 
 
-def series_shift(a, k):
-    """Multiply by t^k (k >= 0), truncating at the original length."""
-    n = len(a)
-    return tuple(0 for _ in range(min(k, n))) + a[: max(n - k, 0)]
+def series_mul(a, b, fld, n):
+    """Product of packed series, truncated at t^n."""
+    return _multiplier(fld.packing, a, n)(b)
 
 
-def series_inv(a, fld):
-    """Inverse of a unit (valuation 0) in K[t]/(t^N).
+def series_inv(a, fld, n):
+    """Inverse of a packed unit (valuation 0) of K[t]/(t^n).
 
-    Coefficients come from the first-order recurrence
-    b_k = -b_0 * sum_{i=1..k} a_i b_{k-i}.
+    Long division of 1/a_0 by a/a_0, whose pivot entry is 1: the quotient's
+    coefficient at t^k is the remainder's, and reducing the remainder by
+    t^k*a/a_0 clears it.
     """
-    if not a or a[0] == 0:
+    kern = fld.packing
+    c = kern.coef(a, 0)
+    if not c:
         raise InputError("series has positive valuation, not a unit")
-    n = len(a)
-    mul, add, neg = fld.mul, fld.add, fld.neg
-    b = [0] * n
-    b0 = fld.inv[a[0]]
-    b[0] = b0
-    for k in range(1, n):
-        acc = 0
-        for i in range(1, k + 1):
-            ai = a[i]
-            if ai:
-                acc = add[acc][mul[ai][b[k - i]]]
-        b[k] = mul[neg[b0]][acc] if acc else 0
-    return tuple(b)
+    monic = kern.scale(fld.inv[c], a)
+    rem, coefs = kern.scale(fld.inv[c], kern.one), []
+    for k in range(n):
+        coefs.append(kern.coef(rem, k))
+        if coefs[k]:
+            rem = kern.reduce(rem, (kern.entry(k, kern.shift(monic, k)),))
+    return kern.pack(coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +362,6 @@ class Subspace:
                 raise InputError(f"vector length {len(v)} != ambient {ambient}")
         return cls(fld, ambient, *rref(vectors, fld))
 
-    @classmethod
-    def full(cls, fld, ambient):
-        kern = fld.packing
-        one = kern.pack((1,))
-        rows = tuple(kern.shift(one, i) for i in range(ambient))
-        return cls(fld, ambient, rows, tuple(range(ambient)))
-
     @property
     def dim(self):
         return len(self.pivots)
@@ -398,8 +388,9 @@ class Subspace:
         return kern.unpack(kern.reduce(kern.pack(vec), self.entries), len(vec))
 
     def contains(self, vec):
+        """Whether vec, a packed vector, lies in this subspace."""
         kern = self.field.packing
-        return not kern.support(kern.reduce(kern.pack(vec), self.entries))
+        return not kern.support(kern.reduce(vec, self.entries))
 
     def intersect(self, other):
         """Lattice meet (`packed_meet` at the full width)."""
@@ -490,7 +481,7 @@ def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
             if support(residual):
                 residual = shift(residual, k * n)
                 blocks[i] = residual if blocks[i] is None else add(blocks[i], residual)
-    one = kern.pack((1,))
+    one = kern.one
     wide = n * b.dim
     # the forward elimination's entries and their pivots, by pivot, and the
     # colon's rows and pivots
@@ -535,10 +526,11 @@ def count_subspaces(m, q):
 
 
 def unit_representatives(fld, length):
-    """All valuation-zero elements of K[t]/(t^length) with constant term 1
-    (scalar multiples act trivially on subspaces, so these represent the
-    unit action)."""
-    return [(1,) + tail for tail in itertools.product(range(fld.q), repeat=length - 1)]
+    """All valuation-zero elements of K[t]/(t^length) with constant term 1,
+    packed (scalar multiples act trivially on subspaces, so these represent
+    the unit action)."""
+    pack = fld.packing.pack
+    return [pack((1,) + tail) for tail in itertools.product(range(fld.q), repeat=length - 1)]
 
 
 def _image_rows(kern, rows, pivots, times):
@@ -556,29 +548,21 @@ def _image_rows(kern, rows, pivots, times):
     return tuple(image)
 
 
-def subspace_unit_image(sub: Subspace, unit_coeffs) -> Subspace:
-    """u * sub for a unit u of K[t]/(t^ambient), a coefficient tuple.
+def subspace_unit_image(sub: Subspace, unit) -> Subspace:
+    """u * sub for a packed unit u of K[t]/(t^ambient).
 
     Scalars act trivially, so u is first scaled to constant term 1."""
     fld = sub.field
     kern = fld.packing
     n = sub.ambient
-    if len(unit_coeffs) != n:
-        raise InputError(f"unit length {len(unit_coeffs)} != ambient {n}")
-    c = unit_coeffs[0]
+    if kern.truncate(unit, n) != unit:
+        raise InputError(f"unit has terms past t^{n - 1}")
+    c = kern.coef(unit, 0)
     if c == 0:
         raise InputError("series has positive valuation, not a unit")
     if c != 1:
-        unit_coeffs = kern.unpack(kern.scale(fld.inv[c], kern.pack(unit_coeffs)), n)
-    add, scale, shift = kern.add, kern.scale, kern.shift
-    terms = [(j, x) for j, x in enumerate(unit_coeffs) if j and x]
-
-    def times(v):
-        out = v
-        for j, x in terms:
-            out = add(out, shift(scale(x, v), j))
-        return kern.truncate(out, n)
-
+        unit = kern.scale(fld.inv[c], unit)
+    times = _multiplier(kern, unit, n)
     return Subspace(fld, n, _image_rows(kern, sub.packed, sub.pivots, times), sub.pivots)
 
 
@@ -605,7 +589,7 @@ def unit_image_map(sub: Subspace):
     fixed = {p for p in subspace_colon(sub, sub).pivots if p}
     add, scale, shift, truncate = kern.add, kern.scale, kern.shift, kern.truncate
 
-    images = {sub.packed: kern.pack((1,))}
+    images = {sub.packed: kern.one}
     for j in range(1, n):
         if j in fixed:
             continue
@@ -652,10 +636,9 @@ class OrbitPartition:
         return tuple(len(m) for m in self.members)
 
     def witness(self, orbit_id, member: Subspace):
-        """Unit u, a coefficient tuple, with u * rep == member (member must
-        lie in the orbit)."""
-        w = self.image_maps[orbit_id][member.packed]
-        return member.field.packing.unpack(w, member.ambient)
+        """The packed unit u with u * rep == member (member must lie in the
+        orbit)."""
+        return self.image_maps[orbit_id][member.packed]
 
 
 def partition_subspaces(subspaces) -> OrbitPartition:

@@ -19,6 +19,7 @@ from .fq_linear import (
     partition_subspaces,
     series_inv,
     series_mul,
+    subspace_unit_image,
 )
 from .numsgp import (
     NumericalSemigroup,
@@ -129,11 +130,11 @@ def require_gate(gens, q):
 
 def _least_element_of_valuation(sub: Subspace, val: int):
     """The lexicographically least element of the subspace with the given
-    valuation and leading coefficient 1, or None: the reduced echelon row
-    with pivot val. Any other such element adds c times rows of later
-    pivots to it; at the first pivot p with c nonzero the two differ first,
-    and there the echelon row is 0."""
-    for r, p in zip(sub.rows, sub.pivots):
+    valuation and leading coefficient 1, packed, or None: the reduced
+    echelon row with pivot val. Any other such element adds c times rows of
+    later pivots to it; at the first pivot p with c nonzero the two differ
+    first, and there the echelon row is 0."""
+    for r, p in zip(sub.packed, sub.pivots):
         if p == val:
             return r
     return None
@@ -154,9 +155,8 @@ def residue_star_family(r_model):
     an (R:M_R)-stable adjoint. The operations are J -> J^{v_T} meet
     J*T_alpha, together with v_T; the full axiom suite, the pairwise
     separation of the T_alpha, and (R:M_R)^{v_T} = (T:M_T) are all checked.
-    Elements are taken as heads, mod t^(g+1) for the g of T: both ideals
-    contain T's conductor, so the least element is the least head padded
-    with zeros.
+    Elements are packed heads, mod t^(g+1) for the g of T: both ideals
+    contain T's conductor, so the least element is the least head.
     """
     S = r_model.sgp
     if not is_pseudo_symmetric(S) or S.genus < 4:
@@ -191,18 +191,17 @@ def residue_star_family(r_model):
         raise InvariantError("(R:M_R) escaped (T:M_T)")
 
     fld = t_model.field
+    kern = fld.packing
     adjoined = []
     stars = []
     for alpha in range(q):
-        gen = tuple(
-            fld.add[uc][fld.mul[alpha][zc]] for uc, zc in zip(u, z)
-        )
+        gen = kern.add(u, kern.scale(alpha, z))
         if L_R_in_t.contains_vector(gen):
             raise InvariantError("adjoined generator fell into (R:M_R)")
-        T_i = t_model.span_ideal(list(T.head.rows) + [gen])
+        T_i = t_model.span_ideal(list(T.head.packed) + [gen])
         if not T_i.in_f0():
             raise InvariantError("adjoined overring left F_0(T)")
-        if not T_i.contains_vector(series_mul(gen, gen, fld)):
+        if not T_i.contains_vector(series_mul(gen, gen, fld, t_model.head_dim)):
             raise InvariantError("adjoined module is not multiplicatively closed")
         adjoined.append(T_i)
         family = t_ws.family(
@@ -344,7 +343,7 @@ def subspace_lab(
     fld = field_from_order(q, modulus)
     check_budget(q ** (n - 1), max_count, "q^(n-1) = {} exceeds budget {}")
     pack = fld.packing.pack
-    e0 = pack((1,))
+    e0 = fld.packing.one
     X = []
     for p in range(1, n - 1):
         for tail in itertools.product(range(q), repeat=n - 1 - p):
@@ -390,16 +389,17 @@ def _verify_lab_n4(fld, part, results, verdicts):
     # inversion recursion: (e0 + theta*f)^{-1} = e0 + a1 e1 + a2 e2 + a3 e3
     ok_rec = True
     add, mul, neg = fld.add, fld.mul, fld.neg
+    pack = fld.packing.pack
     for theta in range(1, q):
         for l1, l2, l3 in itertools.product(range(q), repeat=3):
             if l1 == 0 and l2 == 0:
                 continue
             elem = (1, mul[theta][l1], mul[theta][l2], mul[theta][l3])
-            inv = series_inv(elem, fld)
+            inv = series_inv(pack(elem), fld, 4)
             a1 = mul[neg[theta]][l1]
             a2 = mul[neg[theta]][add[mul[l1][a1]][l2]]
             a3 = mul[neg[theta]][add[add[mul[l1][a2]][mul[l2][a1]]][l3]]
-            if inv != (1, a1, a2, a3):
+            if inv != pack((1, a1, a2, a3)):
                 ok_rec = False
     verdicts["n4_inversion_recursion"] = "verified" if ok_rec else "failed"
 
@@ -417,9 +417,8 @@ def _verify_three_dim_single_orbit(fld, n, results, verdicts):
     base = W[(0, 0)]
     ok_explicit = True
     for (th1, th2), sub in W.items():
-        gamma = (1, neg[th2], neg[th1], 0)
-        image = Subspace.span(fld, 4, [series_mul(gamma, r, fld) for r in sub.rows])
-        if image != base:
+        gamma = fld.packing.pack((1, neg[th2], neg[th1], 0))
+        if subspace_unit_image(sub, gamma) != base:
             ok_explicit = False
     part = partition_subspaces(W.values())
     ok_orbit = part.orbit_count == 1
@@ -510,9 +509,8 @@ def lower_bound_certificate(
 
 def _lift_lab_subspace(model, sub: Subspace) -> RingIdeal:
     """Preimage in the model of a subspace of V/{v >= n} containing e_0: its
-    rows padded to heads, and the monomials t^n, ..., t^g."""
-    pad = (0,) * (model.head_dim - sub.ambient)
-    vectors = [row + pad for row in sub.rows]
+    packed rows, read as heads, and the monomials t^n, ..., t^g."""
+    vectors = list(sub.packed)
     vectors += [model.monomial(k) for k in range(sub.ambient, model.head_dim)]
     return model.span_ideal(vectors)
 
@@ -595,7 +593,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
         ok = True
         for I in stable:
             padded = model.span_ideal(
-                list(I.head.rows) + [model.monomial(k) for k in range(tau, model.head_dim)]
+                list(I.head.packed) + [model.monomial(k) for k in range(tau, model.head_dim)]
             )
             if I.v_closure() != padded:
                 ok = False
@@ -683,19 +681,4 @@ def formula_check(
         report.results["closed_families"] = [
             list(star.key()) for star in enumerate_stars(model, max_orbits, max_ideals)
         ]
-    return report
-
-
-# ---------------------------------------------------------------------------
-# small-case count (cited value, computed per q and reported)
-
-
-def small_case_report(q, gens=(3, 4, 5), max_orbits=DEFAULT_MAX_ORBITS) -> KunzReport:
-    """Star count for a small ring, reported rather than asserted: the engine
-    computes the value for the requested q and records it."""
-    count = star_count(tuple(gens), q, max_orbits=max_orbits)
-    report = KunzReport(
-        input={"generators": list(gens), "q": q, "command": "small-case"}
-    )
-    report.results["star_count"] = count
     return report

@@ -6,9 +6,10 @@ field has one layout, chosen by `packing_for`: F_2 is a bit mask added by
 XOR, F_3 is bitsliced into a pair of masks (Boothby and Bradshaw,
 "Bitslicing and the method of four Russians over larger finite fields"),
 and every other field adds its base-p digits slot by slot with a guard bit.
-These vectors are the one stored form of a subspace (fq_linear.Subspace):
-every elimination, from a span to the closure table's meets, the colon,
-ideal containment and the unit-orbit search, works on them.
+These vectors are the one stored form of a subspace (fq_linear.Subspace)
+and of a truncated power series: every elimination, from a span to the
+closure table's meets, the colon, ideal containment and the unit-orbit
+search, and every product of series work on them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ class Packing:
     holds the e base-p digits of its code, each in `digit_bits` bits.
     Each layout fixes `add`, `scale` and `reduce`, which eliminates along
     the rows of a reduced echelon form given as `entry` tuples shaped for
-    it; `echelon` is built on these.
+    it; `echelon` is built on these. `zero` and `one` are the packed
+    vectors 0 and e_0, the series 0 and 1.
     """
 
     def __init__(self, fld, digit_bits=1):
@@ -31,6 +33,8 @@ class Packing:
         self.slot_mask = (1 << self.width) - 1
         self.code_slot = [self._digits_slot(c) for c in range(fld.q)]
         self.slot_code = {s: c for c, s in enumerate(self.code_slot)}
+        self.zero = self.pack(())
+        self.one = self.pack((1,))
 
     def _digits_slot(self, code):
         p, b = self.field.p, self.digit_bits

@@ -60,16 +60,13 @@ class RingModel:
 
     # -- basic objects -----------------------------------------------------
 
-    def monomial(self, k, c=1):
-        row = [0] * self.trunc
-        row[k] = c
-        return tuple(row)
+    def monomial(self, k):
+        """t^k, packed."""
+        kern = self.field.packing
+        return kern.shift(kern.one, k)
 
     def ring_ideal(self) -> "RingIdeal":
         return self._ring
-
-    def full_ideal(self) -> "RingIdeal":
-        return RingIdeal(self, Subspace.full(self.field, self.head_dim))
 
     def maximal_ideal(self) -> "RingIdeal":
         """M, the elements of R of positive valuation."""
@@ -79,23 +76,23 @@ class RingModel:
 
     def span_ideal(self, vectors) -> "RingIdeal":
         """Smallest conductor-containing R-submodule spanning the vectors,
-        elements of A_N read mod t^(g+1): the head is closed under products
-        with the ring's head rows, products taken mod t^(g+1)."""
+        packed elements of A_N read mod t^(g+1): the head is closed under
+        products with the ring's head rows, products taken mod t^(g+1)."""
         h = self.head_dim
         field = self.field
-        ring_rows = self._ring.head.rows
-        sub = Subspace.span(field, h, [v[:h] for v in vectors])
+        kern = field.packing
+        ring_rows = self._ring.head.packed
+        rows = [kern.truncate(v, h) for v in vectors]
         while True:
-            extra = []
+            sub = Subspace(field, h, *kern.echelon(rows))
+            rows = list(sub.packed)
             for b in ring_rows:
-                for r in sub.rows:
-                    prod = series_mul(b, r, field)
+                for r in sub.packed:
+                    prod = series_mul(b, r, field, h)
                     if not sub.contains(prod):
-                        extra.append(prod)
-            if not extra:
-                break
-            sub = Subspace.span(field, h, sub.rows + tuple(extra))
-        return RingIdeal(self, sub)
+                        rows.append(prod)
+            if len(rows) == sub.dim:
+                return RingIdeal(self, sub)
 
     def __repr__(self):
         return f"RingModel(S={self.sgp.generators}, q={self.field.q}, N={self.trunc})"
@@ -113,8 +110,7 @@ def _shared(model: RingModel) -> RingModel:
 
 def _monomials(kern, values):
     """The packed monomials t^v for v in values, as a tuple."""
-    one = kern.pack((1,))
-    return tuple(kern.shift(one, v) for v in values)
+    return tuple(kern.shift(kern.one, v) for v in values)
 
 
 def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
@@ -127,19 +123,14 @@ def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
     return _shared(RingModel(field, sgp, n, basis))
 
 
-def subalgebra_model(field, vectors, trunc: int | None = None) -> RingModel:
-    """Generic subalgebra input: explicit basis vectors of a subalgebra
-    of A_N. Validates multiplicative closure, the presence of 1 and of
-    the full conductor block, and that the truncation is 2*(g+1) for the
-    value semigroup read off the pivots."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        raise InputError("empty basis")
-    n = trunc if trunc is not None else len(vectors[0])
-    sub = Subspace.span(field, n, vectors)
-    pivots = set(sub.pivots)
-    one = (1,) + (0,) * (n - 1)
-    if not sub.contains(one):
+def subalgebra_model(basis: Subspace) -> RingModel:
+    """Generic subalgebra input: the model whose basis is a subspace of A_N.
+    Validates multiplicative closure, the presence of 1 and of the full
+    conductor block, and that the truncation N is 2*(g+1) for the value
+    semigroup read off the pivots."""
+    field, n = basis.field, basis.ambient
+    pivots = set(basis.pivots)
+    if not basis.contains(field.packing.one):
         raise InputError("subalgebra must contain 1")
     gap_candidates = [x for x in range(n) if x not in pivots]
     if not gap_candidates:
@@ -150,11 +141,11 @@ def subalgebra_model(field, vectors, trunc: int | None = None) -> RingModel:
             f"truncation {n} must equal 2*(Frobenius+1) = {2 * (g + 1)}"
         )
     sgp = NumericalSemigroup.from_gaps(gap_candidates)
-    for i, u in enumerate(sub.rows):
-        for v in sub.rows[i:]:
-            if not sub.contains(series_mul(u, v, field)):
+    for i, u in enumerate(basis.packed):
+        for v in basis.packed[i:]:
+            if not basis.contains(series_mul(u, v, field, n)):
                 raise InputError("basis does not span a multiplicatively closed space")
-    return _shared(RingModel(field, sgp, n, sub))
+    return _shared(RingModel(field, sgp, n, basis))
 
 
 class RingIdeal:
@@ -220,8 +211,9 @@ class RingIdeal:
         return not any(support(reduce(r, entries)) for r in rows)
 
     def contains_vector(self, vec) -> bool:
-        pack = self.model.field.packing.pack
-        return self.contains_packed((pack(vec[: self.model.head_dim]),))
+        """Whether vec, a packed element of A_N, lies in the ideal."""
+        truncate = self.model.field.packing.truncate
+        return self.contains_packed((truncate(vec, self.model.head_dim),))
 
     def in_f0(self) -> bool:
         """R <= I <= V, i.e. the ideal contains 1 (stability is built in)."""
@@ -249,9 +241,9 @@ class RingIdeal:
         self._same_model(other)
         if self.value_set[0] and other.value_set[0]:
             raise InputError("neither factor has an element of valuation 0")
-        field = self.model.field
-        rows = [series_mul(u, v, field) for u in self.head.rows for v in other.head.rows]
-        return RingIdeal(self.model, Subspace.span(field, self.model.head_dim, rows))
+        field, h = self.model.field, self.model.head_dim
+        rows = [series_mul(u, v, field, h) for u in self.head.packed for v in other.head.packed]
+        return RingIdeal(self.model, Subspace(field, h, *field.packing.echelon(rows)))
 
     def colon(self, other: "RingIdeal") -> "RingIdeal":
         """(self : other) computed inside V: all a in A_N with a*other <= self.
@@ -303,8 +295,10 @@ class RingIdeal:
         )
 
     def unit_image(self, unit) -> "RingIdeal":
-        """u * I, for a unit u of A_N read mod t^(g+1)."""
-        return RingIdeal(self.model, subspace_unit_image(self.head, unit[: self.model.head_dim]))
+        """u * I, for a packed unit u of A_N read mod t^(g+1)."""
+        model = self.model
+        unit = model.field.packing.truncate(unit, model.head_dim)
+        return RingIdeal(model, subspace_unit_image(self.head, unit))
 
     def __repr__(self):
         return f"RingIdeal(values<=g:{list(self.head.pivots)}, dim={self.dim})"
@@ -338,11 +332,10 @@ def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
     # quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
     # t^m, and rows with pivot >= m+h have zero heads. Those windows of h
     # columns are a reduced echelon form, alpha's window first, with pivot
-    # entry 1: the head is the image of their span under the unit 1/alpha,
-    # and only alpha's window is unpacked.
+    # entry 1: the head is the image of their span under the unit 1/alpha.
     low = bisect_left(pivots, m + h)
     windows = tuple(kern.truncate(kern.unshift(r, m), h) for r in rows[:low])
-    inv = series_inv(kern.unpack(windows[0], h), field)
+    inv = series_inv(windows[0], field, h)
     span = Subspace(field, h, windows, tuple(p - m for p in pivots[:low]))
     cached = memo[rows] = RingIdeal(model, subspace_unit_image(span, inv))
     return cached
@@ -496,7 +489,7 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     if sgp.contains(g):
         raise InputError("Frobenius number already belongs to the value semigroup")
     R = model.ring_ideal()
-    t_ideal = model.span_ideal(list(model.basis.rows) + [model.monomial(g)])
+    t_ideal = model.span_ideal(list(model.basis.packed) + [model.monomial(g)])
     if module_length(t_ideal, R) != 1:
         raise InvariantError("length of T/R is not 1")
     # R[y] = R + K*y here: y*R lands in R beyond the constant term because
@@ -518,8 +511,9 @@ def frobenius_overring_model(model: RingModel) -> RingModel:
     if sgp_t.frobenius < 1:
         raise InputError("overring has no gaps; nothing to model")
     n_t = 2 * (sgp_t.frobenius + 1)
-    rows = [r[:n_t] for r in t_ideal.sub.rows if any(r[:n_t])]
-    t_model = subalgebra_model(model.field, rows, n_t)
+    kern = model.field.packing
+    rows = (kern.truncate(r, n_t) for r in t_ideal.sub.packed)
+    t_model = subalgebra_model(Subspace(model.field, n_t, *kern.echelon(rows)))
     if t_model.sgp != sgp_t:
         raise InvariantError("overring value semigroup mismatch")
     return t_model
@@ -549,35 +543,6 @@ def is_overring_stable(ideal: RingIdeal) -> bool:
     row r of I.
     """
     return ideal.contains_subspace(ideal.translate(ideal.model.sgp.frobenius))
-
-
-def canonical_ideals(model: RingModel, ideals=None):
-    """All I in F_0 other than R that T does not stabilize.
-
-    Each returned ideal is checked to carry the canonical-ideal signature:
-    value set S with g/2 adjoined, no element of valuation g, and biduality
-    (I:(I:J)) = J across all of F_0.
-    """
-    from .numsgp import is_pseudo_symmetric
-
-    if not is_pseudo_symmetric(model.sgp):
-        raise InputError("canonical-ideal detection requires a pseudo-symmetric value semigroup")
-    if ideals is None:
-        ideals = enumerate_ideals(model)
-    R = model.ring_ideal()
-    found = tuple(I for I in ideals if I != R and not is_overring_stable(I))
-    g = model.sgp.frobenius
-    expected_low = tuple(sorted(set(model.sgp.small_members()) | {model.sgp.tau}))
-    for I in found:
-        low = tuple(p for p in I.value_set if p <= g)
-        if low != expected_low:
-            raise InvariantError(f"canonical candidate has value set {low}")
-        if g in I.value_set:
-            raise InvariantError("canonical candidate contains a valuation-g element")
-        for J in ideals:
-            if I.colon(I.colon(J)) != J:
-                raise InvariantError("biduality failed for a canonical candidate")
-    return found
 
 
 # ---------------------------------------------------------------------------

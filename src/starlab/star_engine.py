@@ -147,8 +147,9 @@ class RingWorkspace:
     # -- unit action --------------------------------------------------------
 
     def unit_action(self):
-        """(unit index, ideal index) -> ideal index of u*I when u*I stays in
-        F_0, else None; used by the exhaustive equivariance check."""
+        """(packed units, table): table[unit index][ideal index] is the
+        ideal index of u*I when u*I stays in F_0, else None; used by the
+        exhaustive equivariance check."""
         if self._unit_action is None:
             model = self.model
             # u * I depends on u mod t^(g+1) only
@@ -331,40 +332,10 @@ class StarOperation:
         return f"StarOperation(closed_orbits={list(self.key())})"
 
 
-def identity_star(model: RingModel) -> StarOperation:
-    """d: every ideal is closed."""
-    ws = workspace(model)
-    return StarOperation(ws, (1 << ws.partition.orbit_count) - 1)
-
-
 def divisorial_star(model: RingModel) -> StarOperation:
     """v: exactly the divisorial ideals are closed."""
     ws = workspace(model)
     return StarOperation(ws, ws.divisorial_ids)
-
-
-def generated_star(ideal: RingIdeal) -> StarOperation:
-    """The star operation generated by one ideal: J maps to
-    (I:(I:J)) meet J^v. Its closed family is computed pointwise and then
-    validated against the closure system; a failure indicates an engine bug
-    rather than bad input."""
-    ws = workspace(ideal.model)
-    closed = [J for J in ws.ideals if ideal.colon(ideal.colon(J)).intersect(J.v_closure()) == J]
-    star = StarOperation(ws, ws.family(closed))
-    # saturation: every orbit member of a closed ideal must be closed
-    if star.closed_ideals() != closed:
-        raise InvariantError("generated star has an unsaturated closed family")
-    if ws.close(star.closed) != star.closed:
-        raise InvariantError("generated star family is not closure stable")
-    return star
-
-
-def induced_star(model: RingModel, ideals) -> StarOperation:
-    """The star operation induced by a set of ideals (the meet of their
-    generated stars): its closed family is the closure of theirs together
-    with the base. An empty set yields the divisorial closure."""
-    ws = workspace(model)
-    return StarOperation(ws, ws.close(ws.family(ideals)))
 
 
 def closed_families(

@@ -1,13 +1,15 @@
 """All subspaces of F_q^n, for tests that sweep them or check a search
 against a filter over every candidate, and the tuple-row references the
-packed elimination kernel (packed.py) is checked against: Gauss–Jordan
-elimination, reduction and the Zassenhaus meet on coefficient tuples,
-by the field's add/sub/mul tables."""
+packed kernel (packed.py) and the packed series are checked against:
+Gauss–Jordan elimination, reduction, the Zassenhaus meet and truncated
+series arithmetic on coefficient tuples, by the field's add/sub/mul
+tables."""
 
 import itertools
 from bisect import bisect_left
 
-from starlab.fq_linear import Subspace, series_mul
+from starlab.errors import InputError
+from starlab.fq_linear import Subspace
 
 
 def enumerate_subspaces(ambient, fld):
@@ -36,6 +38,13 @@ def enumerate_subspaces(ambient, fld):
                     rows[i][j] = v
                 out.append(Subspace(fld, ambient, tuple(map(pack, rows)), pivots))
     return out
+
+
+def full(fld, ambient):
+    """F_q^ambient itself."""
+    kern = fld.packing
+    rows = tuple(kern.shift(kern.one, i) for i in range(ambient))
+    return Subspace(fld, ambient, rows, tuple(range(ambient)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,3 +159,54 @@ def unit_image(sub, unit):
 def contains(sub, vec):
     """Whether vec lies in sub, by the tuple reduction."""
     return not any(reduce(sub.rows, sub.pivots, vec, sub.field))
+
+
+# ---------------------------------------------------------------------------
+# truncated power series K[t]/(t^N) on coefficient tuples
+
+
+def series_mul(a, b, fld):
+    """Product of coefficient tuples, truncated to len(a) terms."""
+    n = len(a)
+    out = [0] * n
+    mul = fld.mul
+    add = fld.add
+    for i, ai in enumerate(a):
+        if ai:
+            mi = mul[ai]
+            top = n - i
+            for j in range(min(len(b), top)):
+                bj = b[j]
+                if bj:
+                    k = i + j
+                    out[k] = add[out[k]][mi[bj]]
+    return tuple(out)
+
+
+def series_shift(a, k):
+    """Multiply by t^k (k >= 0), truncating at the original length."""
+    n = len(a)
+    return tuple(0 for _ in range(min(k, n))) + a[: max(n - k, 0)]
+
+
+def series_inv(a, fld):
+    """Inverse of a unit (valuation 0) in K[t]/(t^N).
+
+    Coefficients come from the first-order recurrence
+    b_k = -b_0 * sum_{i=1..k} a_i b_{k-i}.
+    """
+    if not a or a[0] == 0:
+        raise InputError("series has positive valuation, not a unit")
+    n = len(a)
+    mul, add, neg = fld.mul, fld.add, fld.neg
+    b = [0] * n
+    b0 = fld.inv[a[0]]
+    b[0] = b0
+    for k in range(1, n):
+        acc = 0
+        for i in range(1, k + 1):
+            ai = a[i]
+            if ai:
+                acc = add[acc][mul[ai][b[k - i]]]
+        b[k] = mul[neg[b0]][acc] if acc else 0
+    return tuple(b)

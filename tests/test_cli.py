@@ -150,6 +150,23 @@ def run_subprocess(*argv):
     return proc, time.monotonic() - started
 
 
+def test_cli_import_loads_no_heavy_modules():
+    # the CLI starts in every benchmarked invocation: importing it loads
+    # neither the packed kernel, which the first packing loads, nor the
+    # standard modules that only some commands use or none needs
+    src = os.path.dirname(os.path.dirname(starlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    unwanted = (
+        "starlab.packed", "dataclasses", "inspect", "hashlib", "decimal", "multiprocessing", "csv"
+    )
+    probe = f"import sys, starlab.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

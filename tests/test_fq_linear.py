@@ -15,7 +15,6 @@ from starlab.fq_linear import (
     partition_subspaces,
     series_inv,
     series_mul,
-    series_shift,
     subspace_colon,
     subspace_unit_image,
     unit_image_map,
@@ -80,8 +79,23 @@ def test_field_associativity_distributivity(a, b, c):
 # truncated series
 
 
+def packed_series(fld, n):
+    """The packed series functions of K[t]/(t^n) on coefficient tuples:
+    inputs packed, results unpacked."""
+    kern = fld.packing
+
+    def mul(a, b, f):
+        return kern.unpack(series_mul(kern.pack(a), kern.pack(b), f, n), n)
+
+    def inv(a, f):
+        return kern.unpack(series_inv(kern.pack(a), f, n), n)
+
+    return mul, inv
+
+
 def test_geometric_series_inverse():
     f = field(2)
+    series_mul, series_inv = packed_series(f, 4)
     one_plus_t = (1, 1, 0, 0)
     inv = series_inv(one_plus_t, f)
     assert inv == (1, 1, 1, 1)
@@ -90,12 +104,14 @@ def test_geometric_series_inverse():
 
 def test_inverse_of_one():
     f = field(2)
+    _, series_inv = packed_series(f, 4)
     assert series_inv((1, 0, 0, 0), f) == (1, 0, 0, 0)
 
 
 def test_inverse_recursion_matches_formula():
     # invert e_0 + theta*f with f = e_1 (lambda = (1,0,0)), theta = 1, over F_2
     f2 = field(2)
+    _, series_inv = packed_series(f2, 4)
     theta, l1, l2, l3 = 1, 1, 0, 0
     a = (1, l1, l2, l3)
     inv = series_inv(a, f2)
@@ -109,6 +125,7 @@ def test_inverse_recursion_matches_formula():
 
 def test_non_unit_rejected():
     f = field(3)
+    _, series_inv = packed_series(f, 3)
     with pytest.raises(InputError):
         series_inv((0, 1, 0), f)
 
@@ -117,6 +134,7 @@ def test_non_unit_rejected():
 @settings(max_examples=50, deadline=None)
 def test_units_invert_back(tail, c0):
     f = field(3)
+    series_mul, series_inv = packed_series(f, 5)
     a = tuple([c0] + tail[1:])
     inv = series_inv(a, f)
     prod = series_mul(a, inv, f)
@@ -131,9 +149,47 @@ def test_units_invert_back(tail, c0):
 @settings(max_examples=40, deadline=None)
 def test_series_mul_assoc_comm(a, b, c):
     f = field(2, 2)
+    series_mul, _ = packed_series(f, 4)
     a, b, c = tuple(a), tuple(b), tuple(c)
     assert series_mul(a, b, f) == series_mul(b, a, f)
     assert series_mul(series_mul(a, b, f), c, f) == series_mul(a, series_mul(b, c, f), f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9], ids=["q2", "q3", "q4", "q5", "q9"])
+def test_packed_series_match_tuple_references(q):
+    # the packed product, inverse, unit image and orbit witnesses against
+    # the tuple series of tests/subspaces.py, on random series of random
+    # lengths; the units' constant terms run over every nonzero scalar
+    fld = field_from_order(q)
+    kern = fld.packing
+    pack, unpack = kern.pack, kern.unpack
+    rng = random.Random(q)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        a, b = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
+        product = series_mul(pack(a), pack(b), fld, n)
+        assert unpack(product, n) == subspaces.series_mul(a, b, fld)
+        assert kern.truncate(product, n) == product
+        unit = (1 + trial % (q - 1),) + a[1:]
+        inverse = series_inv(pack(unit), fld, n)
+        assert unpack(inverse, n) == subspaces.series_inv(unit, fld)
+        assert kern.truncate(inverse, n) == inverse
+        with pytest.raises(InputError):
+            series_inv(pack((0,) + a[1:]), fld, n)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        sub = Subspace.span(fld, n, rows)
+        assert subspace_unit_image(sub, pack(unit)) == subspaces.unit_image(sub, unit)
+    # the witnesses of one orbit, made by the tuple unit images of a random
+    # subspace under every unit with constant term 1
+    for n in (2, 3, 4) if q <= 4 else (2, 3):
+        seed = Subspace.span(fld, n, [tuple(rng.randrange(q) for _ in range(n)) for _ in range(2)])
+        tails = itertools.product(range(q), repeat=n - 1)
+        orbit = {subspaces.unit_image(seed, (1,) + tail) for tail in tails}
+        part = partition_subspaces(orbit)
+        assert part.orbit_count == 1
+        for member in part.items:
+            w = part.witness(0, member)
+            assert subspaces.unit_image(part.reps[0], unpack(w, n)) == member
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +264,8 @@ def test_enumerate_with_predicate_contains_e0_excludes_elast():
     # (q^3 - q)/(q - 1) of them
     for q, expected in [(2, 6), (3, 12)]:
         f = field_from_order(q)
-        e0 = (1, 0, 0, 0)
-        e3 = (0, 0, 0, 1)
+        e0 = f.packing.pack((1, 0, 0, 0))
+        e3 = f.packing.pack((0, 0, 0, 1))
 
         subs = [
             s
@@ -264,12 +320,12 @@ def test_subspace_matches_tuple_references(q):
         for v in [vector() for _ in range(4)] + list(b.rows):
             residual = subspaces.reduce(ref_rows, ref_pivots, v, fld)
             assert a.reduce(v) == residual
-            assert a.contains(v) == (not any(residual))
+            assert a.contains(fld.packing.pack(v)) == (not any(residual))
         meet = a.intersect(b)
         assert meet == subspaces.intersect(a, b)
         assert (meet.rows, meet.pivots) == subspaces.rref(meet.rows, fld)
         unit = (rng.randrange(1, q),) + vector()[1:]
-        assert subspace_unit_image(a, unit) == subspaces.unit_image(a, unit)
+        assert subspace_unit_image(a, fld.packing.pack(unit)) == subspaces.unit_image(a, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +354,7 @@ def test_packed_rows_agree_with_tuple_rows(fld, data):
     assert kern.unpack(kern.add(pa, pb), n) == tuple(fld.add[x][y] for x, y in zip(a, b))
     assert kern.unpack(kern.scale(c, pa), n) == tuple(fld.mul[c][x] for x in a)
     shifted = kern.shift(pa, k)
-    assert kern.unpack(kern.truncate(shifted, n), n) == series_shift(a, k)
+    assert kern.unpack(kern.truncate(shifted, n), n) == subspaces.series_shift(a, k)
     assert kern.unshift(shifted, k) == pa
     # Gauss-Jordan against the tuple rref, and reduction against the rows
     # of a span
@@ -365,7 +421,7 @@ def _colon_cases(fld, n):
         Subspace.span(fld, n, [tuple(rng.randrange(fld.q) for _ in range(n)) for _ in range(d)])
         for d in (1, n // 2, n - 1)
     ]
-    zero, full = Subspace.span(fld, n, []), Subspace.full(fld, n)
+    zero, full = Subspace.span(fld, n, []), subspaces.full(fld, n)
     cases = [(zero, zero), (zero, full), (full, zero), (full, full)]
     cases += [(s, t) for s in spans for t in (zero, full)] + [(zero, spans[1]), (full, spans[1])]
     cases += [(s, t) for s in spans for t in spans]
@@ -383,11 +439,13 @@ def test_colon_matches_brute_force(fld):
         t = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
         for a, b in _colon_cases(fld, n):
             inside = _elements(a)
-            want = {x for x in space if all(series_mul(x, r, fld) in inside for r in b.rows)}
+            want = {
+                x for x in space if all(subspaces.series_mul(x, r, fld) in inside for r in b.rows)
+            }
             colon = subspace_colon(a, b)
             assert _elements(colon) == want, (fld, a, b)
             assert (colon.rows, colon.pivots) == subspaces.rref(colon.rows, fld)
-            unstable += not all(series_mul(t, r, fld) in inside for r in a.rows)
+            unstable += not all(subspaces.series_mul(t, r, fld) in inside for r in a.rows)
         n += 1
     assert unstable
 
@@ -406,11 +464,11 @@ def test_colon_rejects_mismatched_ambients():
 
 
 def unpacked_images(images, fld, n):
-    """A unit image map with its packed keys and witnesses unpacked:
-    {Subspace: witness tuple}."""
+    """A unit image map with its packed keys made subspaces:
+    {Subspace: packed witness}."""
     kern = fld.packing
     out = {
-        Subspace(fld, n, rows, tuple(map(kern.pivot, rows))): kern.unpack(w, n)
+        Subspace(fld, n, rows, tuple(map(kern.pivot, rows))): w
         for rows, w in images.items()
     }
     assert len(out) == len(images)
@@ -429,11 +487,12 @@ def test_unit_generators_reach_every_unit_image(p, e, n):
     f = field(p, e)
     reps = unit_representatives(f, n)
     assert len(reps) == f.q ** (n - 1)
-    one = (1,) + (0,) * (n - 1)
+    unpack = f.packing.unpack
+    one = f.packing.pack((1,) + (0,) * (n - 1))
     for sub in enumerate_subspaces(n, f):
         images = unpacked_images(unit_image_map(sub), f, n)
         all_images = [subspace_unit_image(sub, u) for u in reps]
-        assert all_images == [subspaces.unit_image(sub, u) for u in reps]
+        assert all_images == [subspaces.unit_image(sub, unpack(u, n)) for u in reps]
         assert set(images) == set(all_images)
         for img, w in images.items():
             assert subspace_unit_image(sub, w) == img
@@ -453,7 +512,7 @@ def test_understated_stabilizer_is_an_engine_error(capsys, monkeypatch):
     monkeypatch.setattr(fq_linear, "subspace_colon", scalars_only)
     f = field(2)
     with pytest.raises(InvariantError, match="unit orbit has 1 images, not 8"):
-        unit_image_map(Subspace.full(f, 4))
+        unit_image_map(subspaces.full(f, 4))
     assert cli.main(["kunz", "subspace-orbits", "--n", "4", "--q", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -462,16 +521,18 @@ def test_understated_stabilizer_is_an_engine_error(capsys, monkeypatch):
 
 def test_subspace_unit_image_matches_span():
     f = field(3, 2)
+    pack = f.packing.pack
     units = [(1, 4, 0, 7), (5, 1, 2, 0), (8, 0, 0, 3)]
     for sub in [s for s in enumerate_subspaces(4, f) if s.dim == 2][::7]:
         for u in units:
-            img = subspace_unit_image(sub, u)
+            img = subspace_unit_image(sub, pack(u))
             assert img == subspaces.unit_image(sub, u)
             assert img.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in img.rows)
     with pytest.raises(InputError):
-        subspace_unit_image(sub, (0, 1, 0, 0))
+        subspace_unit_image(sub, pack((0, 1, 0, 0)))
+    # a packed unit has no length: one with a term past t^3 does not fit
     with pytest.raises(InputError):
-        subspace_unit_image(sub, (1, 1, 0))
+        subspace_unit_image(sub, pack((1, 1, 0, 0, 1)))
 
 
 def test_partition_lines_of_a3():
@@ -502,4 +563,4 @@ def test_partition_witnesses():
     for member_idx in part.members[0]:
         member = part.items[member_idx]
         w = part.witness(0, member)
-        assert subspaces.unit_image(rep, w) == member
+        assert subspaces.unit_image(rep, f.packing.unpack(w, 3)) == member

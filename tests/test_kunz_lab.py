@@ -14,7 +14,6 @@ from starlab.kunz_lab import (
     lower_bound_certificate,
     residue_star_family,
     ring_model_for,
-    small_case_report,
     star_count,
     structure_report,
     subspace_lab,
@@ -29,6 +28,7 @@ from starlab.ring_model import (
 )
 from starlab.star_engine import divisorial_star, enumerate_stars, workspace
 
+from ring_helpers import small_case_report
 from subspaces import enumerate_subspaces
 
 
@@ -92,6 +92,21 @@ def test_residue_family_q3():
     assert len(ops) == 4
 
 
+@pytest.mark.parametrize("q", [4, 5])
+def test_residue_family_on_digit_slots(q):
+    # the generators u + alpha*z and the witness check on the digit-slot
+    # layouts: q + 1 distinct operations, none closing (R:M_R), as in
+    # criterion 7 of the acceptance suite
+    r_model = ring_model_for((4, 5, 7), q)
+    t_model = frobenius_overring_model(r_model)
+    ops = residue_star_family(r_model)
+    R = r_model.ring_ideal()
+    L = convert_to_overring(R.colon(r_model.maximal_ideal()), t_model)
+    assert len(ops) == q + 1
+    assert len({op.key() for op in ops}) == q + 1
+    assert not any(op.is_closed(L) for op in ops)
+
+
 def test_residue_family_members_are_enumerated_stars():
     r_model = ring_model_for((4, 5, 7), 2)
     t_model = frobenius_overring_model(r_model)
@@ -134,7 +149,8 @@ def test_least_element_of_valuation_matches_brute_force(q, n, cases):
             elements.add(vec)
         for val in range(n):
             hits = [v for v in elements if v[val] == 1 and not any(v[:val])]
-            assert _least_element_of_valuation(sub, val) == (min(hits) if hits else None)
+            expected = fld.packing.pack(min(hits)) if hits else None
+            assert _least_element_of_valuation(sub, val) == expected
             seen += 1
     assert seen == cases
 
@@ -298,9 +314,9 @@ def test_counterexample_budget_skip_path():
 
 
 def test_restriction_image_misses_residue_family():
+    from ring_helpers import identity_star as d_star
     from starlab.star_engine import (
         divisorial_star as v_star,
-        identity_star as d_star,
         restrict_star,
     )
 

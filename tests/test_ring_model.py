@@ -8,8 +8,6 @@ from starlab.fq_linear import (
     field,
     field_from_order,
     partition_subspaces,
-    series_mul,
-    series_shift,
     subspace_unit_image,
     unit_representatives,
 )
@@ -19,7 +17,6 @@ from starlab.packed import Gf2Packing, Gf3Packing, SwarPacking
 from starlab.ring_model import (
     RingIdeal,
     _normalize,
-    canonical_ideals,
     convert_to_overring,
     enumerate_ideals,
     frobenius_overring_ideal,
@@ -34,6 +31,7 @@ from starlab.ring_model import (
 from starlab.star_engine import workspace
 
 import subspaces
+from ring_helpers import canonical_ideals, full_ideal
 from subspaces import enumerate_subspaces
 
 F2 = field(2)
@@ -109,7 +107,7 @@ def test_value_set_matches_semigroup_many():
 
 
 def test_generic_subalgebra_roundtrip(model457):
-    rebuilt = subalgebra_model(F2, model457.basis.rows, model457.trunc)
+    rebuilt = subalgebra_model(Subspace.span(F2, model457.trunc, model457.basis.rows))
     assert rebuilt.sgp == model457.sgp
     assert rebuilt.basis == model457.basis
     assert rebuilt is model457
@@ -125,7 +123,7 @@ def test_one_model_per_ring():
 def test_generic_subalgebra_rejects_non_closed():
     # span{1, t} inside A_4 is not multiplicatively closed without t^2, t^3
     with pytest.raises(InputError):
-        subalgebra_model(F2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], 4)
+        subalgebra_model(Subspace.span(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]))
 
 
 def test_overring_values(model457):
@@ -149,7 +147,7 @@ def test_enumerate_ideals_23():
     ideals = enumerate_ideals(m)
     assert len(ideals) == 2
     assert ideals[0] == m.ring_ideal()
-    assert ideals[-1] == m.full_ideal()
+    assert ideals[-1] == full_ideal(m)
 
 
 def test_enumerate_ideals_457_census(model457, ideals457):
@@ -165,7 +163,7 @@ def test_enumerate_ideals_457_census(model457, ideals457):
 
 def test_enumerate_ideals_postconditions(model457, ideals457):
     R = model457.ring_ideal()
-    V = model457.full_ideal()
+    V = full_ideal(model457)
     assert len(set(ideals457)) == len(ideals457)
     for I in ideals457:
         assert I.in_f0()
@@ -187,7 +185,9 @@ def _reference_ideals(model):
                 vec[coord] = val
             lifted.append(tuple(vec))
         sub = subspaces.span(fld, n, list(base) + lifted)
-        if all(subspaces.contains(sub, series_mul(b, r, fld)) for b in base for r in sub.rows):
+        if all(
+            subspaces.contains(sub, subspaces.series_mul(b, r, fld)) for b in base for r in sub.rows
+        ):
             out.append(ideal_from_full(model, sub))
     return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.sub.rows)))
 
@@ -199,8 +199,14 @@ def _reference_ideals(model):
         semigroup_ring_model(semigroup([4, 5, 7]), F3),
         # t^2 + t^3 has an entry in gap column 3, which back-substitution
         # must clear whenever a candidate has a row with pivot 3
-        subalgebra_model(F3, [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)]
-                         + [tuple(int(j == k) for j in range(8)) for k in range(4, 8)]),
+        subalgebra_model(
+            Subspace.span(
+                F3,
+                8,
+                [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)]
+                + [tuple(int(j == k) for j in range(8)) for k in range(4, 8)],
+            )
+        ),
     ],
     ids=["457-q2", "457-q3", "t2+t3-q3"],
 )
@@ -233,7 +239,9 @@ def _filtered_ideals(model):
         pivots = tuple(p for p, _ in merged)
         rows = subspaces._back_substitute([list(w) for _, w in merged], pivots, fld)
         sub = Subspace(fld, h, tuple(map(fld.packing.pack, rows)), pivots)
-        if all(subspaces.contains(sub, series_shift(w, a)) for a in gens for w in lifted):
+        if all(
+            subspaces.contains(sub, subspaces.series_shift(w, a)) for a in gens for w in lifted
+        ):
             out.append(RingIdeal(model, sub))
     return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.head.rows)))
 
@@ -265,7 +273,7 @@ def test_enumerate_ideals_matches_filter_census(gens):
 def test_enumerate_ideals_matches_filter(gens, q):
     fld = field_from_order(q)
     if gens == "t2+t3":
-        model = subalgebra_model(fld, T2_T3)
+        model = subalgebra_model(Subspace.span(fld, 8, T2_T3))
     else:
         model = semigroup_ring_model(semigroup(gens), fld)
     assert enumerate_ideals(model) == _filtered_ideals(model)
@@ -289,7 +297,7 @@ def test_ideal_census_other_fields():
 
 def test_colon_examples(model457):
     R = model457.ring_ideal()
-    V = model457.full_ideal()
+    V = full_ideal(model457)
     conductor = R.colon(V)
     assert conductor.value_set == tuple(range(7, 14))
     assert R.colon(R) == R
@@ -300,7 +308,7 @@ def test_colon_examples(model457):
 
 def test_v_closure_examples(model457, ideals457):
     R = model457.ring_ideal()
-    V = model457.full_ideal()
+    V = full_ideal(model457)
     assert V.v_closure() == V
     M = model457.maximal_ideal()
     L = R.colon(M)
@@ -314,7 +322,7 @@ def test_v_closure_examples(model457, ideals457):
 
 def test_length_examples(model457):
     R = model457.ring_ideal()
-    V = model457.full_ideal()
+    V = full_ideal(model457)
     T = frobenius_overring_ideal(model457)
     assert module_length(T, R) == 1
     assert module_length(V, R) == 4
@@ -368,12 +376,12 @@ def test_four_way_overring_detection(model457, ideals457):
 
 def test_normalize_translate_lands_in_f0(model457, ideals457):
     index = {I.sub: I for I in ideals457}
-    unit = (1, 1) + (0,) * 12
+    unit = F2.packing.pack((1, 1) + (0,) * 12)
     for I in ideals457[:5]:
         for k in (0, 1, 3, 7):
             shifted = I.unit_image(unit).translate(k)
             res = normalized_translate_intersection(
-                model457.full_ideal(), shifted, k, I.unit_image(unit).sub
+                full_ideal(model457), shifted, k, I.unit_image(unit).sub
             )
             assert res.sub in index
 
@@ -387,7 +395,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     meet = subspaces.intersect(model457.ring_ideal().sub, shifted)
     res1 = normalize(model457, meet)
     # perturb: divide by (row0 + row1) instead
-    from starlab.fq_linear import series_inv
+    from subspaces import series_inv, series_mul
 
     rows = meet.rows
     alt = tuple(F2.add[a][b] for a, b in zip(rows[0], rows[1]))
@@ -472,18 +480,18 @@ def test_unit_orbits_match_full_width_partition(gens, q):
     assert part.orbit_ids == ref.orbit_ids
     assert part.members == ref.members
     assert [rep.sub for rep in part.reps] == list(ref.reps)
-    pad = (0,) * (model.trunc - model.head_dim)
-    unpack, h, n = model.field.packing.unpack, model.head_dim, model.trunc
+    kern, h, n = model.field.packing, model.head_dim, model.trunc
+    unpack = kern.unpack
     for rep, images, ref_images in zip(part.reps, part.image_maps, ref.image_maps):
-        lifted = {image_ideal(rep, rows).sub: unpack(w, h) for rows, w in images.items()}
+        lifted = {image_ideal(rep, rows).sub: w for rows, w in images.items()}
         assert len(lifted) == len(images)
         assert {tuple(unpack(r, n) for r in rows) for rows in ref_images} == {
             image.rows for image in lifted
         }
         for image, w in lifted.items():
-            assert len(w) == model.head_dim
+            assert kern.truncate(w, h) == w
             assert rep.unit_image(w).sub == image
-            assert subspace_unit_image(rep.sub, w + pad) == image
+            assert subspace_unit_image(rep.sub, w) == image
             assert image.pivots == pivot_scan(image.rows)
 
 
@@ -526,14 +534,14 @@ def test_packed_image_maps_per_layout(gens, q, layout):
             assert shifted.packed == tuple(map(kern.pack, shifted.rows))
     for oid, (rep, images) in enumerate(zip(part.reps, part.image_maps)):
         for rows, w in images.items():
-            image = subspace_unit_image(rep.head, kern.unpack(w, h))
+            image = subspace_unit_image(rep.head, w)
             assert tuple(kern.unpack(r, h) for r in rows) == image.rows
-        brute = {subspaces.unit_image(rep.head, u).rows for u in units}
+        brute = {subspaces.unit_image(rep.head, kern.unpack(u, h)).rows for u in units}
         assert {tuple(kern.unpack(r, h) for r in rows) for rows in images} == brute
         for m in part.members[oid]:
             member = part.items[m]
             w = part.witness(oid, member.head)
-            assert isinstance(w, tuple) and len(w) == h
+            assert kern.truncate(w, h) == w
             assert rep.unit_image(w) is member
 
 
@@ -548,14 +556,19 @@ def test_translate_matches_span(model457, ideals457):
     for ideals, units in cases:
         model = ideals[0].model
         fld, n = model.field, model.trunc
+        pack = fld.packing.pack
         for I in ideals:
             for u in units:
-                rows = I.sub.rows if u is None else [series_mul(u, r, fld) for r in I.sub.rows]
+                rows = (
+                    I.sub.rows
+                    if u is None
+                    else [subspaces.series_mul(u, r, fld) for r in I.sub.rows]
+                )
                 if u is not None:
-                    assert subspace_unit_image(I.sub, u) == subspaces.span(fld, n, rows)
+                    assert subspace_unit_image(I.sub, pack(u)) == subspaces.span(fld, n, rows)
                 for k in range(model.sgp.frobenius + 2):
-                    shifted = (I if u is None else I.unit_image(u)).translate(k)
-                    ref = subspaces.span(fld, n, [series_shift(r, k) for r in rows])
+                    shifted = (I if u is None else I.unit_image(pack(u))).translate(k)
+                    ref = subspaces.span(fld, n, [subspaces.series_shift(r, k) for r in rows])
                     assert shifted == ref
                     assert shifted.pivots == ref.pivots
 
@@ -574,8 +587,8 @@ def test_overring_sweep_rejects_a_bad_valuation_g_element(monkeypatch):
             patch.setattr(model, "_cache", {})
             patch.setattr(model, "span_ideal", lambda vs: span_ideal(vs[:-1] + [adjoined]))
             if bad == "inside R":
-                zero = (0,) * model.trunc
-                patch.setattr(model, "monomial", lambda k, c=1: zero if k == g else monomial(k, c))
+                zero = model.field.packing.zero
+                patch.setattr(model, "monomial", lambda k: zero if k == g else monomial(k))
             with pytest.raises(InvariantError):
                 frobenius_overring_ideal(model)
 
@@ -591,7 +604,8 @@ def _reference_colon(I, J):
         if p >= h:
             continue
         residuals = [
-            subspaces.reduce(I_sub.rows, I_sub.pivots, series_shift(b, i), fld) for i in range(h)
+            subspaces.reduce(I_sub.rows, I_sub.pivots, subspaces.series_shift(b, i), fld)
+            for i in range(h)
         ]
         for coord in range(n):
             row = tuple(residuals[i][coord] for i in range(h))
@@ -622,7 +636,7 @@ def _colon_test_ideals(model):
     ideals = list(enumerate_ideals(model))
     R = model.ring_ideal()
     M = model.maximal_ideal()
-    extra = [M, R.colon(model.full_ideal()), R.colon(M)]
+    extra = [M, R.colon(full_ideal(model)), R.colon(M)]
     extra += [model.span_ideal([model.monomial(a)]) for a in model.sgp.generators]
     return ideals, extra
 
@@ -705,7 +719,7 @@ HEAD_FORM_MODELS = [
     lambda: semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(4)),
     lambda: semigroup_ring_model(semigroup([4, 5, 6, 7]), F3),
     lambda: semigroup_ring_model(semigroup([3, 5, 7]), field(2, 3, (1, 1, 0, 1))),
-    lambda: subalgebra_model(F3, T2T3_ROWS),
+    lambda: subalgebra_model(Subspace.span(F3, 8, T2T3_ROWS)),
 ]
 HEAD_FORM_IDS = ["457-q2", "457-q3", "457-q4", "4567-q3", "357-F8", "t2+t3-q3"]
 
@@ -798,7 +812,7 @@ def test_one_ideal_per_head(q, monkeypatch):
             if 0 in I.value_set:
                 same(I.product(J))
         for I in ideals + extra:
-            same(model.span_ideal(I.head.rows))
+            same(model.span_ideal(I.head.packed))
             for u in unit_representatives(fld, h)[::5]:
                 same(I.unit_image(u))
             for k in (0, 1, model.sgp.frobenius + 1):
@@ -807,7 +821,7 @@ def test_one_ideal_per_head(q, monkeypatch):
                     continue
                 if shifted.pivots[0] <= h:
                     same(normalize(model, shifted))
-                same(normalized_translate_intersection(model.full_ideal(), shifted, k, I.sub))
+                same(normalized_translate_intersection(full_ideal(model), shifted, k, I.sub))
         return ideals
 
     ideals = every_path()
