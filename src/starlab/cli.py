@@ -5,6 +5,9 @@ the fixed envelope {"schema_version": 1, "input": ..., "results": ...,
 "verdicts": ..., "timings_ms": ...}. Runs are deterministic: identical
 configurations produce byte-identical JSON regardless of --jobs; timings are
 only populated under --timings since wall-clock numbers are not reproducible.
+Every command, the kunz ones included, is one entry of `COMMANDS`, keyed by
+(group, subcommand). It returns a `KunzReport`, whose input (the full command
+name among it), results and verdicts fill the envelope as they are.
 
 Exit codes: 0 all verdicts verified, 1 some verdict failed, 2 bad input,
 3 budget exceeded, 4 hypothesis gate failed, 5 engine error (an internal
@@ -26,10 +29,11 @@ from . import __version__
 from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError
 from .fq_linear import field_from_order
 from .kunz_lab import (
+    KunzReport,
     formula_check,
-    lab_report,
     lower_bound_certificate,
     structure_report,
+    subspace_lab,
     verify_counterexample,
 )
 from .numsgp import (
@@ -90,7 +94,9 @@ def cmd_sgp_info(args):
     if is_pseudo_symmetric(S) and S.genus >= 4:
         a, b = pseudo_frobenius_pair(S)
         results["witness_pair"] = [a, b]
-    return {"command": "sgp info", "generators": results["generators"]}, results, {}
+    report = KunzReport({"command": "sgp info", "generators": results["generators"]})
+    report.results = results
+    return report
 
 
 def _ring_model(args):
@@ -121,8 +127,11 @@ def cmd_ring_enum_ideals(args):
         "ideal_count": len(ideals),
         "ideals": listing,
     }
-    inp = {"command": "ring enum-ideals", "generators": results["generators"], "q": model.field.q}
-    return inp, results, {}
+    report = KunzReport(
+        {"command": "ring enum-ideals", "generators": results["generators"], "q": model.field.q}
+    )
+    report.results = results
+    return report
 
 
 def cmd_ring_enum_stars(args):
@@ -151,52 +160,17 @@ def cmd_ring_enum_stars(args):
         "orbits": orbit_summary,
         "families": families,
     }
-    inp = {"command": "ring enum-stars", "generators": results["generators"], "q": model.field.q}
-    return inp, results, {}
+    report = KunzReport(
+        {"command": "ring enum-stars", "generators": results["generators"], "q": model.field.q}
+    )
+    report.results = results
+    return report
 
 
-def cmd_kunz(args):
-    sub = args.kunz_command
-    modulus = args.field_poly
-    if sub == "counterexample":
-        gens = _parse_gens(args.gens)
-        report = verify_counterexample(
-            gens,
-            args.q,
-            max_ideals=args.max_ideals,
-            max_orbits=args.max_orbits,
-            jobs=args.jobs,
-            modulus=modulus,
-        )
-    elif sub == "formula-check":
-        report = formula_check(
-            args.q,
-            n=4 if args.n is None else args.n,
-            max_ideals=args.max_ideals,
-            max_orbits=args.max_orbits,
-            modulus=modulus,
-            jobs=args.jobs,
-        )
-    elif sub == "lower-bound":
-        if args.n is None:
-            raise InputError("lower-bound needs --n")
-        report = lower_bound_certificate(
-            args.n, args.q, max_ideals=args.max_ideals, modulus=modulus
-        )
-    elif sub == "subspace-orbits":
-        if args.n is None:
-            raise InputError("subspace-orbits needs --n")
-        report = lab_report(args.n, args.q, max_ideals=args.max_ideals, modulus=modulus)
-    elif sub == "lemmas":
-        gens = _parse_gens(args.gens)
-        report = structure_report(
-            gens, args.q, max_ideals=args.max_ideals, modulus=modulus
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown kunz subcommand {sub!r}")
-    inp = dict(report.input)
-    inp["command"] = f"kunz {sub}"
-    return inp, report.results, report.verdicts
+def _required_n(args):
+    if args.n is None:
+        raise InputError(f"{args.kunz_command} needs --n")
+    return args.n
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +266,28 @@ def _cache_store(cache_dir, key, inp, results, verdicts):
         raise
 
 
+# (group, subcommand) -> the command, which returns a KunzReport. The kunz
+# entries look their function up when called, so a wrapper installed on this
+# module's global (the perfbench tracer's) is the one that runs.
 COMMANDS = {
     ("sgp", "info"): cmd_sgp_info,
     ("ring", "enum-ideals"): cmd_ring_enum_ideals,
     ("ring", "enum-stars"): cmd_ring_enum_stars,
+    ("kunz", "counterexample"): lambda a: verify_counterexample(
+        _parse_gens(a.gens), a.q, a.max_ideals, a.max_orbits, a.jobs, a.field_poly
+    ),
+    ("kunz", "formula-check"): lambda a: formula_check(
+        a.q, 4 if a.n is None else a.n, a.max_ideals, a.max_orbits, a.field_poly, a.jobs
+    ),
+    ("kunz", "lower-bound"): lambda a: lower_bound_certificate(
+        _required_n(a), a.q, a.max_ideals, a.field_poly
+    ),
+    ("kunz", "subspace-orbits"): lambda a: subspace_lab(
+        _required_n(a), a.q, a.max_ideals, a.field_poly
+    )[0],
+    ("kunz", "lemmas"): lambda a: structure_report(
+        _parse_gens(a.gens), a.q, a.max_ideals, a.field_poly
+    ),
 }
 
 
@@ -382,16 +374,6 @@ def build_parser():
     return parser
 
 
-def run_command(args):
-    if args.group == "sgp":
-        fn = COMMANDS[("sgp", args.sgp_command)]
-    elif args.group == "ring":
-        fn = COMMANDS[("ring", args.ring_command)]
-    else:
-        fn = cmd_kunz
-    return fn(args)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -426,7 +408,8 @@ def main(argv=None) -> int:
                 cache_hit["verdicts"],
             )
         else:
-            inp, results, verdicts = run_command(args)
+            report = COMMANDS[args.group, getattr(args, args.group + "_command")](args)
+            inp, results, verdicts = report.input, report.results, report.verdicts
             if args.cache_dir:
                 _cache_store(args.cache_dir, key, inp, results, verdicts)
         timings = {}

@@ -76,46 +76,14 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p) if p > 2 else 1
-        monic_b = [(c * inv_lead) % p for c in b]
-        a, b = b, _poly_mod(a, monic_b, p)
-    return a
-
-
-def _poly_pow_p(h, m, p):
-    # h^p mod m, by square and multiply on the exponent p
-    result = [1]
-    base = list(h)
-    exp = p
-    while exp:
-        if exp & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
-        exp >>= 1
-    return result
-
-
 def _is_irreducible(f, p):
-    """Monic f of degree >= 1 over F_p, coefficient list, index = degree."""
-    e = len(f) - 1
-    if e == 1:
-        return True
-    # f is irreducible iff it has no irreducible factor of degree <= e/2,
-    # detected through gcd(f, x^(p^d) - x).
-    h = [0, 1]
-    for _ in range(e // 2):
-        h = _poly_pow_p(h, f, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(f, _poly_trim(diff), p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    """Monic f of degree e >= 1 over F_p, coefficient list, index = degree:
+    irreducible when no monic polynomial of degree 1..e//2 divides it."""
+    return all(
+        _poly_mod(f, list(tail) + [1], p)
+        for d in range(1, (len(f) - 1) // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +256,13 @@ def field_from_order(q: int, modulus=None) -> Field:
 
 def _multiplier(kern, a, n):
     """The map v -> a*v mod t^n, for a packed series a: one scaled shift
-    of v per nonzero coefficient of a below t^n."""
+    of v per nonzero coefficient of a below t^n. Only the slots from a's
+    lowest to its highest nonzero one are read."""
     add, scale, shift, coef = kern.add, kern.scale, kern.shift, kern.coef
-    terms = [(j, c) for j in range(n) if (c := coef(a, j))]
+    s = kern.support(a)
+    low = kern.pivot(a) if s else n
+    high = min(n, -(-s.bit_length() // kern.width))
+    terms = [(j, c) for j in range(low, high) if (c := coef(a, j))]
     zero = kern.zero
 
     def times(v):

@@ -2,9 +2,9 @@
 counterexample, the residue-indexed star family on the overring, the
 subspace laboratory, exact count checks and certified lower bounds.
 
-Every function here reports through verdict dictionaries whose values are
-"verified", "failed" or "skipped(budget)"; a failed verdict is recorded, not
-silently repaired.
+Each command returns a KunzReport: its input, its results, and verdicts
+whose values are "verified", "failed" or "skipped(budget)"; a failed
+verdict is recorded, not silently repaired.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .star_engine import (
 class KunzReport:
     """Aggregated, JSON-ready run report."""
 
-    def __init__(self, input: dict, results: dict | None = None, verdicts: dict | None = None):
+    def __init__(self, input: dict):
         self.input = input
-        self.results = {} if results is None else results
-        self.verdicts = {} if verdicts is None else verdicts
+        self.results = {}
+        self.verdicts = {}
 
     def verdict(self, name: str, ok: bool):
         self.verdicts[name] = "verified" if ok else "failed"
@@ -272,7 +272,7 @@ def verify_counterexample(
     require_gate(gens, q)
     S = semigroup(gens)
     report = KunzReport(
-        input={"generators": list(S.generators), "q": q, "command": "counterexample"}
+        input={"generators": list(S.generators), "q": q, "command": "kunz counterexample"}
     )
     t_gens = list(S.adjoin_frobenius().generators)
     try:
@@ -314,78 +314,61 @@ def _attach_certified_bound(report, S, q, max_ideals, modulus):
 # the subspace laboratory
 
 
-class SubspaceLab:
+def subspace_lab(n: int, q: int, max_ideals=DEFAULT_MAX_IDEALS, modulus=None):
     """The set X of 2-dimensional subspaces of K[x]/(x^n) containing e_0 but
-    not e_{n-1}, partitioned by the valuation-zero unit action."""
+    not e_{n-1}, partitioned by the valuation-zero unit action.
 
-    def __init__(self, n: int, q: int, subspaces: tuple, partition, results: dict, verdicts: dict):
-        self.n = n
-        self.q = q
-        self.subspaces = subspaces
-        self.partition = partition
-        self.results = results
-        self.verdicts = verdicts
-
-    @property
-    def representatives(self):
-        return self.partition.reps
-
-    @property
-    def class_count(self):
-        return self.partition.orbit_count
-
-
-def subspace_lab(
-    n: int, q: int, max_count: int | None = DEFAULT_MAX_IDEALS, modulus=None
-) -> SubspaceLab:
+    Returns the `kunz subspace-orbits` report and the partition, whose
+    items are X, whose reps are the class representatives and whose
+    orbit_count is the class count.
+    """
     if n < 3:
         raise InputError("lab needs n >= 3")
     fld = field_from_order(q, modulus)
-    check_budget(q ** (n - 1), max_count, "q^(n-1) = {} exceeds budget {}")
+    check_budget(q ** (n - 1), max_ideals, "q^(n-1) = {} exceeds budget {}")
     pack = fld.packing.pack
     e0 = fld.packing.one
     X = []
     for p in range(1, n - 1):
         for tail in itertools.product(range(q), repeat=n - 1 - p):
             X.append(Subspace(fld, n, (e0, pack((0,) * p + (1,) + tail)), (0, p)))
-    expected = (q ** (n - 1) - q) // (q - 1)
-    results = {"n": n, "q": q, "x_size": len(X), "x_size_formula": expected}
-    verdicts = {}
     part = partition_subspaces(X)
-    results["class_count"] = part.orbit_count
-    results["class_sizes"] = sorted(part.orbit_sizes())
+    sizes = part.orbit_sizes()
+    expected = (q ** (n - 1) - q) // (q - 1)
     floor = (q ** (n - 2) - 1) // (q - 1)
-    results["class_count_floor"] = floor
-    verdicts["x_size_formula"] = "verified" if len(X) == expected else "failed"
-    verdicts["class_size_at_most_q"] = (
-        "verified" if all(s <= q for s in part.orbit_sizes()) else "failed"
+    report = KunzReport(input={"n": n, "q": q, "command": "kunz subspace-orbits"})
+    report.results.update(
+        n=n, q=q, x_size=len(X), x_size_formula=expected, class_count=part.orbit_count,
+        class_sizes=sorted(sizes), class_count_floor=floor,
     )
-    verdicts["class_count_floor"] = (
-        "verified" if part.orbit_count >= floor else "failed"
-    )
+    report.verdict("x_size_formula", len(X) == expected)
+    report.verdict("class_size_at_most_q", max(sizes) <= q)
+    report.verdict("class_count_floor", part.orbit_count >= floor)
     if n == 4:
-        _verify_lab_n4(fld, part, results, verdicts)
-        _verify_three_dim_single_orbit(fld, n, results, verdicts)
-    return SubspaceLab(n, q, tuple(X), part, results, verdicts)
+        _verify_lab_n4(report, fld, part)
+        _verify_three_dim_single_orbit(report, fld)
+    return report, part
 
 
-def _verify_lab_n4(fld, part, results, verdicts):
+def _verify_lab_n4(report, fld, part):
     """At n = 4: exactly q singleton classes, namely <e0, e2 + c*e3>, and
     exactly q classes of size q covering the pivot-1 subspaces; the inversion
     recursion behind the class computation is checked against series_inv."""
     q = fld.q
     singleton_ids = [i for i, m in enumerate(part.members) if len(m) == 1]
     singletons = {part.reps[i] for i in singleton_ids}
-    expected_singletons = set()
-    for c in range(q):
-        expected_singletons.add(Subspace.span(fld, 4, ((1, 0, 0, 0), (0, 0, 1, c))))
-    ok_singletons = singletons == expected_singletons and len(singleton_ids) == q
-    verdicts["n4_singleton_classes"] = "verified" if ok_singletons else "failed"
+    expected_singletons = {
+        Subspace.span(fld, 4, ((1, 0, 0, 0), (0, 0, 1, c))) for c in range(q)
+    }
+    report.verdict(
+        "n4_singleton_classes", singletons == expected_singletons and len(singleton_ids) == q
+    )
     size_q_ids = [i for i, m in enumerate(part.members) if len(m) == q]
-    ok_sizes = len(size_q_ids) == q and len(singleton_ids) + len(size_q_ids) == 2 * q
-    verdicts["n4_two_q_classes"] = "verified" if ok_sizes else "failed"
-    results["n4_singletons"] = len(singleton_ids)
-    results["n4_size_q_classes"] = len(size_q_ids)
+    report.verdict(
+        "n4_two_q_classes", len(size_q_ids) == q and len(singleton_ids) + len(size_q_ids) == 2 * q
+    )
+    report.results["n4_singletons"] = len(singleton_ids)
+    report.results["n4_size_q_classes"] = len(size_q_ids)
     # inversion recursion: (e0 + theta*f)^{-1} = e0 + a1 e1 + a2 e2 + a3 e3
     ok_rec = True
     add, mul, neg = fld.add, fld.mul, fld.neg
@@ -401,10 +384,10 @@ def _verify_lab_n4(fld, part, results, verdicts):
             a3 = mul[neg[theta]][add[add[mul[l1][a2]][mul[l2][a1]]][l3]]
             if inv != pack((1, a1, a2, a3)):
                 ok_rec = False
-    verdicts["n4_inversion_recursion"] = "verified" if ok_rec else "failed"
+    report.verdict("n4_inversion_recursion", ok_rec)
 
 
-def _verify_three_dim_single_orbit(fld, n, results, verdicts):
+def _verify_three_dim_single_orbit(report, fld):
     """All 3-dim subspaces of K[x]/(x^4) containing e_0 but not e_3 form one
     orbit, with the explicit unit e0 - th2*e1 - th1*e2 sending each to the
     base member."""
@@ -421,20 +404,9 @@ def _verify_three_dim_single_orbit(fld, n, results, verdicts):
         if subspace_unit_image(sub, gamma) != base:
             ok_explicit = False
     part = partition_subspaces(W.values())
-    ok_orbit = part.orbit_count == 1
-    results["three_dim_subspaces"] = len(W)
-    results["three_dim_classes"] = part.orbit_count
-    verdicts["three_dim_single_class"] = (
-        "verified" if (ok_explicit and ok_orbit) else "failed"
-    )
-
-
-def lab_report(n, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> KunzReport:
-    lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
-    report = KunzReport(input={"n": n, "q": q, "command": "subspace-orbits"})
-    report.results.update(lab.results)
-    report.verdicts.update(lab.verdicts)
-    return report
+    report.results["three_dim_subspaces"] = len(W)
+    report.results["three_dim_classes"] = part.orbit_count
+    report.verdict("three_dim_single_class", ok_explicit and part.orbit_count == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +429,12 @@ def lower_bound_certificate(
         raise InputError("the certificate construction needs n >= 4")
     S = family_semigroup(n)
     # the lab's budget check comes first: a large member's ring is slow to build
-    lab = subspace_lab(n, q, max_count=max_ideals, modulus=modulus)
+    lab = subspace_lab(n, q, max_ideals, modulus)[1]
     model = ring_model_for(tuple(S.generators), q, modulus)
     report = KunzReport(
-        input={"n": n, "q": q, "generators": list(S.generators), "command": "lower-bound"}
+        input={"n": n, "q": q, "generators": list(S.generators), "command": "kunz lower-bound"}
     )
-    report.results["class_count"] = lab.class_count
+    report.results["class_count"] = lab.orbit_count
     ws = workspace(model, max_ideals)
     stable = [I for I in ws.ideals if is_overring_stable(I)]
     expected_stable = count_subspaces(n - 1, q)
@@ -471,8 +443,8 @@ def lower_bound_certificate(
     report.verdict("overring_stable_count", len(stable) == expected_stable)
 
     # orbit_id raises InvariantError for a lift that escapes F_0
-    lifts = [_lift_lab_subspace(model, sub) for sub in lab.subspaces]
-    lab_ids = lab.partition.orbit_ids
+    lifts = [_lift_lab_subspace(model, sub) for sub in lab.items]
+    lab_ids = lab.orbit_ids
     ring_ids = [ws.orbit_id(L) for L in lifts]
     # the lab partition must coincide with the ring partition under lifting:
     # each lab class meets one ring class and each ring class one lab class
@@ -481,7 +453,7 @@ def lower_bound_certificate(
     report.verdict("lab_partition_matches_ring_partition", agree)
 
     # the lifts of the lab's representatives, the least member of each class
-    reps = [(lifts[m[0]], ring_ids[m[0]]) for m in lab.partition.members]
+    reps = [(lifts[m[0]], ring_ids[m[0]]) for m in lab.members]
     nondiv = all(not L.is_divisorial() for L, _ in reps)
     report.verdict("representatives_nondivisorial", nondiv)
     distinct = len({oid for _, oid in reps}) == len(reps)
@@ -496,14 +468,12 @@ def lower_bound_certificate(
     report.results["non_absorption_pairs_checked"] = pair_checks
     report.verdict("mutual_non_absorption", not absorbed)
 
-    bound = 2**lab.class_count
+    bound = 2**lab.orbit_count
     floor = 2 ** ((q ** (n - 2) - 1) // (q - 1))
     report.results["certified_lower_bound"] = bound
     report.results["formula_floor"] = floor
     report.verdict("bound_at_least_formula_floor", bound >= floor)
-    report.results["witnesses"] = [
-        [list(row) for row in rep.rows] for rep in lab.representatives
-    ]
+    report.results["witnesses"] = [[list(row) for row in rep.rows] for rep in lab.reps]
     return report
 
 
@@ -545,7 +515,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
     S = semigroup(gens)
     model = ring_model_for(tuple(S.generators), q, modulus)
     report = KunzReport(
-        input={"generators": list(S.generators), "q": q, "command": "lemmas"}
+        input={"generators": list(S.generators), "q": q, "command": "kunz lemmas"}
     )
     ws = workspace(model, max_ideals)
     ideals = ws.ideals
@@ -661,7 +631,7 @@ def formula_check(
         raise InputError("closed-form counts are only available for n = 4")
     S = family_semigroup(4)
     report = KunzReport(
-        input={"n": n, "q": q, "generators": list(S.generators), "command": "formula-check"}
+        input={"n": n, "q": q, "generators": list(S.generators), "command": "kunz formula-check"}
     )
     t_gens = S.adjoin_frobenius().generators
     n_r, n_t = _star_counts(

@@ -110,13 +110,13 @@ def test_criterion_5_lower_bound_certificate():
 
 
 def test_criterion_6_subspace_lab():
-    lab42 = subspace_lab(4, 2)
-    lab43 = subspace_lab(4, 3)
+    lab42, part42 = subspace_lab(4, 2)
+    lab43, part43 = subspace_lab(4, 3)
     ok = (
         lab42.results["x_size"] == 6
-        and lab42.class_count == 4
+        and part42.orbit_count == 4
         and lab43.results["x_size"] == 12
-        and lab43.class_count == 6
+        and part43.orbit_count == 6
         and lab42.results["three_dim_classes"] == 1
         and lab43.results["three_dim_classes"] == 1
         and set(lab42.verdicts.values()) == {"verified"}
@@ -125,8 +125,8 @@ def test_criterion_6_subspace_lab():
     report(
         6,
         ok,
-        f"(4,2): |X|={lab42.results['x_size']}, {lab42.class_count} classes;"
-        f" (4,3): |X|={lab43.results['x_size']}, {lab43.class_count} classes;"
+        f"(4,2): |X|={lab42.results['x_size']}, {part42.orbit_count} classes;"
+        f" (4,3): |X|={lab43.results['x_size']}, {part43.orbit_count} classes;"
         " 3-dim subspaces single class",
     )
 

@@ -16,9 +16,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 PINNED = json.loads((BENCH / "answers.json").read_text())
-# the digit-slot packed layout (q = 4), a counterexample verdict and a
-# closed-form count check
+# the digit-slot packed layout (q = 4), a counterexample verdict, a
+# closed-form count check, and the n = 4 lab verdicts on the digit-slot and
+# bitsliced layouts
 PINNED.update({
+    "cli kunz subspace-orbits --n 4 --q 4":
+        "1a4eaade0fe46526c5cfd06c0a5895ab4487dcfefbebd494d746f693cdea8c61",
+    "cli kunz subspace-orbits --n 4 --q 3":
+        "0c9b75d0d84be5d053ef91e7d17ec81138965d19d5123485fec2fc14ec7f19cd",
+    "cli kunz lower-bound --n 4 --q 3":
+        "83fb92d84358b3913c8dfcc6d1cb93a160d746b2dd58fbb1b4643f67c4d6d9c1",
     "cli ring enum-stars --gens 4,5,7 --q 4":
         "d67922c377cbd8c39823cc8073eb7401510911d26e346606e5e70870a42015ea",
     "cli kunz lemmas --gens 4,5,7 --q 4":

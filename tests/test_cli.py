@@ -303,6 +303,14 @@ def test_formula_check_n0_exit_2(capsys):
         assert "only available for n = 4" in err
 
 
+@pytest.mark.parametrize("command", ["lower-bound", "subspace-orbits"])
+def test_missing_n_exit_2(capsys, command):
+    code, out, err = run_cli(capsys, "kunz", command, "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert "needs --n" in err
+
+
 def test_zero_timeout_means_no_deadline(capsys, monkeypatch):
     alarms = []
     monkeypatch.setattr(cli.signal, "alarm", alarms.append)
@@ -342,6 +350,13 @@ def test_engine_error_exit_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.splitlines() == ["engine error: KeyError: 'stars'"]
+
+    # the kunz commands run from the same table
+    monkeypatch.setitem(cli.COMMANDS, ("kunz", "lemmas"), broken)
+    code, out, err = run_cli(capsys, "kunz", "lemmas", "--gens", "4,5,7", "--q", "2")
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == ["engine error: closure map left the closed family"]
 
 
 def test_deadline_skips_the_certificate():

@@ -179,6 +179,19 @@ def test_packed_series_match_tuple_references(q):
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, n))]
         sub = Subspace.span(fld, n, rows)
         assert subspace_unit_image(sub, pack(unit)) == subspaces.unit_image(sub, unit)
+        # the zero series and monomials c*t^k, k < n, also past the top
+        # coefficient of the other factor
+        zero = (0,) * n
+        assert series_mul(pack(zero), pack(b), fld, n) == kern.zero
+        assert series_mul(pack(a), pack(zero), fld, n) == kern.zero
+        for k in range(n):
+            mono = tuple(1 + trial % (q - 1) if j == k else 0 for j in range(n))
+            for x, y in ((mono, b), (b, mono)):
+                assert unpack(series_mul(pack(x), pack(y), fld, n), n) == subspaces.series_mul(
+                    x, y, fld
+                )
+        # a factor longer than n is read only below t^n
+        assert series_mul(kern.shift(pack(a), n), pack(b), fld, n) == kern.zero
     # the witnesses of one orbit, made by the tuple unit images of a random
     # subspace under every unit with constant term 1
     for n in (2, 3, 4) if q <= 4 else (2, 3):

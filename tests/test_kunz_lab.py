@@ -166,31 +166,31 @@ def test_residue_family_avoids_dual_of_maximal_ideal():
 
 
 def test_subspace_lab_42():
-    lab = subspace_lab(4, 2)
+    lab, part = subspace_lab(4, 2)
     assert lab.results["x_size"] == 6
-    assert lab.class_count == 4
+    assert part.orbit_count == 4
     assert set(lab.verdicts.values()) == {"verified"}
     assert lab.results["three_dim_classes"] == 1
 
 
 def test_subspace_lab_43():
-    lab = subspace_lab(4, 3)
+    lab, part = subspace_lab(4, 3)
     assert lab.results["x_size"] == 12
-    assert lab.class_count == 6
+    assert part.orbit_count == 6
     assert set(lab.verdicts.values()) == {"verified"}
 
 
 def test_subspace_lab_52():
-    lab = subspace_lab(5, 2)
+    lab, part = subspace_lab(5, 2)
     assert lab.results["x_size"] == 14
-    assert lab.class_count >= 7
+    assert part.orbit_count >= 7
     assert set(lab.verdicts.values()) == {"verified"}
 
 
 def test_subspace_lab_prime_power():
-    lab = subspace_lab(4, 4)
+    lab, part = subspace_lab(4, 4)
     assert lab.results["x_size"] == (4**3 - 4) // 3 == 20
-    assert lab.class_count == 8
+    assert part.orbit_count == 8
     assert set(lab.verdicts.values()) == {"verified"}
 
 

@@ -62,3 +62,19 @@ def test_traced_run_matches_untraced(tmp_path, q):
     assert traced.stdout == plain.stdout
     counters = json.loads((tmp_path / "trace.json").read_text())["counters"]
     assert 0 < counters["star_engine.table.useful"] <= counters["star_engine.table.translates"]
+
+
+def test_traced_kunz_spans(tmp_path):
+    # the CLI's command table must reach the kunz functions through the
+    # module globals the tracer rewrites; an entry that holds the function
+    # object itself runs it untraced
+    src = os.path.dirname(os.path.dirname(starlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("STARLAB_CACHE_DIR", None)
+    argv = ["kunz", "lower-bound", "--n", "4", "--q", "2", "--jobs", "1"]
+    cmd = [sys.executable, str(LAYERS), str(tmp_path / "trace"), "cli", *argv]
+    run = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    layers = json.loads((tmp_path / "trace.json").read_text())["layers"]
+    for name in ("kunz_lab.lower_bound_certificate", "kunz_lab.subspace_lab"):
+        assert layers[name]["calls"] >= 1, name
