@@ -430,25 +430,32 @@ def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
     at t^n.
 
     Each row r of b with pivot p contributes, for every shift t^i*r with
-    i < n - p, the residual of t^i*r against a; x lies in the colon exactly
-    when sum_i x_i * residual_i vanishes for every r. Shifts with i >= n - p
-    vanish and constrain nothing. On packed rows (`packed`), unknown i gets
-    the block of the residuals of all rows side by side, n columns each,
-    tagged with e_i in the columns above. Forward elimination, last unknown
-    first, keeps the blocks whose residuals do not cancel. Each block that
-    cancels, or has none, leaves its tag: e_i plus unknowns of kept blocks
-    only, so the tags are the colon's rows in reduced echelon form.
+    p + i < kappa, the residual of t^i*r against a; x lies in the colon
+    exactly when sum_i x_i * residual_i vanishes for every r. Here kappa is
+    the least k with every column k..n-1 a pivot of a: a shift with
+    p + i >= kappa lies in span(e_kappa, ..., e_(n-1)), inside a, so its
+    residual is zero and it constrains nothing. On packed rows (`packed`),
+    unknown i gets the block of the residuals of all rows side by side, n
+    columns each, tagged with e_i in the columns above. Forward elimination,
+    last unknown first, keeps the blocks whose residuals do not cancel. Each
+    block that cancels, or has none, leaves its tag: e_i plus unknowns of
+    kept blocks only, so the tags are the colon's rows in reduced echelon
+    form.
     """
     if a.ambient != b.ambient:
         raise InputError("ambient dimension mismatch")
     kern = a.field.packing
-    n = a.ambient
+    n = kappa = a.ambient
+    for p in reversed(a.pivots):
+        if p != kappa - 1:
+            break
+        kappa = p
     entries = a.entries
     add, reduce, shift, truncate = kern.add, kern.reduce, kern.shift, kern.truncate
     support = kern.support
     blocks = [None] * n
     for k, (p, r) in enumerate(zip(b.pivots, b.packed)):
-        for i in range(n - p):
+        for i in range(kappa - p):
             residual = reduce(truncate(shift(r, i), n), entries)
             if support(residual):
                 residual = shift(residual, k * n)
@@ -505,16 +512,19 @@ def unit_representatives(fld, length):
     return [pack((1,) + tail) for tail in itertools.product(range(fld.q), repeat=length - 1)]
 
 
-def _image_rows(kern, rows, pivots, times):
+def _image_rows(kern, rows, pivots, times, fixed):
     """The packed rows of u * S, for S in reduced echelon form with these
     packed rows and pivots and times(v) = u * v for a unit u of constant
-    term 1. Such a unit keeps each row's pivot and pivot entry 1, so only
-    back-substitution is left: each product is reduced against the
-    products below it, last row first."""
+    term 1, which fixes the rows from index `fixed` on. Such a unit keeps
+    each row's pivot and pivot entry 1, so only back-substitution is left:
+    each product is reduced against the products below it, last row first.
+    The fixed rows are their own images and vanish at each other's pivots,
+    so they enter as they are."""
     reduce, entry = kern.reduce, kern.entry
-    image = [None] * len(rows)
-    below = []  # canonical rows vanish at each other's pivots: any order
-    for i in reversed(range(len(rows))):
+    # canonical rows vanish at each other's pivots: any order
+    below = [entry(p, r) for p, r in zip(pivots[fixed:], rows[fixed:])]
+    image = list(rows)
+    for i in reversed(range(fixed)):
         image[i] = r = reduce(times(rows[i]), below)
         below.append(entry(pivots[i], r))
     return tuple(image)
@@ -535,7 +545,8 @@ def subspace_unit_image(sub: Subspace, unit) -> Subspace:
     if c != 1:
         unit = kern.scale(fld.inv[c], unit)
     times = _multiplier(kern, unit, n)
-    return Subspace(fld, n, _image_rows(kern, sub.packed, sub.pivots, times), sub.pivots)
+    rows = _image_rows(kern, sub.packed, sub.pivots, times, sub.dim)
+    return Subspace(fld, n, rows, sub.pivots)
 
 
 def unit_image_map(sub: Subspace):
@@ -566,13 +577,15 @@ def unit_image_map(sub: Subspace):
         if j in fixed:
             continue
         layer = tuple(images.items())
+        # rows with pivot >= n - j are fixed by 1 + c*t^j
+        fixed_from = bisect_left(pivots, n - j)
         for c in range(1, sub.field.q):
 
             def times(v):  # (1 + c*t^j) * v
                 return add(v, truncate(shift(scale(c, v), j), n))
 
             for rows, w in layer:
-                images[_image_rows(kern, rows, pivots, times)] = times(w)
+                images[_image_rows(kern, rows, pivots, times, fixed_from)] = times(w)
     expected = sub.field.q ** (n - 1 - len(fixed))
     if len(images) != expected:
         raise InvariantError(f"unit orbit has {len(images)} images, not {expected}")

@@ -458,13 +458,19 @@ def lower_bound_certificate(
     report.verdict("representatives_nondivisorial", nondiv)
     distinct = len({oid for _, oid in reps}) == len(reps)
     report.verdict("representatives_pairwise_inequivalent", distinct)
+    # unit images keep a's values, so none lies inside b unless they lie in
+    # b's; and with equal dimensions, an image inside b is b
     absorbed = False
     pair_checks = 0
-    for (_, oid), (b, _) in itertools.permutations(reps, 2):
-        for image_rows in ws.partition.image_maps[oid]:
-            pair_checks += 1
-            if b.contains_packed(image_rows):
-                absorbed = True
+    for (a, oid), (b, _) in itertools.permutations(reps, 2):
+        images = ws.partition.image_maps[oid]
+        pair_checks += len(images)
+        if not set(a.head.pivots) <= set(b.head.pivots):
+            continue
+        if a.dim == b.dim:
+            absorbed |= b.head.packed in images
+        else:
+            absorbed |= any(b.contains_packed(rows) for rows in images)
     report.results["non_absorption_pairs_checked"] = pair_checks
     report.verdict("mutual_non_absorption", not absorbed)
 
@@ -492,14 +498,17 @@ def _lift_lab_subspace(model, sub: Subspace) -> RingIdeal:
 def unit_translate_criterion(ws, pool) -> dict:
     """{(jx, ix): whether some unit sends pool[ix] inside pool[jx]}, for
     ideals of the workspace's F_0. The unit images of I are those of its
-    orbit's representative, so each J is tested once per orbit."""
+    orbit's representative, so each J is tested once per orbit; and they
+    keep its values, so only an orbit whose values lie in J's is scanned."""
     part = ws.partition
     orbit_ids = [ws.orbit_id(I) for I in pool]
+    values = {oid: set(part.reps[oid].head.pivots) for oid in set(orbit_ids)}
     out = {}
     for jx, J in enumerate(pool):
         hit = {
-            oid: any(J.contains_packed(rows) for rows in part.image_maps[oid])
-            for oid in set(orbit_ids)
+            oid: v <= set(J.head.pivots)
+            and any(J.contains_packed(rows) for rows in part.image_maps[oid])
+            for oid, v in values.items()
         }
         out.update(((jx, ix), hit[oid]) for ix, oid in enumerate(orbit_ids))
     return out

@@ -157,7 +157,7 @@ class RingIdeal:
     object made first for equal packed rows, so ideals compare and hash by
     identity, and memos key on them."""
 
-    __slots__ = ("model", "head")
+    __slots__ = ("model", "head", "_generators")
 
     def __new__(cls, model: RingModel, head: Subspace):
         if head.ambient != model.head_dim:
@@ -167,6 +167,7 @@ class RingIdeal:
             ideal = model._ideals[head.packed] = super().__new__(cls)
             ideal.model = model
             ideal.head = head
+            ideal._generators = None
         return ideal
 
     @property
@@ -178,6 +179,27 @@ class RingIdeal:
     @property
     def dim(self):
         return self.head.dim + self.model.conductor.dim
+
+    @property
+    def generators(self) -> Subspace:
+        """The head's echelon rows at the values v <= g of the ideal that
+        are not v' + s for a value v' and a nonzero s of S, as a subspace of
+        K^(g+1); built on first use. Two such values differ by no multiple
+        of the multiplicity m, so there are at most m rows. With the
+        conductor they generate the ideal as an R-module: every value of the
+        ideal is a generator's value plus an element of S, so their
+        products with R realize its whole value set inside it."""
+        if self._generators is None:
+            head, contains = self.head, self.model.sgp.contains
+            pivots = head.pivots
+            keep = [
+                i for i, p in enumerate(pivots) if not any(contains(p - w) for w in pivots[:i])
+            ]
+            # some rows of a reduced echelon form are the one of their span
+            rows = tuple(head.packed[i] for i in keep)
+            pivots = tuple(pivots[i] for i in keep)
+            self._generators = Subspace(head.field, head.ambient, rows, pivots)
+        return self._generators
 
     @property
     def value_set(self):
@@ -255,14 +277,20 @@ class RingIdeal:
         conductor), and the conductor rows of the divisor impose nothing. As
         self contains the conductor, t^i*b lies in it exactly when the head
         of t^i*b, the shift of head(b) cut to g+1 terms, lies in the head of
-        self. So the colon is that of the heads in K^(g+1). Results are
-        memoized per model on the two ideals.
+        self. So the colon is that of the heads in K^(g+1).
+
+        Only the divisor's `generators` enter it. Their R-module with the
+        conductor is the divisor: an element of value w times one of R of
+        value s has value w + s, so that module has the divisor's value set
+        inside it, and hence its dimension. And x*b in self for every
+        generator b puts x*r*b in self for every r in R, as self is an
+        R-module. Results are memoized per model on the two ideals.
         """
         self._same_model(other)
         memo = self.model._cache.setdefault("colon", {})
         cached = memo.get((self, other))
         if cached is None:
-            colon = subspace_colon(self.head, other.head)
+            colon = subspace_colon(self.head, other.generators)
             cached = memo[self, other] = RingIdeal(self.model, colon)
         return cached
 

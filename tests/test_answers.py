@@ -17,8 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
 PINNED = json.loads((BENCH / "answers.json").read_text())
 # the digit-slot packed layout (q = 4), a counterexample verdict, a
-# closed-form count check, and the n = 4 lab verdicts on the digit-slot and
-# bitsliced layouts
+# closed-form count check, the n = 4 lab verdicts on the digit-slot and
+# bitsliced layouts, the lemma suite on the bitsliced layout, and the n = 6
+# certificate
 PINNED.update({
     "cli kunz subspace-orbits --n 4 --q 4":
         "1a4eaade0fe46526c5cfd06c0a5895ab4487dcfefbebd494d746f693cdea8c61",
@@ -34,6 +35,10 @@ PINNED.update({
         "4a603d65aa0d28f8f8484df792629cde960666de2788cd28d9ccae3bf1892b2e",
     "cli kunz formula-check --q 3":
         "cf6d69a88d5e7ede423aab7e1db431bb6c77a671b2a20ee1f4819bd9d44ed356",
+    "cli kunz lemmas --gens 5,6,7,9 --q 3":
+        "5d5d808b077dc7c3d67b2945061bd6d6c203e3ce6b37f527211c98f03a9051cf",
+    "cli kunz lower-bound --n 6 --q 2":
+        "07f2ff7c4bbee0bdcec356ce9b7b1c1d0043d32b929e32550d31183c1b5f800a",
 })
 
 

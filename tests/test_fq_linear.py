@@ -489,11 +489,13 @@ def unpacked_images(images, fld, n):
 
 
 @pytest.mark.parametrize(
-    "p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 3), (5, 1, 3), (3, 1, 4)]
+    "p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 3), (5, 1, 3), (3, 1, 4), (2, 1, 5)]
 )
 def test_unit_generators_reach_every_unit_image(p, e, n):
     # The orbit enumeration reaches the image of each subspace under every
     # unit with constant term 1, and each witness maps the subspace there.
+    # A factor 1 + c*t^j fixes the rows with pivot >= n - j, which the
+    # enumeration takes as they are.
     # The multiplier ring (sub : sub) contains 1; with V its positive
     # valuations, 1 + (sub : sub) meet t*K[t] is the stabilizer, of order
     # q^|V|, and the orbit has q^(n-1-|V|) elements.

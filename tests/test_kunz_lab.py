@@ -218,6 +218,54 @@ def test_lower_bound_certificate_42_consistent_with_exact():
     assert bound <= star_count((4, 5, 7), 2) == 19
 
 
+def _absorption_scan(n, q):
+    """The certificate's non-absorption check as a scan of every unit image
+    of each lifted representative against each other lift: whether some
+    image lies inside, and the number of images scanned."""
+    lab = subspace_lab(n, q)[1]
+    model = ring_model_for(tuple(family_semigroup(n).generators), q)
+    ws = workspace(model)
+    lifts = [kunz_lab._lift_lab_subspace(model, rep) for rep in lab.reps]
+    absorbed, checks = False, 0
+    for a, b in itertools.permutations(lifts, 2):
+        for rows in ws.partition.image_maps[ws.orbit_id(a)]:
+            checks += 1
+            absorbed |= b.contains_packed(rows)
+    return absorbed, checks
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3)])
+def test_non_absorption_matches_image_scan(n, q):
+    cert = lower_bound_certificate(n, q)
+    absorbed, checks = _absorption_scan(n, q)
+    assert not absorbed
+    assert cert.verdicts["mutual_non_absorption"] == "verified"
+    assert cert.results["non_absorption_pairs_checked"] == checks
+
+
+@pytest.mark.parametrize("into", ["V", "first"])
+def test_non_absorption_catches_a_lift_inside_another(monkeypatch, into):
+    # the last representative lifted to V, which holds every image of the
+    # other lifts and has a larger dimension, or to the first lift, which
+    # has the same
+    lift = kunz_lab._lift_lab_subspace
+    lab = subspace_lab(5, 2)[1]
+
+    def patched(model, sub):
+        if sub == lab.reps[-1]:
+            if into == "V":
+                return model.span_ideal(model.monomial(k) for k in range(model.head_dim))
+            sub = lab.reps[0]
+        return lift(model, sub)
+
+    monkeypatch.setattr(kunz_lab, "_lift_lab_subspace", patched)
+    cert = lower_bound_certificate(5, 2)
+    absorbed, checks = _absorption_scan(5, 2)
+    assert absorbed
+    assert cert.verdicts["mutual_non_absorption"] == "failed"
+    assert cert.results["non_absorption_pairs_checked"] == checks
+
+
 def test_structure_report_457_q2():
     report = structure_report([4, 5, 7], 2)
     assert report.results["family_member"]

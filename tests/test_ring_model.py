@@ -643,14 +643,38 @@ def _colon_test_ideals(model):
 
 HEAD_MODELS = [((4, 5, 7), 2), ((4, 5, 7), 3), ((4, 5, 7), 4), ((4, 5, 6, 7), 3), ((3, 5, 7), 3)]
 HEAD_MODEL_IDS = ["457-q2", "457-q3", "457-q4", "4567-q3", "357-q3"]
+T2T3_ROWS = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)] + [
+    tuple(int(j == k) for j in range(8)) for k in range(4, 8)
+]
 
 
-@pytest.mark.parametrize("gens,q", HEAD_MODELS, ids=HEAD_MODEL_IDS)
-def test_colon_and_intersect_match_full_width(gens, q):
+def t_of_457_q3():
+    """T of <4,5,7> over F_3: the process's one model of <4,5,6,7>."""
+    t_model = frobenius_overring_model(semigroup_ring_model(semigroup([4, 5, 7]), F3))
+    assert t_model is semigroup_ring_model(semigroup([4, 5, 6, 7]), F3)
+    return t_model
+
+
+# the head models, <4,5,6,7> reached as the overring T of <4,5,7>, and a
+# subalgebra whose ring head has a row t^2 + t^3 that is not a monomial
+COLON_MODELS = [
+    lambda: semigroup_ring_model(semigroup([4, 5, 7]), F2),
+    lambda: semigroup_ring_model(semigroup([4, 5, 7]), F3),
+    lambda: semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(4)),
+    t_of_457_q3,
+    lambda: semigroup_ring_model(semigroup([3, 5, 7]), F3),
+    lambda: subalgebra_model(Subspace.span(F3, 8, T2T3_ROWS)),
+]
+COLON_MODEL_IDS = HEAD_MODEL_IDS + ["t2+t3-q3"]
+
+
+@pytest.mark.parametrize("make_model", COLON_MODELS, ids=COLON_MODEL_IDS)
+def test_colon_and_intersect_match_full_width(make_model):
     # every ordered pair of F_0, and pairs with ideals outside F_0; (I:J)
     # with J not inside I leaves F_0 too. Each pair is asked twice, the
-    # second time from the memo.
-    model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
+    # second time from the memo. The colon reads only the divisor's
+    # generator rows; the reference reads all of its rows.
+    model = make_model()
     ideals, extra = _colon_test_ideals(model)
     pairs = list(itertools.product(ideals, repeat=2))
     pairs += [(I, X) for I in ideals + extra for X in extra]
@@ -665,6 +689,22 @@ def test_colon_and_intersect_match_full_width(gens, q):
         assert meet == _reference_intersect(I, J), (I, J)
         assert I.intersect(J) is meet
     assert left_f0 > 0
+
+
+@pytest.mark.parametrize("make_model", COLON_MODELS, ids=COLON_MODEL_IDS)
+def test_generators_make_the_ideal(make_model):
+    # the generator rows are head rows, at most the multiplicity of them,
+    # and with the conductor they span the ideal as an R-module, which
+    # none of them can be left out of
+    model = make_model()
+    ideals, extra = _colon_test_ideals(model)
+    for I in ideals + extra:
+        gens = I.generators
+        assert set(zip(gens.pivots, gens.packed)) <= set(zip(I.head.pivots, I.head.packed))
+        assert gens.dim <= model.sgp.multiplicity
+        assert model.span_ideal(gens.packed) is I
+        for k in range(gens.dim):
+            assert model.span_ideal(gens.packed[:k] + gens.packed[k + 1 :]) is not I
 
 
 def test_colon_memo_is_per_model():
@@ -710,9 +750,6 @@ def test_overring_stable_matches_product_on_counterexample_dual():
     assert _reference_overring_stable(L_R)
 
 
-T2T3_ROWS = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)] + [
-    tuple(int(j == k) for j in range(8)) for k in range(4, 8)
-]
 HEAD_FORM_MODELS = [
     lambda: semigroup_ring_model(semigroup([4, 5, 7]), F2),
     lambda: semigroup_ring_model(semigroup([4, 5, 7]), F3),
