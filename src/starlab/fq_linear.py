@@ -425,6 +425,16 @@ def packed_meet(entries, cut, sub: Subspace):
     return rows, pivots
 
 
+def pivot_tail(sub: Subspace) -> int:
+    """kappa(sub), the least k with every column k..n-1 a pivot of sub."""
+    k = sub.ambient
+    for p in reversed(sub.pivots):
+        if p != k - 1:
+            break
+        k = p
+    return k
+
+
 def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
     """(a : b), all x in K[t]/(t^n) with x*b inside a, products truncated
     at t^n.
@@ -445,11 +455,7 @@ def subspace_colon(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise InputError("ambient dimension mismatch")
     kern = a.field.packing
-    n = kappa = a.ambient
-    for p in reversed(a.pivots):
-        if p != kappa - 1:
-            break
-        kappa = p
+    n, kappa = a.ambient, pivot_tail(a)
     entries = a.entries
     add, reduce, shift, truncate = kern.add, kern.reduce, kern.shift, kern.truncate
     support = kern.support

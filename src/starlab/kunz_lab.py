@@ -99,11 +99,11 @@ def family_index(S: NumericalSemigroup) -> int | None:
 # hypothesis gate
 
 
-def hypothesis_gate(gens, q) -> KunzReport:
+def hypothesis_gate(gens, q, modulus=None) -> KunzReport:
     """Both counterexample hypotheses: pseudo-symmetric value semigroup and
     at least 4 gaps (equivalently length(V/R) >= 4)."""
     S = semigroup(gens)
-    field_from_order(q)  # validates q
+    field_from_order(q, modulus)  # validates q and the modulus
     report = KunzReport(input={"generators": list(S.generators), "q": q})
     ps = is_pseudo_symmetric(S)
     enough = S.genus >= 4
@@ -115,8 +115,8 @@ def hypothesis_gate(gens, q) -> KunzReport:
     return report
 
 
-def require_gate(gens, q):
-    report = hypothesis_gate(gens, q)
+def require_gate(gens, q, modulus=None):
+    report = hypothesis_gate(gens, q, modulus)
     if report.results["gate"] != "pass":
         raise GateError(
             f"hypotheses not met for {tuple(gens)}: pseudo_symmetric="
@@ -269,7 +269,7 @@ def verify_counterexample(
     A cap that skips them still certifies the bound of a family member; a
     deadline skips that too.
     """
-    require_gate(gens, q)
+    require_gate(gens, q, modulus)
     S = semigroup(gens)
     report = KunzReport(
         input={"generators": list(S.generators), "q": q, "command": "kunz counterexample"}
@@ -520,7 +520,7 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
     laws, and (for members of the distinguished family) the valuation
     criteria for divisoriality, the one-step divisorial closure, and the
     unit-translate closure criteria for generated and induced operations."""
-    require_gate(gens, q)
+    require_gate(gens, q, modulus)
     S = semigroup(gens)
     model = ring_model_for(tuple(S.generators), q, modulus)
     report = KunzReport(

@@ -3,8 +3,9 @@
 A numerical semigroup S is a submonoid of N with finite complement. Ideals
 are stored in a shifted normal form: every ideal E (a set with E + S within E,
 bounded below) is shift + E0 where E0 has minimum 0, and a minimum-0 ideal
-automatically contains every integer above the Frobenius number. That makes
-equality structural and keeps all colon computations inside a finite table.
+automatically contains every integer above the Frobenius number g. That makes
+equality structural. Sets of integers are int bitmasks, bit x for x; with the
+bits above g set too, a mask is a negative int whose shifts keep that tail.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import math
 from .errors import InputError, InvariantError, check_budget
 
 
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
+def _bits(mask):
+    """The set bits of a nonnegative mask, in increasing order."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _full(g):
+    """The mask of [0, g]."""
+    return (1 << g + 1) - 1
 
 
 class NumericalSemigroup:
-    """Numerical semigroup with membership table, gaps and basic invariants."""
+    """Numerical semigroup with member mask, gaps and basic invariants."""
 
     __slots__ = ("generators", "frobenius", "gaps", "multiplicity", "_members")
 
@@ -31,44 +35,46 @@ class NumericalSemigroup:
         self.frobenius = frobenius
         self.gaps = gaps
         self.multiplicity = multiplicity
-        self._members = members  # bool table on [0, 2*frobenius + 2]
+        self._members = members  # mask of S within [0, frobenius]
 
     @classmethod
     def from_generators(cls, gens) -> "NumericalSemigroup":
         gens = sorted(set(int(g) for g in gens))
         if not gens or gens[0] < 1:
             raise InputError("generators must be positive integers")
-        if _gcd_all(gens) != 1:
-            raise InputError(f"generators {gens} have gcd {_gcd_all(gens)} != 1")
+        if math.gcd(*gens) != 1:
+            raise InputError(f"generators {gens} have gcd {math.gcd(*gens)} != 1")
         if gens[0] == 1:
             # S = N, Frobenius number -1
-            members = [True] * 4
-            return cls((1,), -1, (), 1, members)
+            return cls((1,), -1, (), 1, 0)
+        # S holds every integer from (a1 - 1)(an - 1) on (Schur); doubling
+        # shifts add every multiple of each generator in turn
         bound = (gens[0] - 1) * (gens[-1] - 1) + 1
-        sieve = [False] * (bound + 1)
-        sieve[0] = True
-        for x in range(bound + 1):
-            if sieve[x]:
-                for g in gens:
-                    if x + g <= bound:
-                        sieve[x + g] = True
-        frobenius = max(x for x in range(bound + 1) if not sieve[x])
-        return cls._from_sieve(sieve, frobenius)
+        window = _full(bound)
+        members = 1
+        for a in gens:
+            step = a
+            while step <= bound:
+                members |= members << step & window
+                step <<= 1
+        return cls._from_mask(members, (window ^ members).bit_length() - 1)
 
     @classmethod
-    def _from_sieve(cls, sieve, frobenius):
-        limit = 2 * frobenius + 2
-        members = [(x > frobenius) or (x < len(sieve) and sieve[x]) for x in range(limit + 1)]
-        gaps = tuple(x for x in range(1, frobenius + 1) if not members[x])
-        m = next(x for x in range(1, limit + 1) if members[x])
-        # A minimal generator x != m has x - m outside S, so x <= F + m: it
-        # lies in the Apery set of m. When such an x is a + b, a and b
-        # nonzero members, both lie in that set too, as a - m in S would
-        # put x - m in S.
-        apery = [x for x in range(m + 1, frobenius + m + 1) if members[x] and not members[x - m]]
-        inside = set(apery)
-        minimal = [m] + [x for x in apery if not any(x - a in inside for a in apery if 2 * a <= x)]
-        return cls(tuple(minimal), frobenius, gaps, m, members)
+    def _from_mask(cls, members, frobenius):
+        """S from its members in [0, frobenius], g = frobenius a gap."""
+        full = _full(frobenius)
+        members &= full
+        gaps = tuple(_bits(full ^ members))
+        tail = members | ~full
+        m = (tail >> 1 & -(tail >> 1)).bit_length()
+        # A minimal generator x != m has x - m outside S: it lies in the
+        # Apery set of m. When such an x is a + b, a and b nonzero members,
+        # both lie in that set too, as a - m in S would put x - m in S.
+        apery = tail & ~(tail << m) & ~1
+        sums = 0
+        for a in _bits(apery):
+            sums |= apery << a
+        return cls((m, *_bits(apery & ~sums)), frobenius, gaps, m, members)
 
     @classmethod
     def from_gaps(cls, gapset) -> "NumericalSemigroup":
@@ -78,21 +84,15 @@ class NumericalSemigroup:
         frobenius = max(gapset)
         if 0 in gapset or min(gapset) < 1:
             raise InputError("gaps must be positive integers")
-        sieve = [x not in gapset for x in range(frobenius + 1)]
-        # closure check
-        for a in range(1, frobenius + 1):
-            if sieve[a]:
-                for b in range(a, frobenius + 1 - a):
-                    if sieve[b] and not sieve[a + b]:
-                        raise InputError(f"gap set {sorted(gapset)} is not co-semigroup")
-        return cls._from_sieve(sieve, frobenius)
+        holes = sum(1 << a for a in gapset)
+        members = _full(frobenius) ^ holes
+        for a in _bits(members)[1:]:
+            if members << a & holes:
+                raise InputError(f"gap set {sorted(gapset)} is not co-semigroup")
+        return cls._from_mask(members, frobenius)
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x > self.frobenius:
-            return True
-        return self._members[x]
+        return x >= 0 and (x > self.frobenius or self._members >> x & 1 == 1)
 
     @property
     def genus(self):
@@ -107,7 +107,7 @@ class NumericalSemigroup:
 
     def small_members(self):
         """Members in [0, frobenius]."""
-        return tuple(x for x in range(self.frobenius + 1) if self.contains(x))
+        return tuple(_bits(self._members))
 
     def adjoin_frobenius(self) -> "NumericalSemigroup":
         """The semigroup S with its Frobenius number adjoined."""
@@ -129,130 +129,105 @@ def semigroup(gens) -> NumericalSemigroup:
     return NumericalSemigroup.from_generators(gens)
 
 
+def _reflected(S: NumericalSemigroup) -> int:
+    """The mask of the x in [0, g] with g - x in S."""
+    return int(format(S._members, f"0{S.frobenius + 1}b")[::-1], 2)
+
+
 def is_pseudo_symmetric(S: NumericalSemigroup) -> bool:
     """g even and every gap a != g/2 has g - a in S."""
     g = S.frobenius
-    if g < 0 or g % 2:
-        return False
-    half = g // 2
-    return all(a == half or S.contains(g - a) for a in S.gaps)
+    return g >= 0 and g % 2 == 0 and S._members | _reflected(S) | 1 << g // 2 == _full(g)
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
     g = S.frobenius
-    if g < 0:
-        return True
-    return all(S.contains(g - a) for a in S.gaps)
+    return g < 0 or S._members | _reflected(S) == _full(g)
 
 
 class SemigroupIdeal:
     """Relative ideal of S in shifted normal form.
 
-    Represents shift + (small | (g, infinity)) where small is a subset of
-    [0, g] with minimum 0 that is stable under adding S.
+    Represents shift + (small | (g, infinity)) where small is the mask of a
+    subset of [0, g] that holds 0 and is stable under adding S.
     """
 
     __slots__ = ("sgp", "shift", "small")
 
-    def __init__(self, sgp: NumericalSemigroup, shift: int, small):
+    def __init__(self, sgp: NumericalSemigroup, shift: int, small: int):
         self.sgp = sgp
         self.shift = shift
-        self.small = frozenset(small)
+        self.small = small
 
     @classmethod
     def from_members(cls, sgp, members):
         """Build from an explicit member iterable; everything above
-        max(members considered) + g is implied. Members must already be an
-        ideal: the constructor validates stability under adding S."""
+        min(members) + g is implied. Members must already be an ideal: the
+        constructor validates stability under adding S."""
         members = sorted(set(members))
         if not members:
             raise InputError("an ideal must be nonempty")
         shift = members[0]
-        g = sgp.frobenius
-        small = frozenset(x - shift for x in members if x - shift <= g)
+        small = sum(1 << x - shift for x in members if x - shift <= sgp.frobenius)
         ideal = cls(sgp, shift, small)
         ideal._validate()
         return ideal
 
     def _validate(self):
-        g = self.sgp.frobenius
-        if 0 not in self.small:
-            raise InvariantError("normal form must contain 0")
-        for x in self.small:
-            for s in self.sgp.generators:
-                if x + s <= g and not (x + s in self.small):
-                    raise InvariantError(f"not an ideal: {x}+{s} missing")
+        holes = _full(self.sgp.frobenius) ^ self.small
+        for s in self.sgp.generators:
+            missing = self.small << s & holes
+            if missing:
+                raise InvariantError(f"not an ideal: {_bits(missing)[0] - s}+{s} missing")
 
     @classmethod
     def of_semigroup(cls, sgp):
         if sgp.frobenius < 1:
             raise InputError("ideal arithmetic needs a semigroup with gaps")
-        return cls(sgp, 0, frozenset(sgp.small_members()))
+        return cls(sgp, 0, sgp._members)
 
     def contains(self, x: int) -> bool:
         y = x - self.shift
-        if y < 0:
-            return False
-        if y > self.sgp.frobenius:
-            return True
-        return y in self.small
+        return y >= 0 and (y > self.sgp.frobenius or self.small >> y & 1 == 1)
 
     def members_upto(self, bound: int):
-        return tuple(x for x in range(self.shift, bound + 1) if self.contains(x))
+        top = self.shift + self.sgp.frobenius
+        low = tuple(self.shift + y for y in _bits(self.small) if self.shift + y <= bound)
+        return low + tuple(range(top + 1, bound + 1))
 
     def normalize(self) -> "SemigroupIdeal":
-        m = min(self.small)
-        if self.shift == 0 and m == 0:
-            return self
-        if m == 0:
-            return SemigroupIdeal(self.sgp, 0, self.small)
-        # re-anchor: members shift down by m, high part fills in
-        g = self.sgp.frobenius
-        members = [x - m for x in self.small] + list(range(g + 1 - m, g + 1))
-        return SemigroupIdeal(self.sgp, 0, frozenset(x for x in members if 0 <= x <= g))
+        return self if self.shift == 0 else SemigroupIdeal(self.sgp, 0, self.small)
 
     def translate(self, k: int) -> "SemigroupIdeal":
         return SemigroupIdeal(self.sgp, self.shift + k, self.small)
 
+    def _tail(self):
+        """small with every bit above g set."""
+        return self.small | ~_full(self.sgp.frobenius)
+
+    def _anchored(self, base, tail):
+        """The ideal base + tail, for a nonzero mask with an infinite tail."""
+        m = (tail & -tail).bit_length() - 1
+        return SemigroupIdeal(self.sgp, base + m, tail >> m & _full(self.sgp.frobenius))
+
     def intersect(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         if self.sgp != other.sgp:
             raise InputError("ideals over different semigroups")
-        g = self.sgp.frobenius
-        top = max(self.shift, other.shift) + g
-        members = [
-            x
-            for x in range(max(self.shift, other.shift), top + 1)
-            if self.contains(x) and other.contains(x)
-        ]
-        # above top both ideals contain everything
-        shift = members[0] if members else top + 1
-        small = set(x - shift for x in members if x - shift <= g)
-        small.update(range(max(top + 1 - shift, 0), g + 1))
-        return SemigroupIdeal(self.sgp, shift, frozenset(small))
+        low = min(self.shift, other.shift)
+        meet = (self._tail() << self.shift - low) & (other._tail() << other.shift - low)
+        return self._anchored(low, meet)
 
     def colon(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
-        """(self : other) = {z : z + other within self}."""
+        """(self : other) = {z : z + other within self}. Relative to
+        self.shift - other.shift, z must send each f in other.small into
+        self; the members of other above g then land above g too."""
         if self.sgp != other.sgp:
             raise InputError("ideals over different semigroups")
-        g = self.sgp.frobenius
-        base = self.shift - other.shift
-        # relative to normalized operands, candidates live in [0, g+1]
-        members = []
-        o_small = sorted(other.small)
-        for z in range(0, g + 2):
-            ok = True
-            for f in o_small:
-                target = z + f
-                if target <= g and target not in self.small:
-                    ok = False
-                    break
-            if ok:
-                members.append(z)
-        m0 = members[0]
-        small = set(z - m0 for z in members if z - m0 <= g)
-        # everything beyond the scan window [0, g+1] satisfies the colon
-        small.update(range(max(g + 2 - m0, 0), g + 1))
-        return SemigroupIdeal(self.sgp, base + m0, frozenset(small))
+        tail = self._tail()
+        meet = -1
+        for f in _bits(other.small):
+            meet &= tail >> f
+        return self._anchored(self.shift - other.shift, meet)
 
     def v_closure(self) -> "SemigroupIdeal":
         S = SemigroupIdeal.of_semigroup(self.sgp)
@@ -274,18 +249,17 @@ class SemigroupIdeal:
 
     def __repr__(self):
         g = self.sgp.frobenius
-        return f"SemigroupIdeal({sorted(self.shift + x for x in self.small)}+>{self.shift + g})"
+        return f"SemigroupIdeal({[self.shift + x for x in _bits(self.small)]}+>{self.shift + g})"
 
 
 def canonical_ideal(S: NumericalSemigroup) -> SemigroupIdeal:
     """S together with every x in N whose reflection g - x misses S."""
-    g = S.frobenius
-    members = [x for x in range(g + 1) if S.contains(x) or not S.contains(g - x)]
-    return SemigroupIdeal(S, 0, frozenset(members))
+    return SemigroupIdeal(S, 0, S._members | (_full(S.frobenius) ^ _reflected(S)))
 
 
 def maximal_ideal(S: NumericalSemigroup) -> SemigroupIdeal:
-    members = [x for x in range(1, 2 * S.frobenius + 3) if S.contains(x)]
+    g = S.frobenius
+    members = _bits(S._members)[1:] + list(range(g + 1, g + S.multiplicity + 1))
     return SemigroupIdeal.from_members(S, members)
 
 
@@ -321,44 +295,39 @@ def pseudo_frobenius_pair(S: NumericalSemigroup):
 
 def enumerate_ideals(S: NumericalSemigroup, max_count: int | None = 4096):
     """All normalized ideals E with S within E within N, in a deterministic
-    order (subsets of the gap set, binary counting over sorted gaps)."""
-    gaps = S.gaps
-    total = 2 ** len(gaps)
+    order (by their sorted member lists)."""
+    total = 2 ** len(S.gaps)
     check_budget(total, max_count, "{} candidate ideals exceed budget {}")
-    small_s = frozenset(S.small_members())
-    g = S.frobenius
+    full = _full(S.frobenius)
+    gapmask = full ^ S._members
     out = []
-    for mask in range(total):
-        extra = [gaps[i] for i in range(len(gaps)) if mask >> i & 1]
-        members = small_s | set(extra)
-        ok = True
-        for x in extra:
-            for s in S.generators:
-                if x + s <= g and x + s not in members:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(SemigroupIdeal(S, 0, frozenset(members)))
-    out.sort(key=lambda e: tuple(sorted(e.small)))
+    extra = gapmask
+    while True:  # every subset of the gaps, as a submask
+        members = S._members | extra
+        holes = full ^ members
+        if not any(members << s & holes for s in S.generators):
+            out.append(SemigroupIdeal(S, 0, members))
+        if not extra:
+            break
+        extra = extra - 1 & gapmask
+    out.sort(key=lambda e: _bits(e.small))
     return out
 
 
-def _pair_results(ideals, index, g):
-    """pair (i, j) -> frozenset of ideal indices reachable as
+def _pair_results(ideals, g):
+    """pair (i, j) -> mask of the ideal indices reachable as
     normalize(E_i meet (E_j + k)) for shifts k in [0, g+1]."""
+    index = {e.small: i for i, e in enumerate(ideals)}
     table = {}
     for i, ei in enumerate(ideals):
         for j, ej in enumerate(ideals):
-            hits = set()
+            hits = 0
             for k in range(0, g + 2):
-                res = ei.intersect(ej.translate(k)).normalize()
-                idx = index.get(res)
+                idx = index.get(ei.intersect(ej.translate(k)).small)
                 if idx is None:
                     raise InvariantError("normalized intersection escaped the ideal list")
-                hits.add(idx)
-            table[(i, j)] = frozenset(hits)
+                hits |= 1 << idx
+            table[(i, j)] = hits
     return table
 
 
@@ -370,47 +339,44 @@ def enumerate_stars(S: NumericalSemigroup, max_count: int | None = 4096):
     indices into the ideals list.
     """
     ideals = enumerate_ideals(S, max_count)
-    index = {e: i for i, e in enumerate(ideals)}
     g = max(S.frobenius, 0)
-    table = _pair_results(ideals, index, g)
-    base = frozenset(i for i, e in enumerate(ideals) if e.is_divisorial())
+    table = _pair_results(ideals, g)
+    base = sum(1 << i for i, e in enumerate(ideals) if e.is_divisorial())
 
-    # the pairs of x and y in either order, as tuples, so that a member
+    # the pairs of x and y in either order, as masks, so that a member
     # joining fires each of its pairs once
     rules = [
-        [tuple(table[(x, y)] | table[(y, x)]) for y in range(len(ideals))]
+        [table[(x, y)] | table[(y, x)] for y in range(len(ideals))]
         for x in range(len(ideals))
     ]
 
-    def close(fam, new):
-        """The closed family fam with the indices in new joined: each index
+    def close(fam, todo):
+        """The closed family fam with the indices in todo joined: each index
         joins once and fires its pairs with every member so far, itself
         included, so no pair inside fam is scanned again."""
-        fam = set(fam)
-        todo = list(new)
+        todo &= ~fam
         while todo:
-            x = todo.pop()
-            if x in fam:
-                continue
-            fam.add(x)
+            x = todo.bit_length() - 1
+            fam |= 1 << x
             row = rules[x]
-            for y in fam:
-                todo.extend(row[y])
-        return frozenset(fam)
+            for y in _bits(fam):
+                todo |= row[y]
+            todo &= ~fam
+        return fam
 
-    base = close((), base)
+    base = close(0, base)
     seen = {base}
     frontier = [base]
     while frontier:
         nxt = []
         for fam in frontier:
             for i in range(len(ideals)):
-                if i not in fam:
-                    bigger = close(fam, (i,))
+                if not fam >> i & 1:
+                    bigger = close(fam, 1 << i)
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
         frontier = nxt
-    families = sorted(tuple(sorted(f)) for f in seen)
+    families = sorted(tuple(_bits(f)) for f in seen)
     families.sort(key=lambda f: (len(f), f))
     return len(families), families, ideals

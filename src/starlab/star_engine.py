@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InputError, InvariantError, check_budget
-from .fq_linear import Subspace, unit_representatives
+from .fq_linear import Subspace, pivot_tail, unit_representatives
 from .ring_model import (
     DEFAULT_MAX_IDEALS,
     RingIdeal,
@@ -216,12 +216,7 @@ class ClosureTable:
         h = model.head_dim
         kern = model.field.packing
         part = ws.partition
-        kappa = []
-        for rep in part.reps:
-            k = h
-            while k and k - 1 in rep.head.pivots:
-                k -= 1
-            kappa.append(k)
+        kappa = [pivot_tail(rep.head) for rep in part.reps]
         # per orbit and shift k < h, one unit image per class of witnesses
         # mod t^(h-k); the representative, whose witness is 1, comes first
         # in its image map and stands for its class. The image maps hold

@@ -19,7 +19,7 @@ PINNED = json.loads((BENCH / "answers.json").read_text())
 # the digit-slot packed layout (q = 4), a counterexample verdict, a
 # closed-form count check, the n = 4 lab verdicts on the digit-slot and
 # bitsliced layouts, the lemma suite on the bitsliced layout, and the n = 6
-# certificate
+# certificate, and semigroup reports up to g = 89,699
 PINNED.update({
     "cli kunz subspace-orbits --n 4 --q 4":
         "1a4eaade0fe46526c5cfd06c0a5895ab4487dcfefbebd494d746f693cdea8c61",
@@ -39,6 +39,16 @@ PINNED.update({
         "5d5d808b077dc7c3d67b2945061bd6d6c203e3ce6b37f527211c98f03a9051cf",
     "cli kunz lower-bound --n 6 --q 2":
         "07f2ff7c4bbee0bdcec356ce9b7b1c1d0043d32b929e32550d31183c1b5f800a",
+    "cli sgp info --gens 4,5,7":
+        "cc7082f95bbc4f9ed2308eda7056390161b89f395f7b95fab4acbf1722a8779d",
+    "cli sgp info --gens 2,3":
+        "828da9aba250364428880ac898b2a01df31fdd45e7b9b9f1a91ae3ecce703135",
+    "cli sgp info --gens 5,6,7,9":
+        "9c85f0ed88aba9f66eae53ea9cebbf75a3b7a9157c0a5a7aab5fac814ef80f13",
+    "cli sgp info --gens 3,8,13":
+        "0f032837c3fa340d3dae7ae43677e00d4798d42fb77c36d3c65c149e243fc07d",
+    "cli sgp info --gens 300,301":
+        "46b72e8f0cf6279e6b93fec1e27036341e9b09e48bbe7860d0933f905f0ad34c",
 })
 
 

@@ -465,14 +465,20 @@ def test_field_poly_flag(capsys):
         (("ring", "enum-stars", "--gens", "4,5,7", "--q", "3", "--field-poly", "1,1,1"),
          "modulus"),
         (("kunz", "subspace-orbits", "--n", "4", "--q", "2", "--field-poly", "1,1"), "modulus"),
+        (("kunz", "lemmas", "--gens", "3,4,5", "--q", "2", "--field-poly", "1,1"),
+         "a modulus needs"),
+        (("kunz", "counterexample", "--gens", "3,4,5", "--q", "2", "--field-poly", "1,1"),
+         "a modulus needs"),
         (("ring", "enum-stars", "--gens", "4,5,7", "--q", "9", "--field-poly", "x,1,1"),
          "--field-poly"),
     ],
-    ids=["prime-q-stars", "prime-q-lab", "non-integer"],
+    ids=["prime-q-stars", "prime-q-lab", "prime-q-lemmas-gate", "prime-q-counterexample-gate",
+         "non-integer"],
 )
 def test_bad_field_poly_exit_2(capsys, argv, message):
-    # a modulus given with a prime q is bad input, not silently dropped, and
-    # a non-integer coefficient is refused when the flag is parsed
+    # a modulus given with a prime q is bad input, not silently dropped, even
+    # where the ring fails the hypothesis gate, and a non-integer coefficient
+    # is refused when the flag is parsed
     try:
         code = main(list(argv))
     except SystemExit as exc:

@@ -16,6 +16,8 @@ from starlab.numsgp import (
     semigroup,
 )
 
+from numsgp_reference import RefIdeal, RefSemigroup
+
 
 def all_semigroups_with_frobenius_upto(bound):
     """Every numerical semigroup whose Frobenius number is <= bound, by
@@ -29,6 +31,71 @@ def all_semigroups_with_frobenius_upto(bound):
             except InputError:
                 continue
     return out
+
+
+def assert_semigroup_matches(S, ref):
+    g = ref.frobenius
+    assert S.frobenius == g and S.gaps == ref.gaps and S.genus == len(ref.gaps)
+    assert S.multiplicity == ref.multiplicity and S.generators == ref.generators
+    assert all(S.contains(x) == ref.contains(x) for x in range(-2, 2 * g + 4))
+    assert is_symmetric(S) == ref.is_symmetric()
+    assert is_pseudo_symmetric(S) == ref.is_pseudo_symmetric()
+    assert canonical_ideal(S).members_upto(2 * g + 2) == ref.canonical_ideal().members_upto(
+        2 * g + 2
+    )
+    if ref.is_pseudo_symmetric() and len(ref.gaps) >= 4:
+        assert pseudo_frobenius_pair(S) == ref.witness_pair()
+
+
+def test_semigroups_match_reference():
+    # every gap set inside [1, 10], through from_gaps and through the
+    # minimal generators, against the bool-table semigroup
+    checked = 0
+    for r in range(1, 11):
+        for gapset in itertools.combinations(range(1, 11), r):
+            ref = RefSemigroup.from_gaps(set(gapset))
+            if ref is None:
+                with pytest.raises(InputError):
+                    NumericalSemigroup.from_gaps(gapset)
+                continue
+            assert_semigroup_matches(NumericalSemigroup.from_gaps(gapset), ref)
+            assert_semigroup_matches(semigroup(ref.generators), ref)
+            checked += 1
+    assert checked == 79
+    for gens in ((60, 61), (100, 101, 103)):
+        assert_semigroup_matches(semigroup(gens), RefSemigroup.from_generators(gens))
+
+
+def test_ideal_arithmetic_matches_reference():
+    # every ordered pair of ideals of every semigroup with g <= 7, the
+    # second translated by 0, 1 and 3, against the frozenset arithmetic
+    def same(E, ref):
+        low = E.members_upto(E.shift + E.sgp.frobenius)
+        return E.shift == ref.shift and low == tuple(sorted(ref.shift + x for x in ref.small))
+
+    for S in all_semigroups_with_frobenius_upto(7):
+        g = S.frobenius
+        if g < 1:
+            continue
+        ref_S = RefSemigroup.from_gaps(set(S.gaps))
+        ideals = enumerate_ideals(S)
+        # the ideals by definition: S with a set of gaps that adding a
+        # generator keeps inside
+        expected = []
+        for r in range(len(S.gaps) + 1):
+            for extra in itertools.combinations(S.gaps, r):
+                members = set(ref_S.ideal().small) | set(extra)
+                if all(x + s > g or x + s in members for x in members for s in S.generators):
+                    expected.append(tuple(sorted(members)))
+        assert [E.members_upto(g) for E in ideals] == sorted(expected)
+        refs = [RefIdeal(ref_S, 0, E.members_upto(g)) for E in ideals]
+        for (E, ref_E), (F, ref_F) in itertools.product(zip(ideals, refs), repeat=2):
+            for k in (0, 1, 3):
+                Fk, ref_Fk = F.translate(k), ref_F.translate(k)
+                assert same(Fk, ref_Fk) and same(Fk.normalize(), ref_Fk.normalize())
+                meet, ref_meet = E.intersect(Fk), ref_E.intersect(ref_Fk)
+                assert same(meet, ref_meet) and same(meet.normalize(), ref_meet.normalize())
+                assert same(E.colon(Fk), ref_E.colon(ref_Fk))
 
 
 def test_from_generators_457():

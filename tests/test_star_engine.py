@@ -11,6 +11,7 @@ from starlab.fq_linear import (
     field,
     field_from_order,
     packed_meet,
+    pivot_tail,
     unit_representatives,
 )
 from starlab.numsgp import semigroup
@@ -358,6 +359,7 @@ def test_closure_table_matches_reference(gens, q):
         for images in part.image_maps
     ]
     n = part.orbit_count
+    assert [pivot_tail(rep.head) for rep in part.reps] == [kappa(rep) for rep in part.reps]
     kinds = {
         classes[i][k] < classes[j][k]
         for i in range(n)
