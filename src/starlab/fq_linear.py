@@ -2,7 +2,8 @@
 
 Fields are table driven: elements are integer codes 0..q-1 (base-p digits of
 the residue polynomial for extension fields) and the add/mul tables are built
-once on construction, so everything downstream is pure table lookup.
+once on construction, by one builder for every field that fills each row
+from rows already built, so everything downstream is pure table lookup.
 Subspaces of K^n are kept in reduced row echelon form, which makes equality,
 hashing and orbit bookkeeping structural. Their rows are stored packed into
 Python ints by the field's `packing` (packed.py), and every elimination runs
@@ -52,16 +53,6 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, m, p):
     # m monic
     a = list(a)
@@ -77,7 +68,7 @@ def _poly_mod(a, m, p):
 
 
 def _is_irreducible(f, p):
-    """Monic f of degree e >= 1 over F_p, coefficient list, index = degree:
+    """Monic f of degree e >= 1 over F_p, coefficient sequence, index = degree:
     irreducible when no monic polynomial of degree 1..e//2 divides it."""
     return all(
         _poly_mod(f, list(tail) + [1], p)
@@ -96,6 +87,13 @@ class Field:
     Elements are integer codes 0..q-1. For e > 1 the code's base-p digits,
     least significant first, are the coefficients of the residue polynomial
     modulo the (monic, irreducible) modulus.
+
+    The tables read code c as c % p + x*(c // p). Row a of add is row a - 1
+    mapped through c -> c + 1 if a % p, else b -> b % p + p*add[a // p][b // p].
+    The digit multiples c*a, c < p, come by repeated addition, neg is the
+    one by p - 1 and sub[a][b] = add[a][neg[b]]. On a prime field they are
+    mul; otherwise b*a = b0*a + x*(B*a) for b = b0 + x*B, where x*a moves
+    a's digits up one place and folds the top one back through the modulus.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -127,71 +125,42 @@ class Field:
     @staticmethod
     def _smallest_irreducible(p, e):
         # Smallest integer code, digits little-endian, constant term first.
-        for m in range(p**e):
-            digits = []
-            x = m
-            for _ in range(e):
-                digits.append(x % p)
-                x //= p
-            f = digits + [1]
-            if _is_irreducible(list(f), p):
-                return tuple(f)
+        for digits in itertools.product(range(p), repeat=e):
+            f = digits[::-1] + (1,)
+            if _is_irreducible(f, p):
+                return f
         raise InvariantError(f"no irreducible polynomial of degree {e} over F_{p}")
 
-    def _code_to_poly(self, code):
-        digits = []
-        for _ in range(self.e):
-            digits.append(code % self.p)
-            code //= self.p
-        return digits
-
-    def _poly_to_code(self, poly):
-        code = 0
-        for c in reversed(poly):
-            code = code * self.p + c
-        return code
-
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.sub = [[(a - b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self.neg = [(-a) % p for a in range(p)]
-            self.inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            return
-        polys = [self._code_to_poly(c) for c in range(q)]
-        add = [[0] * q for _ in range(q)]
-        sub = [[0] * q for _ in range(q)]
-        for a in range(q):
-            pa = polys[a]
-            for b in range(q):
-                pb = polys[b]
-                add[a][b] = self._poly_to_code([(x + y) % p for x, y in zip(pa, pb)])
-                sub[a][b] = self._poly_to_code([(x - y) % p for x, y in zip(pa, pb)])
-        self.add = add
-        self.sub = sub
-        self.neg = [sub[0][a] for a in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        mod = list(self.modulus)
-        for a in range(q):
-            pa = _poly_trim(list(polys[a]))
-            for b in range(a, q):
-                pb = _poly_trim(list(polys[b]))
-                code = self._poly_to_code(_poly_mod(_poly_mul(pa, pb, p), mod, p))
-                mul[a][b] = code
-                mul[b][a] = code
-        self.mul = mul
-        inv = [0] * q
+        p, q = self.p, self.q
+        succ = [c - c % p + (c + 1) % p for c in range(q)]
+        add = [list(range(q))]
         for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
+            if a % p:
+                add.append([succ[c] for c in add[a - 1]])
             else:
+                high = add[a // p]
+                add.append([b % p + p * high[b // p] for b in range(q)])
+        scaled = [[0] * q]
+        for _ in range(1, p):
+            scaled.append([add[c][a] for a, c in enumerate(scaled[-1])])
+        neg = scaled[p - 1]
+        mul = scaled[:]
+        if self.e > 1:
+            top = q // p
+            # x^e = -(modulus without its leading term)
+            xe = neg[sum(c * p**i for i, c in enumerate(self.modulus[:-1]))]
+            xtimes = [add[a % top * p][scaled[a // top][xe]] for a in range(q)]
+            for b in range(p, q):
+                low, high = scaled[b % p], mul[b // p]
+                mul.append([add[low[a]][xtimes[high[a]]] for a in range(q)])
+        inv = [0]
+        for a in range(1, q):
+            if 1 not in mul[a]:
                 raise InvariantError(f"no inverse for code {a}; modulus not irreducible?")
-        self.inv = inv
+            inv.append(mul[a].index(1))
+        self.add, self.mul, self.neg, self.inv = add, mul, neg, inv
+        self.sub = [[row[b] for b in neg] for row in add]
 
     @cached_property
     def packing(self):
@@ -234,10 +203,11 @@ def field(p: int, e: int = 1, modulus=None) -> Field:
 
 
 def field_from_order(q: int, modulus=None) -> Field:
-    """Return the field of order q, factoring q as a prime power."""
+    """Return the field of order q, factoring q as a prime power; its prime
+    is at most MAX_FIELD_ORDER, where the search stops."""
     if q < 2:
         raise InputError(f"field order {q} must be >= 2")
-    for p in range(2, q + 1):
+    for p in range(2, min(q, MAX_FIELD_ORDER) + 1):
         if q % p == 0:
             e = 0
             m = q
@@ -247,7 +217,7 @@ def field_from_order(q: int, modulus=None) -> Field:
             if m != 1:
                 raise InputError(f"{q} is not a prime power")
             return field(p, e, modulus)
-    raise InputError(f"{q} is not a prime power")
+    raise InputError(f"field order {q} exceeds supported maximum {MAX_FIELD_ORDER}")
 
 
 # ---------------------------------------------------------------------------

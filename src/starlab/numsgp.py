@@ -355,11 +355,13 @@ def enumerate_stars(S: NumericalSemigroup, max_count: int | None = 4096):
         joins once and fires its pairs with every member so far, itself
         included, so no pair inside fam is scanned again."""
         todo &= ~fam
+        members = _bits(fam)
         while todo:
             x = todo.bit_length() - 1
             fam |= 1 << x
+            members.append(x)
             row = rules[x]
-            for y in _bits(fam):
+            for y in members:
                 todo |= row[y]
             todo &= ~fam
         return fam

@@ -19,7 +19,8 @@ PINNED = json.loads((BENCH / "answers.json").read_text())
 # the digit-slot packed layout (q = 4), a counterexample verdict, a
 # closed-form count check, the n = 4 lab verdicts on the digit-slot and
 # bitsliced layouts, the lemma suite on the bitsliced layout, and the n = 6
-# certificate, and semigroup reports up to g = 89,699
+# certificate, semigroup reports up to g = 89,699, and labs, star counts
+# and a certificate over extension fields up to F_27 and F_125
 PINNED.update({
     "cli kunz subspace-orbits --n 4 --q 4":
         "1a4eaade0fe46526c5cfd06c0a5895ab4487dcfefbebd494d746f693cdea8c61",
@@ -49,6 +50,18 @@ PINNED.update({
         "0f032837c3fa340d3dae7ae43677e00d4798d42fb77c36d3c65c149e243fc07d",
     "cli sgp info --gens 300,301":
         "46b72e8f0cf6279e6b93fec1e27036341e9b09e48bbe7860d0933f905f0ad34c",
+    "cli kunz subspace-orbits --n 4 --q 8":
+        "32bf2453ebb28d2b68da68d76bc74dee10e8fc13bf83dc4d0659694bfd466345",
+    "cli kunz subspace-orbits --n 4 --q 9 --field-poly 2,1,1":
+        "a9752f149f5ec9e49850610a8aec918930a86af71b86f93474cb1a4d6e06f263",
+    "cli kunz subspace-orbits --n 3 --q 125":
+        "e903b7a2dcf25671963305950dbdce2ff9c112c9bca7e3456d8c1cb45d03981d",
+    "cli ring enum-stars --gens 3,4,5 --q 16":
+        "882e700ff41afa41596737971aa5a1a6ae3a3428d110836152818a62d2cba727",
+    "cli ring enum-stars --gens 3,4,5 --q 27":
+        "8075a7f49a5a5159edb1e65d6cbed0ef22e5a74671fcff3a82e412627013f111",
+    "cli kunz lower-bound --n 4 --q 8":
+        "478cb58d9cb2f732492594cec9828cfb8b8fe0a482741a34e0382e825ceaf9bd",
 })
 
 

@@ -212,6 +212,17 @@ def test_lower_bound_budget_exits_before_the_model():
     assert seconds < 5
 
 
+def test_large_prime_order_exits_2():
+    # a q with no prime factor up to 512 is refused without trial division
+    # by every p up to q
+    proc, _ = run_subprocess(
+        "kunz", "subspace-orbits", "--n", "3", "--q", "1000000007", "--timeout-s", "5"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "field order 1000000007 exceeds supported maximum 512" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["enum-ideals", "enum-stars"])
 @pytest.mark.parametrize(
     "argv,message",

@@ -22,6 +22,7 @@ from starlab.fq_linear import (
 )
 
 import subspaces
+from field_reference import reference_tables
 from subspaces import enumerate_subspaces
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
@@ -46,14 +47,25 @@ def test_nonprime_characteristic_rejected():
 def test_field_from_order():
     assert field_from_order(9).q == 9
     assert field_from_order(8).q == 8
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not a prime power"):
         field_from_order(6)
+    # no prime factor up to the largest supported order: 521*523 and a
+    # prime, refused without trial division up to q
+    for q in (272483, 1000000007):
+        with pytest.raises(InputError, match=f"field order {q} exceeds supported maximum 512"):
+            field_from_order(q)
 
 
-@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+# the largest prime and the largest prime power supported; the reference
+# tables of F_512 take seconds to build, so only the axioms check them
+LARGE_FIELDS = [(509, 1), (2, 9)]
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS + LARGE_FIELDS)
 def test_field_axioms_exhaustive(p, e):
-    f = field(p, e)
+    f = fq_linear.Field(p, e)
     q = f.q
+    c = q - 1
     for a in range(q):
         assert f.add[a][0] == a
         assert f.mul[a][1] == a
@@ -61,9 +73,44 @@ def test_field_axioms_exhaustive(p, e):
         if a:
             assert f.mul[a][f.inv[a]] == 1
     for a in range(q):
+        add_a, mul_a = f.add[a], f.mul[a]
         for b in range(q):
-            assert f.add[a][b] == f.add[b][a]
-            assert f.mul[a][b] == f.mul[b][a]
+            assert add_a[b] == f.add[b][a]
+            assert mul_a[b] == f.mul[b][a]
+            assert f.add[f.sub[a][b]][b] == a
+            assert mul_a[f.add[b][c]] == f.add[mul_a[b]][mul_a[c]]
+            assert f.mul[mul_a[b]][c] == mul_a[f.mul[b][c]]
+
+
+PRIMES = [p for p in range(2, 512) if all(p % d for d in range(2, p))]
+# every prime power up to 256, and larger primes up to 509
+REFERENCE_FIELDS = sorted((p, e) for p in PRIMES for e in range(1, 9) if p**e <= 256) + [
+    (257, 1), (331, 1), (509, 1)
+]
+
+
+@pytest.mark.parametrize("p,e", REFERENCE_FIELDS, ids=[f"q{p**e}" for p, e in REFERENCE_FIELDS])
+def test_tables_match_reference(p, e):
+    f = fq_linear.Field(p, e)
+    assert (f.add, f.sub, f.mul, f.neg, f.inv) == reference_tables(f)
+
+
+# the number of monic irreducible polynomials of degree e over F_p
+IRREDUCIBLE_COUNTS = {(2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6, (3, 2): 3, (3, 3): 8,
+                      (5, 2): 10, (7, 2): 21}
+
+
+@pytest.mark.parametrize("p,e", sorted(IRREDUCIBLE_COUNTS))
+def test_tables_match_reference_on_every_modulus(p, e):
+    moduli = [
+        tail + (1,)
+        for tail in itertools.product(range(p), repeat=e)
+        if fq_linear._is_irreducible(list(tail) + [1], p)
+    ]
+    assert len(moduli) == IRREDUCIBLE_COUNTS[(p, e)]
+    for modulus in moduli:
+        f = fq_linear.Field(p, e, modulus)
+        assert (f.add, f.sub, f.mul, f.neg, f.inv) == reference_tables(f), modulus
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
