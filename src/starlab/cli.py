@@ -25,7 +25,6 @@ import signal
 import sys
 import time
 
-from . import __version__
 from .errors import BudgetError, DeadlineError, GateError, InputError, InvariantError
 from .fq_linear import field_from_order
 from .kunz_lab import (
@@ -111,7 +110,7 @@ def _ring_model(args):
 
 def cmd_ring_enum_ideals(args):
     model = _ring_model(args)
-    ideals = enumerate_ideals(model, args.max_ideals)
+    ideals = enumerate_ideals(model)
     listing = []
     for I in ideals:
         entry = {
@@ -226,28 +225,49 @@ def render_md(envelope) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "md": render_md}
 
 
-def _cache_key(inp):
+def _engine_digest():
+    """sha256 of the package's own .py sources, in name order: entries are
+    keyed on it, so a cache replays only results of the same engine code."""
     import hashlib  # only --cache-dir needs it
 
-    blob = json.dumps({"engine": __version__, "input": inp}, sort_keys=True)
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                source = fh.read()
+            digest.update(b"%s %d\n" % (name.encode(), len(source)) + source)
+    return digest.hexdigest()
+
+
+def _cache_key(engine, inp):
+    import hashlib
+
+    blob = json.dumps({"engine": engine, "input": inp}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_load(cache_dir, key):
-    path = os.path.join(cache_dir, key + ".json")
-    if not os.path.exists(path):
-        return None
+def _cache_load(cache_dir, key, engine):
+    """The stored entry, or None for a miss: a missing or unreadable file,
+    an entry of another engine, or one not shaped as _cache_store writes it
+    (input, results and verdicts dicts, verdicts strings). A miss is
+    recomputed and its entry overwritten."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.path.join(cache_dir, key + ".json"), "r", encoding="utf-8") as fh:
             stored = json.load(fh)
     except (OSError, ValueError):
         return None
-    if stored.get("engine") != __version__:
+    if not (
+        isinstance(stored, dict)
+        and stored.get("engine") == engine
+        and all(isinstance(stored.get(part), dict) for part in ("input", "results", "verdicts"))
+        and all(isinstance(v, str) for v in stored["verdicts"].values())
+    ):
         return None
     return stored
 
 
-def _cache_store(cache_dir, key, inp, results, verdicts):
+def _cache_store(cache_dir, key, entry):
     """Write the entry to a temporary file beside it, then rename it into
     place, so an interrupted store never leaves a truncated entry."""
     import tempfile
@@ -256,37 +276,45 @@ def _cache_store(cache_dir, key, inp, results, verdicts):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=key + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"engine": __version__, "input": inp, "results": results, "verdicts": verdicts},
-                fh,
-            )
+            json.dump(entry, fh)
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-# (group, subcommand) -> the command, which returns a KunzReport. The kunz
-# entries look their function up when called, so a wrapper installed on this
-# module's global (the perfbench tracer's) is the one that runs.
+# (group, subcommand) -> (its flags beyond the common ones, among them only
+# the caps it honours, "q" being --q and --field-poly; the command, which
+# returns a KunzReport). The parser is built from it. The kunz entries look
+# their function up when called, so a wrapper installed on this module's
+# global (the perfbench tracer's) is the one that runs.
 COMMANDS = {
-    ("sgp", "info"): cmd_sgp_info,
-    ("ring", "enum-ideals"): cmd_ring_enum_ideals,
-    ("ring", "enum-stars"): cmd_ring_enum_stars,
-    ("kunz", "counterexample"): lambda a: verify_counterexample(
-        _parse_gens(a.gens), a.q, a.max_ideals, a.max_orbits, a.jobs, a.field_poly
+    ("sgp", "info"): (("gens",), cmd_sgp_info),
+    ("ring", "enum-ideals"): (("gens", "q", "max-ideals"), cmd_ring_enum_ideals),
+    ("ring", "enum-stars"): (("gens", "q", "max-ideals", "max-orbits"), cmd_ring_enum_stars),
+    ("kunz", "counterexample"): (
+        ("gens", "q", "max-ideals", "max-orbits"),
+        lambda a: verify_counterexample(
+            _parse_gens(a.gens), a.q, a.max_ideals, a.max_orbits, a.jobs, a.field_poly
+        ),
     ),
-    ("kunz", "formula-check"): lambda a: formula_check(
-        a.q, 4 if a.n is None else a.n, a.max_ideals, a.max_orbits, a.field_poly, a.jobs
+    ("kunz", "formula-check"): (
+        ("q", "n", "max-ideals", "max-orbits"),
+        lambda a: formula_check(
+            a.q, 4 if a.n is None else a.n, a.max_ideals, a.max_orbits, a.field_poly, a.jobs
+        ),
     ),
-    ("kunz", "lower-bound"): lambda a: lower_bound_certificate(
-        _required_n(a), a.q, a.max_ideals, a.field_poly
+    ("kunz", "lower-bound"): (
+        ("q", "n", "max-ideals"),
+        lambda a: lower_bound_certificate(_required_n(a), a.q, a.max_ideals, a.field_poly),
     ),
-    ("kunz", "subspace-orbits"): lambda a: subspace_lab(
-        _required_n(a), a.q, a.max_ideals, a.field_poly
-    )[0],
-    ("kunz", "lemmas"): lambda a: structure_report(
-        _parse_gens(a.gens), a.q, a.max_ideals, a.field_poly
+    ("kunz", "subspace-orbits"): (
+        ("q", "n", "max-ideals"),
+        lambda a: subspace_lab(_required_n(a), a.q, a.max_ideals, a.field_poly)[0],
+    ),
+    ("kunz", "lemmas"): (
+        ("gens", "q", "max-ideals"),
+        lambda a: structure_report(_parse_gens(a.gens), a.q, a.max_ideals, a.field_poly),
     ),
 }
 
@@ -322,11 +350,15 @@ def build_parser():
         description="Star-operation computations on finite models of semigroup rings.",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    def add_common(p, gens=False, q=False, n=False, ideals=True, orbits=False):
-        if gens:
+    groups = {}
+    for (group, name), (flags, _) in COMMANDS.items():
+        if group not in groups:
+            parser_of_group = sub.add_parser(group)
+            groups[group] = parser_of_group.add_subparsers(dest=group + "_command", required=True)
+        p = groups[group].add_parser(name)
+        if "gens" in flags:
             p.add_argument("--gens", required=True, help="comma-separated generators")
-        if q:
+        if "q" in flags:
             p.add_argument("--q", type=int, required=True, help="residue field order")
             p.add_argument(
                 "--field-poly",
@@ -334,14 +366,13 @@ def build_parser():
                 help="explicit modulus for q = p^e with e >= 2, comma-separated"
                 " integer coefficients, constant term first",
             )
-        if n:
+        if "n" in flags:
             p.add_argument("--n", type=int, help="family parameter n")
         p.add_argument("--out", choices=("json", "csv", "md"), default="json")
         p.add_argument("--cache-dir", default=os.environ.get("STARLAB_CACHE_DIR"))
-        # each command takes only the caps it honours
-        if ideals:
+        if "max-ideals" in flags:
             p.add_argument("--max-ideals", type=_whole(0), default=DEFAULT_MAX_IDEALS)
-        if orbits:
+        if "max-orbits" in flags:
             p.add_argument("--max-orbits", type=_whole(0), default=DEFAULT_MAX_ORBITS)
         p.add_argument("--timeout-s", type=_seconds, default=0)
         p.add_argument("--jobs", type=_whole(1), default=os.cpu_count() or 1)
@@ -350,27 +381,6 @@ def build_parser():
             action="store_true",
             help="populate timings_ms (breaks byte-for-byte reproducibility)",
         )
-
-    sgp = sub.add_parser("sgp").add_subparsers(dest="sgp_command", required=True)
-    p = sgp.add_parser("info")
-    add_common(p, gens=True, ideals=False)
-
-    ring = sub.add_parser("ring").add_subparsers(dest="ring_command", required=True)
-    p = ring.add_parser("enum-ideals")
-    add_common(p, gens=True, q=True)
-    p = ring.add_parser("enum-stars")
-    add_common(p, gens=True, q=True, orbits=True)
-
-    kunz = sub.add_parser("kunz").add_subparsers(dest="kunz_command", required=True)
-    for name, needs_gens, needs_n, caps_orbits in (
-        ("counterexample", True, False, True),
-        ("formula-check", False, True, True),
-        ("lower-bound", False, True, False),
-        ("subspace-orbits", False, True, False),
-        ("lemmas", True, False, False),
-    ):
-        p = kunz.add_parser(name)
-        add_common(p, gens=needs_gens, q=True, n=needs_n, orbits=caps_orbits)
     return parser
 
 
@@ -390,6 +400,7 @@ def main(argv=None) -> int:
         cache_hit = None
         inp = None
         if args.cache_dir:
+            engine = _engine_digest()
             # probe with a provisional input key built from raw arguments
             probe = {
                 "group": args.group,
@@ -399,8 +410,8 @@ def main(argv=None) -> int:
                     if k not in ("out", "cache_dir", "jobs", "timings", "timeout_s")
                 ),
             }
-            key = _cache_key(probe)
-            cache_hit = _cache_load(args.cache_dir, key)
+            key = _cache_key(engine, probe)
+            cache_hit = _cache_load(args.cache_dir, key, engine)
         if cache_hit is not None:
             inp, results, verdicts = (
                 cache_hit["input"],
@@ -408,10 +419,11 @@ def main(argv=None) -> int:
                 cache_hit["verdicts"],
             )
         else:
-            report = COMMANDS[args.group, getattr(args, args.group + "_command")](args)
+            report = COMMANDS[args.group, getattr(args, args.group + "_command")][1](args)
             inp, results, verdicts = report.input, report.results, report.verdicts
             if args.cache_dir:
-                _cache_store(args.cache_dir, key, inp, results, verdicts)
+                entry = {"engine": engine, "input": inp, "results": results, "verdicts": verdicts}
+                _cache_store(args.cache_dir, key, entry)
         timings = {}
         if args.timings:
             timings["total"] = int((time.monotonic() - started) * 1000)

@@ -215,15 +215,6 @@ class RingIdeal:
             return False
         return self.contains_packed(other_head.packed)
 
-    def contains_subspace(self, sub: Subspace) -> bool:
-        """Whether sub, a subspace of K^(g+1) or of A_N, lies inside the
-        ideal. Its rows are read mod t^(g+1); in echelon form, the rows that
-        vanish there, which lie in the conductor, come last."""
-        h = self.model.head_dim
-        truncate = self.model.field.packing.truncate
-        heads = sub.packed[: bisect_left(sub.pivots, h)]
-        return self.contains_packed(truncate(r, h) for r in heads)
-
     def contains_packed(self, rows) -> bool:
         """Whether vectors of K^(g+1), packed by the field (packed.py), all
         lie in the head: each reduces to zero against the head's entries."""
@@ -232,14 +223,9 @@ class RingIdeal:
         reduce, support = kern.reduce, kern.support
         return not any(support(reduce(r, entries)) for r in rows)
 
-    def contains_vector(self, vec) -> bool:
-        """Whether vec, a packed element of A_N, lies in the ideal."""
-        truncate = self.model.field.packing.truncate
-        return self.contains_packed((truncate(vec, self.model.head_dim),))
-
     def in_f0(self) -> bool:
         """R <= I <= V, i.e. the ideal contains 1 (stability is built in)."""
-        return self.contains_vector(self.model.monomial(0))
+        return self.contains_packed((self.model.monomial(0),))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -410,12 +396,22 @@ def check_ideal_budget(sgp: NumericalSemigroup, q: int, max_count: int | None):
     """Raise BudgetError when F_0 of a ring with value semigroup sgp over
     F_q has more candidates than max_count: one per subspace of the gap
     coordinates, the space the search for F_0 runs in. Needs no model, so
-    a caller may check it before building one."""
+    a caller may check it before building one.
+
+    The subspaces of dimension floor(genus/2) alone number at least q^E,
+    E = floor(genus^2/4), so a cap of at most E*floor(log2 q) bits is
+    exceeded. Past 2^20 such bits the exact count, an integer of millions
+    of bits, takes minutes to hours, and the bound is reported instead."""
+    bits = sgp.genus**2 // 4 * (q.bit_length() - 1)
+    if bits > 1 << 20 and max_count is not None and max_count.bit_length() <= bits:
+        # max_count + 1 stands for the count: it is a lower bound on it
+        message = f"2^{bits} or more candidate ideals exceed budget {{1}}"
+        check_budget(max_count + 1, max_count, message)
     total = count_subspaces(sgp.genus, q)
     check_budget(total, max_count, "{} candidate ideals exceed budget {}")
 
 
-def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEALS):
+def enumerate_ideals(model: RingModel):
     """All of F_0: subspaces between the ring and V, stable under the ring.
 
     An ideal's head is the ring's head plus the lift of a subspace U of the
@@ -437,9 +433,9 @@ def enumerate_ideals(model: RingModel, max_count: int | None = DEFAULT_MAX_IDEAL
     The lifted rows and the ring's head rows have distinct pivots with
     entry 1, and each is zero left of its pivot, so merged by pivot they
     are already in echelon form, which `Packing.echelon` makes reduced.
-    Returned sorted by (dimension, canonical matrix).
+    Returned sorted by (dimension, canonical matrix). Callers check the
+    ideal budget first (`check_ideal_budget`).
     """
-    check_ideal_budget(model.sgp, model.field.q, max_count)
     field = model.field
     kern = field.packing
     reduce, shift, truncate, support = kern.reduce, kern.shift, kern.truncate, kern.support
@@ -524,7 +520,7 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     # v(y*r) > g for v(r) > 0. As R < T with length 1, R + K*y = T exactly
     # when y lies in T but not in R.
     y = model.monomial(g)
-    if not t_ideal.contains_vector(y) or R.contains_vector(y):
+    if not t_ideal.contains_packed((y,)) or R.contains_packed((y,)):
         raise InvariantError("the valuation-g element t^g does not lie in T outside R")
     model._cache["overring_ideal"] = t_ideal
     return t_ideal
@@ -568,9 +564,12 @@ def is_overring_stable(ideal: RingIdeal) -> bool:
 
     T = R + R*t^g, and I is R-stable and contains the conductor, so
     I * T = I + t^g * I: the test is whether t^g * r lies in I for every
-    row r of I.
+    row r of I. Conductor rows pass, and membership reads t^g * r mod t^(g+1).
     """
-    return ideal.contains_subspace(ideal.translate(ideal.model.sgp.frobenius))
+    model = ideal.model
+    h, g = model.head_dim, model.sgp.frobenius
+    kern = model.field.packing
+    return ideal.contains_packed(kern.truncate(kern.shift(r, g), h) for r in ideal.head.packed)
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,15 @@ DEFAULT_MAX_ORBITS = 512
 
 class RingWorkspace:
     """Shared per-model state: the ideal lattice, its orbit partition and,
-    lazily, the divisorial base family and the closure table."""
+    on first use, the divisorial base family, the containment order, the
+    closure table, the family classes and the unit action. Callers check
+    the ideal budget first (`workspace`)."""
 
-    def __init__(self, model: RingModel, max_ideals=DEFAULT_MAX_IDEALS):
+    def __init__(self, model: RingModel):
         self.model = model
-        self.ideals = enumerate_ideals(model, max_ideals)
+        self.ideals = enumerate_ideals(model)
         self.partition = unit_orbits(self.ideals)
-        self._above = None
-        self._table = None
         self._stars = None
-        self._unit_action = None
-        self._family_classes = None
 
     @cached_property
     def divisorial_ids(self) -> int:
@@ -79,23 +77,18 @@ class RingWorkspace:
     def orbit_id(self, ideal: RingIdeal) -> int:
         return self.partition.orbit_ids[self.ideal_id(ideal)]
 
+    @cached_property
     def above(self):
-        """The containment order of F_0: above()[a] is the bitmask of the
+        """The containment order of F_0: above[a] is the bitmask of the
         ideal indices b with ideals[b] containing ideals[a]."""
-        if self._above is None:
-            ideals = self.ideals
-            self._above = tuple(
-                sum(1 << b for b, J in enumerate(ideals) if J.contains(I))
-                for I in ideals
-            )
-        return self._above
+        ideals = self.ideals
+        return tuple(sum(1 << b for b, J in enumerate(ideals) if J.contains(I)) for I in ideals)
 
     # -- closure table ------------------------------------------------------
 
+    @cached_property
     def table(self) -> "ClosureTable":
-        if self._table is None:
-            self._table = ClosureTable.build(self)
-        return self._table
+        return ClosureTable.build(self)
 
     def family(self, ideals) -> int:
         """Bitmask of the orbit ids of the given ideals."""
@@ -108,7 +101,7 @@ class RingWorkspace:
         """Smallest valid closed family containing the orbit-id bitmask. Each
         orbit x joins once and ORs in the rules of x against every member so
         far, x included, so each pair of members fires once (LinClosure)."""
-        rules = self.table().rules
+        rules = self.table.rules
         todo = mask | self.divisorial_ids
         fam = 0
         members = []
@@ -122,47 +115,37 @@ class RingWorkspace:
             todo &= ~fam
         return fam
 
+    @cached_property
     def family_classes(self):
         """(canonical-class orbit ids, T's orbit id, orbit ids of the
         non-divisorial T-stable ideals one dimension above T), the two sets
         as bitmasks: the orbit classes that classify_family compares
         families against."""
-        if self._family_classes is None:
-            model = self.model
-            reps = self.partition.reps
-            R = model.ring_ideal()
-            t_ideal = frobenius_overring_ideal(model)
-            stable = [is_overring_stable(rep) for rep in reps]
-            canonical_ids = sum(
-                1 << oid for oid, rep in enumerate(reps) if rep != R and not stable[oid]
-            )
-            dim2 = ~self.divisorial_ids & sum(
-                1 << oid
-                for oid, rep in enumerate(reps)
-                if rep.dim == t_ideal.dim + 1 and stable[oid]
-            )
-            self._family_classes = (canonical_ids, self.orbit_id(t_ideal), dim2)
-        return self._family_classes
+        model = self.model
+        reps = self.partition.reps
+        R = model.ring_ideal()
+        t_ideal = frobenius_overring_ideal(model)
+        stable = [is_overring_stable(rep) for rep in reps]
+        canonical_ids = sum(
+            1 << oid for oid, rep in enumerate(reps) if rep != R and not stable[oid]
+        )
+        dim2 = ~self.divisorial_ids & sum(
+            1 << oid for oid, rep in enumerate(reps) if rep.dim == t_ideal.dim + 1 and stable[oid]
+        )
+        return canonical_ids, self.orbit_id(t_ideal), dim2
 
     # -- unit action --------------------------------------------------------
 
+    @cached_property
     def unit_action(self):
-        """(packed units, table): table[unit index][ideal index] is the
-        ideal index of u*I when u*I stays in F_0, else None; used by the
-        exhaustive equivariance check."""
-        if self._unit_action is None:
-            model = self.model
-            # u * I depends on u mod t^(g+1) only
-            units = unit_representatives(model.field, model.head_dim)
-            table = []
-            for u in units:
-                row = []
-                for ideal in self.ideals:
-                    img = ideal.unit_image(u)
-                    row.append(self.partition.index.get(img))
-                table.append(tuple(row))
-            self._unit_action = (units, tuple(table))
-        return self._unit_action
+        """unit_action[u][a] is the ideal index of u*I for the u-th unit
+        representative and I = ideals[a] when u*I stays in F_0, else None;
+        used by the exhaustive equivariance check."""
+        model = self.model
+        index = self.partition.index
+        # u * I depends on u mod t^(g+1) only
+        units = unit_representatives(model.field, model.head_dim)
+        return tuple(tuple(index.get(I.unit_image(u)) for I in self.ideals) for u in units)
 
 
 def workspace(model: RingModel, max_ideals=DEFAULT_MAX_IDEALS) -> RingWorkspace:
@@ -171,7 +154,7 @@ def workspace(model: RingModel, max_ideals=DEFAULT_MAX_IDEALS) -> RingWorkspace:
     check_ideal_budget(model.sgp, model.field.q, max_ideals)
     ws = model._cache.get("workspace")
     if ws is None:
-        ws = RingWorkspace(model, max_ideals)
+        ws = RingWorkspace(model)
         model._cache["workspace"] = ws
     return ws
 
@@ -279,10 +262,6 @@ class StarOperation:
         self._mask = None
 
     @property
-    def model(self):
-        return self.ws.model
-
-    @property
     def mask(self) -> int:
         """Bitmask of the indices of the closed ideals of F_0."""
         if self._mask is None:
@@ -304,7 +283,7 @@ class StarOperation:
         """Closure map: the least closed member of F_0 containing the ideal.
         Closed ideals are intersection-stable and F_0 is sorted by dimension,
         so it is the lowest closed index above the ideal, below every other."""
-        above = self.ws.above()
+        above = self.ws.above
         hits = above[self.ws.ideal_id(ideal)] & self.mask
         if not hits:
             raise InvariantError("no closed ideal contains the argument")
@@ -418,7 +397,7 @@ def verify_star_axioms(star: StarOperation, full_unit_sweep: bool = False):
     Raises InvariantError on the first violation."""
     ws = star.ws
     model = ws.model
-    above = ws.above()
+    above = ws.above
     R = model.ring_ideal()
     if star.apply(R) != R:
         raise InvariantError("star does not fix the ring")
@@ -438,9 +417,7 @@ def verify_star_axioms(star: StarOperation, full_unit_sweep: bool = False):
                 raise InvariantError("star is not monotone")
     part = ws.partition
     if full_unit_sweep:
-        units, action = ws.unit_action()
-        for u_i in range(len(units)):
-            row = action[u_i]
+        for row in ws.unit_action:
             for j in range(len(ws.ideals)):
                 tj = row[j]
                 if tj is None:
@@ -473,7 +450,7 @@ def classify_family(ws: RingWorkspace, family: int) -> str:
         return "identity"
     if family == ws.divisorial_ids:
         return "divisorial"
-    canonical_ids, t_oid, dim2 = ws.family_classes()
+    canonical_ids, t_oid, dim2 = ws.family_classes
     if family == all_ids & ~canonical_ids:
         return "all_but_canonical_class"
     extra = family & ~ws.divisorial_ids

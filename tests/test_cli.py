@@ -212,6 +212,20 @@ def test_lower_bound_budget_exits_before_the_model():
     assert seconds < 5
 
 
+def test_huge_genus_budget_exits_without_the_count():
+    # the floor(g/2)-dimensional subspaces of the gap coordinates alone
+    # number at least q^(g^2/4), here 2^31220156 at genus 11,175; the exact
+    # count would take hours, so past 2^20 bits the bound is reported
+    proc, seconds = run_subprocess(
+        "ring", "enum-ideals", "--gens", "150,151", "--q", "2", "--timeout-s", "5"
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "budget exceeded: 2^31220156 or more candidate ideals exceed budget 100000\n"
+    )
+    assert seconds < 1
+
+
 def test_large_prime_order_exits_2():
     # a q with no prime factor up to 512 is refused without trial division
     # by every p up to q
@@ -345,7 +359,8 @@ def test_engine_error_exit_5(capsys, monkeypatch):
     def broken(args):
         raise InvariantError("closure map left the closed family")
 
-    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), broken)
+    sgp_flags, _ = cli.COMMANDS["sgp", "info"]
+    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), (sgp_flags, broken))
     code, out, err = run_cli(capsys, "sgp", "info", "--gens", "4,5,7")
     assert code == 5
     assert out == ""
@@ -356,14 +371,15 @@ def test_engine_error_exit_5(capsys, monkeypatch):
     def lookup(args):
         return {}["stars"]
 
-    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), lookup)
+    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), (sgp_flags, lookup))
     code, out, err = run_cli(capsys, "sgp", "info", "--gens", "4,5,7")
     assert code == 5
     assert out == ""
     assert err.splitlines() == ["engine error: KeyError: 'stars'"]
 
     # the kunz commands run from the same table
-    monkeypatch.setitem(cli.COMMANDS, ("kunz", "lemmas"), broken)
+    lemmas_flags, _ = cli.COMMANDS["kunz", "lemmas"]
+    monkeypatch.setitem(cli.COMMANDS, ("kunz", "lemmas"), (lemmas_flags, broken))
     code, out, err = run_cli(capsys, "kunz", "lemmas", "--gens", "4,5,7", "--q", "2")
     assert code == 5
     assert out == ""
@@ -455,6 +471,48 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert out3 == out1
 
 
+@pytest.mark.parametrize("damage", ["engine-only", "list", "int-verdict"])
+def test_damaged_cache_entry_is_a_miss(tmp_path, capsys, damage):
+    # a readable entry of the wrong shape is no engine bug: it is
+    # recomputed, printed as the uncached run prints it, and overwritten
+    argv = ["sgp", "info", "--gens", "4,5,7"]
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    _, expected, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *cached)[:2] == (0, expected)
+    (path,) = tmp_path.iterdir()
+    stored = json.loads(path.read_text())
+    damaged = {
+        "engine-only": {"engine": stored["engine"]},
+        "list": [1],
+        "int-verdict": dict(stored, verdicts={"gate": 3}),
+    }[damage]
+    path.write_text(json.dumps(damaged))
+    assert run_cli(capsys, *cached)[:2] == (0, expected)
+    assert json.loads(path.read_text()) == stored
+
+
+def test_cache_entry_of_other_engine_sources_is_not_replayed(tmp_path, capsys, monkeypatch):
+    # entries are keyed, and marked, by a digest of the package's sources,
+    # so a result that other engine code stored is recomputed, even when it
+    # sits under the current key
+    argv = ["sgp", "info", "--gens", "4,5,7"]
+    cached = [*argv, "--cache-dir", str(tmp_path)]
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_engine_digest", lambda: "other sources")
+    assert run_cli(capsys, *cached)[:2] == (0, expected)
+    (old,) = tmp_path.iterdir()
+    stale = json.loads(old.read_text())
+    assert stale["engine"] == "other sources"
+    stale["results"]["genus"] = -1
+    old.write_text(json.dumps(stale))
+    monkeypatch.undo()
+    assert run_cli(capsys, *cached)[:2] == (0, expected)
+    (new,) = set(tmp_path.iterdir()) - {old}
+    assert json.loads(new.read_text())["engine"] == cli._engine_digest()
+    new.write_text(json.dumps(stale))
+    assert run_cli(capsys, *cached)[:2] == (0, expected)
+
+
 def test_field_poly_flag(capsys):
     # two different irreducible moduli for F_9 give isomorphic fields, so
     # the star count must agree with the default choice
@@ -515,6 +573,6 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.json, "dump", dump_then_crash)
     with pytest.raises(KeyboardInterrupt):
-        cli._cache_store(str(tmp_path), "k", {}, {}, {})
+        cli._cache_store(str(tmp_path), "k", {})
     assert not (tmp_path / "k.json").exists()
     assert list(tmp_path.iterdir()) == []

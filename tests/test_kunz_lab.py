@@ -10,8 +10,8 @@ from starlab.kunz_lab import (
     family_index,
     family_semigroup,
     formula_check,
-    hypothesis_gate,
     lower_bound_certificate,
+    require_gate,
     residue_star_family,
     ring_model_for,
     star_count,
@@ -45,11 +45,11 @@ def test_family_semigroup_members():
 
 
 def test_gate_pass_and_fail():
-    assert hypothesis_gate([4, 5, 7], 2).results["gate"] == "pass"
-    r = hypothesis_gate([3, 4, 5], 2)
-    assert r.results["gate"] == "fail" and r.results["gap_count"] == 2
-    r2 = hypothesis_gate([2, 3], 2)
-    assert r2.results["gate"] == "fail" and not r2.results["pseudo_symmetric"]
+    require_gate([4, 5, 7], 2)
+    with pytest.raises(GateError, match=r"\(3, 4, 5\): pseudo_symmetric=True, gaps=2$"):
+        require_gate([3, 4, 5], 2)
+    with pytest.raises(GateError, match=r"\(2, 3\): pseudo_symmetric=False, gaps=1$"):
+        require_gate([2, 3], 2)
 
 
 @pytest.mark.parametrize(
@@ -68,6 +68,25 @@ def test_counterexample_census_q2(gens, count, t_gens, t_count):
     # g <= 10, each with its overring T = R + R*t^g; the sixth,
     # <6,7,8,9,11>, has over 98 million closed families
     report = verify_counterexample(list(gens), 2)
+    assert report.results["star_count"] == count
+    assert report.results["overring_generators"] == t_gens
+    assert report.results["overring_star_count"] == t_count
+    assert report.all_verified()
+
+
+@pytest.mark.parametrize(
+    "gens,count,t_gens,t_count",
+    [
+        ((3, 7, 11), 15, [3, 7, 8], 28),
+        ((3, 8, 13), 43, [3, 8, 10], 93),
+        pytest.param((4, 7, 9), 7821, [4, 7, 9, 10], 225548, marks=pytest.mark.slow),
+    ],
+    ids=["3-7-11", "3-8-13", "479"],
+)
+def test_counterexample_census_q3(gens, count, t_gens, t_count):
+    # the census at q = 3 beside <4,5,7>, whose counts test_formula_check_q3
+    # pins; <5,6,7,9>, with 6,711,562 closed families on T, is left out
+    report = verify_counterexample(list(gens), 3)
     assert report.results["star_count"] == count
     assert report.results["overring_generators"] == t_gens
     assert report.results["overring_star_count"] == t_count

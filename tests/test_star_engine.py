@@ -121,9 +121,7 @@ def test_generated_star_closure_criterion(m457, ws457):
         star_i = generated_star(I)
         for J in pool:
             oid = ws457.orbit_id(J)
-            unit_containment = any(
-                I.contains_subspace(image_head(m457, rows)) for rows in part.image_maps[oid]
-            )
+            unit_containment = any(I.contains_packed(rows) for rows in part.image_maps[oid])
             assert star_i.is_closed(J) == unit_containment, (I, J)
 
 
@@ -206,7 +204,7 @@ def ids_of(mask):
 def brute_force_families(ws):
     """Independent oracle: filter all divisorial-containing orbit-id subsets
     through the closure table instead of expanding closures."""
-    pair = ws.table().pair_classes
+    pair = ws.table.pair_classes
     div = ids_of(ws.divisorial_ids)
     nondiv = [o for o in range(ws.partition.orbit_count) if o not in div]
     families = set()
@@ -239,7 +237,7 @@ def test_star_families_subset_oracle_357_q3():
 
 def reference_close(ws, ids):
     """The set fixpoint: rescan every pair of members until nothing joins."""
-    pair = ws.table().pair_classes
+    pair = ws.table.pair_classes
     fam = set(ids) | ids_of(ws.divisorial_ids)
     changed = True
     while changed:
@@ -260,7 +258,7 @@ def test_close_fires_both_orders_and_self_pairs():
     pair[(0, 0)] = 1 << 1
     pair[(3, 2)] = 1 << 4
     pair[(5, 6)] = 1 << 7 | 1 << 8
-    ws = SimpleNamespace(table=lambda: ClosureTable(pair, 0), divisorial_ids=0)
+    ws = SimpleNamespace(table=ClosureTable(pair, 0), divisorial_ids=0)
     close = functools.partial(RingWorkspace.close, ws)
     assert close(1 << 0) == 0b11
     assert close(1 << 2 | 1 << 3) == 0b11100
@@ -337,8 +335,12 @@ def kappa(ideal):
         ((3, 5, 7), 5),
         ((3, 4, 5), 9),
         ((4, 5, 6, 7), 3),
+        # its reference takes about 16 s, on a tuple Zassenhaus meet per translate
+        pytest.param((4, 5, 7), 3, marks=pytest.mark.slow),
     ],
-    ids=["457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4", "357-q5", "345-q9", "4567-q3"],
+    ids=[
+        "457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4", "357-q5", "345-q9", "4567-q3", "457-q3"
+    ],
 )
 def test_closure_table_matches_reference(gens, q):
     # the containment skip, conductor-aware meet and head-only
@@ -394,7 +396,7 @@ def test_closure_table_matches_reference(gens, q):
                     assert normalized_translate_intersection(rep, shifted, k, image_sub) == ref
                     hits.add(ws.orbit_id(ref))
             expected[(i, j)] = sum(1 << oid for oid in hits)
-    assert ws.table().pair_classes == expected
+    assert ws.table.pair_classes == expected
     # the table's normalize-memo keys are packed rows of A_N: nothing past
     # t^N survives a translate
     keys = model._cache["normalize"]
@@ -426,7 +428,7 @@ def test_translates_from_kappa_lie_inside(unit_sweep):
             for image in set(by_unit.values()):
                 for k in range(kappa(I), h + 1):
                     shifted = image.translate(k)
-                    assert I.contains_subspace(shifted)
+                    assert all(subspaces.contains(I.sub, r) for r in shifted.rows)
                     found = normalized_translate_intersection(I, shifted, k, image.sub)
                     assert ws.orbit_id(found) == j
 
@@ -527,7 +529,7 @@ def test_containment_order_and_closure_map(gens):
     # ideals above the argument
     model = semigroup_ring_model(semigroup(list(gens)), F2)
     ws = workspace(model)
-    above = ws.above()
+    above = ws.above
     for a, I in enumerate(ws.ideals):
         for b, J in enumerate(ws.ideals):
             assert bool(above[a] >> b & 1) == J.contains(I)
@@ -567,7 +569,8 @@ def test_apply_rejects_a_family_that_is_not_intersection_stable(ws457, capsys, m
     def broken(args):
         star.apply(M)
 
-    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), broken)
+    flags, _ = cli.COMMANDS["sgp", "info"]
+    monkeypatch.setitem(cli.COMMANDS, ("sgp", "info"), (flags, broken))
     assert cli.main(["sgp", "info", "--gens", "4,5,7"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
