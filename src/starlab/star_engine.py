@@ -12,15 +12,20 @@ iterating all subsets).
 The closure data is tabulated once per model: for each ordered pair of orbit
 representatives (I, J), the orbit ids of normalize(I meet t^k*u*J) over the
 units u (from the precomputed orbit image maps) and the shifts k = 0..g+1.
-With h = g+1, two lemmas leave few of those meets to evaluate:
+With h = g+1 and kappa(I) the least k with t^k*V inside I, three lemmas
+leave few of those meets to evaluate:
 
-(A) When every column k..g is a pivot of I's head, t^k*u*J lies in t^k*V,
-    which lies in I, so the meet is t^k*u*J and normalizes into J's orbit.
-(B) For e = 1 mod t^(h-k) and y in t^k*u*J, e*y - y has valuation >= h, so
-    it lies in the conductor, inside I; hence I meet t^k*e*u*J is
-    e*(I meet t^k*u*J), and the orbit depends on u only mod t^(h-k).
+(A) For k >= kappa(I), t^k*u*J lies in t^k*V, inside I, so the meet is
+    t^k*u*J and normalizes into J's orbit.
+(B) The orbit depends on u only mod t^m, m = min(kappa(I) - k,
+    kappa(J) + k): for e = 1 mod t^(kappa(I)-k), (e-1)*t^k*u*J lies in
+    t^kappa(I)*V, inside I, so I meet t^k*e*u*J is e*(I meet t^k*u*J);
+    for e = 1 mod t^(kappa(J)+k), (e^-1 - 1)*z lies in t^k*u*J for every
+    z in I, so the meet is unchanged. As kappa(I) <= h, m <= h - k.
+(C) At k = 0, I meet u*J = u*(J meet u^-1*I), so the k = 0 orbits of
+    (I, J) and (J, I) are one set, met once per unordered pair.
 
-So each shift meets one unit image per class mod t^(h-k), taken on the side
+So each shift meets one unit image per class mod t^m, taken on the side
 with fewer classes: translates of images of J with I, or images u*I with
 t^k*J, which give the same orbits as the unit group is abelian.
 """
@@ -176,49 +181,60 @@ class ClosureTable:
     def build(cls, ws: RingWorkspace) -> "ClosureTable":
         """Entry (i, j) is the set of orbits of normalize(rep_i meet
         t^k*u*rep_j) over the units u and the shifts k = 0..g+1, h = g+1
-        the head width. Two lemmas leave few of those meets to evaluate.
+        the head width. Three lemmas leave few of those meets to evaluate.
 
         (A) Let kappa(I) be the least k with every column k..g a pivot of
-        I's head. For k >= kappa(rep_i) the translate lies in t^k*V, which
-        lies in rep_i, so it normalizes into orbit j. The entry therefore
-        starts as orbit j (k = g+1 always qualifies), and only the shifts
-        k < kappa(rep_i) are evaluated.
+        I's head, so that t^kappa(I)*V lies in I. For k >= kappa(rep_i)
+        the translate lies in t^k*V, inside rep_i, so it normalizes into
+        orbit j. The entry therefore starts as orbit j (k = g+1 always
+        qualifies), and only the shifts k < kappa(rep_i) are evaluated.
 
-        (B) For e = 1 mod t^(h-k) and y in t^k*u*rep_j, e*y - y has
-        valuation >= h, so it lies in the conductor, inside rep_i. Hence
-        rep_i meet t^k*e*u*rep_j = e*(rep_i meet t^k*u*rep_j), and the
-        orbit depends on u only mod t^(h-k): per shift, each orbit keeps
-        one unit image per class of witnesses mod t^(h-k).
+        (B) The orbit depends on u only mod t^m, m = min(kappa(rep_i) - k,
+        kappa(rep_j) + k). For e = 1 mod t^(kappa(rep_i)-k),
+        (e-1)*t^k*u*rep_j lies in t^kappa(rep_i)*V, inside rep_i, so
+        rep_i meet t^k*e*u*rep_j = e*(rep_i meet t^k*u*rep_j). For
+        e = 1 mod t^(kappa(rep_j)+k) and z in rep_i, inside V,
+        (e^-1 - 1)*z lies in t^(kappa(rep_j)+k)*V, inside t^k*u*rep_j, so
+        the meet does not change at all. Per shift, each orbit keeps one
+        unit image per class of witnesses mod t^m; as kappa(rep_i) <= h,
+        m <= h - k, the conductor's bound.
 
         U is abelian, so rep_i meet t^k*u*rep_j = u*(u^-1*rep_i meet
         t^k*rep_j): the images u*rep_i met with t^k*rep_j give the same
         orbits, and (A) and (B) hold for them too, as unit images keep the
-        pivots. Each (i, j, k) loops over the side with fewer classes.
+        pivots and so kappa. Each (i, j, k) loops over the side with fewer
+        classes.
+
+        (C) At k = 0, rep_i meet u*rep_j = u*(rep_j meet u^-1*rep_i), so
+        when both kappas are positive the k = 0 orbits of (i, j) and (j, i)
+        are the same set: it is met once per unordered pair and joins both
+        entries, beside their own orbit j and orbit i.
         """
         model = ws.model
         h = model.head_dim
         kern = model.field.packing
         part = ws.partition
         kappa = [pivot_tail(rep.head) for rep in part.reps]
-        # per orbit and shift k < h, one unit image per class of witnesses
-        # mod t^(h-k); the representative, whose witness is 1, comes first
-        # in its image map and stands for its class. The image maps hold
-        # packed heads, which keep the representative's pivots; at k = 0
-        # each image is a class of its own, so every image becomes an ideal
+        # per orbit and modulus m = 0..h, one unit image per class of
+        # witnesses mod t^m; the representative, whose witness is 1, comes
+        # first in its image map and stands for its class. The image maps
+        # hold packed heads, which keep the representative's pivots; mod
+        # t^h each image is a class of its own, so every image becomes an
+        # ideal
         classes = []
         for rep, images in zip(part.reps, part.image_maps):
             ideals, pivots = {}, rep.head.pivots
             for rows in images:
                 ideals[rows] = RingIdeal(model, Subspace(model.field, h, rows, pivots))
-            by_class = []
-            for k in range(h):
+            by_modulus = []
+            for m in range(h + 1):
                 picked = {}
                 for rows, w in images.items():
-                    picked.setdefault(kern.truncate(w, h - k), ideals[rows])
-                by_class.append(tuple(picked.values()))
-            classes.append(by_class)
+                    picked.setdefault(kern.truncate(w, m), ideals[rows])
+                by_modulus.append(tuple(picked.values()))
+            classes.append(by_modulus)
 
-        pair = {}
+        pair, shift_zero = {}, {}
         entries = 0
         for j, rep_j in enumerate(part.reps):
             # per unit image, its N-wide view, and per image and shift,
@@ -233,18 +249,32 @@ class ClosureTable:
                     args = column[image, k] = (image.translate(k), views[image])
                 return args
 
-            for i, rep_i in enumerate(part.reps):
+            def orbits(i, k):
+                nonlocal entries
+                m = min(kappa[i] - k, kappa[j] + k)
+                mine, theirs = classes[i][m], classes[j][m]
+                if len(mine) < len(theirs):
+                    calls = [(image, translate(rep_j, k)) for image in mine]
+                else:
+                    calls = [(part.reps[i], translate(image, k)) for image in theirs]
+                hits = 0
+                for ideal, (shifted, base) in calls:
+                    found = normalized_translate_intersection(ideal, shifted, k, base)
+                    hits |= 1 << ws.orbit_id(found)
+                entries += len(calls)
+                return hits
+
+            for i in range(len(part.reps)):
                 mask = 1 << j
                 for k in range(kappa[i]):
-                    mine, theirs = classes[i][k], classes[j][k]
-                    if len(mine) < len(theirs):
-                        calls = [(image, translate(rep_j, k)) for image in mine]
-                    else:
-                        calls = [(rep_i, translate(image, k)) for image in theirs]
-                    for ideal, (shifted, base) in calls:
-                        found = normalized_translate_intersection(ideal, shifted, k, base)
-                        mask |= 1 << ws.orbit_id(found)
-                    entries += len(calls)
+                    if k or not kappa[j]:
+                        mask |= orbits(i, k)
+                        continue
+                    # (C): met for the first of (i, j) and (j, i) to come
+                    hits = shift_zero.pop((j, i), None)
+                    if hits is None:
+                        hits = shift_zero[i, j] = orbits(i, 0)
+                    mask |= hits
                 pair[(i, j)] = mask
         return cls(pair, entries)
 

@@ -93,6 +93,13 @@ def test_counterexample_census_q3(gens, count, t_gens, t_count):
     assert report.all_verified()
 
 
+@pytest.mark.slow
+def test_star_count_5679_q3():
+    # R's count in the q = 3 census; its T, with 6,711,562 closed families,
+    # is too long a walk to pin
+    assert star_count((5, 6, 7, 9), 3) == 85989
+
+
 def test_counterexample_gate_error():
     with pytest.raises(GateError):
         verify_counterexample([3, 4, 5], 2)

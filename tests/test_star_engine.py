@@ -325,31 +325,34 @@ def kappa(ideal):
 
 
 @pytest.mark.parametrize(
-    "gens,q",
+    "gens,q,sides",
     [
-        ((4, 5, 7), 2),
-        ((4, 5, 6, 7), 2),
-        ((3, 5, 7), 3),
-        ((3, 5, 7), 4),
-        ((4, 5, 6, 7), 4),
-        ((3, 5, 7), 5),
-        ((3, 4, 5), 9),
-        ((4, 5, 6, 7), 3),
+        ((4, 5, 7), 2, {True, False}),
+        ((4, 5, 6, 7), 2, {True, False}),
+        ((3, 5, 7), 3, {False}),
+        ((3, 5, 7), 4, {False}),
+        ((4, 5, 6, 7), 4, {True, False}),
+        ((3, 5, 7), 5, {False}),
+        ((3, 4, 5), 9, {False}),
+        ((4, 5, 6, 7), 3, {True, False}),
         # its reference takes about 16 s, on a tuple Zassenhaus meet per translate
-        pytest.param((4, 5, 7), 3, marks=pytest.mark.slow),
+        pytest.param((4, 5, 7), 3, {True, False}, marks=pytest.mark.slow),
     ],
     ids=[
         "457-q2", "4567-q2", "357-q3", "357-q4", "4567-q4", "357-q5", "345-q9", "4567-q3", "457-q3"
     ],
 )
-def test_closure_table_matches_reference(gens, q):
+def test_closure_table_matches_reference(gens, q, sides):
     # the containment skip, conductor-aware meet and head-only
     # normalization against a Zassenhaus meet and full normalization of
     # every translate, both per translate and in the table. The reference
     # loops over every image of rep_j at every shift k = 0..g+1; the table
-    # skips k >= kappa(rep_i) and, per shift k, loops over one image per
-    # class of units mod t^(g+1-k) on whichever side, rep_i's or rep_j's,
-    # has fewer classes, so each model must have (i, j, k) of both kinds
+    # skips k >= kappa(rep_i), meets each k = 0 pair once for (i, j) and
+    # (j, i), and per shift k loops over one image per class of units mod
+    # t^m, m = min(kappa(rep_i) - k, kappa(rep_j) + k), on whichever side,
+    # rep_i's (True) or rep_j's (False), has fewer classes. Where a model
+    # takes both sides, both are checked; with that modulus the 357 and
+    # 345 models only ever take rep_j's
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     ws = workspace(model)
     g = model.sgp.frobenius
@@ -357,18 +360,19 @@ def test_closure_table_matches_reference(gens, q):
     part = ws.partition
     unpack = model.field.packing.unpack
     classes = [
-        [len({unpack(w, h)[: h - k] for w in images.values()}) for k in range(h)]
+        [len({unpack(w, h)[:m] for w in images.values()}) for m in range(h + 1)]
         for images in part.image_maps
     ]
     n = part.orbit_count
-    assert [pivot_tail(rep.head) for rep in part.reps] == [kappa(rep) for rep in part.reps]
-    kinds = {
-        classes[i][k] < classes[j][k]
-        for i in range(n)
-        for j in range(n)
-        for k in range(kappa(part.reps[i]))
-    }
-    assert kinds == {True, False}
+    kappas = [kappa(rep) for rep in part.reps]
+    assert [pivot_tail(rep.head) for rep in part.reps] == kappas
+    kinds = set()
+    for i in range(n):
+        for j in range(n):
+            for k in range(kappas[i]):
+                m = min(kappas[i] - k, kappas[j] + k)
+                kinds.add(classes[i][m] < classes[j][m])
+    assert kinds == sides
     pack = model.field.packing.pack
     expected = {}
     for i, rep in enumerate(part.reps):
@@ -433,6 +437,13 @@ def test_translates_from_kappa_lie_inside(unit_sweep):
                     assert ws.orbit_id(found) == j
 
 
+def _meet_orbit(ws):
+    """orbit(I, J, k): the orbit id of normalize(I meet t^k*J), memoized."""
+    return functools.lru_cache(maxsize=None)(
+        lambda I, J, k: ws.orbit_id(normalized_translate_intersection(I, J.translate(k), k, J.sub))
+    )
+
+
 def test_meet_orbit_depends_on_unit_mod_t_h_minus_k(unit_sweep):
     # lemma (B) of ClosureTable.build: units u, u' equal mod t^(h-k) give
     # the same orbit, both for I meet t^k*u*J and for u*I meet t^k*J; for
@@ -441,9 +452,7 @@ def test_meet_orbit_depends_on_unit_mod_t_h_minus_k(unit_sweep):
     h = ws.model.head_dim
     truncate = ws.model.field.packing.truncate
     reps = ws.partition.reps
-    orbit = functools.lru_cache(maxsize=None)(
-        lambda I, J, k: ws.orbit_id(normalized_translate_intersection(I, J.translate(k), k, J.sub))
-    )
+    orbit = _meet_orbit(ws)
     for i, I in enumerate(reps):
         for j, J in enumerate(reps):
             for k in range(kappa(I)):
@@ -453,6 +462,49 @@ def test_meet_orbit_depends_on_unit_mod_t_h_minus_k(unit_sweep):
                     b = orbit(images[i][u], J, k)
                     assert on_j.setdefault(truncate(u, h - k), a) == a
                     assert on_i.setdefault(truncate(u, h - k), b) == b
+
+
+def test_meet_orbit_depends_on_unit_mod_kappa_bound(unit_sweep):
+    # lemma (B) of ClosureTable.build with its sharper modulus: units u, u'
+    # equal mod t^m, m = min(kappa(I) - k, kappa(J) + k), give the same
+    # orbit, both for I meet t^k*u*J and for u*I meet t^k*J
+    ws, units, images = unit_sweep
+    truncate = ws.model.field.packing.truncate
+    reps = ws.partition.reps
+    orbit = _meet_orbit(ws)
+    for i, I in enumerate(reps):
+        for j, J in enumerate(reps):
+            for k in range(kappa(I)):
+                m = min(kappa(I) - k, kappa(J) + k)
+                on_j, on_i = {}, {}
+                for u in units:
+                    a = orbit(I, images[j][u], k)
+                    b = orbit(images[i][u], J, k)
+                    assert on_j.setdefault(truncate(u, m), a) == a
+                    assert on_i.setdefault(truncate(u, m), b) == b
+
+
+def test_shift_zero_orbits_are_symmetric(unit_sweep):
+    # lemma (C) of ClosureTable.build: I meet u*J = u*(J meet u^-1*I), so
+    # over all units the k = 0 orbits of (I, J) and of (J, I) are one set
+    ws, units, images = unit_sweep
+    reps = ws.partition.reps
+    orbit = _meet_orbit(ws)
+    for i, I in enumerate(reps):
+        for j, J in enumerate(reps[: i + 1]):
+            forward = {orbit(I, images[j][u], 0) for u in units}
+            backward = {orbit(J, images[i][u], 0) for u in units}
+            assert forward == backward
+
+
+@pytest.mark.parametrize(
+    "gens,entries", [((4, 5, 7), 4252), ((4, 5, 6, 7), 1727)], ids=["457", "4567"]
+)
+def test_closure_table_entry_count_q3(gens, entries):
+    # the meets the table evaluates, the benchmark's
+    # star_engine.ClosureTable.entries counter on the stars workload
+    ws = workspace(semigroup_ring_model(semigroup(list(gens)), field_from_order(3)))
+    assert ws.table.entry_count == entries
 
 
 def test_axiom_suite_full_sweep_q2(m457, stars457):
