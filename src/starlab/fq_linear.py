@@ -562,9 +562,55 @@ def unit_image_map(sub: Subspace):
 
             for rows, w in layer:
                 images[_image_rows(kern, rows, pivots, times, fixed_from)] = times(w)
-    expected = sub.field.q ** (n - 1 - len(fixed))
-    if len(images) != expected:
-        raise InvariantError(f"unit orbit has {len(images)} images, not {expected}")
+    _check_orbit_size(len(images), sub.field.q ** (n - 1 - len(fixed)))
+    return images
+
+
+def _check_orbit_size(found, expected):
+    if found != expected:
+        raise InvariantError(f"unit orbit has {found} images, not {expected}")
+
+
+def _images_containing_one(sub: Subspace):
+    """The packed rows of the unit images of sub that contain 1, for sub
+    containing 1; None when the orbit takes no more images to enumerate.
+
+    1 lies in v * sub exactly when v^-1 does in sub, so these images are
+    the s^-1 * sub for the s in sub with constant term 1: 1 + S', S' the
+    span of the echelon rows after e_0. With 1 + M the stabilizer and V the
+    valuations of M (`unit_image_map`), M lies in S', and two such s give
+    one image exactly when they share a coset of 1 + M. Let C be the span
+    of the rows of S' with pivots outside V. If (1 + x)(1 + m) =
+    (1 + x')(1 + m') for x, x' in C and m, m' in M, then (x - x') +
+    (m - m') = -x'(m - m') - (x - x')m; the two terms on the left have
+    distinct valuations, and the right lies above the lower one, so both
+    vanish. Counting, q^(dim-1-|V|) * q^|V| = q^(dim-1), so the s = 1 + x,
+    x in C, meet each coset once, and their images are distinct. The route
+    pays when dim - 1 is less than ambient - 1 - |V|, the exponent of the
+    orbit's size; as every t^k with k >= kappa lies in M, that needs
+    dim < kappa, which is tested before the colon is solved.
+    """
+    n, dim = sub.ambient, sub.dim
+    if dim >= pivot_tail(sub):
+        return None
+    fixed = {p for p in subspace_colon(sub, sub).pivots if p}
+    if dim - 1 >= n - 1 - len(fixed):
+        return None
+    fld = sub.field
+    kern = fld.packing
+    rest, tail = sub.packed[1:], sub.pivots[1:]
+    elements = [kern.one]
+    for p, r in zip(tail, rest):
+        if p not in fixed:
+            multiples = [kern.scale(c, r) for c in range(fld.q)]
+            elements = [kern.add(s, m) for s in elements for m in multiples]
+    # each image holds 1, so its first row is e_0, and only the others are
+    # multiplied
+    images = set()
+    for s in elements:
+        times = _multiplier(kern, series_inv(s, fld, n), n)
+        images.add((kern.one,) + _image_rows(kern, rest, tail, times, dim - 1))
+    _check_orbit_size(len(images), fld.q ** (dim - 1 - len(fixed)))
     return images
 
 
@@ -574,20 +620,33 @@ class OrbitPartition:
     `items` are the partitioned objects (subspaces, or ideals partitioned by
     their heads) and `members[k]` the item indices of orbit k, least
     canonical matrix first; that least member is the representative.
-    `image_maps[k]` is the representative subspace's `unit_image_map`: it
-    maps the packed rows of every image (inside the family or not) to a
-    packed witness unit. `index` maps each item to its position in `items`.
+    `image_maps[k]` is the `unit_image_map` of the representative's
+    subspace (the item, or the ideal's head): it maps the packed rows of
+    every image (inside the family or not) to a packed witness unit. An
+    orbit whose members were found among the images containing 1 has its
+    image map built on the first read of `image_maps` (or of `witness`).
     """
 
-    __slots__ = ("items", "orbit_ids", "reps", "members", "image_maps", "index")
-
-    def __init__(self, items, orbit_ids, members, image_maps):
+    def __init__(self, items, orbit_ids, members, image_maps, heads):
         self.items = items
         self.orbit_ids = orbit_ids
         self.reps = tuple(items[m[0]] for m in members)
         self.members = members
-        self.image_maps = image_maps
-        self.index = {item: i for i, item in enumerate(items)}
+        # the image maps found while partitioning, None where unbuilt, and
+        # the representatives' subspaces
+        self._maps = image_maps
+        self._heads = heads
+
+    @cached_property
+    def image_maps(self):
+        return tuple(
+            unit_image_map(head) if images is None else images
+            for head, images in zip(self._heads, self._maps)
+        )
+
+    def relabel(self, items):
+        """The same partition with items[i] in place of its i-th item."""
+        return OrbitPartition(items, self.orbit_ids, self.members, self._maps, self._heads)
 
     @property
     def orbit_count(self):
@@ -608,23 +667,33 @@ def partition_subspaces(subspaces) -> OrbitPartition:
 
     Subspaces are visited in canonical order, so each orbit is found from its
     least member: orbit ids ascend with the representatives, and every
-    witness already maps the representative. The image maps are keyed by
-    packed rows, and so is the look-up of the members among them.
+    witness already maps the representative. An orbit's members are looked
+    up among its images by packed rows. When every subspace contains 1, so
+    does every member, and the images containing 1 suffice: they are taken
+    instead of the orbit's image map wherever they are fewer
+    (`_images_containing_one`), and that map waits for its first read.
     """
     subspaces = tuple(subspaces)
     index = {s.packed: i for i, s in enumerate(subspaces)}
+    # an echelon form holds 1 exactly when its first row is e_0
+    unital = all(s.packed[:1] == (s.field.packing.one,) for s in subspaces)
     orbit_ids = [None] * len(subspaces)
     members = []
     image_maps = []
     for i in sorted(range(len(subspaces)), key=lambda i: subspaces[i].rows):
         if orbit_ids[i] is not None:
             continue
-        images = unit_image_map(subspaces[i])
+        images = _images_containing_one(subspaces[i]) if unital else None
+        if images is None:
+            images = unit_image_map(subspaces[i])
+            image_maps.append(images)
+        else:
+            image_maps.append(None)
         orbit = sorted(
             (index[key] for key in images if key in index), key=lambda j: subspaces[j].rows
         )
         for j in orbit:
             orbit_ids[j] = len(members)
         members.append(tuple(orbit))
-        image_maps.append(images)
-    return OrbitPartition(subspaces, tuple(orbit_ids), tuple(members), tuple(image_maps))
+    heads = tuple(subspaces[m[0]] for m in members)
+    return OrbitPartition(subspaces, tuple(orbit_ids), tuple(members), tuple(image_maps), heads)

@@ -20,6 +20,7 @@ from .fq_linear import (
     series_inv,
     series_mul,
     subspace_unit_image,
+    unit_image_map,
 )
 from .numsgp import (
     NumericalSemigroup,
@@ -411,7 +412,8 @@ def lower_bound_certificate(
     lifts are nondivisorial, pairwise unit-inequivalent and mutually
     non-absorbing (no unit image of one inside another), counts the
     overring-stable part of F_0 against the subspace count of K^(n-1), and
-    re-derives the class partition at ring level.
+    re-derives the class partition at ring level from the representatives'
+    orbits, without partitioning F_0.
     """
     if n < 4:
         raise InputError("the certificate construction needs n >= 4")
@@ -430,28 +432,31 @@ def lower_bound_certificate(
     report.results["subspace_count_formula"] = expected_stable
     report.verdict("overring_stable_count", len(stable) == expected_stable)
 
-    # orbit_id raises InvariantError for a lift that escapes F_0
     lifts = [_lift_lab_subspace(model, sub) for sub in lab.items]
-    lab_ids = lab.orbit_ids
-    ring_ids = [ws.orbit_id(L) for L in lifts]
-    # the lab partition must coincide with the ring partition under lifting:
-    # each lab class meets one ring class and each ring class one lab class
-    pairs = set(zip(lab_ids, ring_ids))
-    agree = len(pairs) == len(set(lab_ids)) == len(set(ring_ids))
-    report.verdict("lab_partition_matches_ring_partition", agree)
+    for L in lifts:
+        ws.ideal_id(L)  # raises InvariantError for a lift that escapes F_0
+    # the lifts of the lab's representatives, the least member of each
+    # class, with their unit orbits on heads
+    reps = [(lifts[m[0]], unit_image_map(lifts[m[0]].head)) for m in lab.members]
+    # the lab partition coincides with the ring partition under lifting
+    # when each lift lies in its representative's orbit and no
+    # representative lies in another's
+    own = all(
+        lifts[i].head.packed in images for m, (_, images) in zip(lab.members, reps) for i in m
+    )
+    distinct = not any(
+        b.head.packed in images for (_, images), (b, _) in itertools.permutations(reps, 2)
+    )
+    report.verdict("lab_partition_matches_ring_partition", own and distinct)
 
-    # the lifts of the lab's representatives, the least member of each class
-    reps = [(lifts[m[0]], ring_ids[m[0]]) for m in lab.members]
     nondiv = all(not L.is_divisorial() for L, _ in reps)
     report.verdict("representatives_nondivisorial", nondiv)
-    distinct = len({oid for _, oid in reps}) == len(reps)
     report.verdict("representatives_pairwise_inequivalent", distinct)
     # unit images keep a's values, so none lies inside b unless they lie in
     # b's; and with equal dimensions, an image inside b is b
     absorbed = False
     pair_checks = 0
-    for (a, oid), (b, _) in itertools.permutations(reps, 2):
-        images = ws.partition.image_maps[oid]
+    for (a, images), (b, _) in itertools.permutations(reps, 2):
         pair_checks += len(images)
         if not set(a.head.pivots) <= set(b.head.pivots):
             continue

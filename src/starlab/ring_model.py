@@ -585,5 +585,4 @@ def unit_orbits(ideals) -> OrbitPartition:
     g+1 coefficients (`unit_image_map`).
     """
     ideals = tuple(ideals)
-    part = partition_subspaces([I.head for I in ideals])
-    return OrbitPartition(ideals, part.orbit_ids, part.members, part.image_maps)
+    return partition_subspaces([I.head for I in ideals]).relabel(ideals)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InputError, InvariantError, check_budget
-from .fq_linear import Subspace, pivot_tail, unit_representatives
+from .fq_linear import OrbitPartition, Subspace, pivot_tail, unit_representatives
 from .ring_model import (
     DEFAULT_MAX_IDEALS,
     RingIdeal,
@@ -54,16 +54,23 @@ DEFAULT_MAX_ORBITS = 512
 
 
 class RingWorkspace:
-    """Shared per-model state: the ideal lattice, its orbit partition and,
-    on first use, the divisorial base family, the containment order, the
-    closure table, the family classes and the unit action. Callers check
-    the ideal budget first (`workspace`)."""
+    """Shared per-model state: the ideal lattice, with `index` mapping each
+    ideal to its position, and, on first use, its orbit partition, the
+    divisorial base family, the containment order, the closure table, the
+    family classes and the unit action. Callers check the ideal budget
+    first (`workspace`)."""
 
     def __init__(self, model: RingModel):
         self.model = model
         self.ideals = enumerate_ideals(model)
-        self.partition = unit_orbits(self.ideals)
+        self.index = {I: i for i, I in enumerate(self.ideals)}
         self._stars = None
+
+    @cached_property
+    def partition(self) -> OrbitPartition:
+        """The unit orbits of F_0, on first use: the certificate reads only
+        the orbits of its representatives."""
+        return unit_orbits(self.ideals)
 
     @cached_property
     def divisorial_ids(self) -> int:
@@ -74,7 +81,7 @@ class RingWorkspace:
         )
 
     def ideal_id(self, ideal: RingIdeal) -> int:
-        idx = self.partition.index.get(ideal)
+        idx = self.index.get(ideal)
         if idx is None:
             raise InvariantError("ideal escaped the enumerated lattice")
         return idx
@@ -147,7 +154,7 @@ class RingWorkspace:
         representative and I = ideals[a] when u*I stays in F_0, else None;
         used by the exhaustive equivariance check."""
         model = self.model
-        index = self.partition.index
+        index = self.index
         # u * I depends on u mod t^(g+1) only
         units = unit_representatives(model.field, model.head_dim)
         return tuple(tuple(index.get(I.unit_image(u)) for I in self.ideals) for u in units)

@@ -1,15 +1,15 @@
 """All subspaces of F_q^n, for tests that sweep them or check a search
-against a filter over every candidate, and the tuple-row references the
+against a filter over every candidate; the tuple-row references the
 packed kernel (packed.py) and the packed series are checked against:
 Gauss–Jordan elimination, reduction, the Zassenhaus meet and truncated
 series arithmetic on coefficient tuples, by the field's add/sub/mul
-tables."""
+tables; and the orbit partition by whole orbits."""
 
 import itertools
 from bisect import bisect_left
 
 from starlab.errors import InputError
-from starlab.fq_linear import Subspace
+from starlab.fq_linear import Subspace, unit_image_map
 
 
 def enumerate_subspaces(ambient, fld):
@@ -210,3 +210,29 @@ def series_inv(a, fld):
                 acc = add[acc][mul[ai][b[k - i]]]
         b[k] = mul[neg[b0]][acc] if acc else 0
     return tuple(b)
+
+
+# ---------------------------------------------------------------------------
+# orbit partition
+
+
+def bfs_partition(family):
+    """(orbit_ids, members, reps, image_maps) of distinct subspaces under
+    the units, as `partition_subspaces` gives them, but with every orbit
+    found by the whole orbit of its least member (`unit_image_map`), never
+    by its images containing 1."""
+    family = tuple(family)
+    index = {s.packed: i for i, s in enumerate(family)}
+    orbit_ids = [None] * len(family)
+    members, image_maps = [], []
+    for i in sorted(range(len(family)), key=lambda i: family[i].rows):
+        if orbit_ids[i] is not None:
+            continue
+        images = unit_image_map(family[i])
+        orbit = sorted((index[k] for k in images if k in index), key=lambda j: family[j].rows)
+        for j in orbit:
+            orbit_ids[j] = len(members)
+        members.append(tuple(orbit))
+        image_maps.append(images)
+    reps = tuple(family[m[0]] for m in members)
+    return tuple(orbit_ids), tuple(members), reps, tuple(image_maps)

@@ -20,7 +20,9 @@ PINNED = json.loads((BENCH / "answers.json").read_text())
 # closed-form count check, the n = 4 lab verdicts on the digit-slot and
 # bitsliced layouts, the lemma suite on the bitsliced layout, and the n = 6
 # certificate, semigroup reports up to g = 89,699, and labs, star counts
-# and a certificate over extension fields up to F_27 and F_125
+# and a certificate over extension fields up to F_27 and F_125; labs and
+# certificates whose orbits take the member route of partition_subspaces on
+# the F_2 and digit-slot layouts, and the certificate inside a counterexample
 PINNED.update({
     "cli kunz subspace-orbits --n 4 --q 4":
         "1a4eaade0fe46526c5cfd06c0a5895ab4487dcfefbebd494d746f693cdea8c61",
@@ -62,6 +64,18 @@ PINNED.update({
         "8075a7f49a5a5159edb1e65d6cbed0ef22e5a74671fcff3a82e412627013f111",
     "cli kunz lower-bound --n 4 --q 8":
         "478cb58d9cb2f732492594cec9828cfb8b8fe0a482741a34e0382e825ceaf9bd",
+    "cli kunz subspace-orbits --n 5 --q 4":
+        "c8c892bfdb338451a1199a468d8a74829e852ef225d9e7192b231028b5fa3f31",
+    "cli kunz subspace-orbits --n 6 --q 2":
+        "27ff49e4e562a26c8a306603529fe83809b67bc42718e16f61893b76d70fb050",
+    "cli kunz subspace-orbits --n 7 --q 2":
+        "eea2c77bae9cd0880b4cbe606c92be224d06a2d4751d911e56ed1a4a165bab0a",
+    "cli kunz lower-bound --n 5 --q 2":
+        "d02c90423808d09f764780fcc73d322f973981e3b6a18b123b2ed42655f453bc",
+    "cli kunz lower-bound --n 5 --q 4":
+        "af557f799ba13ede7f4e38b8256292e6250668b900207be4d64ded4ebbfe0806",
+    "cli kunz counterexample --gens 4,5,7 --q 3":
+        "86df0121141ec0961a950680bf59c34c64a6a95f449bc3c7a5b0b0071f9e97db",
 })
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -20,6 +21,8 @@ from starlab.fq_linear import (
     unit_image_map,
     unit_representatives,
 )
+from starlab.kunz_lab import ring_model_for
+from starlab.ring_model import enumerate_ideals
 
 import subspaces
 from field_reference import reference_tables
@@ -579,6 +582,119 @@ def test_understated_stabilizer_is_an_engine_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("engine error: unit orbit has ")
+
+
+def test_member_route_count_mismatch_is_an_engine_error(capsys, monkeypatch):
+    # with the stabilizer understated, <1, t^3> of F_3[t]/(t^5) takes the
+    # member route and finds its one image where three are expected; the
+    # orbit search is never reached
+    def scalars_only(a, b):
+        return Subspace.span(a.field, a.ambient, [(1,) + (0,) * (a.ambient - 1)])
+
+    searched = []
+    monkeypatch.setattr(fq_linear, "subspace_colon", scalars_only)
+    monkeypatch.setattr(fq_linear, "unit_image_map", searched.append)
+    sub = Subspace.span(field(3), 5, [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0)])
+    with pytest.raises(InvariantError, match="unit orbit has 1 images, not 3"):
+        partition_subspaces([sub])
+    assert cli.main(["kunz", "subspace-orbits", "--n", "5", "--q", "3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("engine error: unit orbit has 1 images, not 3")
+    assert searched == []
+
+
+def _lab_family(q, n):
+    """X: the 2-dim subspaces of K^n containing e_0 but not e_(n-1)."""
+    f = field_from_order(q)
+    e0 = (1,) + (0,) * (n - 1)
+    return [
+        Subspace.span(f, n, [e0, (0,) * p + (1,) + tail])
+        for p in range(1, n - 1)
+        for tail in itertools.product(range(q), repeat=n - 1 - p)
+    ]
+
+
+def _three_dim_family(q):
+    """W: the 3-dim subspaces of K^4 containing e_0 but not e_3."""
+    f = field_from_order(q)
+    return [
+        Subspace.span(f, 4, [(1, 0, 0, 0), (0, 1, 0, a), (0, 0, 1, b)])
+        for a, b in itertools.product(range(q), repeat=2)
+    ]
+
+
+def _f0_heads(gens, q):
+    """The heads of F_0 of the ring over <gens>."""
+    return [I.head for I in enumerate_ideals(ring_model_for(gens, q))]
+
+
+def _unital_family(q, n):
+    """Every subspace of K^n containing 1, ties dim - 1 = n - 1 - |V| such
+    as <1, t^2, t^4> of K^5 included."""
+    f = field_from_order(q)
+    return [s for s in enumerate_subspaces(n, f) if s.contains(f.packing.one)]
+
+
+def _with_non_unital_member():
+    """X at n = 4, q = 3 and (1 + t^2) * <1, t>, which does not contain 1
+    but lies in the orbit of <1, t>."""
+    family = _lab_family(3, 4)
+    f = family[0].field
+    line = Subspace.span(f, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    image = subspace_unit_image(line, f.packing.pack((1, 0, 1, 0)))
+    assert not image.contains(f.packing.one)
+    return family + [image]
+
+
+PARTITION_FAMILIES = {
+    **{
+        f"X-n{n}-q{q}": functools.partial(_lab_family, q, n)
+        for n, q in [(4, 2), (4, 3), (5, 3), (5, 4), (6, 2), (6, 3)]
+    },
+    "W-q2": functools.partial(_three_dim_family, 2),
+    "W-q3": functools.partial(_three_dim_family, 3),
+    "F0-457-q2": functools.partial(_f0_heads, (4, 5, 7), 2),
+    "F0-457-q3": functools.partial(_f0_heads, (4, 5, 7), 3),
+    "F0-5679-q2": functools.partial(_f0_heads, (5, 6, 7, 9), 2),
+    "unital-n5-q2": functools.partial(_unital_family, 2, 5),
+    "unital-n4-q3": functools.partial(_unital_family, 3, 4),
+    "non-unital": _with_non_unital_member,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_FAMILIES))
+def test_partition_matches_bfs_reference(name, monkeypatch):
+    # partition_subspaces against whole orbits: the same orbit ids, members
+    # and representatives, and, once read, the same image maps. The member
+    # route runs exactly on the orbits of a family containing 1 throughout
+    # whose least member S has dim S - 1 < n - 1 - |V|; their image maps are
+    # searched on the first read of image_maps, after the others
+    family = PARTITION_FAMILIES[name]()
+    orbit_ids, members, reps, image_maps = subspaces.bfs_partition(family)
+    one = family[0].field.packing.one
+    unital = all(s.contains(one) for s in family)
+    assert unital == (name != "non-unital")
+
+    def member_route(rep):
+        fixed = sum(1 for p in subspace_colon(rep, rep).pivots if p)
+        return unital and rep.dim - 1 < rep.ambient - 1 - fixed
+
+    routed = [rep for rep in reps if member_route(rep)]
+    assert bool(routed) == unital
+    searched = []
+    search = fq_linear.unit_image_map
+    monkeypatch.setattr(fq_linear, "unit_image_map", lambda sub: searched.append(sub) or search(sub))
+    part = partition_subspaces(family)
+    assert (part.orbit_ids, part.members, part.reps) == (orbit_ids, members, reps)
+    assert searched == [rep for rep in reps if rep not in routed]
+    assert part.image_maps == image_maps
+    assert part.image_maps is part.image_maps
+    assert searched == [rep for rep in reps if rep not in routed] + routed
+    for k, orbit in enumerate(part.members):
+        for i in orbit:
+            w = part.witness(k, family[i])
+            assert subspace_unit_image(part.reps[k], w) == family[i]
 
 
 def test_subspace_unit_image_matches_span():

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from starlab import kunz_lab
-from starlab.errors import BudgetError, GateError, InputError
+from starlab import cli, kunz_lab
+from starlab.errors import BudgetError, GateError, InputError, InvariantError
 from starlab.fq_linear import field_from_order, unit_representatives
 from starlab.kunz_lab import (
     _least_element_of_valuation,
@@ -28,7 +28,7 @@ from starlab.ring_model import (
 )
 from starlab.star_engine import divisorial_star, enumerate_stars, workspace
 
-from ring_helpers import small_case_report
+from ring_helpers import full_partition_certificate, small_case_report
 from subspaces import enumerate_subspaces
 
 
@@ -244,6 +244,39 @@ def test_lower_bound_certificate_42_consistent_with_exact():
     assert bound <= star_count((4, 5, 7), 2) == 19
 
 
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (4, 8), (5, 2), (5, 3), (6, 2)])
+def test_certificate_matches_full_partition_reference(n, q):
+    # the certificate decides from its representatives' orbits what the
+    # reference reads off the partition of all of F_0, in the same order
+    cert = lower_bound_certificate(n, q)
+    ref = full_partition_certificate(n, q)
+    assert list(cert.verdicts.items()) == list(ref.verdicts.items())
+    assert list(cert.results.items()) == list(ref.results.items())
+    assert cert.all_verified()
+
+
+def test_certificate_leaves_f0_unpartitioned():
+    model = ring_model_for(tuple(family_semigroup(5).generators), 3)
+    model._cache.pop("workspace", None)
+    assert lower_bound_certificate(5, 3).all_verified()
+    assert "partition" not in vars(workspace(model))
+
+
+def test_lift_escaping_f0_is_an_engine_error(capsys, monkeypatch):
+    # a lift without 1 is no ideal of F_0
+    def escaped(model, sub):
+        return model.span_ideal(model.monomial(k) for k in range(1, model.head_dim))
+
+    monkeypatch.setattr(kunz_lab, "_lift_lab_subspace", escaped)
+    monkeypatch.delenv("STARLAB_CACHE_DIR", raising=False)
+    with pytest.raises(InvariantError, match="escaped the enumerated lattice"):
+        lower_bound_certificate(4, 2)
+    assert cli.main(["kunz", "lower-bound", "--n", "4", "--q", "2"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("engine error: ideal escaped the enumerated lattice")
+
+
 def _absorption_scan(n, q):
     """The certificate's non-absorption check as a scan of every unit image
     of each lifted representative against each other lift: whether some
@@ -290,6 +323,14 @@ def test_non_absorption_catches_a_lift_inside_another(monkeypatch, into):
     assert absorbed
     assert cert.verdicts["mutual_non_absorption"] == "failed"
     assert cert.results["non_absorption_pairs_checked"] == checks
+    # the last class's other members stay outside its representative's
+    # orbit; the first lift twice is also two equivalent representatives
+    assert cert.verdicts["lab_partition_matches_ring_partition"] == "failed"
+    inequivalent = "verified" if into == "V" else "failed"
+    assert cert.verdicts["representatives_pairwise_inequivalent"] == inequivalent
+    ref = full_partition_certificate(5, 2)
+    assert list(cert.verdicts.items()) == list(ref.verdicts.items())
+    assert list(cert.results.items()) == list(ref.results.items())
 
 
 def test_structure_report_457_q2():
