@@ -490,20 +490,17 @@ def _lift_lab_subspace(model, sub: Subspace) -> RingIdeal:
 
 def unit_translate_criterion(ws, pool) -> dict:
     """{(jx, ix): whether some unit sends pool[ix] inside pool[jx]}, for
-    ideals of the workspace's F_0. The unit images of I are those of its
-    orbit's representative, so each J is tested once per orbit; and they
-    keep its values, so only an orbit whose values lie in J's is scanned."""
-    part = ws.partition
-    orbit_ids = [ws.orbit_id(I) for I in pool]
-    values = {oid: set(part.reps[oid].head.pivots) for oid in set(orbit_ids)}
-    out = {}
-    for jx, J in enumerate(pool):
-        hit = {
-            oid: v <= set(J.head.pivots)
-            and any(J.contains_packed(rows) for rows in part.image_maps[oid])
-            for oid, v in values.items()
-        }
-        out.update(((jx, ix), hit[oid]) for ix, oid in enumerate(orbit_ids))
+    ideals of the workspace's F_0. The unit images of I are the keys of its
+    orbit's image map, and they keep its values, so only a J whose values
+    hold I's is scanned. The answer for uJ is that for J, as wI <= uJ
+    exactly when u^-1 wI <= J."""
+    image_maps, out = ws.partition.image_maps, {}
+    for ix, I in enumerate(pool):
+        images, values = image_maps[ws.orbit_id(I)], set(I.head.pivots)
+        for jx, J in enumerate(pool):
+            out[jx, ix] = values <= set(J.head.pivots) and any(
+                J.contains_packed(rows) for rows in images
+            )
     return out
 
 
@@ -512,7 +509,15 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
     the length identity, the four-way detection of ideals moved by T, colon
     laws, and (for members of the distinguished family) the valuation
     criteria for divisoriality, the one-step divisorial closure, and the
-    unit-translate closure criteria for generated and induced operations."""
+    unit-translate closure criteria for generated and induced operations.
+
+    All but the length identity are decided on one ideal per unit orbit of
+    F_0. For a valuation-0 unit u of V, (uI : J) = u(I : J) and
+    (I : uJ) = u^-1 (I : J), so uJ : (uJ : I) = J : (J : I) and
+    I : (I : uJ) = u(I : (I : J)); (uI)^v = u I^v, uI + t^tau V =
+    u(I + t^tau V), and u keeps values and overring stability. So biduality
+    needs one J per orbit, and J:(J:I) meet I^v is the same for every J of
+    an orbit and moves with I. Containment is not unit-invariant."""
     require_gate(gens, q, modulus)
     S = semigroup(gens)
     model = ring_model_for(tuple(S.generators), q, modulus)
@@ -520,24 +525,25 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
         input={"generators": list(S.generators), "q": q, "command": "kunz lemmas"}
     )
     ws = workspace(model, max_ideals)
-    ideals = ws.ideals
+    ideals, reps = ws.ideals, ws.partition.reps
     R = model.ring_ideal()
     g, tau = S.frobenius, S.tau
 
     ok = True
     pairs = 0
-    above = ws.above
-    for (a, I), (b, J) in itertools.product(enumerate(ideals), repeat=2):
-        if above[a] >> b & 1:
+    for I, mask in zip(ideals, ws.above):
+        values = set(I.value_set)
+        while mask:
+            J = ideals[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
             pairs += 1
-            if J.dim - I.dim != len(set(J.value_set) - set(I.value_set)):
-                ok = False
+            ok &= J.dim - I.dim == len(set(J.value_set) - values)
     report.results["comparable_pairs"] = pairs
     report.verdict("length_identity", ok)
 
     expected_low = tuple(sorted(set(S.small_members()) | {tau}))
     ok = True
-    for I in ideals:
+    for I in reps:
         if I == R:
             continue
         p1 = tuple(p for p in I.value_set if p <= g) == expected_low
@@ -546,20 +552,18 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
         # biduality: (I:I) = R is necessary (take J = R), and it already
         # fails for every overring-stable ideal; the full quantifier runs
         # only on the survivors
-        p4 = I.colon(I.colon(R)) == R and all(
-            I.colon(I.colon(J)) == J for J in ideals
-        )
+        p4 = I.colon(I.colon(R)) == R and all(I.colon(I.colon(J)) == J for J in reps)
         if not (p1 == p2 == p3 == p4):
             ok = False
     report.verdict("overring_detection_four_way", ok)
 
-    ok = all(I.colon(R) == I and I.colon(I.colon(I)).contains(I) for I in ideals)
+    ok = all(I.colon(R) == I and I.colon(I.colon(I)).contains(I) for I in reps)
     report.verdict("colon_laws", ok)
 
     is_family = family_index(S) is not None
     report.results["family_member"] = is_family
     if is_family:
-        stable = [I for I in ideals if is_overring_stable(I)]
+        stable = [I for I in reps if is_overring_stable(I)]
         ok = all((tau in I.value_set) == I.is_divisorial() for I in stable)
         report.verdict("divisorial_iff_tau_value", ok)
         ok = True
@@ -581,37 +585,26 @@ def structure_report(gens, q, max_ideals=DEFAULT_MAX_IDEALS, modulus=None) -> Ku
         for jx, J in enumerate(pool):
             for ix, I in enumerate(pool):
                 image = J.colon(J.colon(I)).intersect(I.v_closure())
-                images[(jx, ix)] = image
+                images[jx, ix] = image
                 if image != I and image != I.v_closure():
                     ok_step = False
-                if (image == I) != unit_criterion[(jx, ix)]:
+                if (image == I) != unit_criterion[jx, ix]:
                     ok_pair = False
         report.verdict("closure_by_unit_translate", ok_pair)
         report.verdict("closure_one_step_below_v", ok_step)
 
         # induced operations: the meet of the pairwise closures fixes I iff
-        # a single member does (checked on singletons, a deterministic batch
-        # of two-element sets, and the full pool)
+        # a single member does (checked on every set of one or two orbits,
+        # and on the full pool)
         ok = True
-        deltas = [(j,) for j in range(len(pool))]
-        if len(pool) <= 40:
-            deltas += list(itertools.combinations(range(len(pool)), 2))
-        else:
-            deltas += [(j, (j + 1) % len(pool)) for j in range(len(pool))]
-            deltas += [(0, j) for j in range(2, len(pool), 3)]
-        if pool:
-            deltas.append(tuple(range(len(pool))))
-        for delta in deltas:
+        orbits = tuple(range(len(pool)))
+        for delta in [(j,) for j in orbits] + [*itertools.combinations(orbits, 2), orbits]:
             for ix, I in enumerate(pool):
-                meet = None
-                for jx in delta:
-                    meet = (
-                        images[(jx, ix)]
-                        if meet is None
-                        else meet.intersect(images[(jx, ix)])
-                    )
+                meet = images[delta[0], ix]
+                for jx in delta[1:]:
+                    meet = meet.intersect(images[jx, ix])
                 set_closed = meet == I
-                member_criterion = any(unit_criterion[(jx, ix)] for jx in delta)
+                member_criterion = any(unit_criterion[jx, ix] for jx in delta)
                 if set_closed != member_criterion:
                     ok = False
         report.verdict("set_closure_by_unit_translate", ok)

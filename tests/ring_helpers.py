@@ -1,7 +1,8 @@
 """Ring-level constructions that only the tests use: the full ideal V, the
 canonical ideals, the identity star, the stars generated and induced by
 ideals, the small-case star count report, and the certificate that reads
-the orbit partition of all of F_0."""
+the orbit partition of all of F_0, and the lemma suite on every ideal of
+F_0."""
 
 import itertools
 
@@ -10,12 +11,15 @@ from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import count_subspaces
 from starlab.kunz_lab import (
     KunzReport,
+    family_index,
     family_semigroup,
+    require_gate,
     ring_model_for,
     star_count,
     subspace_lab,
+    unit_translate_criterion,
 )
-from starlab.numsgp import is_pseudo_symmetric
+from starlab.numsgp import is_pseudo_symmetric, semigroup
 from starlab.ring_model import RingIdeal, enumerate_ideals, is_overring_stable
 from starlab.star_engine import DEFAULT_MAX_ORBITS, StarOperation, workspace
 
@@ -147,4 +151,115 @@ def full_partition_certificate(n, q) -> KunzReport:
     report.results["formula_floor"] = floor
     report.verdict("bound_at_least_formula_floor", bound >= floor)
     report.results["witnesses"] = [[list(row) for row in rep.rows] for rep in lab.reps]
+    return report
+
+
+def full_structure_report(gens, q) -> KunzReport:
+    """`structure_report` as it decides every lemma on each ideal of F_0
+    and each pair of pool ideals: the length identity over all |F_0|^2
+    products, biduality over every J, the pairwise closures on every pair
+    of pool ideals, and the induced-operation check on singletons, a
+    deterministic batch of two-element sets and the full pool."""
+    require_gate(gens, q)
+    S = semigroup(gens)
+    model = ring_model_for(tuple(S.generators), q)
+    report = KunzReport(
+        input={"generators": list(S.generators), "q": q, "command": "kunz lemmas"}
+    )
+    ws = workspace(model)
+    ideals = ws.ideals
+    R = model.ring_ideal()
+    g, tau = S.frobenius, S.tau
+
+    ok = True
+    pairs = 0
+    above = ws.above
+    for (a, I), (b, J) in itertools.product(enumerate(ideals), repeat=2):
+        if above[a] >> b & 1:
+            pairs += 1
+            if J.dim - I.dim != len(set(J.value_set) - set(I.value_set)):
+                ok = False
+    report.results["comparable_pairs"] = pairs
+    report.verdict("length_identity", ok)
+
+    expected_low = tuple(sorted(set(S.small_members()) | {tau}))
+    ok = True
+    for I in ideals:
+        if I == R:
+            continue
+        p1 = tuple(p for p in I.value_set if p <= g) == expected_low
+        p2 = g not in I.value_set
+        p3 = not is_overring_stable(I)
+        # biduality: (I:I) = R is necessary (take J = R), and it already
+        # fails for every overring-stable ideal; the full quantifier runs
+        # only on the survivors
+        p4 = I.colon(I.colon(R)) == R and all(
+            I.colon(I.colon(J)) == J for J in ideals
+        )
+        if not (p1 == p2 == p3 == p4):
+            ok = False
+    report.verdict("overring_detection_four_way", ok)
+
+    ok = all(I.colon(R) == I and I.colon(I.colon(I)).contains(I) for I in ideals)
+    report.verdict("colon_laws", ok)
+
+    is_family = family_index(S) is not None
+    report.results["family_member"] = is_family
+    if is_family:
+        stable = [I for I in ideals if is_overring_stable(I)]
+        ok = all((tau in I.value_set) == I.is_divisorial() for I in stable)
+        report.verdict("divisorial_iff_tau_value", ok)
+        ok = True
+        for I in stable:
+            padded = model.span_ideal(
+                list(I.head.packed) + [model.monomial(k) for k in range(tau, model.head_dim)]
+            )
+            if I.v_closure() != padded:
+                ok = False
+        report.verdict("v_closure_is_tau_padding", ok)
+
+        # pairwise closure criterion: I^{star_J} = (J:(J:I)) meet I^v equals
+        # I exactly when some valuation-0 unit sends I inside J
+        pool = [I for I in stable if not I.is_divisorial()]
+        unit_criterion = unit_translate_criterion(ws, pool)
+        images = {}
+        ok_pair = True
+        ok_step = True
+        for jx, J in enumerate(pool):
+            for ix, I in enumerate(pool):
+                image = J.colon(J.colon(I)).intersect(I.v_closure())
+                images[(jx, ix)] = image
+                if image != I and image != I.v_closure():
+                    ok_step = False
+                if (image == I) != unit_criterion[(jx, ix)]:
+                    ok_pair = False
+        report.verdict("closure_by_unit_translate", ok_pair)
+        report.verdict("closure_one_step_below_v", ok_step)
+
+        # induced operations: the meet of the pairwise closures fixes I iff
+        # a single member does (checked on singletons, a deterministic batch
+        # of two-element sets, and the full pool)
+        ok = True
+        deltas = [(j,) for j in range(len(pool))]
+        if len(pool) <= 40:
+            deltas += list(itertools.combinations(range(len(pool)), 2))
+        else:
+            deltas += [(j, (j + 1) % len(pool)) for j in range(len(pool))]
+            deltas += [(0, j) for j in range(2, len(pool), 3)]
+        if pool:
+            deltas.append(tuple(range(len(pool))))
+        for delta in deltas:
+            for ix, I in enumerate(pool):
+                meet = None
+                for jx in delta:
+                    meet = (
+                        images[(jx, ix)]
+                        if meet is None
+                        else meet.intersect(images[(jx, ix)])
+                    )
+                set_closed = meet == I
+                member_criterion = any(unit_criterion[(jx, ix)] for jx in delta)
+                if set_closed != member_criterion:
+                    ok = False
+        report.verdict("set_closure_by_unit_translate", ok)
     return report

@@ -22,7 +22,9 @@ PINNED = json.loads((BENCH / "answers.json").read_text())
 # certificate, semigroup reports up to g = 89,699, and labs, star counts
 # and a certificate over extension fields up to F_27 and F_125; labs and
 # certificates whose orbits take the member route of partition_subspaces on
-# the F_2 and digit-slot layouts, and the certificate inside a counterexample
+# the F_2 and digit-slot layouts, and the certificate inside a counterexample;
+# the lemma suite on the n = 6 family member, off the family, over F_5 and
+# over F_3 with odd g
 PINNED.update({
     "cli kunz subspace-orbits --n 4 --q 4":
         "1a4eaade0fe46526c5cfd06c0a5895ab4487dcfefbebd494d746f693cdea8c61",
@@ -76,6 +78,14 @@ PINNED.update({
         "af557f799ba13ede7f4e38b8256292e6250668b900207be4d64ded4ebbfe0806",
     "cli kunz counterexample --gens 4,5,7 --q 3":
         "86df0121141ec0961a950680bf59c34c64a6a95f449bc3c7a5b0b0071f9e97db",
+    "cli kunz lemmas --gens 6,7,8,9,11 --q 2":
+        "e9666dd49cfca7ec9fc16e88d524223bf6221214a9d946de618b3cb73ca966d6",
+    "cli kunz lemmas --gens 4,7,9 --q 2":
+        "a1164a0cae9b20e70916c070fef9daa386be0b17be9c3ad5fa5b9d8fed3b8bc6",
+    "cli kunz lemmas --gens 4,5,7 --q 5":
+        "1bbf049a40f1c85844548871e997bc0f10273ad4ffcce7c56a451989e89ea01a",
+    "cli kunz lemmas --gens 3,7,11 --q 3":
+        "59ee8b0920f06db2155fde65c905a451a5f3aea608f335dd86a1a8594f9723c6",
 })
 
 

@@ -28,7 +28,7 @@ from starlab.ring_model import (
 )
 from starlab.star_engine import divisorial_star, enumerate_stars, workspace
 
-from ring_helpers import full_partition_certificate, small_case_report
+from ring_helpers import full_partition_certificate, full_structure_report, small_case_report
 from subspaces import enumerate_subspaces
 
 
@@ -368,6 +368,58 @@ def test_unit_translate_criterion_matches_every_unit(q):
         by_j.setdefault(jx, set()).add(hit)
     assert any(len(hits) == 2 for hits in by_orbit.values())
     assert any(len(hits) == 2 for hits in by_j.values())
+
+
+@pytest.mark.parametrize(
+    "gens,q",
+    [
+        ((4, 5, 7), 2),
+        ((4, 5, 7), 3),
+        ((4, 5, 7), 4),
+        ((4, 5, 7), 5),
+        ((5, 6, 7, 9), 2),
+        ((4, 7, 9), 2),
+        ((3, 7, 11), 3),
+        pytest.param((5, 6, 7, 9), 3, marks=pytest.mark.slow),
+        pytest.param((6, 7, 8, 9, 11), 2, marks=pytest.mark.slow),
+    ],
+)
+def test_structure_report_matches_per_ideal_reference(gens, q):
+    # the suite on orbit representatives decides what the reference decides
+    # on every ideal and every pair of pool ideals, in the same order
+    report = structure_report(list(gens), q)
+    ref = full_structure_report(list(gens), q)
+    assert list(report.verdicts.items()) == list(ref.verdicts.items())
+    assert list(report.results.items()) == list(ref.results.items())
+    assert report.all_verified()
+
+
+@pytest.mark.parametrize("gens,q", [((4, 5, 7), 2), ((4, 5, 7), 3), ((5, 6, 7, 9), 2)])
+def test_lemmas_agree_across_unit_orbits(gens, q):
+    # what lets the suite read one ideal per orbit: uJ:(uJ:I) is J:(J:I)
+    # (ideals are interned, so `is` compares them), and biduality,
+    # divisoriality and J:(J:I) meet I^v = I agree across each orbit of I;
+    # a colon that breaks equivariance fails here
+    ws = workspace(ring_model_for(gens, q))
+    ideals, members = ws.ideals, ws.partition.members
+    assert any(len(orbit) > 1 for orbit in members)
+    for orbit in members:
+        J = ideals[orbit[0]]
+        for I in ideals:
+            bidual = J.colon(J.colon(I))
+            assert all(ideals[m].colon(ideals[m].colon(I)) is bidual for m in orbit)
+    pool = [I for I in ideals if is_overring_stable(I) and not I.is_divisorial()]
+    facts = [
+        (
+            all(I.colon(I.colon(J)) is J for J in ideals),
+            I.is_divisorial(),
+            tuple(J.colon(J.colon(I)).intersect(I.v_closure()) is I for J in pool),
+        )
+        for I in ideals
+    ]
+    assert len(set(facts)) > 1
+    for orbit in members:
+        assert len({facts[m] for m in orbit}) == 1
 
 
 def test_formula_check_q2():
