@@ -338,7 +338,7 @@ class Subspace:
         """Lattice meet (`packed_meet` at the full width)."""
         if self.ambient != other.ambient:
             raise InputError("ambient dimension mismatch")
-        meet = packed_meet(self.entries, self.ambient, other)
+        meet = packed_meet(self.entries, self.ambient, other, 0)
         return other if meet is None else Subspace(self.field, self.ambient, *meet)
 
     def __eq__(self, other):
@@ -355,30 +355,31 @@ class Subspace:
         return f"Subspace(dim={self.dim}, pivots={self.pivots})"
 
 
-def packed_meet(entries, cut, sub: Subspace):
-    """The packed rows and pivots, as tuples, of the meet of sub with
-    A + t^cut*K^n, where A is a subspace of K^cut in reduced echelon form
-    given by its `Packing.entry` tuples; None when sub lies inside.
+def packed_meet(entries, cut, sub: Subspace, k):
+    """The packed rows and pivots, as tuples, of the subspace of the w in
+    sub with t^k*w in A + t^cut*K^n, where A is a subspace of K^cut in
+    reduced echelon form given by its `Packing.entry` tuples; None when
+    every w qualifies. At k = 0 it is the meet of sub with A + t^cut*K^n.
 
-    w lies in A + t^cut*K^n exactly when its coefficients below cut lie in
-    A. Rows of sub with pivot >= cut are therefore in the meet as they are,
-    and so are the rows whose cut reduces to zero against A. Each other row
-    r enters a Gauss–Jordan elimination as the block (residual of the cut
-    of r | r), residual in the low columns; the blocks whose residual
-    cancels carry the rest of the meet. A, sub and the meet are in reduced
-    echelon form, and each row kept from sub vanishes at the pivots of all
-    others, so the union, ordered by pivot, is canonical.
+    t^k*w qualifies exactly when its coefficients below cut lie in A. Rows
+    of sub with pivot >= cut - k therefore qualify as they are, and so do
+    the rows r whose t^k*r, cut, reduces to zero against A. Each other row
+    r enters a Gauss–Jordan elimination as the block (that residual | r),
+    residual in the low columns; the blocks whose residual cancels carry
+    the rest of the result. A, sub and the result are in reduced echelon
+    form, and each row kept from sub vanishes at the pivots of all others,
+    so the union, ordered by pivot, is canonical.
     """
     kern = sub.field.packing
     rows, pivots = sub.packed, sub.pivots
-    low = bisect_left(pivots, cut)
+    low = bisect_left(pivots, cut - k)
     kept = []
     block = []
-    reduce, truncate, support = kern.reduce, kern.truncate, kern.support
+    reduce, shift, truncate, support = kern.reduce, kern.shift, kern.truncate, kern.support
     for p, r in zip(pivots[:low], rows[:low]):
-        residual = reduce(truncate(r, cut), entries)
+        residual = reduce(truncate(shift(r, k), cut), entries)
         if support(residual):
-            block.append(kern.add(residual, kern.shift(r, cut)))
+            block.append(kern.add(residual, shift(r, cut)))
         else:
             kept.append((p, r))
     if not block:
@@ -525,9 +526,16 @@ def subspace_unit_image(sub: Subspace, unit) -> Subspace:
     return Subspace(fld, n, rows, sub.pivots)
 
 
-def unit_image_map(sub: Subspace):
+def _stabilizer(sub: Subspace):
+    """V, the positive valuations of (sub : sub): 1 + M, M the part of the
+    colon in t*K[t], is the stabilizer of sub under the units."""
+    return {p for p in subspace_colon(sub, sub).pivots if p}
+
+
+def unit_image_map(sub: Subspace, fixed=None):
     """The orbit of sub under the units 1 + t*K[t] of K[t]/(t^ambient), on
-    the rows packed by the field (packed.py).
+    the rows packed by the field (packed.py). `fixed` is V, the valuations
+    of the stabilizer (`_stabilizer`), where a caller has solved it.
 
     Returns {rows: witness}: rows is the tuple of the packed rows of an
     image in reduced echelon form, and witness the packed unit u, of
@@ -545,7 +553,8 @@ def unit_image_map(sub: Subspace):
     kern = sub.field.packing
     n = sub.ambient
     pivots = sub.pivots
-    fixed = {p for p in subspace_colon(sub, sub).pivots if p}
+    if fixed is None:
+        fixed = _stabilizer(sub)
     add, scale, shift, truncate = kern.add, kern.scale, kern.shift, kern.truncate
 
     images = {sub.packed: kern.one}
@@ -571,9 +580,10 @@ def _check_orbit_size(found, expected):
         raise InvariantError(f"unit orbit has {found} images, not {expected}")
 
 
-def _images_containing_one(sub: Subspace):
+def _images_containing_one(sub: Subspace, fixed):
     """The packed rows of the unit images of sub that contain 1, for sub
-    containing 1; None when the orbit takes no more images to enumerate.
+    containing 1 with stabilizer valuations `fixed`; None when the orbit
+    takes no more images to enumerate.
 
     1 lies in v * sub exactly when v^-1 does in sub, so these images are
     the s^-1 * sub for the s in sub with constant term 1: 1 + S', S' the
@@ -588,12 +598,10 @@ def _images_containing_one(sub: Subspace):
     x in C, meet each coset once, and their images are distinct. The route
     pays when dim - 1 is less than ambient - 1 - |V|, the exponent of the
     orbit's size; as every t^k with k >= kappa lies in M, that needs
-    dim < kappa, which is tested before the colon is solved.
+    dim < kappa, which `partition_subspaces` tests before it solves the
+    colon.
     """
     n, dim = sub.ambient, sub.dim
-    if dim >= pivot_tail(sub):
-        return None
-    fixed = {p for p in subspace_colon(sub, sub).pivots if p}
     if dim - 1 >= n - 1 - len(fixed):
         return None
     fld = sub.field
@@ -624,29 +632,30 @@ class OrbitPartition:
     subspace (the item, or the ideal's head): it maps the packed rows of
     every image (inside the family or not) to a packed witness unit. An
     orbit whose members were found among the images containing 1 has its
-    image map built on the first read of `image_maps` (or of `witness`).
+    image map built on the first read of `image_maps` (or of `witness`),
+    from the stabilizer valuations solved while partitioning.
     """
 
-    def __init__(self, items, orbit_ids, members, image_maps, heads):
+    def __init__(self, items, orbit_ids, members, image_maps, pending):
         self.items = items
         self.orbit_ids = orbit_ids
         self.reps = tuple(items[m[0]] for m in members)
         self.members = members
         # the image maps found while partitioning, None where unbuilt, and
-        # the representatives' subspaces
+        # there the representative's subspace and stabilizer valuations
         self._maps = image_maps
-        self._heads = heads
+        self._pending = pending
 
     @cached_property
     def image_maps(self):
         return tuple(
-            unit_image_map(head) if images is None else images
-            for head, images in zip(self._heads, self._maps)
+            unit_image_map(*wait) if images is None else images
+            for images, wait in zip(self._maps, self._pending)
         )
 
     def relabel(self, items):
         """The same partition with items[i] in place of its i-th item."""
-        return OrbitPartition(items, self.orbit_ids, self.members, self._maps, self._heads)
+        return OrbitPartition(items, self.orbit_ids, self.members, self._maps, self._pending)
 
     @property
     def orbit_count(self):
@@ -671,7 +680,9 @@ def partition_subspaces(subspaces) -> OrbitPartition:
     up among its images by packed rows. When every subspace contains 1, so
     does every member, and the images containing 1 suffice: they are taken
     instead of the orbit's image map wherever they are fewer
-    (`_images_containing_one`), and that map waits for its first read.
+    (`_images_containing_one`), and that map waits for its first read. Each
+    representative's stabilizer colon is solved once, and kept for the
+    map that waits.
     """
     subspaces = tuple(subspaces)
     index = {s.packed: i for i, s in enumerate(subspaces)}
@@ -679,21 +690,28 @@ def partition_subspaces(subspaces) -> OrbitPartition:
     unital = all(s.packed[:1] == (s.field.packing.one,) for s in subspaces)
     orbit_ids = [None] * len(subspaces)
     members = []
-    image_maps = []
+    image_maps, pending = [], []
     for i in sorted(range(len(subspaces)), key=lambda i: subspaces[i].rows):
         if orbit_ids[i] is not None:
             continue
-        images = _images_containing_one(subspaces[i]) if unital else None
+        sub, fixed, images = subspaces[i], None, None
+        # the member route needs dim < kappa (`_images_containing_one`)
+        if unital and sub.dim < pivot_tail(sub):
+            fixed = _stabilizer(sub)
+            images = _images_containing_one(sub, fixed)
         if images is None:
-            images = unit_image_map(subspaces[i])
+            images = unit_image_map(sub, fixed)
             image_maps.append(images)
+            pending.append(None)
         else:
             image_maps.append(None)
+            pending.append((sub, fixed))
         orbit = sorted(
             (index[key] for key in images if key in index), key=lambda j: subspaces[j].rows
         )
         for j in orbit:
             orbit_ids[j] = len(members)
         members.append(tuple(orbit))
-    heads = tuple(subspaces[m[0]] for m in members)
-    return OrbitPartition(subspaces, tuple(orbit_ids), tuple(members), tuple(image_maps), heads)
+    return OrbitPartition(
+        subspaces, tuple(orbit_ids), tuple(members), tuple(image_maps), tuple(pending)
+    )

@@ -27,6 +27,7 @@ from .fq_linear import (
     count_subspaces,
     packed_meet,
     partition_subspaces,
+    pivot_tail,
     series_inv,
     series_mul,
     subspace_colon,
@@ -172,9 +173,14 @@ class RingIdeal:
 
     @property
     def sub(self) -> Subspace:
-        """The ideal as a subspace of A_N: t^0 * I. Computed on each read, so
-        the many interned unit images hold no N-wide copy."""
-        return self.translate(0)
+        """The ideal as a subspace of A_N: its head rows, then the
+        conductor's, already in reduced echelon form. Computed on each read,
+        so the many interned unit images hold no N-wide copy."""
+        model = self.model
+        head, conductor = self.head, model.conductor
+        return Subspace(
+            model.field, model.trunc, head.packed + conductor.packed, head.pivots + conductor.pivots
+        )
 
     @property
     def dim(self):
@@ -287,27 +293,6 @@ class RingIdeal:
     def is_divisorial(self) -> bool:
         return self.v_closure() == self
 
-    def translate(self, k: int) -> Subspace:
-        """The subspace of t^k * I; exact for 0 <= k <= g+1.
-
-        The result is generally not a RingIdeal (its conductor block starts
-        at t^(k+g+1)), so it is returned as a raw subspace of A_N: the head
-        rows moved k columns right, then the conductor rows from t^(k+g+1)
-        on. That is already reduced echelon form, as the head rows end
-        before t^(k+g+1) and the conductor rows are monomials.
-        """
-        model = self.model
-        h = model.head_dim
-        if not 0 <= k <= h:
-            raise InputError(f"shift {k} outside [0, {h}]")
-        head, conductor = self.head, model.conductor
-        shift = model.field.packing.shift
-        packed = tuple(shift(r, k) for r in head.packed) if k else head.packed
-        pivots = tuple(p + k for p in head.pivots) if k else head.pivots
-        return Subspace(
-            model.field, model.trunc, packed + conductor.packed[k:], pivots + conductor.pivots[k:]
-        )
-
     def unit_image(self, unit) -> "RingIdeal":
         """u * I, for a packed unit u of A_N read mod t^(g+1)."""
         model = self.model
@@ -323,66 +308,52 @@ class RingIdeal:
 
 
 def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
-    """The subspace of A_N with these packed rows, a tuple, and their pivots,
-    divided by a minimal-valuation element, landing in F_0.
+    """normalize(Y + t^(g+1)*V): the ideal divided by a minimal-valuation
+    element, landing in F_0, for the subspace Y of K^(g+1) with these packed
+    rows, a tuple in reduced echelon form, and their pivots. Y = 0 gives V.
 
-    The divisor is the canonical echelon row with the least pivot, so the
-    result is deterministic; any other minimal-valuation divisor gives a
-    unit-equivalent ideal. Results are memoized per model on the rows.
+    The divisor is Y's canonical row alpha with the least pivot m <= g, so
+    the result is deterministic; any other minimal-valuation divisor gives
+    a unit-equivalent ideal. The quotient is the image under the unit
+    t^m/alpha of Y/t^m + t^(g+1-m)*V, whose head is spanned by the rows of
+    Y moved m columns left and the monomials t^(g+1-m), ..., t^g: a reduced
+    echelon form, as those rows end before t^(g+1-m). At Y = 0 take m = g+1
+    and alpha = t^(g+1). Results are memoized per model on the rows.
     """
     memo = model._cache.setdefault("normalize", {})
     cached = memo.get(rows)
-    if cached is not None:
-        return cached
-    if not rows:
-        raise InputError("cannot normalize the zero ideal")
-    h = model.head_dim
-    m = pivots[0]
-    if m > h:
-        raise InvariantError(f"minimal valuation {m} exceeds g+1; precision lost")
-    field = model.field
-    kern = field.packing
-    # The result contains the conductor block, so only the heads of the
-    # quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
-    # t^m, and rows with pivot >= m+h have zero heads. Those windows of h
-    # columns are a reduced echelon form, alpha's window first, with pivot
-    # entry 1: the head is the image of their span under the unit 1/alpha.
-    low = bisect_left(pivots, m + h)
-    windows = tuple(kern.truncate(kern.unshift(r, m), h) for r in rows[:low])
-    inv = series_inv(windows[0], field, h)
-    span = Subspace(field, h, windows, tuple(p - m for p in pivots[:low]))
-    cached = memo[rows] = RingIdeal(model, subspace_unit_image(span, inv))
+    if cached is None:
+        h = model.head_dim
+        m = pivots[0] if pivots else h
+        field = model.field
+        kern = field.packing
+        windows = tuple(kern.unshift(r, m) for r in rows) + _monomials(kern, range(h - m, h))
+        span = Subspace(field, h, windows, tuple(p - m for p in pivots) + tuple(range(h - m, h)))
+        inv = series_inv(windows[0], field, h)
+        cached = memo[rows] = RingIdeal(model, subspace_unit_image(span, inv))
     return cached
 
 
-def normalized_translate_intersection(
-    ideal: RingIdeal, shifted: Subspace, k: int, base: Subspace
-) -> RingIdeal:
-    """normalize(ideal meet (t^k * base)) where shifted = t^k * base.
+def normalized_translate_intersection(ideal: RingIdeal, head: Subspace, k: int) -> RingIdeal:
+    """normalize(ideal meet t^k*J) for the ideal J with this head and
+    0 <= k <= g+1, at head width: nothing of A_N is built.
 
-    When the ideal contains the translate, the meet is t^k * base itself,
-    and dividing it by its least-pivot row is dividing base by its own: the
-    result is normalize(base). Otherwise, when the intersection has minimal
-    valuation m <= g+1 the division is exact in A_N directly. When m > g+1
-    every element of the intersection lies inside the conductor, the
-    intersection equals t^k * (base cut at m-k), and normalizing that cut of
-    base stays exact. The ideal need only contain the conductor block, so it
-    may be a unit image of a member of F_0. Containing the conductor
-    block, it is its head plus t^(g+1)*A_N: the meet is `packed_meet` cut
-    at g+1.
+    Both ideals contain the conductor C = t^(g+1)*V, and t^k*C lies in C,
+    so the meet is t^k*(Y + C), where Y holds the y in J's head with
+    t^k*y mod t^(g+1) in the ideal's head. The ideal holds every column
+    from kappa = `pivot_tail` on, and its head rows with pivot below kappa
+    vanish there, so Y is `packed_meet` of J's head at shift k against
+    those rows, cut at kappa; None means Y is the whole head. Normalizing
+    divides out t^k with the rest, so the result is normalize(Y + C),
+    memoized on Y's rows (`_normalize`). The ideal need only contain the
+    conductor, so it may be a unit image of a member of F_0.
     """
-    model = ideal.model
-    meet = packed_meet(ideal.head.entries, model.head_dim, shifted)
-    if meet is None:
-        return _normalize(model, base.packed, base.pivots)
-    rows, pivots = meet
-    if not rows:
-        raise InvariantError("ideal intersection collapsed to zero")
-    m = pivots[0]
-    if m <= model.head_dim:
-        return _normalize(model, rows, pivots)
-    low = bisect_left(base.pivots, m - k)
-    return _normalize(model, base.packed[low:], base.pivots[low:])
+    own = ideal.head
+    kappa = pivot_tail(own)
+    low = own.dim - (ideal.model.head_dim - kappa)
+    meet = packed_meet(own.entries[:low], kappa, head, k)
+    rows, pivots = (head.packed, head.pivots) if meet is None else meet
+    return _normalize(ideal.model, rows, pivots)
 
 
 # ---------------------------------------------------------------------------

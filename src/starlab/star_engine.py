@@ -17,17 +17,22 @@ leave few of those meets to evaluate:
 
 (A) For k >= kappa(I), t^k*u*J lies in t^k*V, inside I, so the meet is
     t^k*u*J and normalizes into J's orbit.
-(B) The orbit depends on u only mod t^m, m = min(kappa(I) - k,
-    kappa(J) + k): for e = 1 mod t^(kappa(I)-k), (e-1)*t^k*u*J lies in
-    t^kappa(I)*V, inside I, so I meet t^k*e*u*J is e*(I meet t^k*u*J);
-    for e = 1 mod t^(kappa(J)+k), (e^-1 - 1)*z lies in t^k*u*J for every
-    z in I, so the meet is unchanged. As kappa(I) <= h, m <= h - k.
+(B) Every element of the meet has valuation at least mu, the least common
+    value of I and t^k*J, so the orbit depends on u only mod t^m,
+    m = max(0, min(kappa(I), kappa(J) + k) - mu): for e = 1 mod
+    t^(kappa(I)-mu), (e-1)*y lies in t^kappa(I)*V, inside I, for every y
+    in the meet, so I meet t^k*e*u*J is e*(I meet t^k*u*J); for e = 1 mod
+    t^(kappa(J)+k-mu), (e^-1 - 1)*z lies in t^k*u*J for every z in the
+    meet, so the meet is unchanged. As mu >= k, m <= kappa(I) - k.
 (C) At k = 0, I meet u*J = u*(J meet u^-1*I), so the k = 0 orbits of
     (I, J) and (J, I) are one set, met once per unordered pair.
 
 So each shift meets one unit image per class mod t^m, taken on the side
 with fewer classes: translates of images of J with I, or images u*I with
-t^k*J, which give the same orbits as the unit group is abelian.
+t^k*J, which give the same orbits as the unit group is abelian. Each meet
+is taken at head width: it is t^k*(Y + t^h*V) for Y the y in head(J) with
+t^k*y mod t^h in head(I), so it normalizes as Y + t^h*V does, and as V
+where Y = 0.
 """
 
 from __future__ import annotations
@@ -196,26 +201,37 @@ class ClosureTable:
         orbit j. The entry therefore starts as orbit j (k = g+1 always
         qualifies), and only the shifts k < kappa(rep_i) are evaluated.
 
-        (B) The orbit depends on u only mod t^m, m = min(kappa(rep_i) - k,
-        kappa(rep_j) + k). For e = 1 mod t^(kappa(rep_i)-k),
-        (e-1)*t^k*u*rep_j lies in t^kappa(rep_i)*V, inside rep_i, so
+        (B) Let mu be the least common value of rep_i and t^k*rep_j, the
+        least element of S(rep_i) meet (k + S(rep_j)) for value sets S.
+        Unit images keep value sets, so every element of every meet
+        rep_i meet t^k*u*rep_j has valuation at least mu, and the orbit
+        depends on u only mod t^m, m = max(0, min(kappa(rep_i),
+        kappa(rep_j) + k) - mu). For e = 1 mod t^(kappa(rep_i)-mu) and y
+        in the meet, (e-1)*y lies in t^kappa(rep_i)*V, inside rep_i, so
         rep_i meet t^k*e*u*rep_j = e*(rep_i meet t^k*u*rep_j). For
-        e = 1 mod t^(kappa(rep_j)+k) and z in rep_i, inside V,
+        e = 1 mod t^(kappa(rep_j)+k-mu) and z in the meet,
         (e^-1 - 1)*z lies in t^(kappa(rep_j)+k)*V, inside t^k*u*rep_j, so
         the meet does not change at all. Per shift, each orbit keeps one
-        unit image per class of witnesses mod t^m; as kappa(rep_i) <= h,
-        m <= h - k, the conductor's bound.
+        unit image per class of witnesses mod t^m; as mu >= k,
+        m <= kappa(rep_i) - k <= h - k, the conductor's bound.
 
         U is abelian, so rep_i meet t^k*u*rep_j = u*(u^-1*rep_i meet
         t^k*rep_j): the images u*rep_i met with t^k*rep_j give the same
         orbits, and (A) and (B) hold for them too, as unit images keep the
-        pivots and so kappa. Each (i, j, k) loops over the side with fewer
-        classes.
+        pivots, and so kappa and the value sets. Each (i, j, k) loops over
+        the side with fewer classes.
 
         (C) At k = 0, rep_i meet u*rep_j = u*(rep_j meet u^-1*rep_i), so
         when both kappas are positive the k = 0 orbits of (i, j) and (j, i)
         are the same set: it is met once per unordered pair and joins both
         entries, beside their own orbit j and orbit i.
+
+        Each meet is taken at head width (`normalized_translate_intersection`
+        on the two heads): rep_i meet t^k*J is t^k*(Y + t^h*V), where Y holds
+        the y in head(J) with t^k*y mod t^h in head(rep_i), one elimination
+        of head(J)'s rows against head(rep_i). So the orbit is that of
+        normalize(Y + t^h*V), memoized on Y's rows whatever k is, and V's
+        where Y = 0. No translate and no N-wide view is built.
         """
         model = ws.model
         h = model.head_dim
@@ -241,32 +257,27 @@ class ClosureTable:
                 by_modulus.append(tuple(picked.values()))
             classes.append(by_modulus)
 
+        # the value sets below t^(2h+1) as bitmasks, which hold every value
+        # from h on, so the least common value of rep_i and t^k*rep_j, k <= h,
+        # is their lowest common bit
+        tail = (1 << h + 1) - 1 << h
+        values = [sum(1 << v for v in rep.head.pivots) | tail for rep in part.reps]
         pair, shift_zero = {}, {}
         entries = 0
         for j, rep_j in enumerate(part.reps):
-            # per unit image, its N-wide view, and per image and shift,
-            # t^k * image; held for one column at a time
-            views, column = {}, {}
-
-            def translate(image, k):
-                args = column.get((image, k))
-                if args is None:
-                    if image not in views:
-                        views[image] = image.sub
-                    args = column[image, k] = (image.translate(k), views[image])
-                return args
-
             def orbits(i, k):
                 nonlocal entries
-                m = min(kappa[i] - k, kappa[j] + k)
+                common = values[i] & values[j] << k
+                mu = (common & -common).bit_length() - 1
+                m = max(0, min(kappa[i], kappa[j] + k) - mu)
                 mine, theirs = classes[i][m], classes[j][m]
                 if len(mine) < len(theirs):
-                    calls = [(image, translate(rep_j, k)) for image in mine]
+                    calls = [(image, rep_j.head) for image in mine]
                 else:
-                    calls = [(part.reps[i], translate(image, k)) for image in theirs]
+                    calls = [(part.reps[i], image.head) for image in theirs]
                 hits = 0
-                for ideal, (shifted, base) in calls:
-                    found = normalized_translate_intersection(ideal, shifted, k, base)
+                for ideal, head in calls:
+                    found = normalized_translate_intersection(ideal, head, k)
                     hits |= 1 << ws.orbit_id(found)
                 entries += len(calls)
                 return hits

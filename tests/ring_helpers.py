@@ -1,14 +1,14 @@
 """Ring-level constructions that only the tests use: the full ideal V, the
-canonical ideals, the identity star, the stars generated and induced by
-ideals, the small-case star count report, and the certificate that reads
-the orbit partition of all of F_0, and the lemma suite on every ideal of
-F_0."""
+translate t^k * I in A_N, the canonical ideals, the identity star, the
+stars generated and induced by ideals, the small-case star count report,
+and the certificate that reads the orbit partition of all of F_0, and the
+lemma suite on every ideal of F_0."""
 
 import itertools
 
 from starlab import kunz_lab
 from starlab.errors import InputError, InvariantError
-from starlab.fq_linear import count_subspaces
+from starlab.fq_linear import Subspace, count_subspaces
 from starlab.kunz_lab import (
     KunzReport,
     family_index,
@@ -29,6 +29,22 @@ import subspaces
 def full_ideal(model) -> RingIdeal:
     """V, the integral closure: every head coefficient is free."""
     return RingIdeal(model, subspaces.full(model.field, model.head_dim))
+
+
+def translate(ideal: RingIdeal, k: int) -> Subspace:
+    """t^k * I as a subspace of A_N, exact for 0 <= k <= g+1: the head rows
+    moved k columns right, then the conductor rows from t^(k+g+1) on. That
+    is already reduced echelon form. The engine meets at head width and
+    builds no translate."""
+    model = ideal.model
+    assert 0 <= k <= model.head_dim
+    head, conductor = ideal.head, model.conductor
+    shift = model.field.packing.shift
+    packed = tuple(shift(r, k) for r in head.packed)
+    pivots = tuple(p + k for p in head.pivots)
+    return Subspace(
+        model.field, model.trunc, packed + conductor.packed[k:], pivots + conductor.pivots[k:]
+    )
 
 
 def canonical_ideals(model, ideals=None):

@@ -684,7 +684,9 @@ def test_partition_matches_bfs_reference(name, monkeypatch):
     assert bool(routed) == unital
     searched = []
     search = fq_linear.unit_image_map
-    monkeypatch.setattr(fq_linear, "unit_image_map", lambda sub: searched.append(sub) or search(sub))
+    monkeypatch.setattr(
+        fq_linear, "unit_image_map", lambda sub, *fixed: searched.append(sub) or search(sub, *fixed)
+    )
     part = partition_subspaces(family)
     assert (part.orbit_ids, part.members, part.reps) == (orbit_ids, members, reps)
     assert searched == [rep for rep in reps if rep not in routed]

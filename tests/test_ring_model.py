@@ -1,13 +1,16 @@
 import itertools
+from bisect import bisect_left
 
 import pytest
 
+from starlab import fq_linear
 from starlab.errors import InputError, InvariantError
 from starlab.fq_linear import (
     Subspace,
     field,
     field_from_order,
     partition_subspaces,
+    series_inv,
     subspace_unit_image,
     unit_representatives,
 )
@@ -16,7 +19,6 @@ from starlab.numsgp import semigroup
 from starlab.packed import Gf2Packing, Gf3Packing, SwarPacking
 from starlab.ring_model import (
     RingIdeal,
-    _normalize,
     convert_to_overring,
     enumerate_ideals,
     frobenius_overring_ideal,
@@ -31,7 +33,7 @@ from starlab.ring_model import (
 from starlab.star_engine import workspace
 
 import subspaces
-from ring_helpers import canonical_ideals, full_ideal
+from ring_helpers import canonical_ideals, full_ideal, translate
 from subspaces import enumerate_subspaces
 
 F2 = field(2)
@@ -61,9 +63,26 @@ def image_ideal(rep, rows):
 
 
 def normalize(model, sub):
-    """sub, a subspace of A_N, divided by its least-pivot row: the engine's
-    normalization, called on the packed rows of sub."""
-    return _normalize(model, sub.packed, sub.pivots)
+    """sub, a subspace of A_N of minimal valuation m <= g+1, divided by its
+    canonical least-pivot row alpha, landing in F_0: the N-wide
+    normalization on packed rows. The engine normalizes Y + t^(g+1)*V at
+    head width instead.
+
+    The result contains the conductor block, so only the heads of the
+    quotients matter: head(r / alpha) needs r and 1/alpha to h terms past
+    t^m, and rows with pivot >= m+h have zero heads. Those windows of h
+    columns are a reduced echelon form, alpha's window first, with pivot
+    entry 1: the head is the image of their span under the unit 1/alpha.
+    """
+    h, field = model.head_dim, model.field
+    kern = field.packing
+    m = sub.pivots[0]
+    assert m <= h
+    low = bisect_left(sub.pivots, m + h)
+    windows = tuple(kern.truncate(kern.unshift(r, m), h) for r in sub.packed[:low])
+    inv = series_inv(windows[0], field, h)
+    span = Subspace(field, h, windows, tuple(p - m for p in sub.pivots[:low]))
+    return RingIdeal(model, subspace_unit_image(span, inv))
 
 
 def pivot_scan(rows):
@@ -379,10 +398,8 @@ def test_normalize_translate_lands_in_f0(model457, ideals457):
     unit = F2.packing.pack((1, 1) + (0,) * 12)
     for I in ideals457[:5]:
         for k in (0, 1, 3, 7):
-            shifted = I.unit_image(unit).translate(k)
-            res = normalized_translate_intersection(
-                full_ideal(model457), shifted, k, I.unit_image(unit).sub
-            )
+            image = I.unit_image(unit)
+            res = normalized_translate_intersection(full_ideal(model457), image.head, k)
             assert res.sub in index
 
 
@@ -391,9 +408,10 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     # the two results must be unit equivalent
     ws = workspace(model457)
     I = ideals457[5]
-    shifted = I.translate(1)
-    meet = subspaces.intersect(model457.ring_ideal().sub, shifted)
+    R = model457.ring_ideal()
+    meet = subspaces.intersect(R.sub, translate(I, 1))
     res1 = normalize(model457, meet)
+    assert normalized_translate_intersection(R, I.head, 1) is res1
     # perturb: divide by (row0 + row1) instead
     from subspaces import series_inv, series_mul
 
@@ -464,6 +482,28 @@ def test_convert_to_overring(model457, ideals457):
 
 
 @pytest.mark.parametrize(
+    "gens,q,orbits",
+    [([4, 5, 7], 3, 14), ([4, 5, 6, 7], 3, 12), ([5, 6, 7, 9], 2, 30)],
+    ids=["457-q3", "4567-q3", "5679-q2"],
+)
+def test_stabilizer_colon_solved_once_per_orbit(gens, q, orbits, monkeypatch):
+    # the unit orbits of F_0 and then all their image maps, as every ring
+    # workload reads them, solve one stabilizer colon (sub : sub) per orbit:
+    # an orbit found by the member route hands the colon it solved to the
+    # image map built later
+    ideals = enumerate_ideals(semigroup_ring_model(semigroup(gens), field_from_order(q)))
+    colon = fq_linear.subspace_colon
+    solved = []
+    monkeypatch.setattr(fq_linear, "subspace_colon", lambda a, b: solved.append(a) or colon(a, b))
+    part = unit_orbits(ideals)
+    routed = sum(images is None for images in part._maps)
+    part.image_maps
+    assert part.orbit_count == len(solved) == orbits
+    assert solved == [rep.head for rep in part.reps]
+    assert routed
+
+
+@pytest.mark.parametrize(
     "gens,q",
     [([4, 5, 7], 2), ([4, 5, 7], 3), ([4, 5, 6, 7], 3), ([3, 5, 7], 3), ([4, 5, 7], 4)],
     ids=["457-q2", "457-q3", "4567-q3", "357-q3", "457-q4"],
@@ -511,8 +551,9 @@ def test_packed_image_maps_per_layout(gens, q, layout):
     # rep's head under its unpacked witness, the keys are the images under
     # all units with constant term 1, and witness() gives g+1 coefficients.
     # Every head the closure table interns, the unit images made from those
-    # keys included, holds its rows packed and their entries, and every
-    # translate t^k * I holds its rows packed
+    # keys included, holds its rows packed and their entries, and so does
+    # its N-wide view. Every key of the normalize memo, the rows of a meet
+    # Y at head width, is a reduced echelon form of K^(g+1), packed
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     kern = model.field.packing
     assert type(kern) is layout
@@ -529,9 +570,11 @@ def test_packed_image_maps_per_layout(gens, q, layout):
         head = ideal.head
         assert head.packed == tuple(map(kern.pack, head.rows))
         assert bare(head.entries) == bare(map(kern.entry, head.pivots, head.packed))
-        for k in range(h + 1):
-            shifted = ideal.translate(k)
-            assert shifted.packed == tuple(map(kern.pack, shifted.rows))
+        sub = ideal.sub
+        assert sub.packed == tuple(map(kern.pack, sub.rows))
+    for key in model._cache["normalize"]:
+        rows = [kern.unpack(r, h) for r in key]
+        assert Subspace.span(model.field, h, rows).packed == key
     for oid, (rep, images) in enumerate(zip(part.reps, part.image_maps)):
         for rows, w in images.items():
             image = subspace_unit_image(rep.head, w)
@@ -567,7 +610,7 @@ def test_translate_matches_span(model457, ideals457):
                 if u is not None:
                     assert subspace_unit_image(I.sub, pack(u)) == subspaces.span(fld, n, rows)
                 for k in range(model.sgp.frobenius + 2):
-                    shifted = (I if u is None else I.unit_image(pack(u))).translate(k)
+                    shifted = translate(I if u is None else I.unit_image(pack(u)), k)
                     ref = subspaces.span(fld, n, [subspaces.series_shift(r, k) for r in rows])
                     assert shifted == ref
                     assert shifted.pivots == ref.pivots
@@ -850,12 +893,11 @@ def test_one_ideal_per_head(q, monkeypatch):
             for u in unit_representatives(fld, h)[::5]:
                 same(I.unit_image(u))
             for k in (0, 1, model.sgp.frobenius + 1):
-                shifted = I.translate(k)
-                if not shifted.rows:
-                    continue
-                if shifted.pivots[0] <= h:
+                shifted = translate(I, k)
+                if shifted.rows and shifted.pivots[0] <= h:
                     same(normalize(model, shifted))
-                same(normalized_translate_intersection(full_ideal(model), shifted, k, I.sub))
+                same(normalized_translate_intersection(full_ideal(model), I.head, k))
+                same(normalized_translate_intersection(I, I.head, k))
         return ideals
 
     ideals = every_path()

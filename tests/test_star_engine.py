@@ -17,6 +17,7 @@ from starlab.fq_linear import (
 from starlab.numsgp import semigroup
 from starlab.ring_model import (
     RingIdeal,
+    _normalize,
     frobenius_overring_ideal,
     frobenius_overring_model,
     is_overring_stable,
@@ -42,9 +43,10 @@ from ring_helpers import (
     generated_star,
     identity_star,
     induced_star,
+    translate,
 )
 from subspaces import series_inv, series_mul
-from test_ring_model import ideal_from_full, normalize
+from test_ring_model import ideal_from_full
 
 F2 = field(2)
 
@@ -292,28 +294,35 @@ def _reference_normalize(model, sub):
 
 
 def test_normalize_memo_is_per_model():
-    # the two F_8 models of test_colon_memo_is_per_model: the unit images of
-    # one model's orbit representatives, normalized in both models, often
-    # divide by a series whose inverse depends on the modulus
+    # the two F_8 models of test_colon_memo_is_per_model: heads Y of the
+    # unit images of one model's orbit representatives, with their first
+    # row and without it, and Y = 0, each normalized with the conductor in
+    # both models. Dividing often takes a series whose inverse depends on
+    # the modulus
     models = [
         semigroup_ring_model(semigroup([3, 5, 7]), field(2, 3, poly))
         for poly in ((1, 1, 0, 1), (1, 0, 1, 1))
     ]
     image_maps = workspace(models[0]).partition.image_maps
-    inputs = [
-        RingIdeal(models[0], image_head(models[0], rows)).sub.rows
+    inputs = [()] + [
+        rows[cut:]
         for images in image_maps
-        for rows in images
+        for rows in (image_head(models[0], key).rows for key in images)
+        for cut in (0, 1)
     ]
     results = []
     for model in models:
-        subs = [subspaces.span(model.field, model.trunc, rows) for rows in inputs]
-        ideals = [normalize(model, sub) for sub in subs]
-        for sub, ideal in zip(subs, ideals):
+        h = model.head_dim
+        heads = [subspaces.span(model.field, h, rows) for rows in inputs]
+        ideals = [_normalize(model, Y.packed, Y.pivots) for Y in heads]
+        assert ideals[0] is full_ideal(model)
+        for Y, ideal in zip(heads[1:], ideals[1:]):
             assert ideal.model is model
-            assert ideal == _reference_normalize(model, sub)
-            again = subspaces.span(model.field, model.trunc, sub.rows)
-            assert normalize(model, again) is ideal
+            rows = [r + (0,) * h for r in Y.rows] + list(model.conductor.rows)
+            full = subspaces.span(model.field, model.trunc, rows)
+            assert ideal == _reference_normalize(model, full)
+            again = subspaces.span(model.field, h, Y.rows)
+            assert _normalize(model, again.packed, again.pivots) is ideal
         results.append([ideal.head.rows for ideal in ideals])
     assert results[0] != results[1]
 
@@ -322,6 +331,11 @@ def kappa(ideal):
     """The least k with every column k..g a pivot of the ideal's head."""
     h = ideal.model.head_dim
     return min(k for k in range(h + 1) if set(range(k, h)) <= set(ideal.head.pivots))
+
+
+def least_common_value(reps, i, j, k):
+    """mu, the least value of both reps[i] and t^k * reps[j]."""
+    return min(set(reps[i].value_set) & {k + v for v in reps[j].value_set})
 
 
 @pytest.mark.parametrize(
@@ -343,16 +357,17 @@ def kappa(ideal):
     ],
 )
 def test_closure_table_matches_reference(gens, q, sides):
-    # the containment skip, conductor-aware meet and head-only
-    # normalization against a Zassenhaus meet and full normalization of
-    # every translate, both per translate and in the table. The reference
-    # loops over every image of rep_j at every shift k = 0..g+1; the table
-    # skips k >= kappa(rep_i), meets each k = 0 pair once for (i, j) and
-    # (j, i), and per shift k loops over one image per class of units mod
-    # t^m, m = min(kappa(rep_i) - k, kappa(rep_j) + k), on whichever side,
-    # rep_i's (True) or rep_j's (False), has fewer classes. Where a model
-    # takes both sides, both are checked; with that modulus the 357 and
-    # 345 models only ever take rep_j's
+    # the containment skip, the head-width meet and its normalization
+    # against a Zassenhaus meet and full normalization of every translate,
+    # both per translate and in the table. The reference loops over every
+    # image of rep_j at every shift k = 0..g+1; the table skips
+    # k >= kappa(rep_i), meets each k = 0 pair once for (i, j) and (j, i),
+    # and per shift k loops over one image per class of units mod t^m,
+    # m = max(0, min(kappa(rep_i), kappa(rep_j) + k) - mu), mu the least
+    # common value of rep_i and t^k*rep_j, on whichever side, rep_i's
+    # (True) or rep_j's (False), has fewer classes. Where a model takes
+    # both sides, both are checked; with that modulus the 357 and 345
+    # models only ever take rep_j's
     model = semigroup_ring_model(semigroup(list(gens)), field_from_order(q))
     ws = workspace(model)
     g = model.sgp.frobenius
@@ -370,10 +385,10 @@ def test_closure_table_matches_reference(gens, q, sides):
     for i in range(n):
         for j in range(n):
             for k in range(kappas[i]):
-                m = min(kappas[i] - k, kappas[j] + k)
+                m = max(0, min(kappas[i], kappas[j] + k) - least_common_value(part.reps, i, j, k))
                 kinds.add(classes[i][m] < classes[j][m])
     assert kinds == sides
-    pack = model.field.packing.pack
+    pack, shift = model.field.packing.pack, model.field.packing.shift
     expected = {}
     for i, rep in enumerate(part.reps):
         rep_sub = rep.sub
@@ -383,28 +398,29 @@ def test_closure_table_matches_reference(gens, q, sides):
                 image = RingIdeal(model, image_head(model, rows))
                 image_sub = image.sub
                 for k in range(g + 2):
-                    shifted = image.translate(k)
+                    shifted = translate(image, k)
                     if not shifted.rows:
                         continue
                     meet = subspaces.intersect(rep_sub, shifted)
-                    found = packed_meet(rep.head.entries, model.head_dim, shifted)
-                    rows, pivots = found or (shifted.packed, shifted.pivots)
-                    assert tuple(unpack(r, model.trunc) for r in rows) == meet.rows
-                    assert tuple(pivots) == meet.pivots
+                    # the meet is t^k * (Y + C), C the conductor
+                    found = packed_meet(rep.head.entries, h, image.head, k)
+                    rows, pivots = found or (image.head.packed, image.head.pivots)
+                    full = tuple(unpack(shift(r, k), model.trunc) for r in rows)
+                    assert full + model.conductor.rows[k:] == meet.rows
+                    assert tuple(p + k for p in pivots) + model.conductor.pivots[k:] == meet.pivots
                     m = meet.pivots[0]
                     if m > g + 1:
                         # the elements of t^k*u*rep_j of valuation >= m
                         keep = [r for r, p in zip(image_sub.rows, image_sub.pivots) if p >= m - k]
                         meet = subspaces.span(model.field, model.trunc, keep)
                     ref = _reference_normalize(model, meet)
-                    assert normalized_translate_intersection(rep, shifted, k, image_sub) == ref
+                    assert normalized_translate_intersection(rep, image.head, k) == ref
                     hits.add(ws.orbit_id(ref))
             expected[(i, j)] = sum(1 << oid for oid in hits)
     assert ws.table.pair_classes == expected
-    # the table's normalize-memo keys are packed rows of A_N: nothing past
-    # t^N survives a translate
+    # the table's normalize-memo keys are packed rows of K^(g+1)
     keys = model._cache["normalize"]
-    assert all(pack(unpack(r, model.trunc)) == r for key in keys for r in key)
+    assert all(pack(unpack(r, h)) == r for key in keys for r in key)
 
 
 @pytest.fixture(
@@ -431,16 +447,16 @@ def test_translates_from_kappa_lie_inside(unit_sweep):
         for j, by_unit in enumerate(images):
             for image in set(by_unit.values()):
                 for k in range(kappa(I), h + 1):
-                    shifted = image.translate(k)
+                    shifted = translate(image, k)
                     assert all(subspaces.contains(I.sub, r) for r in shifted.rows)
-                    found = normalized_translate_intersection(I, shifted, k, image.sub)
+                    found = normalized_translate_intersection(I, image.head, k)
                     assert ws.orbit_id(found) == j
 
 
 def _meet_orbit(ws):
     """orbit(I, J, k): the orbit id of normalize(I meet t^k*J), memoized."""
     return functools.lru_cache(maxsize=None)(
-        lambda I, J, k: ws.orbit_id(normalized_translate_intersection(I, J.translate(k), k, J.sub))
+        lambda I, J, k: ws.orbit_id(normalized_translate_intersection(I, J.head, k))
     )
 
 
@@ -465,23 +481,32 @@ def test_meet_orbit_depends_on_unit_mod_t_h_minus_k(unit_sweep):
 
 
 def test_meet_orbit_depends_on_unit_mod_kappa_bound(unit_sweep):
-    # lemma (B) of ClosureTable.build with its sharper modulus: units u, u'
-    # equal mod t^m, m = min(kappa(I) - k, kappa(J) + k), give the same
-    # orbit, both for I meet t^k*u*J and for u*I meet t^k*J
+    # lemma (B) of ClosureTable.build with the modulus the table uses: every
+    # element of the meet has valuation at least mu, the least common value
+    # of I and t^k*J, so units u, u' equal mod t^m, m = max(0, min(kappa(I),
+    # kappa(J) + k) - mu), give the same orbit, both for I meet t^k*u*J and
+    # for u*I meet t^k*J. This m is at most min(kappa(I) - k, kappa(J) + k),
+    # and below it at some shifts. One ring per packed layout: F_2,
+    # bitsliced F_3 and digit slots at q = 4
     ws, units, images = unit_sweep
     truncate = ws.model.field.packing.truncate
     reps = ws.partition.reps
     orbit = _meet_orbit(ws)
+    sharper = 0
     for i, I in enumerate(reps):
         for j, J in enumerate(reps):
             for k in range(kappa(I)):
-                m = min(kappa(I) - k, kappa(J) + k)
+                mu = least_common_value(reps, i, j, k)
+                m = max(0, min(kappa(I), kappa(J) + k) - mu)
+                assert m <= min(kappa(I) - k, kappa(J) + k)
+                sharper += m < min(kappa(I) - k, kappa(J) + k)
                 on_j, on_i = {}, {}
                 for u in units:
                     a = orbit(I, images[j][u], k)
                     b = orbit(images[i][u], J, k)
                     assert on_j.setdefault(truncate(u, m), a) == a
                     assert on_i.setdefault(truncate(u, m), b) == b
+    assert sharper
 
 
 def test_shift_zero_orbits_are_symmetric(unit_sweep):
@@ -498,7 +523,7 @@ def test_shift_zero_orbits_are_symmetric(unit_sweep):
 
 
 @pytest.mark.parametrize(
-    "gens,entries", [((4, 5, 7), 4252), ((4, 5, 6, 7), 1727)], ids=["457", "4567"]
+    "gens,entries", [((4, 5, 7), 2994), ((4, 5, 6, 7), 1517)], ids=["457", "4567"]
 )
 def test_closure_table_entry_count_q3(gens, entries):
     # the meets the table evaluates, the benchmark's
