@@ -1,8 +1,9 @@
 """starlab: exhaustive star-operation computations on finite models of
 one-dimensional local rings attached to numerical semigroups.
 
-The package models a semigroup ring K[[S]] over a finite field K as a
-subalgebra of the truncated algebra K[t]/(t^N), enumerates its lattice of
+The package models a semigroup ring K[[S]] over a finite field K by its
+image mod the conductor t^(g+1)K[[t]], g the Frobenius number of S: a
+subalgebra of K[t]/(t^(g+1)). It enumerates the ring's lattice of
 fractional ideals between the ring and its integral closure, and enumerates
 every star operation on that lattice as a closure system. On top of that it
 ships a small laboratory of verifiable results: exact star-operation counts,

@@ -100,7 +100,7 @@ def cmd_sgp_info(args):
 
 def _ring_model(args):
     """The model a ring command acts on, built once the ideal budget is met:
-    the budget needs only S and q, the model's basis is 2(g+1) wide."""
+    the budget needs only S and q, the model's head is g+1 wide."""
     S = semigroup(_parse_gens(args.gens))
     fld = field_from_order(args.q, args.field_poly)
     if S.frobenius >= 1:  # else semigroup_ring_model refuses S as bad input

@@ -9,9 +9,9 @@ hashing and orbit bookkeeping structural. Their rows are stored packed into
 Python ints by the field's `packing` (packed.py), and every elimination runs
 on those; the rows as coefficient tuples are a view, unpacked on first read.
 
-The same packed vectors double as the truncated algebra A_N = K[t]/(t^N):
-an element c_0 + c_1*t + ... + c_{N-1}*t^(N-1) is the packed vector
-(c_0, ..., c_{N-1}), and its valuation is its pivot. Series and units, the
+The same packed vectors double as the truncated algebra K[t]/(t^n): an
+element c_0 + c_1*t + ... + c_{n-1}*t^(n-1) is the packed vector
+(c_0, ..., c_{n-1}), and its valuation is its pivot. Series and units, the
 witnesses of the unit orbits included, are packed; coefficient tuples
 enter only as literal input to `Subspace.span` and `Subspace.reduce`, and
 leave only as `Subspace.rows`.
@@ -160,7 +160,6 @@ class Field:
                 raise InvariantError(f"no inverse for code {a}; modulus not irreducible?")
             inv.append(mul[a].index(1))
         self.add, self.mul, self.neg, self.inv = add, mul, neg, inv
-        self.sub = [[row[b] for b in neg] for row in add]
 
     @cached_property
     def packing(self):

@@ -1,13 +1,11 @@
 """Finite models of semigroup rings and their fractional-ideal lattices.
 
 The ring R = K[[S]] (or any residually rational subalgebra with value
-semigroup S) is modelled inside the truncated algebra A_N = K[t]/(t^N) with
-working truncation N = 2*(g+1), g the Frobenius number of S. Every fractional
-ideal between the conductor and the integral closure contains the conductor
-block span{t^{g+1}, ..., t^{N-1}}, so it is determined by its head, its
-image in K^(g+1) (coefficients 0..g), and the head is all a RingIdeal
-stores. The chosen truncation keeps translation by t^k (k <= g+1) followed
-by division by a minimal-valuation element exact.
+semigroup S) contains the conductor t^(g+1)*V, g the Frobenius number of S
+and V = K[[t]] the integral closure, and so does every fractional ideal
+between the conductor and V. Such an ideal, R included, is determined by its
+head, its image mod t^(g+1) in K^(g+1) (coefficients 0..g), and the head is
+all a RingModel and a RingIdeal store.
 
 F_0(R) is the set of ideals I with R <= I <= V; it is enumerated by a
 depth-first search that extends the stable tails of reduced echelon forms
@@ -37,27 +35,18 @@ from .numsgp import NumericalSemigroup
 
 
 class RingModel:
-    """A subalgebra of A_N = K[t]/(t^N) standing in for R (or an overring)."""
+    """R (or an overring) with value semigroup sgp, stored as its head: the
+    subalgebra R mod t^(g+1) of K[t]/(t^(g+1)), a subspace of K^(g+1)."""
 
-    def __init__(self, field, sgp: NumericalSemigroup, trunc: int, basis: Subspace):
+    def __init__(self, field, sgp: NumericalSemigroup, head: Subspace):
         self.field = field
         self.sgp = sgp
-        self.trunc = trunc
-        self.basis = basis
-        h = self.head_dim = sgp.frobenius + 1
+        self.head_dim = sgp.frobenius + 1
         self._cache = {}
         # the model's one RingIdeal per head, by its packed rows; kept out of
         # _cache, whose memos may be dropped while the ideals stay shared
         self._ideals = {}
-        # the block t^(g+1), ..., t^(N-1), one shared copy: every N-wide
-        # view of an ideal ends in its packed rows and pivots
-        kern = field.packing
-        values = tuple(range(h, trunc))
-        self.conductor = Subspace(field, trunc, _monomials(kern, values), values)
-        # the ring's head: its basis rows with pivot <= g, cut to g+1 columns
-        pivots = tuple(p for p in basis.pivots if p < h)
-        rows = tuple(kern.truncate(r, h) for r in basis.packed[: len(pivots)])
-        self._ring = RingIdeal(self, Subspace(field, h, rows, pivots))
+        self._ring = RingIdeal(self, head)
 
     # -- basic objects -----------------------------------------------------
 
@@ -77,7 +66,7 @@ class RingModel:
 
     def span_ideal(self, vectors) -> "RingIdeal":
         """Smallest conductor-containing R-submodule spanning the vectors,
-        packed elements of A_N read mod t^(g+1): the head is closed under
+        packed elements of K[t] read mod t^(g+1): the head is closed under
         products with the ring's head rows, products taken mod t^(g+1)."""
         h = self.head_dim
         field = self.field
@@ -96,17 +85,17 @@ class RingModel:
                 return RingIdeal(self, sub)
 
     def __repr__(self):
-        return f"RingModel(S={self.sgp.generators}, q={self.field.q}, N={self.trunc})"
+        return f"RingModel(S={self.sgp.generators}, q={self.field.q}, head_dim={self.head_dim})"
 
 
 # one model per ring: the factories below return the process's first model
-# of an equal field and basis, with its memos and workspace, whatever path
-# leads to it
+# of an equal field and ring head, with its memos and workspace, whatever
+# path leads to it
 _MODELS: dict = {}
 
 
 def _shared(model: RingModel) -> RingModel:
-    return _MODELS.setdefault((model.field, model.basis), model)
+    return _MODELS.setdefault((model.field, model.ring_ideal().head), model)
 
 
 def _monomials(kern, values):
@@ -117,42 +106,35 @@ def _monomials(kern, values):
 def semigroup_ring_model(sgp: NumericalSemigroup, field) -> RingModel:
     if sgp.frobenius < 1:
         raise InputError("value semigroup must have at least one gap")
-    g = sgp.frobenius
-    n = 2 * (g + 1)
-    values = tuple(s for s in range(n) if sgp.contains(s))
-    basis = Subspace(field, n, _monomials(field.packing, values), values)
-    return _shared(RingModel(field, sgp, n, basis))
+    values = sgp.small_members()
+    head = Subspace(field, sgp.frobenius + 1, _monomials(field.packing, values), values)
+    return _shared(RingModel(field, sgp, head))
 
 
-def subalgebra_model(basis: Subspace) -> RingModel:
-    """Generic subalgebra input: the model whose basis is a subspace of A_N.
-    Validates multiplicative closure, the presence of 1 and of the full
-    conductor block, and that the truncation N is 2*(g+1) for the value
-    semigroup read off the pivots."""
-    field, n = basis.field, basis.ambient
-    pivots = set(basis.pivots)
-    if not basis.contains(field.packing.one):
+def subalgebra_model(head: Subspace) -> RingModel:
+    """Generic subalgebra input: the model whose ring has this head, a
+    subspace of K^(g+1). Validates that the head contains 1, that its last
+    column is a gap, so that g is the Frobenius number of the value
+    semigroup read off the pivots, and that it is closed under products mod
+    t^(g+1). That check is exact: the ring is the head plus the conductor
+    t^(g+1)*V, and a product with an element of the conductor stays in it."""
+    field, h = head.field, head.ambient
+    if not head.contains(field.packing.one):
         raise InputError("subalgebra must contain 1")
-    gap_candidates = [x for x in range(n) if x not in pivots]
-    if not gap_candidates:
-        raise InputError("subalgebra equals the full algebra; no gaps")
-    g = max(gap_candidates)
-    if n != 2 * (g + 1):
-        raise InputError(
-            f"truncation {n} must equal 2*(Frobenius+1) = {2 * (g + 1)}"
-        )
-    sgp = NumericalSemigroup.from_gaps(gap_candidates)
-    for i, u in enumerate(basis.packed):
-        for v in basis.packed[i:]:
-            if not basis.contains(series_mul(u, v, field, n)):
-                raise InputError("basis does not span a multiplicatively closed space")
-    return _shared(RingModel(field, sgp, n, basis))
+    if h - 1 in head.pivots:
+        raise InputError(f"the head's last column t^{h - 1} must be a gap")
+    for i, u in enumerate(head.packed):
+        for v in head.packed[i:]:
+            if not head.contains(series_mul(u, v, field, h)):
+                raise InputError("head is not closed under products mod t^(g+1)")
+    sgp = NumericalSemigroup.from_gaps([x for x in range(h) if x not in head.pivots])
+    return _shared(RingModel(field, sgp, head))
 
 
 class RingIdeal:
     """A fractional ideal of the model between the conductor and V, stored
     as its head: a canonical subspace of K^(g+1), coefficients 0..g. Its
-    methods read elements of A_N mod t^(g+1); `sub` is the N-wide view.
+    methods read elements of K[t] mod t^(g+1).
 
     A model has one RingIdeal per head: RingIdeal(model, head) returns the
     object made first for equal packed rows, so ideals compare and hash by
@@ -173,18 +155,21 @@ class RingIdeal:
 
     @property
     def sub(self) -> Subspace:
-        """The ideal as a subspace of A_N: its head rows, then the
-        conductor's, already in reduced echelon form. Computed on each read,
-        so the many interned unit images hold no N-wide copy."""
+        """The ideal mod t^N, N = 2(g+1), as a subspace of K^N: its head
+        rows, then the monomials t^(g+1), ..., t^(N-1), already in reduced
+        echelon form. Built on each read; the engine reads heads only, and
+        the perfbench tracer's closure-table hook reads this."""
         model = self.model
-        head, conductor = self.head, model.conductor
-        return Subspace(
-            model.field, model.trunc, head.packed + conductor.packed, head.pivots + conductor.pivots
-        )
+        h, head = model.head_dim, self.head
+        values = tuple(range(h, 2 * h))
+        packed = head.packed + _monomials(model.field.packing, values)
+        return Subspace(model.field, 2 * h, packed, head.pivots + values)
 
     @property
     def dim(self):
-        return self.head.dim + self.model.conductor.dim
+        """The dimension of the ideal mod t^(2(g+1)): g+1 conductor
+        monomials beside the head."""
+        return self.head.dim + self.model.head_dim
 
     @property
     def generators(self) -> Subspace:
@@ -209,9 +194,10 @@ class RingIdeal:
 
     @property
     def value_set(self):
-        """Valuations realized below the truncation: the head's pivot columns,
-        then those of the conductor."""
-        return self.head.pivots + self.model.conductor.pivots
+        """The ideal's valuations below 2(g+1): the head's pivot columns,
+        then g+1, ..., 2g+1."""
+        h = self.model.head_dim
+        return self.head.pivots + tuple(range(h, 2 * h))
 
     def contains(self, other: "RingIdeal") -> bool:
         head, other_head = self.head, other.head
@@ -260,7 +246,7 @@ class RingIdeal:
         return RingIdeal(self.model, Subspace(field, h, *field.packing.echelon(rows)))
 
     def colon(self, other: "RingIdeal") -> "RingIdeal":
-        """(self : other) computed inside V: all a in A_N with a*other <= self.
+        """(self : other) computed inside V: all a in V with a*other <= self.
 
         For the ideals this engine manipulates (operands containing the
         conductor, quotients landing between the conductor and V) this is the
@@ -294,7 +280,7 @@ class RingIdeal:
         return self.v_closure() == self
 
     def unit_image(self, unit) -> "RingIdeal":
-        """u * I, for a packed unit u of A_N read mod t^(g+1)."""
+        """u * I, for a packed unit u of V read mod t^(g+1)."""
         model = self.model
         unit = model.field.packing.truncate(unit, model.head_dim)
         return RingIdeal(model, subspace_unit_image(self.head, unit))
@@ -336,7 +322,7 @@ def _normalize(model: RingModel, rows, pivots) -> RingIdeal:
 
 def normalized_translate_intersection(ideal: RingIdeal, head: Subspace, k: int) -> RingIdeal:
     """normalize(ideal meet t^k*J) for the ideal J with this head and
-    0 <= k <= g+1, at head width: nothing of A_N is built.
+    0 <= k <= g+1, at head width.
 
     Both ideals contain the conductor C = t^(g+1)*V, and t^k*C lies in C,
     so the meet is t^k*(Y + C), where Y holds the y in J's head with
@@ -484,7 +470,7 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
     if sgp.contains(g):
         raise InputError("Frobenius number already belongs to the value semigroup")
     R = model.ring_ideal()
-    t_ideal = model.span_ideal(list(model.basis.packed) + [model.monomial(g)])
+    t_ideal = model.span_ideal(list(R.head.packed) + [model.monomial(g)])
     if module_length(t_ideal, R) != 1:
         raise InvariantError("length of T/R is not 1")
     # R[y] = R + K*y here: y*R lands in R beyond the constant term because
@@ -498,20 +484,25 @@ def frobenius_overring_ideal(model: RingModel) -> RingIdeal:
 
 
 def frobenius_overring_model(model: RingModel) -> RingModel:
-    """T as a ring model in its own right, with its own (smaller) truncation:
-    the process's one model of T, shared with semigroup_ring_model of S with
-    g adjoined."""
+    """T as a ring model in its own right, with its own (narrower) head: the
+    process's one model of T, shared with semigroup_ring_model of S with g
+    adjoined."""
     t_ideal = frobenius_overring_ideal(model)
     sgp_t = model.sgp.adjoin_frobenius()
     if sgp_t.frobenius < 1:
         raise InputError("overring has no gaps; nothing to model")
-    n_t = 2 * (sgp_t.frobenius + 1)
-    kern = model.field.packing
-    rows = (kern.truncate(r, n_t) for r in t_ideal.sub.packed)
-    t_model = subalgebra_model(Subspace(model.field, n_t, *kern.echelon(rows)))
+    t_model = subalgebra_model(_cut_head(t_ideal, sgp_t.frobenius + 1))
     if t_model.sgp != sgp_t:
         raise InvariantError("overring value semigroup mismatch")
     return t_model
+
+
+def _cut_head(ideal: RingIdeal, width: int) -> Subspace:
+    """The ideal's head rows cut to the first `width` columns, echelonned:
+    its head in a model of head width `width` whose conductor it contains."""
+    kern = ideal.model.field.packing
+    rows = (kern.truncate(r, width) for r in ideal.head.packed)
+    return Subspace(ideal.model.field, width, *kern.echelon(rows))
 
 
 def convert_to_overring(ideal: RingIdeal, t_model: RingModel) -> RingIdeal:
@@ -520,11 +511,7 @@ def convert_to_overring(ideal: RingIdeal, t_model: RingModel) -> RingIdeal:
     T-stable ideals contain every element of valuation above T's Frobenius
     number, so cutting the head rows to T's head width is lossless.
     """
-    h_t = t_model.head_dim
-    kern = t_model.field.packing
-    heads = (kern.truncate(r, h_t) for r in ideal.head.packed)
-    head = Subspace(t_model.field, h_t, *kern.echelon(heads))
-    converted = RingIdeal(t_model, head)
+    converted = RingIdeal(t_model, _cut_head(ideal, t_model.head_dim))
     if converted.product(t_model.ring_ideal()) != converted:
         raise InvariantError("converted ideal is not stable over the overring")
     return converted

@@ -19,16 +19,15 @@ def poly_mul(a, b, p):
 
 
 def reference_tables(fld):
-    """(add, sub, mul, neg, inv) of fld: integer arithmetic mod p on a prime
+    """(add, mul, neg, inv) of fld: integer arithmetic mod p on a prime
     field, otherwise one polynomial operation per pair (per unordered pair
     for the commutative product)."""
     p, e, q = fld.p, fld.e, fld.q
     if e == 1:
         add = [[(a + b) % p for b in range(p)] for a in range(p)]
-        sub = [[(a - b) % p for b in range(p)] for a in range(p)]
         mul = [[a * b % p for b in range(p)] for a in range(p)]
         neg = [-a % p for a in range(p)]
-        return add, sub, mul, neg, [0] + [pow(a, p - 2, p) for a in range(1, p)]
+        return add, mul, neg, [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
     def digits(code):
         out = []
@@ -45,13 +44,12 @@ def reference_tables(fld):
 
     polys = [digits(c) for c in range(q)]
     add = [[code([(x + y) % p for x, y in zip(pa, pb)]) for pb in polys] for pa in polys]
-    sub = [[code([(x - y) % p for x, y in zip(pa, pb)]) for pb in polys] for pa in polys]
     trimmed = [_poly_trim(list(pa)) for pa in polys]
     modulus = list(fld.modulus)
     mul = [[0] * q for _ in range(q)]
     for a, pa in enumerate(trimmed):
         for b in range(a, q):
             mul[a][b] = mul[b][a] = code(_poly_mod(poly_mul(pa, trimmed[b], p), modulus, p))
-    neg = sub[0]
+    neg = [code([-x % p for x in pa]) for pa in polys]
     inv = [0] + [mul[a].index(1) for a in range(1, q)]
-    return add, sub, mul, neg, inv
+    return add, mul, neg, inv

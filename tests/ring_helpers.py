@@ -1,8 +1,8 @@
 """Ring-level constructions that only the tests use: the full ideal V, the
-translate t^k * I in A_N, the canonical ideals, the identity star, the
-stars generated and induced by ideals, the small-case star count report,
-and the certificate that reads the orbit partition of all of F_0, and the
-lemma suite on every ideal of F_0."""
+conductor and the translate t^k * I mod t^N, N = 2(g+1), the canonical
+ideals, the identity star, the stars generated and induced by ideals, the
+small-case star count report, and the certificate that reads the orbit
+partition of all of F_0, and the lemma suite on every ideal of F_0."""
 
 import itertools
 
@@ -31,19 +31,30 @@ def full_ideal(model) -> RingIdeal:
     return RingIdeal(model, subspaces.full(model.field, model.head_dim))
 
 
+def conductor(model) -> Subspace:
+    """The conductor t^(g+1)*V mod t^N, N = 2(g+1), as a subspace of K^N:
+    the monomials t^(g+1), ..., t^(N-1). The N-wide references (Zassenhaus
+    meets, translates, full normalization) span with it; the engine stores
+    heads only. N is its `ambient`."""
+    h = model.head_dim
+    kern = model.field.packing
+    values = tuple(range(h, 2 * h))
+    return Subspace(model.field, 2 * h, tuple(kern.shift(kern.one, v) for v in values), values)
+
+
 def translate(ideal: RingIdeal, k: int) -> Subspace:
-    """t^k * I as a subspace of A_N, exact for 0 <= k <= g+1: the head rows
-    moved k columns right, then the conductor rows from t^(k+g+1) on. That
-    is already reduced echelon form. The engine meets at head width and
-    builds no translate."""
+    """t^k * I mod t^N, N = 2(g+1), as a subspace of K^N, exact for
+    0 <= k <= g+1: the head rows moved k columns right, then the conductor
+    rows from t^(k+g+1) on. That is already reduced echelon form. The engine
+    meets at head width and builds no translate."""
     model = ideal.model
     assert 0 <= k <= model.head_dim
-    head, conductor = ideal.head, model.conductor
+    head, block = ideal.head, conductor(model)
     shift = model.field.packing.shift
     packed = tuple(shift(r, k) for r in head.packed)
     pivots = tuple(p + k for p in head.pivots)
     return Subspace(
-        model.field, model.trunc, packed + conductor.packed[k:], pivots + conductor.pivots[k:]
+        model.field, block.ambient, packed + block.packed[k:], pivots + block.pivots[k:]
     )
 
 

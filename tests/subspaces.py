@@ -2,9 +2,10 @@
 against a filter over every candidate; the tuple-row references the
 packed kernel (packed.py) and the packed series are checked against:
 Gauss–Jordan elimination, reduction, the Zassenhaus meet and truncated
-series arithmetic on coefficient tuples, by the field's add/sub/mul
+series arithmetic on coefficient tuples, by the field's add/neg/mul
 tables; and the orbit partition by whole orbits."""
 
+import functools
 import itertools
 from bisect import bisect_left
 
@@ -51,6 +52,13 @@ def full(fld, ambient):
 # tuple-row references
 
 
+@functools.cache
+def minus(fld):
+    """The subtraction table of fld, a - b = a + (-b), from its add and neg
+    tables; one per field."""
+    return [[row[b] for b in fld.neg] for row in fld.add]
+
+
 def rref(vectors, fld):
     """Reduced row echelon form; returns a tuple of nonzero rows, pivots
     strictly increasing, pivot entries 1, pivot columns elsewhere zero, and
@@ -58,7 +66,7 @@ def rref(vectors, fld):
     rows = [list(v) for v in vectors if any(v)]
     if not rows:
         return (), ()
-    mul, sub, inv = fld.mul, fld.sub, fld.inv
+    mul, sub, inv = fld.mul, minus(fld), fld.inv
     ncols = len(rows[0])
     out = []
     pivots = []
@@ -96,7 +104,7 @@ def rref(vectors, fld):
 def _back_substitute(rows, pivots, fld):
     """Clear the entries above each pivot of echelon rows (lists, pivot
     entries 1), last pivot first; returns the rows as tuples."""
-    sub, mul = fld.sub, fld.mul
+    sub, mul = minus(fld), fld.mul
     for i in range(len(rows) - 1, 0, -1):
         prow = rows[i]
         pcol = pivots[i]
@@ -123,7 +131,7 @@ def _subspace(fld, ambient, rows, pivots):
 def reduce(rows, pivots, vec, fld):
     """Residual of vec after eliminating along canonical tuple rows."""
     v = list(vec)
-    sub, mul = fld.sub, fld.mul
+    sub, mul = minus(fld), fld.mul
     for row, p in zip(rows, pivots):
         c = v[p]
         if c:

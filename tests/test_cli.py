@@ -247,7 +247,7 @@ def test_large_prime_order_exits_2():
     ids=["457", "30-31"],
 )
 def test_ring_budget_exits_before_the_model(capsys, monkeypatch, command, argv, message):
-    # the ideal budget needs only S and q, so the model, 2(g+1) columns
+    # the ideal budget needs only S and q, so the model, a head g+1 columns
     # wide, is never built when it is exceeded
     def refuse(*args):
         raise AssertionError("the model was built before the ideal budget was checked")

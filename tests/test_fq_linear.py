@@ -80,7 +80,7 @@ def test_field_axioms_exhaustive(p, e):
         for b in range(q):
             assert add_a[b] == f.add[b][a]
             assert mul_a[b] == f.mul[b][a]
-            assert f.add[f.sub[a][b]][b] == a
+            assert f.add[f.add[a][f.neg[b]]][b] == a
             assert mul_a[f.add[b][c]] == f.add[mul_a[b]][mul_a[c]]
             assert f.mul[mul_a[b]][c] == mul_a[f.mul[b][c]]
 
@@ -95,7 +95,7 @@ REFERENCE_FIELDS = sorted((p, e) for p in PRIMES for e in range(1, 9) if p**e <=
 @pytest.mark.parametrize("p,e", REFERENCE_FIELDS, ids=[f"q{p**e}" for p, e in REFERENCE_FIELDS])
 def test_tables_match_reference(p, e):
     f = fq_linear.Field(p, e)
-    assert (f.add, f.sub, f.mul, f.neg, f.inv) == reference_tables(f)
+    assert (f.add, f.mul, f.neg, f.inv) == reference_tables(f)
 
 
 # the number of monic irreducible polynomials of degree e over F_p
@@ -113,7 +113,7 @@ def test_tables_match_reference_on_every_modulus(p, e):
     assert len(moduli) == IRREDUCIBLE_COUNTS[(p, e)]
     for modulus in moduli:
         f = fq_linear.Field(p, e, modulus)
-        assert (f.add, f.sub, f.mul, f.neg, f.inv) == reference_tables(f), modulus
+        assert (f.add, f.mul, f.neg, f.inv) == reference_tables(f), modulus
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -33,11 +33,15 @@ from starlab.ring_model import (
 from starlab.star_engine import workspace
 
 import subspaces
-from ring_helpers import canonical_ideals, full_ideal, translate
+from ring_helpers import canonical_ideals, conductor, full_ideal, translate
 from subspaces import enumerate_subspaces
 
 F2 = field(2)
 F3 = field(3)
+# the ring head of the subalgebra K + K(t^2 + t^3) + t^4*K[[t]], value
+# semigroup <2,5>: a head row that is not a monomial, with an entry in gap
+# column 3
+T2_T3 = ((1, 0, 0, 0), (0, 0, 1, 1))
 
 
 def series_shift_down(coeffs, m):
@@ -48,7 +52,7 @@ def series_shift_down(coeffs, m):
 def ideal_from_full(model, sub):
     """The ideal whose N-wide subspace is sub, which must contain the
     conductor: its head is the span of its rows cut to g+1 columns."""
-    assert all(subspaces.contains(sub, r) for r in model.conductor.rows)
+    assert all(subspaces.contains(sub, r) for r in conductor(model).rows)
     h = model.head_dim
     ideal = RingIdeal(model, subspaces.span(model.field, h, [r[:h] for r in sub.rows]))
     assert ideal.sub == sub
@@ -63,7 +67,7 @@ def image_ideal(rep, rows):
 
 
 def normalize(model, sub):
-    """sub, a subspace of A_N of minimal valuation m <= g+1, divided by its
+    """sub, a subspace of K^N of minimal valuation m <= g+1, divided by its
     canonical least-pivot row alpha, landing in F_0: the N-wide
     normalization on packed rows. The engine normalizes Y + t^(g+1)*V at
     head width instead.
@@ -100,15 +104,18 @@ def ideals457(model457):
 
 
 def test_model_457_shape(model457):
-    assert model457.trunc == 14
-    values = model457.basis.pivots
-    assert values == (0, 4, 5, 7, 8, 9, 10, 11, 12, 13)
+    assert model457.head_dim == 7
+    R = model457.ring_ideal()
+    assert R.head.pivots == (0, 4, 5)
+    assert R.value_set == (0, 4, 5, 7, 8, 9, 10, 11, 12, 13)
+    assert R.dim == 10
 
 
 def test_model_23_shape():
     m = semigroup_ring_model(semigroup([2, 3]), F2)
-    assert m.trunc == 4
-    assert m.basis.pivots == (0, 2, 3)
+    assert m.head_dim == 2
+    assert m.ring_ideal().head.pivots == (0,)
+    assert m.ring_ideal().value_set == (0, 2, 3)
 
 
 def test_value_set_matches_semigroup_many():
@@ -121,15 +128,25 @@ def test_value_set_matches_semigroup_many():
     for gens in gens_list:
         S = semigroup(gens)
         m = semigroup_ring_model(S, F2)
-        expected = tuple(s for s in range(m.trunc) if S.contains(s))
-        assert m.basis.pivots == expected, gens
+        expected = tuple(s for s in range(2 * m.head_dim) if S.contains(s))
+        assert m.ring_ideal().value_set == expected, gens
 
 
-def test_generic_subalgebra_roundtrip(model457):
-    rebuilt = subalgebra_model(Subspace.span(F2, model457.trunc, model457.basis.rows))
-    assert rebuilt.sgp == model457.sgp
-    assert rebuilt.basis == model457.basis
-    assert rebuilt is model457
+def test_generic_subalgebra_roundtrip():
+    # the ring's own head, as it is and respanned from its literal rows,
+    # rebuilds the one model of the ring: <4,5,7> over one field per packed
+    # layout (XOR on F_2, bitsliced F_3, SWAR F_4), and K + K(t^2 + t^3)
+    models = [
+        semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(q)) for q in (2, 3, 4)
+    ]
+    models.append(subalgebra_model(Subspace.span(F3, 4, T2_T3)))
+    assert models[-1].sgp == semigroup([2, 5])
+    for model in models:
+        head = model.ring_ideal().head
+        assert subalgebra_model(head) is model
+        rebuilt = subalgebra_model(Subspace.span(model.field, model.head_dim, head.rows))
+        assert rebuilt is model
+        assert rebuilt.ring_ideal() is model.ring_ideal()
 
 
 def test_one_model_per_ring():
@@ -140,9 +157,21 @@ def test_one_model_per_ring():
 
 
 def test_generic_subalgebra_rejects_non_closed():
-    # span{1, t} inside A_4 is not multiplicatively closed without t^2, t^3
-    with pytest.raises(InputError):
-        subalgebra_model(Subspace.span(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]))
+    # span{1, t} in K^4: t*t = t^2 is not in it mod t^4
+    with pytest.raises(InputError, match="not closed under products"):
+        subalgebra_model(Subspace.span(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]))
+
+
+def test_generic_subalgebra_rejects_a_head_without_1():
+    with pytest.raises(InputError, match="must contain 1"):
+        subalgebra_model(Subspace.span(F2, 4, [(0, 0, 1, 0)]))
+
+
+def test_generic_subalgebra_rejects_a_value_in_the_last_column():
+    # span{1, t^3} in K^4 is closed mod t^4, but 3 is a value, so it is the
+    # head of no ring of Frobenius number 3
+    with pytest.raises(InputError, match="must be a gap"):
+        subalgebra_model(Subspace.span(F2, 4, [(1, 0, 0, 0), (0, 0, 0, 1)]))
 
 
 def test_overring_values(model457):
@@ -155,10 +184,17 @@ def test_overring_values(model457):
 def test_overring_model_equals_full_semigroup_ring(model457):
     t_model = frobenius_overring_model(model457)
     direct = semigroup_ring_model(semigroup([4, 5, 6, 7]), F2)
-    assert t_model.sgp == direct.sgp
-    assert t_model.basis == direct.basis
-    assert t_model.trunc == 8
+    assert t_model.head_dim == 4
     assert t_model is direct
+    # T's model, cut from T's head in R's model, is the one model of the
+    # semigroup ring of S with g adjoined, on the census at q = 2 and 3
+    for gens in [(4, 5, 7), (5, 6, 7, 9), (4, 7, 9), (3, 7, 11), (3, 8, 13)]:
+        S = semigroup(gens)
+        for q in (2, 3):
+            fld = field_from_order(q)
+            ring_t = semigroup_ring_model(semigroup(gens + (S.frobenius,)), fld)
+            assert frobenius_overring_model(semigroup_ring_model(S, fld)) is ring_t
+            assert set(ring_t.sgp.gaps) == set(S.gaps) - {S.frobenius}
 
 
 def test_enumerate_ideals_23():
@@ -191,10 +227,10 @@ def test_enumerate_ideals_postconditions(model457, ideals457):
 
 def _reference_ideals(model):
     """F_0 by brute force: every subspace of the gap coordinates lifted,
-    spanned together with the ring by a full rref, and kept when stable
-    under every basis row of the ring."""
-    fld, n, gaps = model.field, model.trunc, model.sgp.gaps
-    base = model.basis.rows
+    spanned together with the ring mod t^N, N = 2(g+1), by a full rref, and
+    kept when stable under every row of the ring."""
+    fld, n, gaps = model.field, 2 * model.head_dim, model.sgp.gaps
+    base = model.ring_ideal().sub.rows
     out = []
     for u_sub in enumerate_subspaces(len(gaps), fld):
         lifted = []
@@ -218,14 +254,7 @@ def _reference_ideals(model):
         semigroup_ring_model(semigroup([4, 5, 7]), F3),
         # t^2 + t^3 has an entry in gap column 3, which back-substitution
         # must clear whenever a candidate has a row with pivot 3
-        subalgebra_model(
-            Subspace.span(
-                F3,
-                8,
-                [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)]
-                + [tuple(int(j == k) for j in range(8)) for k in range(4, 8)],
-            )
-        ),
+        subalgebra_model(Subspace.span(F3, 4, T2_T3)),
     ],
     ids=["457-q2", "457-q3", "t2+t3-q3"],
 )
@@ -265,11 +294,6 @@ def _filtered_ideals(model):
     return tuple(sorted(out, key=lambda ideal: (ideal.dim, ideal.head.rows)))
 
 
-T2_T3 = ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)) + tuple(
-    tuple(int(j == k) for j in range(8)) for k in range(4, 8)
-)
-
-
 @pytest.mark.parametrize("gens", [(4, 5, 7), (5, 6, 7, 9), (3, 7, 11), (4, 7, 9), (3, 8, 13)])
 def test_enumerate_ideals_matches_filter_census(gens):
     # each ring R of the q = 2 counterexample census and its overring T
@@ -292,7 +316,7 @@ def test_enumerate_ideals_matches_filter_census(gens):
 def test_enumerate_ideals_matches_filter(gens, q):
     fld = field_from_order(q)
     if gens == "t2+t3":
-        model = subalgebra_model(Subspace.span(fld, 8, T2_T3))
+        model = subalgebra_model(Subspace.span(fld, 4, T2_T3))
     else:
         model = semigroup_ring_model(semigroup(gens), fld)
     assert enumerate_ideals(model) == _filtered_ideals(model)
@@ -420,7 +444,7 @@ def test_normalize_is_orbit_well_defined(model457, ideals457):
     m = meet.pivots[0]
     inv = series_inv(series_shift_down(alt, m), F2)
     alt_rows = [series_shift_down(series_mul(inv, r, F2), m) for r in rows]
-    alt_rows += list(model457.conductor.rows)
+    alt_rows += list(conductor(model457).rows)
     res2 = ideal_from_full(model457, subspaces.span(F2, 14, alt_rows))
     assert ws.orbit_id(res1) == ws.orbit_id(res2)
 
@@ -510,7 +534,7 @@ def test_stabilizer_colon_solved_once_per_orbit(gens, q, orbits, monkeypatch):
 )
 def test_unit_orbits_match_full_width_partition(gens, q):
     # unit_orbits works on heads; the reference partitions the full N-width
-    # subspaces under all units of A_N, where the units in 1 + t^(g+1)K[t]
+    # subspaces under all units of K[t]/(t^N), where the units in 1 + t^(g+1)K[t]
     # fix every subspace that contains the conductor. Head keys are lifted,
     # and witnesses padded, to compare.
     model = semigroup_ring_model(semigroup(gens), field_from_order(q))
@@ -520,7 +544,8 @@ def test_unit_orbits_match_full_width_partition(gens, q):
     assert part.orbit_ids == ref.orbit_ids
     assert part.members == ref.members
     assert [rep.sub for rep in part.reps] == list(ref.reps)
-    kern, h, n = model.field.packing, model.head_dim, model.trunc
+    kern, h = model.field.packing, model.head_dim
+    n = 2 * h
     unpack = kern.unpack
     for rep, images, ref_images in zip(part.reps, part.image_maps, ref.image_maps):
         lifted = {image_ideal(rep, rows).sub: w for rows, w in images.items()}
@@ -598,7 +623,7 @@ def test_translate_matches_span(model457, ideals457):
     ]
     for ideals, units in cases:
         model = ideals[0].model
-        fld, n = model.field, model.trunc
+        fld, n = model.field, 2 * model.head_dim
         pack = fld.packing.pack
         for I in ideals:
             for u in units:
@@ -640,7 +665,8 @@ def _reference_colon(I, J):
     """The full-width colon: every shift of every divisor row reduced against
     all N columns of I, and the kernel read off a transposed rref."""
     model = I.model
-    fld, n, h = model.field, model.trunc, model.head_dim
+    cond = conductor(model)
+    fld, n, h = model.field, cond.ambient, model.head_dim
     I_sub, J_sub = I.sub, J.sub
     constraints = []
     for b, p in zip(J_sub.rows, J_sub.pivots):
@@ -661,7 +687,7 @@ def _reference_colon(I, J):
         for i in range(h)
     ]
     kernel = [r[m:] for r in subspaces.rref(block, fld)[0] if not any(r[:m])]
-    rows = [a + (0,) * (n - h) for a in kernel] + list(model.conductor.rows)
+    rows = [a + (0,) * (n - h) for a in kernel] + list(cond.rows)
     return ideal_from_full(model, subspaces.span(fld, n, rows))
 
 
@@ -686,9 +712,6 @@ def _colon_test_ideals(model):
 
 HEAD_MODELS = [((4, 5, 7), 2), ((4, 5, 7), 3), ((4, 5, 7), 4), ((4, 5, 6, 7), 3), ((3, 5, 7), 3)]
 HEAD_MODEL_IDS = ["457-q2", "457-q3", "457-q4", "4567-q3", "357-q3"]
-T2T3_ROWS = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0)] + [
-    tuple(int(j == k) for j in range(8)) for k in range(4, 8)
-]
 
 
 def t_of_457_q3():
@@ -706,7 +729,7 @@ COLON_MODELS = [
     lambda: semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(4)),
     t_of_457_q3,
     lambda: semigroup_ring_model(semigroup([3, 5, 7]), F3),
-    lambda: subalgebra_model(Subspace.span(F3, 8, T2T3_ROWS)),
+    lambda: subalgebra_model(Subspace.span(F3, 4, T2_T3)),
 ]
 COLON_MODEL_IDS = HEAD_MODEL_IDS + ["t2+t3-q3"]
 
@@ -799,7 +822,7 @@ HEAD_FORM_MODELS = [
     lambda: semigroup_ring_model(semigroup([4, 5, 7]), field_from_order(4)),
     lambda: semigroup_ring_model(semigroup([4, 5, 6, 7]), F3),
     lambda: semigroup_ring_model(semigroup([3, 5, 7]), field(2, 3, (1, 1, 0, 1))),
-    lambda: subalgebra_model(Subspace.span(F3, 8, T2T3_ROWS)),
+    lambda: subalgebra_model(Subspace.span(F3, 4, T2_T3)),
 ]
 HEAD_FORM_IDS = ["457-q2", "457-q3", "457-q4", "4567-q3", "357-F8", "t2+t3-q3"]
 
@@ -809,19 +832,20 @@ def test_sub_view_is_the_lifted_head(make_model):
     # the N-wide view, its dimension and its value set against a span of
     # the zero-padded head rows and the conductor rows
     model = make_model()
-    n, h = model.trunc, model.head_dim
+    block = conductor(model)
+    n, h = block.ambient, model.head_dim
     pad = (0,) * (n - h)
     for I in enumerate_ideals(model):
-        rows = [r + pad for r in I.head.rows] + list(model.conductor.rows)
+        rows = [r + pad for r in I.head.rows] + list(block.rows)
         ref = subspaces.span(model.field, n, rows)
         assert I.sub == ref
         assert I.sub.pivots == ref.pivots
         assert I.dim == ref.dim
         assert I.value_set == ref.pivots
-    positive = tuple(r for r, p in zip(model.basis.rows, model.basis.pivots) if p)
+    ring = model.ring_ideal().sub
+    positive = tuple(r for r, p in zip(ring.rows, ring.pivots) if p)
     maximal = ideal_from_full(model, subspaces.span(model.field, n, positive))
     assert model.maximal_ideal() == maximal
-    assert model.ring_ideal().sub == model.basis
 
 
 @pytest.mark.parametrize("make_model", HEAD_FORM_MODELS, ids=HEAD_FORM_IDS)
@@ -860,7 +884,7 @@ def test_product_needs_a_valuation_0_factor(model457):
 
 def test_ring_ideal_rejects_a_full_width_subspace(model457):
     with pytest.raises(InputError):
-        RingIdeal(model457, model457.basis)
+        RingIdeal(model457, conductor(model457))
     with pytest.raises(InputError):
         RingIdeal(model457, model457.ring_ideal().sub)
 

@@ -39,6 +39,7 @@ from starlab.star_engine import (
 import subspaces
 from ring_helpers import (
     canonical_ideals,
+    conductor,
     full_ideal,
     generated_star,
     identity_star,
@@ -289,8 +290,9 @@ def _reference_normalize(model, sub):
     m = sub.pivots[0]
     inv = series_inv(series_shift_down(sub.rows[0], m), model.field)
     rows = [series_shift_down(series_mul(inv, r, model.field), m) for r in sub.rows]
-    rows += list(model.conductor.rows)
-    return ideal_from_full(model, subspaces.span(model.field, model.trunc, rows))
+    block = conductor(model)
+    rows += list(block.rows)
+    return ideal_from_full(model, subspaces.span(model.field, block.ambient, rows))
 
 
 def test_normalize_memo_is_per_model():
@@ -312,14 +314,14 @@ def test_normalize_memo_is_per_model():
     ]
     results = []
     for model in models:
-        h = model.head_dim
+        h, block = model.head_dim, conductor(model)
         heads = [subspaces.span(model.field, h, rows) for rows in inputs]
         ideals = [_normalize(model, Y.packed, Y.pivots) for Y in heads]
         assert ideals[0] is full_ideal(model)
         for Y, ideal in zip(heads[1:], ideals[1:]):
             assert ideal.model is model
-            rows = [r + (0,) * h for r in Y.rows] + list(model.conductor.rows)
-            full = subspaces.span(model.field, model.trunc, rows)
+            rows = [r + (0,) * h for r in Y.rows] + list(block.rows)
+            full = subspaces.span(model.field, block.ambient, rows)
             assert ideal == _reference_normalize(model, full)
             again = subspaces.span(model.field, h, Y.rows)
             assert _normalize(model, again.packed, again.pivots) is ideal
@@ -389,6 +391,8 @@ def test_closure_table_matches_reference(gens, q, sides):
                 kinds.add(classes[i][m] < classes[j][m])
     assert kinds == sides
     pack, shift = model.field.packing.pack, model.field.packing.shift
+    block = conductor(model)
+    n = block.ambient
     expected = {}
     for i, rep in enumerate(part.reps):
         rep_sub = rep.sub
@@ -405,14 +409,14 @@ def test_closure_table_matches_reference(gens, q, sides):
                     # the meet is t^k * (Y + C), C the conductor
                     found = packed_meet(rep.head.entries, h, image.head, k)
                     rows, pivots = found or (image.head.packed, image.head.pivots)
-                    full = tuple(unpack(shift(r, k), model.trunc) for r in rows)
-                    assert full + model.conductor.rows[k:] == meet.rows
-                    assert tuple(p + k for p in pivots) + model.conductor.pivots[k:] == meet.pivots
+                    full = tuple(unpack(shift(r, k), n) for r in rows)
+                    assert full + block.rows[k:] == meet.rows
+                    assert tuple(p + k for p in pivots) + block.pivots[k:] == meet.pivots
                     m = meet.pivots[0]
                     if m > g + 1:
                         # the elements of t^k*u*rep_j of valuation >= m
                         keep = [r for r, p in zip(image_sub.rows, image_sub.pivots) if p >= m - k]
-                        meet = subspaces.span(model.field, model.trunc, keep)
+                        meet = subspaces.span(model.field, n, keep)
                     ref = _reference_normalize(model, meet)
                     assert normalized_translate_intersection(rep, image.head, k) == ref
                     hits.add(ws.orbit_id(ref))

@@ -42,10 +42,12 @@ def test_traced_names_resolve():
 @pytest.mark.parametrize("q", ["2", "3"])
 def test_traced_run_matches_untraced(tmp_path, q):
     # the tracer's hooks also read the arguments of what they wrap: the
-    # table.useful hook reads the rows of the translate and the ideal's
-    # N-wide view, and reduces them by the unwrapped Subspace.reduce. A
-    # change of their shape must fail here too, on the XOR layout of F_2
-    # and on the bitsliced one of F_3 that the stars workload runs
+    # table.useful hook reads the rows of J's head, the second argument of
+    # normalized_translate_intersection, and RingIdeal.sub, the N-wide view
+    # of its first argument, which has no other reader, and reduces the
+    # rows by the unwrapped Subspace.reduce. A change of their shape must
+    # fail here too, on the XOR layout of F_2 and on the bitsliced one of
+    # F_3 that the stars workload runs
     src = os.path.dirname(os.path.dirname(starlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("STARLAB_CACHE_DIR", None)
